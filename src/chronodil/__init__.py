@@ -26,7 +26,7 @@ from .measurement import MomentumBinning, bin_probability, conditioned_sigma, sw
 from .oracle import (
     JointState,
     VerificationReport,
-    exact_evolve_g,
+    evolve_characteristics_g,
     exact_evolve_g0,
     idealised_surrogate,
     verify_mean_time,
@@ -42,6 +42,6 @@ __all__ = [
     "classical_proper_time", "mean_clock_time", "sup_vs_mix", "t_coh",
     "sigma_breakdown", "sigma_ideal_term", "sigma_nonideal_term", "w_moments",
     "MomentumBinning", "bin_probability", "conditioned_sigma", "sweep_conditioned",
-    "JointState", "VerificationReport", "exact_evolve_g", "exact_evolve_g0",
+    "JointState", "VerificationReport", "evolve_characteristics_g", "exact_evolve_g0",
     "idealised_surrogate", "verify_mean_time", "verify_sigma",
 ]

@@ -23,11 +23,19 @@ clock time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import C_LIGHT, HBAR
+
+
+def _require_finite(state, names) -> None:
+    for name in names:
+        value = getattr(state, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +49,7 @@ class GaussianState:
     mass: float
 
     def __post_init__(self):
+        _require_finite(self, ("x0", "p0", "sigma_x", "mass"))
         if self.sigma_x <= 0:
             raise ValueError(f"sigma_x must be positive, got {self.sigma_x}")
         if self.mass <= 0:
@@ -66,6 +75,7 @@ class CatState:
     theta: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, ("delta_x0", "alpha", "theta"))
         if self.delta_x0 < 0:
             raise ValueError(f"delta_x0 must be >= 0, got {self.delta_x0}")
         if not 0.0 < self.alpha < 1.0:
@@ -254,13 +264,15 @@ def default_momentum_grid(state, n_points: int = 1024, half_width: float = 8.0) 
 def to_grid(state, grid: np.ndarray) -> GridAmplitudes:
     """Sample the momentum wavefunction(s) on ``grid``.
 
-    Raises ValueError when the grid captures less than 1 - 1e-6 of the
-    state's probability. The discrete norm is reported in the result.
+    ``grid`` is one uniform grid, or a stack of uniform grids of equal
+    spacing along its last axis. Raises ValueError when any of them
+    captures less than 1 - 1e-6 of the state's probability. The discrete
+    norm, the smallest one for a stack, is reported in the result.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.size < 2:
+    if grid.ndim == 0 or grid.shape[-1] < 2:
         raise ValueError("grid must contain at least two samples")
-    dp = grid[1] - grid[0]
+    dp = grid[..., 1] - grid[..., 0]
     if isinstance(state, GaussianState):
         comps = ((1.0, gaussian_momentum_wavefunction(state, grid)),)
     elif isinstance(state, CatState):
@@ -269,7 +281,7 @@ def to_grid(state, grid: np.ndarray) -> GridAmplitudes:
         comps = tuple((w, gaussian_momentum_wavefunction(c, grid)) for w, c in state.components)
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    captured = float(sum(w * np.sum(np.abs(a) ** 2) * dp for w, a in comps))
+    captured = float(np.min(sum(w * np.sum(np.abs(a) ** 2, axis=-1) * dp for w, a in comps)))
     if captured < 1.0 - 1e-6:
         raise ValueError(
             f"grid too narrow: captured norm {captured!r} < 1 - 1e-6; widen the span"

@@ -215,3 +215,25 @@ def test_state_validation():
         CatState(base=gaussian(), delta_x0=0.0, alpha=1.0)
     with pytest.raises(ValueError):
         MixtureState(components=((0.5, gaussian()), (0.4, gaussian())))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["x0", "p0", "sigma_x", "mass", "delta_x0", "alpha", "theta"])
+def test_state_rejects_non_finite_parameters(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        if field in ("x0", "p0", "sigma_x", "mass"):
+            gaussian(**{field: value})
+        else:
+            cat(**{{"delta_x0": "delta"}.get(field, field): value})
+
+
+def test_grid_stack_checks_every_row():
+    state = gaussian()
+    sp = state.sigma_p
+    row = np.linspace(-8.0 * sp, 8.0 * sp, 512)
+    stacked = to_grid(state, np.stack([row, row + 0.5 * sp]))
+    assert stacked.components[0][1].shape == (2, 512)
+    assert np.array_equal(stacked.components[0][1][0], to_grid(state, row).components[0][1])
+    # a row shifted off the packet fails on its own, though the first row is fine
+    with pytest.raises(ValueError, match="too narrow"):
+        to_grid(state, np.stack([row, row + 6.0 * sp]))

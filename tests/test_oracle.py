@@ -1,27 +1,28 @@
 import numpy as np
 import pytest
 
-from chronodil.clocks import build_quasi_ideal, build_swp, ClockModel
-from chronodil.constants import HBAR
+from chronodil.clocks import build_qubit_phase, build_quasi_ideal, build_swp, ClockModel
 from chronodil.dilation import mean_clock_time, sup_vs_mix
 from chronodil.kinematics import GaussianState
 from chronodil.linalg import evolve_hermitian, projector
 from chronodil.oracle import (
     clock_time_stats,
     evolve_characteristics_g,
-    exact_evolve_g,
     exact_evolve_g0,
     idealised_surrogate,
     reduced_clock_density,
     reduced_kinematic_density,
     verify_mean_time,
     verify_sigma,
-    _default_step_count,
 )
 from chronodil.precision import sigma_breakdown, sigma_dispersion_exact, sigma_nr
 from helpers import BENCH_OMEGA, BENCH_T, bench_c, bench_cat, bench_gaussian
+from split_step import split_step_evolve
 
 G_EARTH = 9.81
+# about the step count a 0.1 rad cap on the phase advance per step gives
+# for the benchmark packet and clocks below
+SPLIT_STEPS = 850
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +90,39 @@ def test_mixture_rejected_by_pure_evolver():
 
 
 # ---------------------------------------------------------------------------
-# split-operator evolution with gravity
+# evolution with gravity: characteristics oracle and split-step reference
+
+
+@pytest.mark.parametrize("clock_name", ["dial d=4", "gaussian dial d=8", "qubit phase"])
+@pytest.mark.parametrize("state_name", ["gaussian", "cat"])
+def test_characteristics_at_zero_g_matches_c2_block_oracle(clock_name, state_name):
+    # the characteristics solution always carries the quartic kinetic term;
+    # at g = 0 it is a phase common to all clock components, so the reading
+    # equals the 'c2' block oracle's
+    clk = {"dial d=4": build_swp(4, BENCH_OMEGA),
+           "gaussian dial d=8": build_quasi_ideal(8, BENCH_OMEGA, np.sqrt(8), m0=2.0),
+           "qubit phase": build_qubit_phase(BENCH_OMEGA)}[clock_name]
+    state = {"gaussian": bench_gaussian(), "cat": bench_cat(theta=0.7)}[state_name]
+    c = bench_c()
+    mean_char = clock_time_stats(evolve_characteristics_g(clk, state, BENCH_T, 0.0, c=c), clk)[0]
+    mean_block = clock_time_stats(exact_evolve_g0(clk, state, BENCH_T, order="c2", c=c), clk)[0]
+    assert abs(mean_char - mean_block) < 1e-12 * abs(mean_block)
+
+
+def test_characteristics_rejects_mixture_and_narrow_grid():
+    from chronodil.kinematics import MixtureState, to_grid
+
+    clk = build_swp(4, BENCH_OMEGA)
+    mix = MixtureState(components=((1.0, bench_gaussian()),))
+    with pytest.raises(TypeError, match="ensemble"):
+        evolve_characteristics_g(clk, mix, BENCH_T, G_EARTH, c=bench_c())
+    state = bench_gaussian()
+    # wide enough for the unshifted packet, but the shift by the force (about
+    # 3 sigma_p here) moves part of the packet off every row of the stacked grid
+    grid = np.linspace(state.p0 - 6.0 * state.sigma_p, state.p0 + 8.0 * state.sigma_p, 2048)
+    assert to_grid(state, grid).captured_norm > 1.0 - 1e-6
+    with pytest.raises(ValueError, match="captured norm"):
+        evolve_characteristics_g(clk, state, BENCH_T, G_EARTH, c=bench_c(), grid=grid)
 
 
 def test_split_step_matches_block_oracle_at_zero_g():
@@ -97,7 +130,7 @@ def test_split_step_matches_block_oracle_at_zero_g():
     state = bench_gaussian()
     c = bench_c()
     js_block = exact_evolve_g0(clk, state, BENCH_T, order="c2", c=c)
-    js_split = exact_evolve_g(clk, state, BENCH_T, g=0.0, c=c)
+    js_split = split_step_evolve(clk, state, BENCH_T, 0.0, steps=SPLIT_STEPS, c=c)
     mean_block = clock_time_stats(js_block, clk)[0]
     mean_split = clock_time_stats(js_split, clk)[0]
     # the p^4 kinetic phase present in the split-step Hamiltonian is
@@ -116,7 +149,7 @@ def test_ehrenfest_trajectory_with_clock_off():
     t = BENCH_T
     # near-physical light speed so the quartic kinetic correction to the
     # group velocity is far below the 0.1% trajectory tolerance
-    js = exact_evolve_g(clk, state, t, g=G_EARTH, c=1e3 * bench_c())
+    js = split_step_evolve(clk, state, t, G_EARTH, steps=SPLIT_STEPS, c=1e3 * bench_c())
     density = reduced_kinematic_density(js)
     density = density / (density.sum() * js.spacing)
     mean_x = float(np.sum(js.grid * density) * js.spacing)
@@ -129,13 +162,13 @@ def test_split_step_second_order_convergence():
     clk = build_swp(4, BENCH_OMEGA)
     state = bench_gaussian()
     c = bench_c()
-    steps = _default_step_count(clk, state, BENCH_T, G_EARTH, c, HBAR)
+    steps = SPLIT_STEPS
     reference = clock_time_stats(
-        exact_evolve_g(clk, state, BENCH_T, G_EARTH, steps=8 * steps, c=c), clk)[0]
+        split_step_evolve(clk, state, BENCH_T, G_EARTH, steps=8 * steps, c=c), clk)[0]
     err_s = abs(clock_time_stats(
-        exact_evolve_g(clk, state, BENCH_T, G_EARTH, steps=steps, c=c), clk)[0] - reference)
+        split_step_evolve(clk, state, BENCH_T, G_EARTH, steps=steps, c=c), clk)[0] - reference)
     err_2s = abs(clock_time_stats(
-        exact_evolve_g(clk, state, BENCH_T, G_EARTH, steps=2 * steps, c=c), clk)[0] - reference)
+        split_step_evolve(clk, state, BENCH_T, G_EARTH, steps=2 * steps, c=c), clk)[0] - reference)
     assert err_s / err_2s > 3.0  # second-order signature (ratio near 4)
 
 
@@ -144,19 +177,10 @@ def test_split_step_matches_characteristics_solution():
     state = bench_gaussian()
     c = bench_c()
     mean_split = clock_time_stats(
-        exact_evolve_g(clk, state, BENCH_T, G_EARTH, c=c), clk)[0]
+        split_step_evolve(clk, state, BENCH_T, G_EARTH, steps=SPLIT_STEPS, c=c), clk)[0]
     mean_char = clock_time_stats(
         evolve_characteristics_g(clk, state, BENCH_T, G_EARTH, c=c), clk)[0]
     assert abs(mean_split - mean_char) < 1e-8 * abs(mean_char)
-
-
-def test_step_budget_guard():
-    clk = build_swp(4, BENCH_OMEGA)
-    # wide slow packet: no aliasing risk, but the clock phase alone wants
-    # more steps than the budget allows over a few seconds
-    state = GaussianState(x0=0.0, p0=0.0, sigma_x=3e-4, mass=1e-25)
-    with pytest.raises(ValueError, match="step budget"):
-        exact_evolve_g(clk, state, 30.0, g=0.0, c=bench_c())
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +294,7 @@ def test_verify_sigma_report_is_honest():
 
 def test_surrogate_with_gravity_matches_first_order_correction():
     # high-dimensional surrogate for the idealised clock under gravity:
-    # the full split-step mean agrees with the first-order formula to
+    # the characteristics mean agrees with the first-order formula to
     # better than 1% of the correction term at a gentle coupling
     clk = idealised_surrogate(BENCH_OMEGA, d=64)
     state = bench_gaussian()
@@ -278,7 +302,7 @@ def test_surrogate_with_gravity_matches_first_order_correction():
     # gentler coupling than the d = 8 benchmarks to sit below 1e-2
     c = 6.0 * bench_c()
     result = mean_clock_time(clk, state, BENCH_T, G_EARTH, c=c)
-    js = exact_evolve_g(clk, state, BENCH_T, G_EARTH, c=c)
+    js = evolve_characteristics_g(clk, state, BENCH_T, G_EARTH, c=c)
     oracle = clock_time_stats(js, clk)[0]
     correction = result.mean_t - result.mean_t_nr
     assert abs(oracle - result.mean_t) < 1e-2 * abs(correction)
