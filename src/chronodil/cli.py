@@ -2,7 +2,7 @@
 
 Usage::
 
-    chronodil <command> --config <path> [--out <path>] [--jobs N]
+    chronodil <command> --config <path> [--out <path>]
                         [--no-timestamp] [--plot-script <path>]
 
 Exit codes: 0 success, 2 configuration or physics-domain error,
@@ -15,8 +15,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from . import __version__
 from .config import COMMANDS, ConfigError, RunConfig, echo_lines, parse_config
 from .constants import C_LIGHT, HBAR
 from .dilation import mean_clock_time, sup_vs_mix, t_coh
-from .kinematics import CatState, GaussianState, norm_factor
+from .kinematics import norm_factor
 from .measurement import sweep_conditioned
 from .oracle import verify_mean_time, verify_sigma
 from .precision import sigma_breakdown
@@ -75,7 +74,7 @@ def write_csv(table: CsvTable, cfg: RunConfig, stream) -> None:
 # command implementations
 
 
-def _run_dilation(cfg: RunConfig, jobs: int) -> tuple[CsvTable, int]:
+def _run_dilation(cfg: RunConfig) -> tuple[CsvTable, int]:
     clock = cfg.clock()
     kstate = cfg.kinematic_state()
     g = cfg.get("physics", "g")
@@ -89,7 +88,7 @@ def _run_dilation(cfg: RunConfig, jobs: int) -> tuple[CsvTable, int]:
     return CsvTable(header=header, rows=rows), 0
 
 
-def _run_coherence(cfg: RunConfig, jobs: int) -> tuple[CsvTable, int]:
+def _run_coherence(cfg: RunConfig) -> tuple[CsvTable, int]:
     cat = cfg.kinematic_state()
     g = cfg.get("physics", "g")
     c = cfg.c_light()
@@ -101,7 +100,7 @@ def _run_coherence(cfg: RunConfig, jobs: int) -> tuple[CsvTable, int]:
     return CsvTable(header=header, rows=rows), 0
 
 
-def _run_precision(cfg: RunConfig, jobs: int) -> tuple[CsvTable, int]:
+def _run_precision(cfg: RunConfig) -> tuple[CsvTable, int]:
     clock = cfg.clock()
     kstate = cfg.kinematic_state()
     c = cfg.c_light()
@@ -113,7 +112,7 @@ def _run_precision(cfg: RunConfig, jobs: int) -> tuple[CsvTable, int]:
     return CsvTable(header=header, rows=rows), 0
 
 
-def _run_measurement(cfg: RunConfig, jobs: int) -> tuple[CsvTable, int]:
+def _run_measurement(cfg: RunConfig) -> tuple[CsvTable, int]:
     clock = cfg.clock()
     kstate = cfg.kinematic_state()
     c = cfg.c_light()
@@ -126,12 +125,12 @@ def _run_measurement(cfg: RunConfig, jobs: int) -> tuple[CsvTable, int]:
     return CsvTable(header=header, rows=rows), 0
 
 
-def _run_verify(cfg: RunConfig, jobs: int) -> tuple[CsvTable, int]:
+def _run_verify(cfg: RunConfig) -> tuple[CsvTable, int]:
     clock = cfg.clock()
     kstate = cfg.kinematic_state()
     g = cfg.get("physics", "g")
     c = cfg.c_light()
-    (t,) = cfg.times()[:1] or [1.0]
+    (t,) = cfg.times()
     scalings = cfg.get("verify", "c_scalings")
     target = cfg.get("verify", "target")
     if target == "mean_time":
@@ -154,34 +153,19 @@ def _run_verify(cfg: RunConfig, jobs: int) -> tuple[CsvTable, int]:
     return table, (0 if ok else 3)
 
 
-def _sweep_point(args) -> list:
-    index, ratio, base_kwargs, cat_kwargs, t, g, c = args
-    base = GaussianState(**base_kwargs)
-    cat = CatState(base=base, delta_x0=ratio * base.sigma_x,
-                   alpha=cat_kwargs["alpha"], theta=cat_kwargs["theta"])
-    res = t_coh(cat, t, g, c=c)
-    return [index, ratio, ratio * base.sigma_x, res.t_sup, res.t_mix, res.t_coh]
-
-
-def _run_sweep(cfg: RunConfig, jobs: int) -> tuple[CsvTable, int]:
+def _run_sweep(cfg: RunConfig) -> tuple[CsvTable, int]:
     cat = cfg.kinematic_state()
-    base = cat.base
     g = cfg.get("physics", "g")
     c = cfg.c_light()
-    (t,) = cfg.times()[:1]
+    (t,) = cfg.times()
     start, stop, num = (cfg.get("sweep", "start"), cfg.get("sweep", "stop"),
                         cfg.get("sweep", "num"))
-    ratios = [start + (stop - start) * i / (num - 1) for i in range(num)]
-    base_kwargs = {"x0": base.x0, "p0": base.p0, "sigma_x": base.sigma_x, "mass": base.mass}
-    cat_kwargs = {"alpha": cat.alpha, "theta": cat.theta}
-    work = [(i, r, base_kwargs, cat_kwargs, t, g, c) for i, r in enumerate(ratios)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_point, work))
-    else:
-        results = [_sweep_point(item) for item in work]
-    results.sort(key=lambda row: row[0])  # deterministic order by sweep index
-    rows = [row[1:] for row in results]
+    rows = []
+    for i in range(num):
+        ratio = start + (stop - start) * i / (num - 1)
+        delta_x0 = ratio * cat.sigma_x
+        res = t_coh(replace(cat, delta_x0=delta_x0), t, g, c=c)
+        rows.append([ratio, delta_x0, res.t_sup, res.t_mix, res.t_coh])
     header = ["delta_x0_over_sigma_x", "delta_x0", "t_sup", "t_mix", "t_coh"]
     return CsvTable(header=header, rows=rows), 0
 
@@ -196,9 +180,9 @@ _RUNNERS = {
 }
 
 
-def run(cfg: RunConfig, jobs: int = 1) -> tuple[CsvTable, int]:
+def run(cfg: RunConfig) -> tuple[CsvTable, int]:
     """Dispatch a parsed configuration; returns (table, exit code)."""
-    return _RUNNERS[cfg.command](cfg, jobs)
+    return _RUNNERS[cfg.command](cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +242,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--no-timestamp", action="store_true")
     parser.add_argument("--plot-script", default=None)
     args = parser.parse_args(argv)
@@ -273,9 +256,13 @@ def main(argv=None) -> int:
         print(f"chronodil: config declares command {cfg.command!r}, "
               f"got {args.command!r} on the command line", file=sys.stderr)
         return 2
+    if args.plot_script and cfg.command not in ("measurement", "sweep"):
+        print("chronodil: --plot-script only supports measurement and sweep tables",
+              file=sys.stderr)
+        return 2
 
     try:
-        table, code = run(cfg, jobs=max(1, args.jobs))
+        table, code = run(cfg)
     except (ValueError, TypeError) as exc:
         print(f"chronodil: {exc}", file=sys.stderr)
         return 2
@@ -289,12 +276,7 @@ def main(argv=None) -> int:
         write_csv(table, cfg, sys.stdout)
 
     if args.plot_script:
-        kind = "measurement" if cfg.command == "measurement" else "sweep"
-        if cfg.command not in ("measurement", "sweep"):
-            print("chronodil: --plot-script only supports measurement and sweep tables",
-                  file=sys.stderr)
-            return 2
-        script = emit_plot_script(table, kind, csv_path=out_path or "out.csv")
+        script = emit_plot_script(table, cfg.command, csv_path=out_path or "out.csv")
         with open(args.plot_script, "w", encoding="utf-8") as fh:
             fh.write(script)
     return code

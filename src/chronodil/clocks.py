@@ -22,6 +22,12 @@ which vanishes identically for a perfect (idealised) clock and measures
 how far the mean clock time drifts from the lab time per unit time:
 d<T>/dt = 1 + tr E(t) under free evolution.
 
+Every matrix of a clock is stored in its energy eigenbasis: ``h_cl``
+must be a real diagonal matrix, checked at construction. Free evolution
+is then an elementwise phase, rho_jk(t) = rho_jk e^{-i (E_j - E_k) t / hbar},
+the rate operator -(i/hbar)[T, H] has entries -(i/hbar) T_jk (E_k - E_j),
+and the integrated error trace has a closed form; nothing diagonalises.
+
 Conventions: energies ascend, the qubit ground state is ``|0>``, and the
 stored time observable is offset-calibrated so that ``<T>(0) = 0``.
 ``time_offset`` records the subtracted constant, so the raw first-moment
@@ -34,25 +40,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .constants import HBAR
 from . import linalg
-from .linalg import (
-    SIGMA_Z,
-    commutator,
-    dagger,
-    evolve_hermitian,
-    expectation,
-    projector,
-)
+from .linalg import SIGMA_Z, dagger, expectation, projector
 
 
 @dataclass(frozen=True)
 class ClockModel:
     """Matrix clock: Hamiltonian (J), calibrated time observable (s),
     initial state, period (s), and, for continuous phase measurements,
-    the measurement density at the dial's branch cut (1/s)."""
+    the measurement density at the dial's branch cut (1/s).
+
+    All matrices are in the energy eigenbasis: ``h_cl`` must be a real
+    diagonal (dim, dim) matrix, and ``t_cl`` and ``rho0`` must be
+    (dim, dim)."""
 
     dim: int
     h_cl: np.ndarray
@@ -64,6 +66,23 @@ class ClockModel:
     povm_at_zero: np.ndarray | None = None
     kind: str = "generic"
     omega: float = 0.0
+
+    def __post_init__(self):
+        h = np.asarray(self.h_cl)
+        if h.shape != (self.dim, self.dim) or np.count_nonzero(h - np.diag(np.diagonal(h))):
+            raise ValueError(f"h_cl must be a diagonal {(self.dim, self.dim)} matrix: "
+                             "clocks are stored in their energy eigenbasis")
+        if np.count_nonzero(np.imag(np.diagonal(h))):
+            raise ValueError("h_cl must have real energies on its diagonal")
+        for name in ("t_cl", "rho0"):
+            shape = np.shape(getattr(self, name))
+            if shape != (self.dim, self.dim):
+                raise ValueError(f"{name} must have shape {(self.dim, self.dim)}, got {shape}")
+
+    @property
+    def energies(self) -> np.ndarray:
+        """Diagonal of ``h_cl`` (J)."""
+        return np.diagonal(self.h_cl).real
 
     def t_cl_raw(self) -> np.ndarray:
         return self.t_cl + self.time_offset * np.eye(self.dim)
@@ -266,17 +285,34 @@ def build_qubit_phase(omega: float, hbar: float = HBAR) -> ClockModel:
 # diagnostics
 
 
+def evolve(clock: ClockModel, t: float, hbar: float = HBAR) -> np.ndarray:
+    """rho(t) under free clock evolution: an elementwise phase in the
+    energy eigenbasis."""
+    ph = np.exp(-1j * clock.energies * t / hbar)
+    return (ph[:, None] * clock.rho0) * ph.conj()
+
+
+def rate_operator(clock: ClockModel, hbar: float = HBAR) -> np.ndarray:
+    """M = -(i/hbar)[T, H], entries -(i/hbar) T_jk (E_k - E_j).
+
+    d<T>/dt = tr(M rho(t)) under free evolution, and M = I for an
+    idealised clock."""
+    e = clock.energies
+    return (-1j / hbar) * clock.t_cl * (e[None, :] - e[:, None])
+
+
 def error_operator(clock: ClockModel, t: float, hbar: float = HBAR) -> np.ndarray:
     """E(t) = -(i/hbar)[T, H] rho(t) - rho(t) under free clock evolution."""
-    rho_t = evolve_hermitian(clock.h_cl, clock.rho0, t, hbar)
-    return (-1j / hbar) * commutator(clock.t_cl, clock.h_cl) @ rho_t - rho_t
+    rho_t = evolve(clock, t, hbar)
+    return rate_operator(clock, hbar) @ rho_t - rho_t
 
 
 def error_trace(clock, t: float, hbar: float = HBAR) -> float:
     """tr E(t). Zero for an idealised clock at every time."""
     if isinstance(clock, IdealisedClock):
         return 0.0
-    val = np.trace(error_operator(clock, t, hbar))
+    rho_t = evolve(clock, t, hbar)
+    val = expectation(rate_operator(clock, hbar), rho_t) - np.trace(rho_t)
     if abs(val.imag) > 1e-10 * max(1.0, abs(val)):
         raise ValueError(f"tr E(t) has non-negligible imaginary part {val.imag:.3e}")
     return float(val.real)
@@ -284,19 +320,8 @@ def error_trace(clock, t: float, hbar: float = HBAR) -> float:
 
 def error_trace_series(clock: ClockModel, times: np.ndarray, hbar: float = HBAR) -> ErrorTraceSeries:
     times = np.asarray(times, dtype=float)
-    # one eigendecomposition, reused across all samples
-    energies, vectors = np.linalg.eigh(clock.h_cl)
-    m = (-1j / hbar) * commutator(clock.t_cl, clock.h_cl)
-    values = np.empty_like(times)
-    if clock.psi0 is not None:
-        a0 = dagger(vectors) @ clock.psi0
-        for i, t in enumerate(times):
-            psi = vectors @ (np.exp(-1j * energies * t / hbar) * a0)
-            values[i] = (np.vdot(psi, m @ psi)).real - 1.0
-    else:
-        for i, t in enumerate(times):
-            rho_t = evolve_hermitian(clock.h_cl, clock.rho0, t, hbar)
-            values[i] = expectation(m, rho_t).real - 1.0
+    m = rate_operator(clock, hbar)
+    values = np.array([expectation(m, evolve(clock, t, hbar)).real - 1.0 for t in times])
     return ErrorTraceSeries(times=times, values=values)
 
 
@@ -305,28 +330,22 @@ def mean_clock_time_nr(clock, t: float, hbar: float = HBAR) -> float:
     t = 0 offset calibrated away so the reading starts at zero."""
     if isinstance(clock, IdealisedClock):
         return t
-    rho_t = evolve_hermitian(clock.h_cl, clock.rho0, t, hbar)
-    return linalg.expectation_real(clock.t_cl, rho_t)
+    return linalg.expectation_real(clock.t_cl, evolve(clock, t, hbar))
 
 
-def integrated_error_trace(clock: ClockModel, t: float, hbar: float = HBAR,
-                           rtol: float = 1e-9) -> float:
-    """integral of tr E over [0, t] by composite Simpson quadrature,
-    refined until successive estimates agree to ``rtol`` of scale."""
-    if t == 0.0:
-        return 0.0
-    periods = abs(t) / clock.period
-    n = max(201, 2 * int(100 * periods) + 1)
-    prev = None
-    for _ in range(12):
-        times = np.linspace(0.0, t, n)
-        vals = error_trace_series(clock, times, hbar).values
-        est = float(simpson(vals, x=times))
-        if prev is not None and abs(est - prev) < rtol * max(abs(est), abs(t)):
-            return est
-        prev = est
-        n = 2 * n - 1
-    return prev
+def integrated_error_trace(clock: ClockModel, t: float, hbar: float = HBAR) -> float:
+    """integral of tr E over [0, t], in closed form.
+
+    With omega_jk = (E_j - E_k)/hbar the integral is
+
+        sum_jk M_kj rho_jk t e^{-i omega_jk t/2} sinc(omega_jk t / 2 pi) - t,
+
+    where sinc(x) = sin(pi x)/(pi x) and M is the rate operator.
+    """
+    e = clock.energies
+    half_phase = (e[:, None] - e[None, :]) * t / (2.0 * hbar)
+    weights = t * np.exp(-1j * half_phase) * np.sinc(half_phase / np.pi)
+    return float(np.sum(rate_operator(clock, hbar).T * clock.rho0 * weights).real) - t
 
 
 def eq_mean_time_identity_residual(clock: ClockModel, t: float, hbar: float = HBAR) -> float:
@@ -345,7 +364,7 @@ def circular_mean_time(clock: ClockModel, t: float = 0.0, hbar: float = HBAR) ->
     Uses the argument of the first circular harmonic of the time-basis
     distribution, which is insensitive to the dial cut.
     """
-    rho_t = evolve_hermitian(clock.h_cl, clock.rho0, t, hbar) if t else clock.rho0
+    rho_t = evolve(clock, t, hbar)
     if clock.kind == "qubit_phase":
         # first harmonic of the phase density is rho_10
         harmonic = rho_t[1, 0]
@@ -391,7 +410,7 @@ def covariant_moment_check(clock, n: int, t: float, hbar: float = HBAR) -> Momen
 def _qubit_moment_check(clock: ClockModel, n: int, t: float, hbar: float) -> MomentCheckReport:
     period = clock.period
     omega = clock.omega
-    rho_t = evolve_hermitian(clock.h_cl, clock.rho0, t, hbar)
+    rho_t = evolve(clock, t, hbar)
     # cut the dial at the outcome-density minimum of the initial state
     r01 = clock.rho0[1, 0]
     peak0 = (-np.angle(r01) / omega) if abs(r01) > 1e-14 else 0.0
@@ -426,7 +445,7 @@ def _dial_moment_check(clock: ClockModel, n: int, t: float, hbar: float) -> Mome
         probs = np.einsum("im,ij,jm->m", basis[:, idx % d].conj(), rho, basis[:, idx % d]).real
         return float(np.sum((idx * step) ** k * probs))
 
-    rho_t = evolve_hermitian(clock.h_cl, clock.rho0, t, hbar)
+    rho_t = evolve(clock, t, hbar)
     lhs = moment(n, rho_t, nu_int)
     m0 = [moment(k, clock.rho0, 0) for k in range(n + 1)]
     rhs = sum(math.comb(n, k) * t ** (n - k) * m0[k] for k in range(n + 1))
@@ -458,7 +477,7 @@ def commutator_form_check(clock, hbar: float = HBAR) -> CommutatorReport:
             note="discrete PVM - continuous identity not applicable",
         )
     ident = np.eye(clock.dim)
-    lhs = commutator(clock.t_cl, clock.h_cl)
+    lhs = 1j * hbar * rate_operator(clock, hbar)  # [T, H]
     rhs = 1j * hbar * ident + 1j * hbar * (-clock.period) * clock.povm_at_zero
     residual = float(np.abs(lhs - rhs).max())
     return CommutatorReport(

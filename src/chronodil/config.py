@@ -251,7 +251,10 @@ def _validate_semantics(cfg: RunConfig) -> None:
             raise ConfigError("command 'measurement' needs a positive sigma_t0 in [clock]")
         if cfg.get("kinematics", "type") != "gaussian":
             raise ConfigError("command 'measurement' needs kinematics type 'gaussian'")
-    cfg.times()  # raises when the time grid keys are incomplete
+    times = cfg.times()  # raises when the time grid keys are incomplete
+    if cfg.command in ("verify", "sweep") and len(times) > 1:
+        raise ConfigError(f"command {cfg.command!r} runs at a single time; "
+                          "give 't' in [physics], not a time grid")
 
 
 def echo_lines(cfg: RunConfig) -> list[str]:

@@ -98,7 +98,8 @@ class CatState:
 
 @dataclass(frozen=True)
 class MixtureState:
-    """Incoherent mixture: tuple of (weight, GaussianState) pairs."""
+    """Incoherent mixture: tuple of (weight, GaussianState) pairs, all of
+    the same mass."""
 
     components: tuple
 
@@ -108,6 +109,13 @@ class MixtureState:
             raise ValueError("mixture weights must be non-negative")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError(f"mixture weights must sum to 1, got {sum(weights)}")
+        masses = {state.mass for _, state in self.components}
+        if len(masses) > 1:
+            raise ValueError(f"mixture components must share one mass, got {sorted(masses)}")
+
+    @property
+    def mass(self) -> float:
+        return self.components[0][1].mass
 
 
 @dataclass(frozen=True)

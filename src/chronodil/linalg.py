@@ -5,11 +5,14 @@ Conventions:
 * States are density matrices: Hermitian, unit trace, positive
   semidefinite within numerical tolerance.
 * Composite systems order the clock factor first in Kronecker products.
-* Unitaries generated by Hermitian operators are evaluated through an
-  eigendecomposition, never through a truncated series, so they stay
-  unitary to machine precision at any time argument.
-* Qubit basis: ``|0>`` is the ground state. ``sigma_z = |1><1| - |0><0|``,
-  ``sigma_x = |0><1| + |1><0|``, ``sigma_y = -i|0><1| + i|1><0|``.
+* ``evolve_hermitian`` is the dense reference for free evolution: it
+  conjugates by exp(-i H t / hbar) built from an eigendecomposition of
+  any Hermitian H, never from a truncated series, so it stays unitary to
+  machine precision at any time argument. Clocks, stored in their energy
+  eigenbasis, evolve by an elementwise phase instead
+  (``clocks.evolve``); this routine is what that shortcut is checked
+  against.
+* Qubit basis: ``|0>`` is the ground state, ``sigma_z = |1><1| - |0><0|``.
 
 All values are immutable after construction and safe to share across
 concurrent workers.
@@ -22,20 +25,12 @@ import numpy as np
 from .constants import HBAR
 
 HERMITICITY_RTOL = 1e-12
-TRACE_TOL = 1e-10
-POSITIVITY_TOL = 1e-10
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -56,24 +51,9 @@ def require_hermitian(a: np.ndarray, name: str = "operator", rtol: float = HERMI
         raise ValueError(f"{name} is not Hermitian (defect {hermiticity_defect(a):.3e})")
 
 
-def require_density(rho: np.ndarray, name: str = "rho") -> None:
-    require_hermitian(rho, name)
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"{name} has trace {tr!r}, expected 1 within {TRACE_TOL}")
-    min_eig = float(np.linalg.eigvalsh(rho).min())
-    if min_eig < -POSITIVITY_TOL:
-        raise ValueError(f"{name} has negative eigenvalue {min_eig:.3e}")
-
-
 def projector(ket: np.ndarray) -> np.ndarray:
     ket = np.asarray(ket, dtype=complex).reshape(-1)
     return np.outer(ket, ket.conj())
-
-
-def normalized(ket: np.ndarray) -> np.ndarray:
-    ket = np.asarray(ket, dtype=complex).reshape(-1)
-    return ket / np.linalg.norm(ket)
 
 
 def unitary_from_hamiltonian(h: np.ndarray, t: float, hbar: float = HBAR) -> np.ndarray:
@@ -93,13 +73,6 @@ def evolve_hermitian(h: np.ndarray, rho: np.ndarray, t: float, hbar: float = HBA
         raise ValueError(f"dimension mismatch: H {h.shape} vs rho {rho.shape}")
     u = unitary_from_hamiltonian(h, t, hbar)
     return u @ rho @ dagger(u)
-
-
-def evolve_ket(h: np.ndarray, ket: np.ndarray, t: float, hbar: float = HBAR) -> np.ndarray:
-    ket = np.asarray(ket, dtype=complex).reshape(-1)
-    if h.shape[0] != ket.shape[0]:
-        raise ValueError(f"dimension mismatch: H {h.shape} vs ket {ket.shape}")
-    return unitary_from_hamiltonian(h, t, hbar) @ ket
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

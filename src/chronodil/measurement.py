@@ -16,10 +16,10 @@ joint-state oracle in the test suite before anything relies on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import C_LIGHT
 from .kinematics import GaussianState
@@ -78,18 +78,18 @@ def bin_probability(kstate: GaussianState, binning: MomentumBinning, n: int) -> 
     The momentum distribution is time invariant at g = 0, so this is the
     Gaussian integral over the bin at any lab time.
     """
-    from scipy.special import erf
-
     lo, hi = binning.edges(n)
     sp = kstate.sigma_p
     a = (lo - kstate.p0) / (np.sqrt(2.0) * sp)
     b = (hi - kstate.p0) / (np.sqrt(2.0) * sp)
-    return float(0.5 * (erf(b) - erf(a)))
+    return float(0.5 * (math.erf(b) - math.erf(a)))
 
 
 def _conditional_w_moments(kstate: GaussianState, lo: float, hi: float,
                            c: float) -> tuple[float, float, float]:
     """(probability, E[W | bin], var(W | bin)) by adaptive quadrature."""
+    from scipy.integrate import quad  # the only scipy use at run time
+
     lo_c, hi_c = _clip_to_support(kstate, lo, hi)
     if lo_c >= hi_c:
         return 0.0, 0.0, 0.0

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, HBAR
-from .clocks import ClockModel, IdealisedClock, error_operator, mean_clock_time_nr
-from .linalg import commutator, dagger, evolve_hermitian, expectation_real
-from .clocks import phase_moment_operator
+from .clocks import (ClockModel, IdealisedClock, error_operator, evolve, mean_clock_time_nr,
+                     phase_moment_operator, rate_operator)
+from .linalg import dagger, expectation_real
 from .kinematics import moments
 
 
@@ -74,7 +74,7 @@ def w_of_p(p, mass: float, c: float = C_LIGHT, order: str = "c4"):
 def w_moments(kstate, c: float = C_LIGHT) -> WMoments:
     """<W> and truncated <W^2> from the state's exact momentum moments."""
     m = moments(kstate)
-    mass = kstate.mass if hasattr(kstate, "mass") else kstate.components[0][1].mass
+    mass = kstate.mass
     mean_w = -m.mean_p2 / (2.0 * mass**2 * c**2) + 3.0 * m.mean_p4 / (8.0 * mass**4 * c**4)
     mean_w2 = m.mean_p4 / (4.0 * mass**4 * c**4)
     return WMoments(mean_w=float(mean_w), mean_w2=float(mean_w2), flagged=mean_w2 < 0)
@@ -99,7 +99,7 @@ def sigma_nr(clock, t: float, hbar: float = HBAR) -> float:
     """Clock-time standard deviation under free evolution."""
     if isinstance(clock, IdealisedClock):
         return clock.sigma_t0
-    rho_t = evolve_hermitian(clock.h_cl, clock.rho0, t, hbar)
+    rho_t = evolve(clock, t, hbar)
     t2 = expectation_real(second_moment_operator(clock), rho_t)
     t1 = expectation_real(clock.t_cl, rho_t)
     var = max(t2 - t1**2, 0.0)
@@ -116,7 +116,7 @@ def sigma_ideal_term(kstate, t: float, sigma_nr_value: float, c: float = C_LIGHT
         raise ValueError("sigma_NR must be positive; a delta-sharp reading is outside "
                          "the validity of the idealised-term expression")
     m = moments(kstate)
-    mass = kstate.mass if hasattr(kstate, "mass") else kstate.components[0][1].mass
+    mass = kstate.mass
     return float(t**2 * (m.mean_p4 + m.var_p2) / (8.0 * sigma_nr_value * mass**4 * c**4))
 
 
@@ -131,7 +131,7 @@ def sigma_dispersion_exact(kstate, t: float, sigma_nr_value: float, c: float = C
     if sigma_nr_value <= 0:
         raise ValueError("sigma_NR must be positive")
     m = moments(kstate)
-    mass = kstate.mass if hasattr(kstate, "mass") else kstate.components[0][1].mass
+    mass = kstate.mass
     return float(t**2 * m.var_p2 / (8.0 * sigma_nr_value * mass**4 * c**4))
 
 
@@ -154,9 +154,9 @@ def sigma_nonideal_term(clock: ClockModel, kstate, t: float,
         raise ValueError("sigma_NR must be positive for the non-idealised term")
     t_op = clock.t_cl
     h_op = clock.h_cl
-    rho_t = evolve_hermitian(h_op, clock.rho0, t, hbar)
+    rho_t = evolve(clock, t, hbar)
     e_op = error_operator(clock, t, hbar)
-    e_small = (1j / hbar) * commutator(h_op, t_op) - np.eye(clock.dim)
+    e_small = rate_operator(clock, hbar) - np.eye(clock.dim)
     tr_e = np.trace(e_op)
     mean_t_nr = mean_clock_time_nr(clock, t, hbar)
 

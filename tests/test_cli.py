@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +107,16 @@ def test_duplicate_key_rejected():
         parse_config(MINIMAL_DILATION + "\n[physics]\nt = 2e-3\n")
 
 
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_single_time_commands_reject_time_grid(command):
+    single = bench_config(command, kin_type="cat",
+                          cat_keys="delta_x0 = 3e-7\nalpha = 0.5\ntheta = 0.0")
+    parse_config(single)
+    grid = single.replace(f"t = {BENCH_T!r}", "t_start = 1e-3\nt_stop = 2e-3\nt_num = 3")
+    with pytest.raises(ConfigError, match="single time"):
+        parse_config(grid)
+
+
 def test_config_echo_is_lossless():
     cfg = parse_config(MINIMAL_DILATION)
     cfg2 = parse_config("\n".join(echo_lines(cfg)))
@@ -151,16 +164,6 @@ def test_sweep_finds_interior_maximum():
     assert 0 < peak < len(values) - 1
 
 
-def test_sweep_worker_pool_matches_serial():
-    cfg = parse_config(bench_config(
-        "sweep", kin_type="cat",
-        cat_keys="delta_x0 = 3e-7\nalpha = 0.5\ntheta = 0.0",
-        extra="\n[sweep]\nstart = 0.5\nstop = 4.0\nnum = 12\n"))
-    serial, _ = run(cfg, jobs=1)
-    pooled, _ = run(cfg, jobs=2)
-    assert serial.rows == pooled.rows
-
-
 def test_verify_run_exit_codes():
     passing = parse_config(bench_config("verify", extra="\n[verify]\nc_scalings = 1,2,4\n"))
     table, code = run(passing)
@@ -189,6 +192,17 @@ def test_precision_requires_zero_gravity():
     text = bench_config("precision").replace("g = 0.0", "g = 9.81")
     with pytest.raises(ConfigError, match="g = 0"):
         parse_config(text)
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported lazily, only by the measurement quadrature
+    code = ("import sys, chronodil, chronodil.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +276,18 @@ def test_plot_script_measurement_one_curve_per_q(tmp_path):
                  "--no-timestamp", "--plot-script", str(script_path)]) == 0
     script = script_path.read_text()
     assert script.count("title 'q = ") == 3
+
+
+def test_plot_script_unsupported_command_writes_nothing(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(bench_config("dilation"))
+    out = tmp_path / "out.csv"
+    script_path = tmp_path / "out.gp"
+    assert main(["dilation", "--config", str(cfg_path), "--out", str(out),
+                 "--no-timestamp", "--plot-script", str(script_path)]) == 2
+    assert "--plot-script only supports" in capsys.readouterr().err
+    assert not out.exists()
+    assert not script_path.exists()
 
 
 def test_plot_script_sweep_labels_extremum():

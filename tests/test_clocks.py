@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chronodil.clocks import (
+    ClockModel,
     IdealisedClock,
     build_qubit_phase,
     build_quasi_ideal,
@@ -13,9 +14,13 @@ from chronodil.clocks import (
     eq_mean_time_identity_residual,
     error_trace,
     error_trace_series,
+    evolve,
     fourier_time_basis,
+    integrated_error_trace,
     mean_clock_time_nr,
 )
+from chronodil.constants import HBAR
+from chronodil.linalg import evolve_hermitian
 
 HBAR_ONE = 1.0
 
@@ -62,6 +67,41 @@ def test_quasi_ideal_normalised():
         clk = quasi(d, sb, m0)
         assert abs(np.trace(clk.rho0).real - 1.0) < 1e-12
         assert abs(np.vdot(clk.psi0, clk.psi0).real - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("clk, hbar", [
+    (swp(5), HBAR_ONE), (build_swp(6, 1e3), HBAR),
+    (quasi(32, np.sqrt(32), m0=8.0), HBAR_ONE), (build_quasi_ideal(16, 1e3, 4.0, 4.0), HBAR),
+    (qubit(), HBAR_ONE), (build_qubit_phase(1e3), HBAR),
+], ids=["swp", "swp_si", "quasi_ideal", "quasi_ideal_si", "qubit", "qubit_si"])
+def test_evolve_matches_dense_reference(clk, hbar):
+    for frac in (0.0, 0.13, 0.5, 0.77, 3.4):
+        t = frac * clk.period
+        dense = evolve_hermitian(clk.h_cl, clk.rho0, t, hbar)
+        assert np.abs(evolve(clk, t, hbar) - dense).max() < 1e-13
+
+
+def test_energies_are_the_stored_diagonal():
+    assert np.array_equal(swp(4).energies, [0.0, 1.0, 2.0, 3.0])
+    assert np.array_equal(qubit().energies, [-0.5, 0.5])
+
+
+@pytest.mark.parametrize("h_cl", [
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.diag([0.0, 1.0 + 1e-3j]),
+    np.zeros((3, 3)),
+    np.zeros(2),
+], ids=["non_diagonal", "complex_diagonal", "wrong_shape", "vector"])
+def test_clock_model_requires_real_diagonal_hamiltonian(h_cl):
+    with pytest.raises(ValueError, match="h_cl"):
+        ClockModel(dim=2, h_cl=h_cl, t_cl=np.eye(2, dtype=complex),
+                   rho0=np.eye(2) / 2.0, period=1.0, time_offset=0.0)
+
+
+def test_clock_model_rejects_mismatched_state_shape():
+    with pytest.raises(ValueError, match="rho0"):
+        ClockModel(dim=2, h_cl=np.eye(2), t_cl=np.eye(2, dtype=complex),
+                   rho0=np.eye(3) / 3.0, period=1.0, time_offset=0.0)
 
 
 def test_quasi_ideal_circular_mean_matches_centre():
@@ -195,6 +235,18 @@ def test_mean_reading_matches_accumulated_error_trace():
     assert eq_mean_time_identity_residual(clk5, 0.15 * clk5.period, HBAR_ONE) < 1e-8
     qb = qubit()
     assert eq_mean_time_identity_residual(qb, 1.0, HBAR_ONE) < 1e-8
+
+
+@pytest.mark.parametrize("clk, frac", [(swp(5), 0.15), (swp(5), 1.7),
+                                       (quasi(16, 4.0, m0=4.0), 0.4), (qubit(), 0.3)],
+                         ids=["swp", "swp_wrapped", "quasi_ideal", "qubit"])
+def test_integrated_error_trace_matches_quadrature(clk, frac):
+    from scipy.integrate import quad
+
+    t = frac * clk.period
+    numeric, _ = quad(lambda s: error_trace(clk, s, HBAR_ONE), 0.0, t,
+                      epsabs=1e-13, epsrel=1e-12, limit=200)
+    assert abs(integrated_error_trace(clk, t, HBAR_ONE) - numeric) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,13 @@ def test_state_validation():
         MixtureState(components=((0.5, gaussian()), (0.4, gaussian())))
 
 
+def test_mixture_has_one_mass():
+    mix = MixtureState(components=((0.4, gaussian()), (0.6, gaussian(x0=5e-10))))
+    assert mix.mass == MASS
+    with pytest.raises(ValueError, match="one mass"):
+        MixtureState(components=((0.5, gaussian()), (0.5, gaussian(mass=2.0 * MASS))))
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("field", ["x0", "p0", "sigma_x", "mass", "delta_x0", "alpha", "theta"])
 def test_state_rejects_non_finite_parameters(field, value):
