@@ -114,18 +114,22 @@ def t_coh(cat: CatState, t: float, g: float, c: float = C_LIGHT) -> CoherenceRes
     at cos(theta) = 0. The mixture reading uses the good-clock limit, so
     the error trace is neglected throughout.
     """
+    prefactor, motional, gravitational, phase_term = _coherence_terms(cat, t, g, c)
+    coh = prefactor * (np.cos(cat.theta) * (motional - gravitational)
+                       - np.sin(cat.theta) * phase_term) * t / 2.0
+    mix = _mixture_mean_time(cat, t, g, c)
+    return CoherenceResult(t_sup=mix + coh, t_mix=mix, t_coh=coh)
+
+
+def _coherence_terms(cat: CatState, t: float, g: float, c: float):
+    """K / N and the motional, gravitational and phase terms of T_coh."""
     g_state = cat.base
-    mass = g_state.mass
-    sv = g_state.sigma_p / mass
-    n = norm_factor(cat)
+    sv = g_state.sigma_p / g_state.mass
     k_amp = 2.0 * np.sqrt(cat.alpha * (1.0 - cat.alpha)) * overlap(cat)
     motional = (cat.delta_x0 / (2.0 * g_state.sigma_x)) ** 2 * sv**2 / c**2
     gravitational = g * cat.delta_x0 * (1.0 - 2.0 * cat.alpha) / c**2
-    phase_term = 2.0 * (sv**2 / c**2) * cat.delta_x0 * (g_state.p0 - mass * g * t) / HBAR
-    coh = (k_amp / n) * (np.cos(cat.theta) * (motional - gravitational)
-                         - np.sin(cat.theta) * phase_term) * t / 2.0
-    mix = _mixture_mean_time(cat, t, g, c)
-    return CoherenceResult(t_sup=mix + coh, t_mix=mix, t_coh=coh)
+    phase_term = 2.0 * (sv**2 / c**2) * cat.delta_x0 * (g_state.p0 - g_state.mass * g * t) / HBAR
+    return k_amp / norm_factor(cat), motional, gravitational, phase_term
 
 
 def _mixture_mean_time(cat: CatState, t: float, g: float, c: float) -> float:
@@ -156,24 +160,13 @@ def sup_vs_mix(cat: CatState, t: float, g: float, c: float = C_LIGHT,
     direct = t * (r_sup - r_mix)
     mix = t * (1.0 + r_mix)
     closed = t_coh(cat, t, g, c)
-    scale = max(abs(closed.t_coh), 1e-6 * _coherence_term_scale(cat, t, g, c))
+    # the largest single term sets the scale when the terms nearly cancel
+    prefactor, *terms = _coherence_terms(cat, t, g, c)
+    term_scale = prefactor * max(abs(term) for term in terms) * abs(t) / 2.0
+    scale = max(abs(closed.t_coh), 1e-6 * term_scale)
     if scale > 0 and abs(direct - closed.t_coh) > rtol * scale:
         raise ValueError(
             f"coherence identity violated: direct {direct!r} vs closed form {closed.t_coh!r}"
         )
     return CoherenceResult(t_sup=mix + direct, t_mix=mix, t_coh=direct)
 
-
-def _coherence_term_scale(cat: CatState, t: float, g: float, c: float) -> float:
-    """Magnitude scale of the individual coherence terms, used to express
-    'relative' tolerances sensibly when the terms nearly cancel."""
-    g_state = cat.base
-    sv = g_state.sigma_p / g_state.mass
-    n = norm_factor(cat)
-    k_amp = 2.0 * np.sqrt(cat.alpha * (1.0 - cat.alpha)) * overlap(cat)
-    terms = (
-        abs((cat.delta_x0 / (2.0 * g_state.sigma_x)) ** 2 * sv**2 / c**2),
-        abs(g * cat.delta_x0 * (1.0 - 2.0 * cat.alpha) / c**2),
-        abs(2.0 * (sv**2 / c**2) * cat.delta_x0 * (g_state.p0 - g_state.mass * g * t) / HBAR),
-    )
-    return (k_amp / n) * max(terms) * abs(t) / 2.0

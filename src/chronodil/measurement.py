@@ -12,6 +12,13 @@ The bin width delta_p sets how much motional information the measurement
 recovers: delta_p -> 0 restores the free spread, delta_p -> infinity
 recovers nothing. This reduction is validated against the explicit
 joint-state oracle in the test suite before anything relies on it.
+
+The bin moments come from one fixed rule: 24-point Gauss-Legendre on
+pieces of width at most sigma_p across the bin, clipped to p0 +- 12
+sigma_p. W is taken about the bin centre pc in the factored form
+(p - pc)(p + pc)(-1/(2 m^2 c^2) + 3 (p^2 + pc^2)/(8 m^4 c^4)), so a
+narrow bin keeps its digits, and var(W | bin) is a two-pass central
+moment, non-negative by construction.
 """
 
 from __future__ import annotations
@@ -25,8 +32,7 @@ from .constants import C_LIGHT
 from .kinematics import GaussianState
 from .precision import w_of_p
 
-_SUPPORT_SIGMAS = 12.0  # Gaussian mass beyond this is far below quadrature tolerance
-_PROB_ABS_TOL = 1e-12
+_SUPPORT_SIGMAS = 12.0  # Gaussian mass beyond this is far below double precision
 
 
 @dataclass(frozen=True)
@@ -43,10 +49,6 @@ class MomentumBinning:
     def edges(self, n: int) -> tuple[float, float]:
         return ((n - 0.5) * self.delta_p, (n + 0.5) * self.delta_p)
 
-    def coarseness(self, kstate: GaussianState) -> float:
-        """q = delta_p / sigma_p."""
-        return self.delta_p / kstate.sigma_p
-
 
 @dataclass(frozen=True)
 class ConditionedResult:
@@ -54,22 +56,6 @@ class ConditionedResult:
     probability: float
     sigma_t_given_n: float
     mean_t_given_n: float
-
-
-def _momentum_density(kstate: GaussianState):
-    sp = kstate.sigma_p
-    p0 = kstate.p0
-    norm = 1.0 / (np.sqrt(2.0 * np.pi) * sp)
-
-    def density(p):
-        return norm * np.exp(-0.5 * ((p - p0) / sp) ** 2)
-
-    return density
-
-
-def _clip_to_support(kstate: GaussianState, lo: float, hi: float) -> tuple[float, float]:
-    span = _SUPPORT_SIGMAS * kstate.sigma_p
-    return max(lo, kstate.p0 - span), min(hi, kstate.p0 + span)
 
 
 def bin_probability(kstate: GaussianState, binning: MomentumBinning, n: int) -> float:
@@ -87,25 +73,34 @@ def bin_probability(kstate: GaussianState, binning: MomentumBinning, n: int) -> 
 
 def _conditional_w_moments(kstate: GaussianState, lo: float, hi: float,
                            c: float) -> tuple[float, float, float]:
-    """(probability, E[W | bin], var(W | bin)) by adaptive quadrature."""
-    from scipy.integrate import quad  # the only scipy use at run time
-
-    lo_c, hi_c = _clip_to_support(kstate, lo, hi)
-    if lo_c >= hi_c:
-        return 0.0, 0.0, 0.0
-    density = _momentum_density(kstate)
-    mass = kstate.mass
-
-    prob, _ = quad(density, lo_c, hi_c, epsabs=_PROB_ABS_TOL, epsrel=1e-12, limit=200)
+    """(probability, E[W | bin], var(W | bin)) of the bin [lo, hi) by the
+    module's Gauss-Legendre rule; ValueError if the probability is < 1e-15."""
+    # built per call, so that `import chronodil` does not load numpy.polynomial
+    nodes, gl_weights = np.polynomial.legendre.leggauss(24)
+    sp = kstate.sigma_p
+    lo_c = max(lo, kstate.p0 - _SUPPORT_SIGMAS * sp)
+    hi_c = max(lo_c, min(hi, kstate.p0 + _SUPPORT_SIGMAS * sp))  # a bin off the support has width 0
+    edges = np.linspace(lo_c, hi_c, max(1, math.ceil((hi_c - lo_c) / sp)) + 1)
+    half = np.diff(edges)[:, None] / 2.0
+    p = ((edges[1:] + edges[:-1])[:, None] / 2.0 + half * nodes).ravel()
+    weights = ((half * gl_weights).ravel() * np.exp(-0.5 * ((p - kstate.p0) / sp) ** 2)
+               / (math.sqrt(2.0 * math.pi) * sp))
+    prob = float(np.sum(weights))
     if prob < 1e-15:
-        return prob, 0.0, 0.0
-    w1, _ = quad(lambda p: w_of_p(p, mass, c) * density(p), lo_c, hi_c,
-                 epsabs=0.0, epsrel=1e-12, limit=200)
-    w2, _ = quad(lambda p: w_of_p(p, mass, c) ** 2 * density(p), lo_c, hi_c,
-                 epsabs=0.0, epsrel=1e-12, limit=200)
-    mean_w = w1 / prob
-    var_w = max(w2 / prob - mean_w**2, 0.0)
-    return prob, mean_w, var_w
+        raise ValueError(f"momentum bin [{lo!r}, {hi!r}) carries no probability ({prob!r})")
+    pc = (lo_c + hi_c) / 2.0
+    mc2 = (kstate.mass * c) ** 2
+    dev = (p - pc) * (p + pc) * (-0.5 / mc2 + 3.0 * (p**2 + pc**2) / (8.0 * mc2**2))
+    mean_dev = float(np.sum(weights * dev)) / prob
+    var_w = float(np.sum(weights * (dev - mean_dev) ** 2)) / prob
+    return prob, float(w_of_p(pc, kstate.mass, c)) + mean_dev, var_w
+
+
+def _spread(sigma_t0: float, t: float, var_w: float) -> float:
+    """sqrt(sigma_t0^2 + t^2 var(W)): a Gaussian profile mixed over shifts t W(p)."""
+    if sigma_t0 < 0:
+        raise ValueError("sigma_t0 must be non-negative")
+    return float(np.sqrt(sigma_t0**2 + t**2 * var_w))
 
 
 def conditioned_sigma(sigma_t0: float, kstate: GaussianState, t: float,
@@ -115,24 +110,17 @@ def conditioned_sigma(sigma_t0: float, kstate: GaussianState, t: float,
 
     Raises ValueError on an effectively empty bin (probability < 1e-15).
     """
-    if sigma_t0 < 0:
-        raise ValueError("sigma_t0 must be non-negative")
-    lo, hi = binning.edges(n)
-    prob, mean_w, var_w = _conditional_w_moments(kstate, lo, hi, c)
-    if prob < 1e-15:
-        raise ValueError(f"bin {n} carries no probability ({prob!r})")
-    sigma = float(np.sqrt(sigma_t0**2 + t**2 * var_w))
-    mean = float(t * (1.0 + mean_w))
+    prob, mean_w, var_w = _conditional_w_moments(kstate, *binning.edges(n), c)
     return ConditionedResult(bin_index=n, probability=prob,
-                             sigma_t_given_n=sigma, mean_t_given_n=mean)
+                             sigma_t_given_n=_spread(sigma_t0, t, var_w),
+                             mean_t_given_n=float(t * (1.0 + mean_w)))
 
 
 def unconditioned_sigma_exact(sigma_t0: float, kstate: GaussianState, t: float,
                               c: float = C_LIGHT) -> float:
-    """Spread with no measurement at all: the single-bin limit."""
-    wide = MomentumBinning(delta_p=4.0 * _SUPPORT_SIGMAS * kstate.sigma_p)
-    center = round(kstate.p0 / wide.delta_p)
-    return conditioned_sigma(sigma_t0, kstate, t, wide, center, c).sigma_t_given_n
+    """Spread with no measurement at all: W's moments over the whole
+    momentum support, p0 +- 12 sigma_p."""
+    return _spread(sigma_t0, t, _conditional_w_moments(kstate, -math.inf, math.inf, c)[2])
 
 
 def occupied_bins(kstate: GaussianState, binning: MomentumBinning,
@@ -150,23 +138,29 @@ def occupied_bins(kstate: GaussianState, binning: MomentumBinning,
 
 def sweep_conditioned(sigma_t0: float, kstate: GaussianState, times, q_values,
                       bin_index: int = 0, c: float = C_LIGHT) -> list[dict]:
-    """Conditional spreads over a (q, t) grid, CSV-ready.
+    """Conditional spreads over a (t, q) grid, CSV-ready, t outer.
 
-    Each row carries the central-bin conditional spread plus the free and
-    unconditioned baselines at the same lab time.
+    Each row carries the conditional spread in bin ``bin_index`` plus the
+    free and unconditioned baselines at the same lab time. The momentum
+    distribution is time invariant at g = 0, so the bin moments are
+    computed once per q and once for the unconditioned spread.
     """
+    var_all = _conditional_w_moments(kstate, -math.inf, math.inf, c)[2]
+    per_q = []
+    for q in q_values:
+        binning = MomentumBinning(delta_p=q * kstate.sigma_p)
+        prob, _, var_w = _conditional_w_moments(kstate, *binning.edges(bin_index), c)
+        per_q.append((q, prob, var_w))
     rows = []
     for t in times:
-        unconditioned = unconditioned_sigma_exact(sigma_t0, kstate, t, c)
-        for q in q_values:
-            binning = MomentumBinning(delta_p=q * kstate.sigma_p)
-            res = conditioned_sigma(sigma_t0, kstate, t, binning, bin_index, c)
+        unconditioned = _spread(sigma_t0, t, var_all)
+        for q, prob, var_w in per_q:
             rows.append({
                 "t": t,
                 "q": q,
                 "bin": bin_index,
-                "probability": res.probability,
-                "sigma_conditioned": res.sigma_t_given_n,
+                "probability": prob,
+                "sigma_conditioned": _spread(sigma_t0, t, var_w),
                 "sigma_nr": sigma_t0,
                 "sigma_unconditioned": unconditioned,
             })

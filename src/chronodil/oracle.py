@@ -34,7 +34,7 @@ from .clocks import ClockModel, build_quasi_ideal
 from .dilation import mean_clock_time
 from .kinematics import CatState, MixtureState, default_momentum_grid, to_grid
 from .linalg import dagger
-from .precision import second_moment_operator, sigma_breakdown, w_of_p
+from .precision import second_moment_operator, sigma_breakdown, spread_from_moments, w_of_p
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,7 @@ def clock_time_stats(js: JointState, clock: ClockModel) -> tuple[float, float]:
     rho = reduced_clock_density(js)
     mean = float(np.trace(clock.t_cl @ rho).real)
     second = float(np.trace(second_moment_operator(clock) @ rho).real)
-    return mean, float(np.sqrt(max(second - mean**2, 0.0)))
+    return mean, spread_from_moments(mean, second)
 
 
 def _oracle_mean(clock: ClockModel, kstate, t: float, g: float, c: float,

@@ -102,8 +102,17 @@ def sigma_nr(clock, t: float, hbar: float = HBAR) -> float:
     rho_t = evolve(clock, t, hbar)
     t2 = expectation_real(second_moment_operator(clock), rho_t)
     t1 = expectation_real(clock.t_cl, rho_t)
-    var = max(t2 - t1**2, 0.0)
-    return float(np.sqrt(var))
+    return spread_from_moments(t1, t2)
+
+
+def spread_from_moments(mean: float, second: float) -> float:
+    """sqrt(<T^2> - <T>^2). A variance below -1e-12 <T^2> raises ValueError;
+    above it is round-off (the d = 4 dial refocuses to zero spread) and reads 0."""
+    var = second - mean**2
+    if var < -1e-12 * second:
+        raise ValueError(f"negative variance {var!r} from second moment {second!r}: "
+                         "the state is not a density matrix")
+    return float(np.sqrt(max(var, 0.0)))
 
 
 def sigma_ideal_term(kstate, t: float, sigma_nr_value: float, c: float = C_LIGHT) -> float:

@@ -194,9 +194,23 @@ def test_precision_requires_zero_gravity():
         parse_config(text)
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported lazily, only by the measurement quadrature
+def measurement_config() -> str:
+    return bench_config(
+        "measurement",
+        extra="\n[measurement]\nq_values = 0.1,1.0,10.0\nbin = 0\n",
+    ).replace("model = swp", "model = idealised\nsigma_t0 = 1e-9").replace(
+        "d = 4\n", "").replace(f"omega = {BENCH_OMEGA!r}\n", "")
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # the runtime needs numpy only: neither the import nor the measurement
+    # command, the last one that used a scipy routine, loads scipy
+    cfg_path = tmp_path / "m.cfg"
+    cfg_path.write_text(measurement_config())
+    argv = ["measurement", "--config", str(cfg_path), "--out", str(tmp_path / "m.csv"),
+            "--no-timestamp"]
     code = ("import sys, chronodil, chronodil.cli; "
+            f"assert chronodil.cli.main({argv!r}) == 0; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
@@ -263,13 +277,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 
 def test_plot_script_measurement_one_curve_per_q(tmp_path):
-    cfg_text = bench_config(
-        "measurement",
-        extra="\n[measurement]\nq_values = 0.1,1.0,10.0\nbin = 0\n",
-    ).replace("model = swp", "model = idealised\nsigma_t0 = 1e-9").replace(
-        "d = 4\n", "").replace(f"omega = {BENCH_OMEGA!r}\n", "")
     cfg_path = tmp_path / "m.cfg"
-    cfg_path.write_text(cfg_text)
+    cfg_path.write_text(measurement_config())
     out = tmp_path / "m.csv"
     script_path = tmp_path / "m.gp"
     assert main(["measurement", "--config", str(cfg_path), "--out", str(out),

@@ -5,6 +5,7 @@ from chronodil.constants import ELECTRON_MASS
 from chronodil.kinematics import GaussianState
 from chronodil.measurement import (
     MomentumBinning,
+    _conditional_w_moments,
     bin_probability,
     conditioned_sigma,
     occupied_bins,
@@ -97,18 +98,73 @@ def test_refinement_recovers_precision_on_nested_binnings():
     assert all(b <= a + 1e-18 for a, b in zip(sigmas, sigmas[1:]))
 
 
-def test_law_of_total_variance():
+def _assert_total_variance_law(state):
     binning = binning_for(0.8)
-    total_sigma = unconditioned_sigma_exact(SIGMA_T0, STATE, T_BENCH, c=C_BENCH)
+    total_sigma = unconditioned_sigma_exact(SIGMA_T0, state, T_BENCH, c=C_BENCH)
     mean_total = 0.0
     pieces = []
-    for n in occupied_bins(STATE, binning):
-        res = conditioned_sigma(SIGMA_T0, STATE, T_BENCH, binning, n, c=C_BENCH)
+    for n in occupied_bins(state, binning):
+        res = conditioned_sigma(SIGMA_T0, state, T_BENCH, binning, n, c=C_BENCH)
         pieces.append(res)
         mean_total += res.probability * res.mean_t_given_n
     var_sum = sum(r.probability * (r.sigma_t_given_n**2 + (r.mean_t_given_n - mean_total) ** 2)
                   for r in pieces)
     assert abs(var_sum - total_sigma**2) < 1e-8 * total_sigma**2
+
+
+def test_law_of_total_variance():
+    _assert_total_variance_law(STATE)
+
+
+def test_law_of_total_variance_far_from_rest():
+    # the unconditioned spread covers the whole packet wherever its mean
+    # momentum sits, not only the part near zero momentum
+    _assert_total_variance_law(GaussianState(x0=0.0, p0=24.0 * STATE.sigma_p,
+                                             sigma_x=1e-9, mass=ELECTRON_MASS))
+
+
+def _mpmath_w_moments(mpmath, state, lo, hi, c):
+    """(probability, E[W | bin], var(W | bin)) at 60 digits: erf for the
+    probability, tanh-sinh quadrature for the W moments."""
+    mp = mpmath.mp
+    with mp.workdps(60):
+        p0, sp, m, c = (mp.mpf(v) for v in (state.p0, state.sigma_p, state.mass, c))
+        a, b = (mp.mpf(lo) - p0) / sp, (mp.mpf(hi) - p0) / sp
+
+        def w(u):
+            p = p0 + sp * u
+            return -p**2 / (2 * m**2 * c**2) + 3 * p**4 / (8 * m**4 * c**4)
+
+        def phi(u):
+            return mp.exp(-u**2 / 2) / mp.sqrt(2 * mp.pi)
+
+        prob = (mp.erf(b / mp.sqrt(2)) - mp.erf(a / mp.sqrt(2))) / 2
+        mean_w = mp.quad(lambda u: w(u) * phi(u), [a, b]) / prob
+        var_w = mp.quad(lambda u: (w(u) - mean_w) ** 2 * phi(u), [a, b]) / prob
+        return float(prob), float(mean_w), float(var_w)
+
+
+@pytest.mark.parametrize("q", [1e-4, 1e-2, 1.0, 10.0])
+@pytest.mark.parametrize("p0_sigmas", [0.0, 1.3, 30.0])
+def test_conditional_w_moments_match_mpmath(p0_sigmas, q):
+    mpmath = pytest.importorskip("mpmath")
+    state = GaussianState(x0=0.0, p0=p0_sigmas * STATE.sigma_p, sigma_x=1e-9,
+                          mass=ELECTRON_MASS)
+    binning = binning_for(q)
+    # bin 0 (what the CLI reads) and the bin holding the mean momentum
+    bins = {0, int(np.floor(state.p0 / binning.delta_p + 0.5))}
+    checked = 0
+    for n in sorted(bins):
+        lo, hi = binning.edges(n)
+        if hi < state.p0 - 12.0 * state.sigma_p:
+            continue  # outside the support the rule integrates over
+        prob, mean_w, var_w = _conditional_w_moments(state, lo, hi, C_BENCH)
+        ref_prob, ref_mean, ref_var = _mpmath_w_moments(mpmath, state, lo, hi, C_BENCH)
+        assert abs(prob - ref_prob) <= 1e-12 * ref_prob
+        assert abs(mean_w - ref_mean) <= 1e-9 * abs(ref_mean)
+        assert abs(var_w - ref_var) <= 1e-9 * ref_var
+        checked += 1
+    assert checked >= 1
 
 
 def test_quartic_light_speed_scaling():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chronodil.clocks import IdealisedClock, build_quasi_ideal, build_swp
+from chronodil.clocks import ClockModel, IdealisedClock, build_quasi_ideal, build_swp
 from chronodil.constants import C_LIGHT, ELECTRON_MASS
 from chronodil.kinematics import GaussianState
 from chronodil.precision import (
@@ -10,6 +10,7 @@ from chronodil.precision import (
     sigma_ideal_term,
     sigma_nonideal_term,
     sigma_nr,
+    spread_from_moments,
     w_moments,
     w_of_p,
 )
@@ -151,6 +152,18 @@ def test_breakdown_matrix_clock_assembly():
 def test_free_spread_constant_for_idealised():
     clk = IdealisedClock(2e-9)
     assert sigma_nr(clk, 0.0) == sigma_nr(clk, 5.0) == 2e-9
+
+
+def test_negative_variance_raises_instead_of_clamping():
+    # rho0 = diag(1.5, -0.5) is not a density matrix: <T^2> = 1, <T> = 2
+    clk = ClockModel(dim=2, h_cl=np.diag([0.0, 1.0]), t_cl=np.diag([1.0, -1.0]),
+                     rho0=np.diag([1.5, -0.5]), period=1.0, time_offset=0.0)
+    with pytest.raises(ValueError, match="negative variance"):
+        sigma_nr(clk, 0.3, hbar=1.0)
+    # round-off below a refocused zero spread still reads 0
+    assert spread_from_moments(1.0, 1.0 - 1e-13) == 0.0
+    with pytest.raises(ValueError, match="negative variance"):
+        spread_from_moments(1.0, 1.0 - 1e-11)
 
 
 def test_free_spread_qubit_phase_uses_outcome_second_moment():
