@@ -115,12 +115,6 @@ def _gaussian_central_moment(k: int, sigma: float) -> float:
 
 
 @dataclass(frozen=True)
-class ErrorTraceSeries:
-    times: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class MomentCheckReport:
     """Both sides of the covariant-measurement moment polynomial
 
@@ -170,6 +164,15 @@ def _dial_operators(d: int, omega: float, hbar: float):
     return h, t_raw, period, basis
 
 
+def _calibrated(h: np.ndarray, t_raw: np.ndarray, period: float, psi0: np.ndarray,
+                **fields) -> ClockModel:
+    """Clock started in ``psi0``, its time observable shifted so that <T>(0) = 0."""
+    rho0 = projector(psi0)
+    offset = linalg.expectation_real(t_raw, rho0)
+    return ClockModel(dim=len(psi0), h_cl=h, t_cl=t_raw - offset * np.eye(len(psi0)),
+                      rho0=rho0, period=period, time_offset=offset, psi0=psi0, **fields)
+
+
 def build_swp(d: int, omega: float, hbar: float = HBAR) -> ClockModel:
     """Dial clock started in the time eigenstate with eigenvalue zero.
 
@@ -182,14 +185,8 @@ def build_swp(d: int, omega: float, hbar: float = HBAR) -> ClockModel:
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
     h, t_raw, period, basis = _dial_operators(d, omega, hbar)
-    psi0 = basis[:, 0].copy()
-    rho0 = projector(psi0)
-    offset = linalg.expectation_real(t_raw, rho0)  # zero: psi0 is the 0-eigenket
-    t_cl = t_raw - offset * np.eye(d)
-    return ClockModel(
-        dim=d, h_cl=h, t_cl=t_cl, rho0=rho0, period=period,
-        time_offset=offset, psi0=psi0, kind="swp", omega=omega,
-    )
+    # the offset is zero: psi0 is the 0-eigenket
+    return _calibrated(h, t_raw, period, basis[:, 0].copy(), kind="swp", omega=omega)
 
 
 def build_quasi_ideal(
@@ -225,14 +222,7 @@ def build_quasi_ideal(
     delta = (m - m0 + d / 2.0) % d - d / 2.0
     amps = np.exp(-np.pi * delta**2 / sigma_bar**2) * np.exp(2j * np.pi * n0 * delta / d)
     amps /= np.linalg.norm(amps)
-    psi0 = basis @ amps
-    rho0 = projector(psi0)
-    offset = linalg.expectation_real(t_raw, rho0)
-    t_cl = t_raw - offset * np.eye(d)
-    return ClockModel(
-        dim=d, h_cl=h, t_cl=t_cl, rho0=rho0, period=period,
-        time_offset=offset, psi0=psi0, kind="quasi_ideal", omega=omega,
-    )
+    return _calibrated(h, t_raw, period, basis @ amps, kind="quasi_ideal", omega=omega)
 
 
 def phase_moment_operator(n: int, a: float, b: float, omega: float) -> np.ndarray:
@@ -271,18 +261,18 @@ def build_qubit_phase(omega: float, hbar: float = HBAR) -> ClockModel:
     period = 2.0 * np.pi / omega
     t_raw = phase_moment_operator(1, 0.0, period, omega)
     psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    rho0 = projector(psi0)
-    offset = linalg.expectation_real(t_raw, rho0)
-    t_cl = t_raw - offset * np.eye(2)
     f0 = (omega / np.pi) * projector(psi0)  # density (1/s) of the phase ket at the cut
-    return ClockModel(
-        dim=2, h_cl=h, t_cl=t_cl, rho0=rho0, period=period,
-        time_offset=offset, psi0=psi0, povm_at_zero=f0, kind="qubit_phase", omega=omega,
-    )
+    return _calibrated(h, t_raw, period, psi0, povm_at_zero=f0, kind="qubit_phase", omega=omega)
 
 
 # ---------------------------------------------------------------------------
 # diagnostics
+
+
+def require_clock(clock) -> None:
+    """Raise TypeError unless ``clock`` is a ClockModel or an IdealisedClock."""
+    if not isinstance(clock, (ClockModel, IdealisedClock)):
+        raise TypeError(f"unsupported clock type {type(clock).__name__}")
 
 
 def evolve(clock: ClockModel, t: float, hbar: float = HBAR) -> np.ndarray:
@@ -318,13 +308,6 @@ def error_trace(clock, t: float, hbar: float = HBAR) -> float:
     return float(val.real)
 
 
-def error_trace_series(clock: ClockModel, times: np.ndarray, hbar: float = HBAR) -> ErrorTraceSeries:
-    times = np.asarray(times, dtype=float)
-    m = rate_operator(clock, hbar)
-    values = np.array([expectation(m, evolve(clock, t, hbar)).real - 1.0 for t in times])
-    return ErrorTraceSeries(times=times, values=values)
-
-
 def mean_clock_time_nr(clock, t: float, hbar: float = HBAR) -> float:
     """Mean clock reading under free (non-relativistic) evolution, with the
     t = 0 offset calibrated away so the reading starts at zero."""
@@ -346,16 +329,6 @@ def integrated_error_trace(clock: ClockModel, t: float, hbar: float = HBAR) -> f
     half_phase = (e[:, None] - e[None, :]) * t / (2.0 * hbar)
     weights = t * np.exp(-1j * half_phase) * np.sinc(half_phase / np.pi)
     return float(np.sum(rate_operator(clock, hbar).T * clock.rho0 * weights).real) - t
-
-
-def eq_mean_time_identity_residual(clock: ClockModel, t: float, hbar: float = HBAR) -> float:
-    """| <T>_NR(t) - t - integral_0^t tr E | for t before the first dial wrap.
-
-    The quadrature identity relating the mean reading to the accumulated
-    error trace ignores the mod-period structure of the dial, so callers
-    must keep t below the first wrap of the mean reading.
-    """
-    return abs(mean_clock_time_nr(clock, t, hbar) - t - integrated_error_trace(clock, t, hbar))
 
 
 def circular_mean_time(clock: ClockModel, t: float = 0.0, hbar: float = HBAR) -> float:

@@ -73,7 +73,6 @@ _SCHEMA: dict[str, dict[str, KeySpec]] = {
     "verify": {
         "target": KeySpec("str", choices=("mean_time", "sigma"), default="mean_time"),
         "c_scalings": KeySpec("float_list", default=(1.0, 2.0, 4.0)),
-        "threshold": KeySpec("float", default=-1.8),
     },
     "measurement": {
         "q_values": KeySpec("float_list", default=(0.1, 1.0, 10.0)),

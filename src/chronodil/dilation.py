@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, HBAR
-from .clocks import ClockModel, IdealisedClock, error_trace, mean_clock_time_nr
-from .kinematics import CatState, GaussianState, MixtureState, moments, norm_factor, overlap, r_factor
+from .clocks import error_trace, mean_clock_time_nr, require_clock
+from .kinematics import CatState, MixtureState, moments, norm_factor, overlap, r_factor
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,7 @@ def mean_clock_time(clock, kstate, t: float, g: float,
     ``clock`` is a matrix ClockModel or an IdealisedClock (free reading t,
     error trace zero). The mass is taken from the motional state.
     """
-    if not isinstance(clock, (ClockModel, IdealisedClock)):
-        raise TypeError(f"unsupported clock type {type(clock).__name__}")
+    require_clock(clock)
     nr = mean_clock_time_nr(clock, t, hbar)
     r = r_factor(kstate, t, g, c)
     err = error_trace(clock, t, hbar)
@@ -117,7 +116,7 @@ def t_coh(cat: CatState, t: float, g: float, c: float = C_LIGHT) -> CoherenceRes
     prefactor, motional, gravitational, phase_term = _coherence_terms(cat, t, g, c)
     coh = prefactor * (np.cos(cat.theta) * (motional - gravitational)
                        - np.sin(cat.theta) * phase_term) * t / 2.0
-    mix = _mixture_mean_time(cat, t, g, c)
+    mix = t * (1.0 + _mixture_r(cat, t, g, c))
     return CoherenceResult(t_sup=mix + coh, t_mix=mix, t_coh=coh)
 
 
@@ -132,14 +131,10 @@ def _coherence_terms(cat: CatState, t: float, g: float, c: float):
     return k_amp / norm_factor(cat), motional, gravitational, phase_term
 
 
-def _mixture_mean_time(cat: CatState, t: float, g: float, c: float) -> float:
-    """Good-clock mean reading of the classical 50/50-style mixture that
-    matches the cat's weights: alpha <T>_1 + (1-alpha) <T>_2."""
-    lower = cat.base
-    upper = GaussianState(lower.x0 + cat.delta_x0, lower.p0, lower.sigma_x, lower.mass)
-    t1 = t * (1.0 + r_factor(lower, t, g, c))
-    t2 = t * (1.0 + r_factor(upper, t, g, c))
-    return cat.alpha * t1 + (1.0 - cat.alpha) * t2
+def _mixture_r(cat: CatState, t: float, g: float, c: float) -> float:
+    """R of the classical mixture that matches the cat's weights, alpha R_1 +
+    (1-alpha) R_2; its good-clock mean reading is t (1 + R)."""
+    return cat.alpha * r_factor(cat.base, t, g, c) + (1.0 - cat.alpha) * r_factor(cat.upper, t, g, c)
 
 
 def sup_vs_mix(cat: CatState, t: float, g: float, c: float = C_LIGHT,
@@ -153,10 +148,8 @@ def sup_vs_mix(cat: CatState, t: float, g: float, c: float = C_LIGHT,
     Raises ValueError when the two independent routes disagree beyond
     ``rtol`` of the coherence term's natural scale.
     """
-    lower = cat.base
-    upper = GaussianState(lower.x0 + cat.delta_x0, lower.p0, lower.sigma_x, lower.mass)
     r_sup = r_factor(cat, t, g, c)
-    r_mix = cat.alpha * r_factor(lower, t, g, c) + (1.0 - cat.alpha) * r_factor(upper, t, g, c)
+    r_mix = _mixture_r(cat, t, g, c)
     direct = t * (r_sup - r_mix)
     mix = t * (1.0 + r_mix)
     closed = t_coh(cat, t, g, c)

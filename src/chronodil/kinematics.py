@@ -95,6 +95,12 @@ class CatState:
     def sigma_p(self) -> float:
         return self.base.sigma_p
 
+    @property
+    def upper(self) -> GaussianState:
+        """The packet displaced by ``delta_x0``; ``base`` is the lower one."""
+        g = self.base
+        return GaussianState(g.x0 + self.delta_x0, g.p0, g.sigma_x, g.mass)
+
 
 @dataclass(frozen=True)
 class MixtureState:
@@ -222,16 +228,14 @@ def r_factor(state, t: float, g: float, c: float = C_LIGHT) -> float:
 
 @dataclass(frozen=True)
 class GridAmplitudes:
-    """Momentum samples plus per-component complex amplitudes.
+    """Momentum samples and the pure state's complex amplitudes on them.
 
-    ``components`` holds (weight, amplitudes) pairs: a single pair of
-    weight one for pure states, one pair per mixture member otherwise.
     ``captured_norm`` is the discrete norm on the grid before any
     renormalisation (reported, never silently applied).
     """
 
     grid: np.ndarray
-    components: tuple
+    amplitudes: np.ndarray
     captured_norm: float
 
 
@@ -242,12 +246,10 @@ def gaussian_momentum_wavefunction(g: GaussianState, p: np.ndarray) -> np.ndarra
 
 
 def cat_momentum_wavefunction(cat: CatState, p: np.ndarray) -> np.ndarray:
-    g = cat.base
-    upper = GaussianState(g.x0 + cat.delta_x0, g.p0, g.sigma_x, g.mass)
     n = norm_factor(cat)
     return (
-        np.sqrt(cat.alpha) * gaussian_momentum_wavefunction(g, p)
-        + np.exp(1j * cat.theta) * np.sqrt(1.0 - cat.alpha) * gaussian_momentum_wavefunction(upper, p)
+        np.sqrt(cat.alpha) * gaussian_momentum_wavefunction(cat.base, p)
+        + np.exp(1j * cat.theta) * np.sqrt(1.0 - cat.alpha) * gaussian_momentum_wavefunction(cat.upper, p)
     ) / np.sqrt(n)
 
 
@@ -255,10 +257,6 @@ def default_momentum_grid(state, n_points: int = 1024, half_width: float = 8.0) 
     """Uniform momentum grid spanning +/- ``half_width`` spreads around the
     shared mean momentum, widened in point count for cat states so that
     interference fringes keep at least 8 samples per fringe."""
-    if isinstance(state, MixtureState):
-        lo = min(c.p0 - half_width * c.sigma_p for _, c in state.components)
-        hi = max(c.p0 + half_width * c.sigma_p for _, c in state.components)
-        return np.linspace(lo, hi, n_points)
     base = state.base if isinstance(state, CatState) else state
     lo = base.p0 - half_width * base.sigma_p
     hi = base.p0 + half_width * base.sigma_p
@@ -270,28 +268,29 @@ def default_momentum_grid(state, n_points: int = 1024, half_width: float = 8.0) 
 
 
 def to_grid(state, grid: np.ndarray) -> GridAmplitudes:
-    """Sample the momentum wavefunction(s) on ``grid``.
+    """Sample the momentum wavefunction of a pure state on ``grid``.
 
     ``grid`` is one uniform grid, or a stack of uniform grids of equal
-    spacing along its last axis. Raises ValueError when any of them
-    captures less than 1 - 1e-6 of the state's probability. The discrete
-    norm, the smallest one for a stack, is reported in the result.
+    spacing along its last axis. Raises TypeError on a mixture, which has
+    no wavefunction, and ValueError when any grid captures less than
+    1 - 1e-6 of the state's probability. The discrete norm, the smallest
+    one for a stack, is reported in the result.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim == 0 or grid.shape[-1] < 2:
         raise ValueError("grid must contain at least two samples")
     dp = grid[..., 1] - grid[..., 0]
     if isinstance(state, GaussianState):
-        comps = ((1.0, gaussian_momentum_wavefunction(state, grid)),)
+        amps = gaussian_momentum_wavefunction(state, grid)
     elif isinstance(state, CatState):
-        comps = ((1.0, cat_momentum_wavefunction(state, grid)),)
+        amps = cat_momentum_wavefunction(state, grid)
     elif isinstance(state, MixtureState):
-        comps = tuple((w, gaussian_momentum_wavefunction(c, grid)) for w, c in state.components)
+        raise TypeError("mixtures are ensembles with no wavefunction; sample each component")
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    captured = float(np.min(sum(w * np.sum(np.abs(a) ** 2, axis=-1) * dp for w, a in comps)))
+    captured = float(np.min(np.sum(np.abs(amps) ** 2, axis=-1) * dp))
     if captured < 1.0 - 1e-6:
         raise ValueError(
             f"grid too narrow: captured norm {captured!r} < 1 - 1e-6; widen the span"
         )
-    return GridAmplitudes(grid=grid, components=comps, captured_norm=captured)
+    return GridAmplitudes(grid=grid, amplitudes=amps, captured_norm=captured)

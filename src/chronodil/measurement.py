@@ -58,23 +58,10 @@ class ConditionedResult:
     mean_t_given_n: float
 
 
-def bin_probability(kstate: GaussianState, binning: MomentumBinning, n: int) -> float:
-    """Probability of finding the momentum inside bin n.
-
-    The momentum distribution is time invariant at g = 0, so this is the
-    Gaussian integral over the bin at any lab time.
-    """
-    lo, hi = binning.edges(n)
-    sp = kstate.sigma_p
-    a = (lo - kstate.p0) / (np.sqrt(2.0) * sp)
-    b = (hi - kstate.p0) / (np.sqrt(2.0) * sp)
-    return float(0.5 * (math.erf(b) - math.erf(a)))
-
-
-def _conditional_w_moments(kstate: GaussianState, lo: float, hi: float,
-                           c: float) -> tuple[float, float, float]:
-    """(probability, E[W | bin], var(W | bin)) of the bin [lo, hi) by the
-    module's Gauss-Legendre rule; ValueError if the probability is < 1e-15."""
+def _bin_rule(kstate: GaussianState, lo: float, hi: float):
+    """(momenta, weights, clipped lo, clipped hi) of the module's Gauss-Legendre
+    rule on the bin [lo, hi); the weights carry the momentum density, so
+    they sum to the bin's probability."""
     # built per call, so that `import chronodil` does not load numpy.polynomial
     nodes, gl_weights = np.polynomial.legendre.leggauss(24)
     sp = kstate.sigma_p
@@ -85,6 +72,24 @@ def _conditional_w_moments(kstate: GaussianState, lo: float, hi: float,
     p = ((edges[1:] + edges[:-1])[:, None] / 2.0 + half * nodes).ravel()
     weights = ((half * gl_weights).ravel() * np.exp(-0.5 * ((p - kstate.p0) / sp) ** 2)
                / (math.sqrt(2.0 * math.pi) * sp))
+    return p, weights, lo_c, hi_c
+
+
+def bin_probability(kstate: GaussianState, binning: MomentumBinning, n: int) -> float:
+    """Probability of finding the momentum inside bin n.
+
+    The momentum distribution is time invariant at g = 0, so this is the
+    Gaussian integral over the bin at any lab time, by the same rule as
+    the bin moments.
+    """
+    return float(np.sum(_bin_rule(kstate, *binning.edges(n))[1]))
+
+
+def _conditional_w_moments(kstate: GaussianState, lo: float, hi: float,
+                           c: float) -> tuple[float, float, float]:
+    """(probability, E[W | bin], var(W | bin)) of the bin [lo, hi) by the
+    module's Gauss-Legendre rule; ValueError if the probability is < 1e-15."""
+    p, weights, lo_c, hi_c = _bin_rule(kstate, lo, hi)
     prob = float(np.sum(weights))
     if prob < 1e-15:
         raise ValueError(f"momentum bin [{lo!r}, {hi!r}) carries no probability ({prob!r})")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .constants import C_LIGHT, HBAR
 from .clocks import (ClockModel, IdealisedClock, error_operator, evolve, mean_clock_time_nr,
-                     phase_moment_operator, rate_operator)
+                     phase_moment_operator, rate_operator, require_clock)
 from .linalg import dagger, expectation_real
 from .kinematics import moments
 
@@ -41,13 +41,11 @@ from .kinematics import moments
 class WMoments:
     """First and (truncated) second moments of the clock-rate shift W.
 
-    ``mean_w2`` keeps only p^4/(4 m^4 c^4); the cross and p^8 pieces are
-    of sixth order in p/(m c) and dropped. ``flagged`` marks a negative
-    truncated second moment (never silently clipped)."""
+    ``mean_w2`` keeps only p^4/(4 m^4 c^4), which is non-negative; the
+    cross and p^8 pieces are of sixth order in p/(m c) and dropped."""
 
     mean_w: float
     mean_w2: float
-    flagged: bool = False
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ def w_moments(kstate, c: float = C_LIGHT) -> WMoments:
     mass = kstate.mass
     mean_w = -m.mean_p2 / (2.0 * mass**2 * c**2) + 3.0 * m.mean_p4 / (8.0 * mass**4 * c**4)
     mean_w2 = m.mean_p4 / (4.0 * mass**4 * c**4)
-    return WMoments(mean_w=float(mean_w), mean_w2=float(mean_w2), flagged=mean_w2 < 0)
+    return WMoments(mean_w=float(mean_w), mean_w2=float(mean_w2))
 
 
 def second_moment_operator(clock: ClockModel) -> np.ndarray:
@@ -97,6 +95,7 @@ def second_moment_operator(clock: ClockModel) -> np.ndarray:
 
 def sigma_nr(clock, t: float, hbar: float = HBAR) -> float:
     """Clock-time standard deviation under free evolution."""
+    require_clock(clock)
     if isinstance(clock, IdealisedClock):
         return clock.sigma_t0
     rho_t = evolve(clock, t, hbar)
@@ -153,10 +152,9 @@ def sigma_nonideal_term(clock: ClockModel, kstate, t: float,
     real; an imaginary part above 1e-10 of scale raises instead of being
     symmetrised away.
     """
+    require_clock(clock)
     if isinstance(clock, IdealisedClock):
         return 0.0
-    if not isinstance(clock, ClockModel):
-        raise ValueError(f"non-finite clock {type(clock).__name__!r}")
     wm = w_moments(kstate, c)
     s_nr = sigma_nr(clock, t, hbar)
     if s_nr <= 0:
@@ -198,6 +196,6 @@ def sigma_breakdown(clock, kstate, t: float, c: float = C_LIGHT, hbar: float = H
     """
     s_nr = sigma_nr(clock, t, hbar)
     s_i = sigma_ideal_term(kstate, t, s_nr, c)
-    s_ni = 0.0 if isinstance(clock, IdealisedClock) else sigma_nonideal_term(clock, kstate, t, c, hbar)
+    s_ni = sigma_nonideal_term(clock, kstate, t, c, hbar)
     return PrecisionBreakdown(sigma_nr=s_nr, sigma_i=s_i, sigma_ni=s_ni,
                               total=s_nr + s_i + s_ni)

@@ -55,11 +55,6 @@ def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def random_ket(rng: np.random.Generator, d: int) -> np.ndarray:
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return v / np.linalg.norm(v)
-
-
 # ---------------------------------------------------------------------------
 # quadrature oracles over the explicit wavefunctions
 

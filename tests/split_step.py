@@ -69,8 +69,7 @@ def split_step_evolve(clock, kstate, t: float, g: float, steps: int,
         psi = np.fft.ifft(kin * np.fft.fft(psi, axis=1), axis=1)
         psi *= half_pot**2 if step < steps - 1 else half_pot
 
-    js = JointState(clock_dim=clock.dim, grid=x, amplitudes=vectors @ psi,
-                    representation="position")
+    js = JointState(clock_dim=clock.dim, grid=x, amplitudes=vectors @ psi)
     if abs(js.norm() - 1.0) > 1e-6:
         raise ValueError(f"norm leak {abs(js.norm() - 1.0):.3e} during split-step run")
     edge = max(1, n_points // 50)

@@ -19,7 +19,6 @@ from chronodil.clocks import (
     commutator_form_check,
     covariant_moment_check,
     error_trace,
-    error_trace_series,
 )
 from chronodil.constants import ATOMIC_MASS_UNIT, C_LIGHT, ELECTRON_MASS
 from chronodil.dilation import classical_proper_time, mean_clock_time, sup_vs_mix, t_coh
@@ -65,7 +64,7 @@ def test_criterion_02_quasi_ideal_error_decay():
     for d in (8, 16, 32, 64):
         clk = build_quasi_ideal(d, 1.0, np.sqrt(d), m0=d / 4.0, hbar=1.0)
         times = np.linspace(0.0, clk.period / 2.0, 8 * d)
-        maxima.append(float(np.abs(error_trace_series(clk, times, hbar=1.0).values).max()))
+        maxima.append(max(abs(error_trace(clk, t, hbar=1.0)) for t in times))
     decreasing = all(b < a for a, b in zip(maxima, maxima[1:]))
     ratios = [b / a for a, b in zip(maxima, maxima[1:])]
     ratios_decreasing = all(r2 < r1 for r1, r2 in zip(ratios, ratios[1:]))

@@ -169,8 +169,10 @@ def test_verify_run_exit_codes():
     table, code = run(passing)
     assert code == 0
     assert ("verdict", "pass") in table.metadata
+    # the spread residual of the d = 4 dial falls as c^-4, short of the
+    # report's c^-5 rule, and the CLI exits on the report's verdict
     failing = parse_config(bench_config(
-        "verify", extra="\n[verify]\nc_scalings = 1,2,4\nthreshold = -10.0\n"))
+        "verify", extra="\n[verify]\ntarget = sigma\nc_scalings = 1,2,4\n"))
     table, code = run(failing)
     assert code == 3
     assert ("verdict", "fail") in table.metadata
@@ -179,7 +181,7 @@ def test_verify_run_exit_codes():
 def test_verify_sigma_target_reports_exponents():
     text = bench_config(
         "verify",
-        extra="\n[verify]\ntarget = sigma\nc_scalings = 1,2\nthreshold = -3.0\n",
+        extra="\n[verify]\ntarget = sigma\nc_scalings = 1,2\n",
     ).replace("model = swp", "model = quasi_ideal\nsigma_bar = 4.0\nm0 = 4.0"
               ).replace("d = 4", "d = 16")
     table, code = run(parse_config(text))

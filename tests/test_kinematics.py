@@ -159,7 +159,7 @@ def test_r_factor_mixture_linearity(w, sep_sigmas, x_off_sigmas):
 def test_grid_gaussian_real_and_even_about_mean():
     state = gaussian(x0=0.0, p0=3e-25)
     grid = default_momentum_grid(state, n_points=401)
-    amps = to_grid(state, grid).components[0][1]
+    amps = to_grid(state, grid).amplitudes
     assert np.abs(amps.imag).max() < 1e-14 * np.abs(amps).max()
     assert np.abs(amps - amps[::-1]).max() < 1e-12 * np.abs(amps).max()
 
@@ -167,7 +167,7 @@ def test_grid_gaussian_real_and_even_about_mean():
 def test_grid_cat_fringe_period():
     state = cat(delta=6.0 * SX)
     grid = default_momentum_grid(state)
-    amps = to_grid(state, grid).components[0][1]
+    amps = to_grid(state, grid).amplitudes
     density = np.abs(amps) ** 2
     # locate the fringe frequency by Fourier transforming the density
     dp = grid[1] - grid[0]
@@ -181,13 +181,12 @@ def test_grid_cat_fringe_period():
     assert abs(peak - expected) < 1.5 * resolution
 
 
-def test_grid_mixture_components_have_no_coherence():
+def test_grid_rejects_mixture():
+    # a mixture is an ensemble with no single wavefunction to sample
     mixture = MixtureState(components=((0.4, gaussian()), (0.6, gaussian(x0=5e-10))))
-    grid = default_momentum_grid(mixture, n_points=512)
-    sampled = to_grid(mixture, grid)
-    assert len(sampled.components) == 2
-    assert np.isclose(sampled.components[0][0], 0.4)
-    assert abs(sampled.captured_norm - 1.0) < 1e-8
+    grid = default_momentum_grid(gaussian(), n_points=512)
+    with pytest.raises(TypeError, match="ensemble"):
+        to_grid(mixture, grid)
 
 
 def test_grid_too_narrow_raises():
@@ -239,8 +238,8 @@ def test_grid_stack_checks_every_row():
     sp = state.sigma_p
     row = np.linspace(-8.0 * sp, 8.0 * sp, 512)
     stacked = to_grid(state, np.stack([row, row + 0.5 * sp]))
-    assert stacked.components[0][1].shape == (2, 512)
-    assert np.array_equal(stacked.components[0][1][0], to_grid(state, row).components[0][1])
+    assert stacked.amplitudes.shape == (2, 512)
+    assert np.array_equal(stacked.amplitudes[0], to_grid(state, row).amplitudes)
     # a row shifted off the packet fails on its own, though the first row is fine
     with pytest.raises(ValueError, match="too narrow"):
         to_grid(state, np.stack([row, row + 6.0 * sp]))

@@ -48,6 +48,19 @@ def test_bin_probability_parity():
                           bin_probability(STATE, binning, -n), rtol=1e-12)
 
 
+@pytest.mark.parametrize("n", [10, 14])
+def test_bin_probability_matches_mpmath_in_the_tail(n):
+    # bins 10 and 14 at q = 0.5 hold about 1e-6 and 7e-12 of the packet; a
+    # difference of two erf values near 1 keeps only a few digits there
+    mpmath = pytest.importorskip("mpmath")
+    binning = binning_for(0.5)
+    lo, hi = binning.edges(n)
+    with mpmath.mp.workdps(50):
+        a, b = (mpmath.mpf(edge) / (mpmath.sqrt(2) * mpmath.mpf(STATE.sigma_p)) for edge in (lo, hi))
+        ref = float((mpmath.erf(b) - mpmath.erf(a)) / 2)
+    assert abs(bin_probability(STATE, binning, n) - ref) <= 1e-12 * ref
+
+
 def test_bin_probabilities_sum_to_one():
     binning = binning_for(0.5)
     total = sum(bin_probability(STATE, binning, n) for n in occupied_bins(STATE, binning))

@@ -29,7 +29,6 @@ def test_w_moments_gaussian_at_rest():
     expected = -sp**2 / (2.0 * m**2 * c**2) + 9.0 * sp**4 / (8.0 * m**4 * c**4)
     assert np.isclose(wm.mean_w, expected, rtol=1e-13)
     assert np.isclose(wm.mean_w2, 3.0 * sp**4 / (4.0 * m**4 * c**4), rtol=1e-13)
-    assert not wm.flagged
 
 
 def test_w_moments_vanish_for_point_particle_at_rest():
@@ -98,6 +97,16 @@ def test_dispersion_exact_term_keeps_only_variance_piece():
 
 def test_sigma_nonideal_idealised_limit_is_zero():
     assert sigma_nonideal_term(IdealisedClock(1e-9), ELECTRON_NM, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("name", ["sigma_nr", "sigma_nonideal_term", "sigma_breakdown"])
+def test_unsupported_clock_type_rejected(name):
+    # a bare matrix is not a clock: it has no time observable or period
+    call = {"sigma_nr": lambda clk: sigma_nr(clk, 1.0),
+            "sigma_nonideal_term": lambda clk: sigma_nonideal_term(clk, ELECTRON_NM, 1.0),
+            "sigma_breakdown": lambda clk: sigma_breakdown(clk, ELECTRON_NM, 1.0)}[name]
+    with pytest.raises(TypeError, match="unsupported clock type ndarray"):
+        call(np.eye(2))
 
 
 def test_sigma_nonideal_quasi_ideal_negligible():
