@@ -1,9 +1,10 @@
 """Finite-dimensional clock models and their accuracy diagnostics.
 
-A clock is a triple of a time observable, a Hamiltonian and an initial
-state. The time observable ``T`` is the first-moment operator of the
-clock's time measurement; its expectation value is the mean clock time.
-Three concrete models are provided:
+A clock is a set of energies, an initial ket and the first- and
+second-moment operators ``T`` and ``T2`` of its time measurement, all in
+the energy eigenbasis. The expectation value of ``T`` is the mean clock
+time, that of ``T2`` its second moment. Three concrete models are
+provided:
 
 * a dial clock with evenly spaced energies whose time basis is the
   discrete Fourier transform of the energy basis (``build_swp``),
@@ -22,14 +23,14 @@ which vanishes identically for a perfect (idealised) clock and measures
 how far the mean clock time drifts from the lab time per unit time:
 d<T>/dt = 1 + tr E(t) under free evolution.
 
-Every matrix of a clock is stored in its energy eigenbasis: ``h_cl``
-must be a real diagonal matrix, checked at construction. Free evolution
-is then an elementwise phase, rho_jk(t) = rho_jk e^{-i (E_j - E_k) t / hbar},
-the rate operator -(i/hbar)[T, H] has entries -(i/hbar) T_jk (E_k - E_j),
-and the integrated error trace has a closed form; nothing diagonalises.
+Free evolution is a phase per energy component,
+psi_j(t) = psi_j e^{-i E_j t / hbar}, and every clock quantity is an
+expectation value psi(t)^dag A psi(t). The rate operator
+-(i/hbar)[T, H] has entries -(i/hbar) T_jk (E_k - E_j); nothing
+diagonalises.
 
 Conventions: energies ascend, the qubit ground state is ``|0>``, and the
-stored time observable is offset-calibrated so that ``<T>(0) = 0``.
+stored moment operators are offset-calibrated so that ``<T>(0) = 0``.
 ``time_offset`` records the subtracted constant, so the raw first-moment
 operator is ``t_cl + time_offset * I``.
 """
@@ -42,50 +43,48 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR
-from . import linalg
-from .linalg import SIGMA_Z, dagger, expectation, projector
+from .linalg import dagger, expectation, expectation_real, projector
 
 
 @dataclass(frozen=True)
 class ClockModel:
-    """Matrix clock: Hamiltonian (J), calibrated time observable (s),
-    initial state, period (s), and, for continuous phase measurements,
-    the measurement density at the dial's branch cut (1/s).
+    """Clock in its energy eigenbasis: energies (J), initial unit ket,
+    calibrated first- and second-moment operators of the time measurement
+    (s and s^2), period (s), and, for continuous phase measurements, the
+    measurement density at the dial's branch cut (1/s).
 
-    All matrices are in the energy eigenbasis: ``h_cl`` must be a real
-    diagonal (dim, dim) matrix, and ``t_cl`` and ``rho0`` must be
-    (dim, dim)."""
+    ``energies`` must be a 1-D array of finite reals, ``psi0`` a unit
+    ket of the same length and ``t_cl`` and ``t2_cl`` (dim, dim)."""
 
-    dim: int
-    h_cl: np.ndarray
+    energies: np.ndarray
+    psi0: np.ndarray
     t_cl: np.ndarray
-    rho0: np.ndarray
+    t2_cl: np.ndarray
     period: float
     time_offset: float
-    psi0: np.ndarray | None = None
     povm_at_zero: np.ndarray | None = None
     kind: str = "generic"
     omega: float = 0.0
 
     def __post_init__(self):
-        h = np.asarray(self.h_cl)
-        if h.shape != (self.dim, self.dim) or np.count_nonzero(h - np.diag(np.diagonal(h))):
-            raise ValueError(f"h_cl must be a diagonal {(self.dim, self.dim)} matrix: "
+        e = np.asarray(self.energies)
+        if e.ndim != 1 or not np.isrealobj(e) or not np.all(np.isfinite(e)):
+            raise ValueError("energies must be a 1-D array of finite real values: "
                              "clocks are stored in their energy eigenbasis")
-        if np.count_nonzero(np.imag(np.diagonal(h))):
-            raise ValueError("h_cl must have real energies on its diagonal")
-        for name in ("t_cl", "rho0"):
+        d = e.size
+        psi = np.asarray(self.psi0)
+        if psi.shape != (d,):
+            raise ValueError(f"psi0 must have shape {(d,)}, got {psi.shape}")
+        if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
+            raise ValueError(f"psi0 must be a unit ket, got norm {np.linalg.norm(psi)!r}")
+        for name in ("t_cl", "t2_cl"):
             shape = np.shape(getattr(self, name))
-            if shape != (self.dim, self.dim):
-                raise ValueError(f"{name} must have shape {(self.dim, self.dim)}, got {shape}")
+            if shape != (d, d):
+                raise ValueError(f"{name} must have shape {(d, d)}, got {shape}")
 
     @property
-    def energies(self) -> np.ndarray:
-        """Diagonal of ``h_cl`` (J)."""
-        return np.diagonal(self.h_cl).real
-
-    def t_cl_raw(self) -> np.ndarray:
-        return self.t_cl + self.time_offset * np.eye(self.dim)
+    def dim(self) -> int:
+        return len(self.energies)
 
 
 @dataclass(frozen=True)
@@ -156,21 +155,28 @@ def fourier_time_basis(d: int) -> np.ndarray:
 
 
 def _dial_operators(d: int, omega: float, hbar: float):
-    h = np.diag(np.arange(d) * hbar * omega).astype(complex)
+    energies = np.arange(d) * hbar * omega
     period = 2.0 * np.pi / omega
     basis = fourier_time_basis(d)
     values = np.arange(d) * period / d
     t_raw = (basis * values) @ dagger(basis)
-    return h, t_raw, period, basis
+    return energies, t_raw, period, basis
 
 
-def _calibrated(h: np.ndarray, t_raw: np.ndarray, period: float, psi0: np.ndarray,
-                **fields) -> ClockModel:
-    """Clock started in ``psi0``, its time observable shifted so that <T>(0) = 0."""
-    rho0 = projector(psi0)
-    offset = linalg.expectation_real(t_raw, rho0)
-    return ClockModel(dim=len(psi0), h_cl=h, t_cl=t_raw - offset * np.eye(len(psi0)),
-                      rho0=rho0, period=period, time_offset=offset, psi0=psi0, **fields)
+def _calibrated(energies: np.ndarray, t_raw: np.ndarray, period: float, psi0: np.ndarray,
+                t2_raw: np.ndarray | None = None, **fields) -> ClockModel:
+    """Clock started in ``psi0``, its moment operators shifted so that <T>(0) = 0.
+
+    ``t2_raw`` is the raw second-moment operator; it defaults to the square
+    of the time observable, which is exact for a projective measurement."""
+    offset = expectation_real(t_raw, psi0)
+    ident = np.eye(len(psi0))
+    t_cl = t_raw - offset * ident
+    # moments of (s - offset): T2 - 2 offset T1 + offset^2
+    t2_cl = (t_cl @ t_cl if t2_raw is None
+             else t2_raw - 2.0 * offset * t_raw + offset**2 * ident)
+    return ClockModel(energies=energies, psi0=psi0, t_cl=t_cl, t2_cl=t2_cl, period=period,
+                      time_offset=offset, **fields)
 
 
 def build_swp(d: int, omega: float, hbar: float = HBAR) -> ClockModel:
@@ -184,9 +190,9 @@ def build_swp(d: int, omega: float, hbar: float = HBAR) -> ClockModel:
         raise ValueError(f"clock dimension must be >= 2, got {d}")
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
-    h, t_raw, period, basis = _dial_operators(d, omega, hbar)
+    energies, t_raw, period, basis = _dial_operators(d, omega, hbar)
     # the offset is zero: psi0 is the 0-eigenket
-    return _calibrated(h, t_raw, period, basis[:, 0].copy(), kind="swp", omega=omega)
+    return _calibrated(energies, t_raw, period, basis[:, 0].copy(), kind="swp", omega=omega)
 
 
 def build_quasi_ideal(
@@ -216,13 +222,13 @@ def build_quasi_ideal(
         raise ValueError(f"sigma_bar must lie in (0, d), got {sigma_bar}")
     if n0 is None:
         n0 = (d - 1) / 2.0
-    h, t_raw, period, basis = _dial_operators(d, omega, hbar)
+    energies, t_raw, period, basis = _dial_operators(d, omega, hbar)
     m = np.arange(d)
     # displacement from m0, wrapped into [-d/2, d/2)
     delta = (m - m0 + d / 2.0) % d - d / 2.0
     amps = np.exp(-np.pi * delta**2 / sigma_bar**2) * np.exp(2j * np.pi * n0 * delta / d)
     amps /= np.linalg.norm(amps)
-    return _calibrated(h, t_raw, period, basis @ amps, kind="quasi_ideal", omega=omega)
+    return _calibrated(energies, t_raw, period, basis @ amps, kind="quasi_ideal", omega=omega)
 
 
 def phase_moment_operator(n: int, a: float, b: float, omega: float) -> np.ndarray:
@@ -249,20 +255,24 @@ def _poly_phase_integral(n: int, a: float, b: float, omega: float) -> complex:
 def build_qubit_phase(omega: float, hbar: float = HBAR) -> ClockModel:
     """Two-level clock reading time from the relative phase of its levels.
 
-    H = (hbar*omega/2) sigma_z (traceless), initial state (|0>+|1>)/sqrt(2).
-    The time observable is the first moment of the phase measurement
-    F(theta) = |theta><theta| / pi with clock time s = theta/omega,
-    computed by direct integration over one period. The measurement
-    density at the dial cut is stored for the commutator identity check.
+    Energies -/+ hbar*omega/2 (traceless), initial state (|0>+|1>)/sqrt(2).
+    The moment operators are the first and second moments of the phase
+    measurement F(theta) = |theta><theta| / pi with clock time
+    s = theta/omega, integrated over one period. The measurement is not
+    projective, so the second moment is not the square of the first. The
+    measurement density at the dial cut is stored for the commutator
+    identity check.
     """
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
-    h = (hbar * omega / 2.0) * SIGMA_Z
+    energies = (hbar * omega / 2.0) * np.array([-1.0, 1.0])
     period = 2.0 * np.pi / omega
     t_raw = phase_moment_operator(1, 0.0, period, omega)
+    t2_raw = phase_moment_operator(2, 0.0, period, omega)
     psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     f0 = (omega / np.pi) * projector(psi0)  # density (1/s) of the phase ket at the cut
-    return _calibrated(h, t_raw, period, psi0, povm_at_zero=f0, kind="qubit_phase", omega=omega)
+    return _calibrated(energies, t_raw, period, psi0, t2_raw, povm_at_zero=f0,
+                       kind="qubit_phase", omega=omega)
 
 
 # ---------------------------------------------------------------------------
@@ -276,33 +286,25 @@ def require_clock(clock) -> None:
 
 
 def evolve(clock: ClockModel, t: float, hbar: float = HBAR) -> np.ndarray:
-    """rho(t) under free clock evolution: an elementwise phase in the
-    energy eigenbasis."""
-    ph = np.exp(-1j * clock.energies * t / hbar)
-    return (ph[:, None] * clock.rho0) * ph.conj()
+    """psi(t) under free clock evolution: a phase per energy component."""
+    return clock.psi0 * np.exp(-1j * clock.energies * t / hbar)
 
 
 def rate_operator(clock: ClockModel, hbar: float = HBAR) -> np.ndarray:
     """M = -(i/hbar)[T, H], entries -(i/hbar) T_jk (E_k - E_j).
 
-    d<T>/dt = tr(M rho(t)) under free evolution, and M = I for an
-    idealised clock."""
+    d<T>/dt = <M>(t) under free evolution, and M = I for an idealised
+    clock."""
     e = clock.energies
     return (-1j / hbar) * clock.t_cl * (e[None, :] - e[:, None])
 
 
-def error_operator(clock: ClockModel, t: float, hbar: float = HBAR) -> np.ndarray:
-    """E(t) = -(i/hbar)[T, H] rho(t) - rho(t) under free clock evolution."""
-    rho_t = evolve(clock, t, hbar)
-    return rate_operator(clock, hbar) @ rho_t - rho_t
-
-
 def error_trace(clock, t: float, hbar: float = HBAR) -> float:
-    """tr E(t). Zero for an idealised clock at every time."""
+    """tr E(t) = <M>(t) - 1. Zero for an idealised clock at every time."""
     if isinstance(clock, IdealisedClock):
         return 0.0
-    rho_t = evolve(clock, t, hbar)
-    val = expectation(rate_operator(clock, hbar), rho_t) - np.trace(rho_t)
+    psi_t = evolve(clock, t, hbar)
+    val = expectation(rate_operator(clock, hbar), psi_t) - np.vdot(psi_t, psi_t)
     if abs(val.imag) > 1e-10 * max(1.0, abs(val)):
         raise ValueError(f"tr E(t) has non-negligible imaginary part {val.imag:.3e}")
     return float(val.real)
@@ -313,22 +315,7 @@ def mean_clock_time_nr(clock, t: float, hbar: float = HBAR) -> float:
     t = 0 offset calibrated away so the reading starts at zero."""
     if isinstance(clock, IdealisedClock):
         return t
-    return linalg.expectation_real(clock.t_cl, evolve(clock, t, hbar))
-
-
-def integrated_error_trace(clock: ClockModel, t: float, hbar: float = HBAR) -> float:
-    """integral of tr E over [0, t], in closed form.
-
-    With omega_jk = (E_j - E_k)/hbar the integral is
-
-        sum_jk M_kj rho_jk t e^{-i omega_jk t/2} sinc(omega_jk t / 2 pi) - t,
-
-    where sinc(x) = sin(pi x)/(pi x) and M is the rate operator.
-    """
-    e = clock.energies
-    half_phase = (e[:, None] - e[None, :]) * t / (2.0 * hbar)
-    weights = t * np.exp(-1j * half_phase) * np.sinc(half_phase / np.pi)
-    return float(np.sum(rate_operator(clock, hbar).T * clock.rho0 * weights).real) - t
+    return expectation_real(clock.t_cl, evolve(clock, t, hbar))
 
 
 def circular_mean_time(clock: ClockModel, t: float = 0.0, hbar: float = HBAR) -> float:
@@ -337,13 +324,12 @@ def circular_mean_time(clock: ClockModel, t: float = 0.0, hbar: float = HBAR) ->
     Uses the argument of the first circular harmonic of the time-basis
     distribution, which is insensitive to the dial cut.
     """
-    rho_t = evolve(clock, t, hbar)
+    psi_t = evolve(clock, t, hbar)
     if clock.kind == "qubit_phase":
         # first harmonic of the phase density is rho_10
-        harmonic = rho_t[1, 0]
+        harmonic = psi_t[1] * psi_t[0].conj()
     else:
-        basis = fourier_time_basis(clock.dim)
-        probs = np.einsum("im,ij,jm->m", basis.conj(), rho_t, basis).real
+        probs = np.abs(dagger(fourier_time_basis(clock.dim)) @ psi_t) ** 2
         harmonic = np.sum(probs * np.exp(2j * np.pi * np.arange(clock.dim) / clock.dim))
     angle = float(np.angle(harmonic)) % (2.0 * np.pi)
     return angle / (2.0 * np.pi) * clock.period
@@ -383,18 +369,16 @@ def covariant_moment_check(clock, n: int, t: float, hbar: float = HBAR) -> Momen
 def _qubit_moment_check(clock: ClockModel, n: int, t: float, hbar: float) -> MomentCheckReport:
     period = clock.period
     omega = clock.omega
-    rho_t = evolve(clock, t, hbar)
     # cut the dial at the outcome-density minimum of the initial state
-    r01 = clock.rho0[1, 0]
+    r01 = clock.psi0[1] * clock.psi0[0].conj()
     peak0 = (-np.angle(r01) / omega) if abs(r01) > 1e-14 else 0.0
     start0 = peak0 - period / 2.0
 
-    def moment(k: int, rho: np.ndarray, start: float) -> float:
-        op = phase_moment_operator(k, start, start + period, omega)
-        return linalg.expectation_real(op, rho)
+    def moment(k: int, psi: np.ndarray, start: float) -> float:
+        return expectation_real(phase_moment_operator(k, start, start + period, omega), psi)
 
-    lhs = moment(n, rho_t, start0 + t)
-    m0 = [moment(k, clock.rho0, start0) for k in range(n + 1)]
+    lhs = moment(n, evolve(clock, t, hbar), start0 + t)
+    m0 = [moment(k, clock.psi0, start0) for k in range(n + 1)]
     rhs = sum(math.comb(n, k) * t ** (n - k) * m0[k] for k in range(n + 1))
     return MomentCheckReport(
         n=n, t=t, lhs=lhs, rhs=rhs, residual=abs(lhs - rhs),
@@ -413,14 +397,13 @@ def _dial_moment_check(clock: ClockModel, n: int, t: float, hbar: float) -> Mome
     center = round(circular_mean_time(clock, 0.0, hbar) / step) % d
     w0 = center - d // 2
 
-    def moment(k: int, rho: np.ndarray, shift: int) -> float:
+    def moment(k: int, psi: np.ndarray, shift: int) -> float:
         idx = np.arange(w0 + shift, w0 + shift + d)
-        probs = np.einsum("im,ij,jm->m", basis[:, idx % d].conj(), rho, basis[:, idx % d]).real
+        probs = np.abs(dagger(basis[:, idx % d]) @ psi) ** 2
         return float(np.sum((idx * step) ** k * probs))
 
-    rho_t = evolve(clock, t, hbar)
-    lhs = moment(n, rho_t, nu_int)
-    m0 = [moment(k, clock.rho0, 0) for k in range(n + 1)]
+    lhs = moment(n, evolve(clock, t, hbar), nu_int)
+    m0 = [moment(k, clock.psi0, 0) for k in range(n + 1)]
     rhs = sum(math.comb(n, k) * t ** (n - k) * m0[k] for k in range(n + 1))
     note = "dial clock at integer step time: window shifted with the state"
     if not on_grid:

@@ -2,21 +2,15 @@
 
 Conventions:
 
-* States are density matrices: Hermitian, unit trace, positive
-  semidefinite within numerical tolerance.
-* Clocks are stored in their energy eigenbasis and evolve by an
-  elementwise phase (``clocks.evolve``), so nothing here diagonalises.
-* Qubit basis: ``|0>`` is the ground state, ``sigma_z = |1><1| - |0><0|``.
-
-All values are immutable after construction and safe to share across
-concurrent workers.
+* Clock states are unit kets in the clock's energy eigenbasis, where
+  free evolution is a phase per component (``clocks.evolve``), so
+  nothing here diagonalises.
+* Qubit basis: ``|0>`` is the ground state.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -28,20 +22,20 @@ def projector(ket: np.ndarray) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def expectation(a: np.ndarray, rho: np.ndarray) -> complex:
-    """tr(A rho) as a complex number."""
-    if a.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: A {a.shape} vs rho {rho.shape}")
-    return complex(np.einsum("ij,ji->", a, rho))
+def expectation(a: np.ndarray, ket: np.ndarray) -> complex:
+    """psi^dag A psi as a complex number."""
+    if a.shape != (ket.size, ket.size):
+        raise ValueError(f"dimension mismatch: A {a.shape} vs ket {ket.shape}")
+    return complex(np.vdot(ket, a @ ket))
 
 
-def expectation_real(a: np.ndarray, rho: np.ndarray, imag_tol: float = 1e-9) -> float:
-    """Real part of tr(A rho), checking that the imaginary part is noise.
+def expectation_real(a: np.ndarray, ket: np.ndarray, imag_tol: float = 1e-9) -> float:
+    """Real part of psi^dag A psi, checking that the imaginary part is noise.
 
     Intended for Hermitian observables; the imaginary magnitude is compared
     against ``imag_tol`` times the overall scale.
     """
-    val = expectation(a, rho)
+    val = expectation(a, ket)
     scale = max(abs(val), float(np.abs(a).max()) or 1.0)
     if abs(val.imag) > imag_tol * scale:
         raise ValueError(f"expectation has non-negligible imaginary part {val.imag:.3e}")

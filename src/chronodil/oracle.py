@@ -34,7 +34,7 @@ from .clocks import ClockModel, build_quasi_ideal
 from .dilation import mean_clock_time
 from .kinematics import CatState, MixtureState, default_momentum_grid, to_grid
 from .linalg import dagger
-from .precision import second_moment_operator, sigma_breakdown, spread_from_moments, w_of_p
+from .precision import sigma_breakdown, spread_from_moments, w_of_p
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,6 @@ class JointState:
     point j. The discrete norm must be 1 within 1e-8.
     """
 
-    clock_dim: int
     grid: np.ndarray
     amplitudes: np.ndarray
 
@@ -83,12 +82,6 @@ def _check_norm(js: JointState) -> JointState:
     return js
 
 
-def _pure_clock_ket(clock: ClockModel) -> np.ndarray:
-    if clock.psi0 is None:
-        raise ValueError("oracle evolution needs a pure initial clock state")
-    return np.asarray(clock.psi0, dtype=complex)
-
-
 def _kinetic_energy(p: np.ndarray, mass: float, c: float, order: str) -> np.ndarray:
     hk = p**2 / (2.0 * mass)
     if order == "c4":
@@ -112,7 +105,6 @@ def exact_evolve_g0(clock: ClockModel, kstate, t: float, order: str = "c2",
         grid = default_momentum_grid(kstate)
     mass = kstate.mass
     psi_kin = to_grid(kstate, grid).amplitudes
-    a0 = _pure_clock_ket(clock)
     energies = clock.energies
     w = w_of_p(grid, mass, c, "c4" if order == "c4" else "c2")
     hk = _kinetic_energy(grid, mass, c, order)
@@ -121,9 +113,8 @@ def exact_evolve_g0(clock: ClockModel, kstate, t: float, order: str = "c2",
     # summed exponent would absorb the small clock phase entirely
     clock_phases = np.exp(-1j * np.outer(energies, 1.0 + w) * t / hbar)
     kin_phase = np.exp(-1j * hk * t / hbar)
-    amps = (clock_phases * a0[:, None]) * (psi_kin * kin_phase)[None, :]
-    return _check_norm(JointState(clock_dim=clock.dim, grid=np.asarray(grid, dtype=float),
-                                  amplitudes=amps))
+    amps = (clock_phases * clock.psi0[:, None]) * (psi_kin * kin_phase)[None, :]
+    return _check_norm(JointState(grid=np.asarray(grid, dtype=float), amplitudes=amps))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +147,6 @@ def evolve_characteristics_g(clock: ClockModel, kstate, t: float, g: float,
                            4096 if isinstance(kstate, CatState) else 2048)
     grid = np.asarray(grid, dtype=float)
     energies = clock.energies
-    a0 = _pure_clock_ket(clock)
     # momentum decreases at rate force[n]; rows of the (d, N) arrays are the
     # clock energy components, columns the final momenta
     force = mass * g + energies * g / c**2
@@ -174,8 +164,8 @@ def evolve_characteristics_g(clock: ClockModel, kstate, t: float, g: float,
     # one sampling of the initial wavefunction on all shifted grids; each row
     # must capture the state's norm on its own
     shifted = to_grid(kstate, p + s).amplitudes
-    amps = a0[:, None] * shifted * clock_phase * common_phase
-    return _check_norm(JointState(clock_dim=clock.dim, grid=grid, amplitudes=amps))
+    amps = clock.psi0[:, None] * shifted * clock_phase * common_phase
+    return _check_norm(JointState(grid=grid, amplitudes=amps))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +180,7 @@ def clock_time_stats(js: JointState, clock: ClockModel) -> tuple[float, float]:
     """(mean, standard deviation) of the clock reading on a joint state."""
     rho = reduced_clock_density(js)
     mean = float(np.trace(clock.t_cl @ rho).real)
-    second = float(np.trace(second_moment_operator(clock) @ rho).real)
+    second = float(np.trace(clock.t2_cl @ rho).real)
     return mean, spread_from_moments(mean, second)
 
 

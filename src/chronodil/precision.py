@@ -11,17 +11,19 @@ The clock-time standard deviation then splits as
     sigma_T(t) = sigma_NR(t) + sigma_I(t) + sigma_NI(t):
 
 a free part, a part that survives for an idealised clock, and a part
-sourced entirely by the clock's error operator. The idealised term used
-here is
+sourced entirely by the clock's error operator. The free part is
+sqrt(<T2> - <T>^2) from the clock's two moment operators in its evolved
+ket. The idealised term used here is
 
     sigma_I(t) = t^2 (<p^4> + var(p^2)) / (8 sigma_NR(t) m^4 c^4),
 
 and the non-idealised term is the full four-brace trace expression in
-terms of E(t), e = (i/hbar)[H, T] - I and the W moments (see
-``sigma_nonideal_term``). A companion ``sigma_dispersion_exact`` gives
-the excess that exact joint evolution produces, t^2 var(W) / (2 sigma_NR),
-whose leading term keeps var(p^2) but not <p^4>; the two closed forms
-disagree at leading order and the oracle module quantifies that.
+terms of E(t), e = (i/hbar)[H, T] - I and the W moments, evaluated as
+inner products of kets (see ``sigma_nonideal_term``). A companion
+``sigma_dispersion_exact`` gives the excess that exact joint evolution
+produces, t^2 var(W) / (2 sigma_NR), whose leading term keeps var(p^2)
+but not <p^4>; the two closed forms disagree at leading order and the
+oracle module quantifies that.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, HBAR
-from .clocks import (ClockModel, IdealisedClock, error_operator, evolve, mean_clock_time_nr,
-                     phase_moment_operator, rate_operator, require_clock)
-from .linalg import dagger, expectation_real
+from .clocks import ClockModel, IdealisedClock, evolve, rate_operator, require_clock
+from .linalg import expectation_real
 from .kinematics import moments
 
 
@@ -78,30 +79,14 @@ def w_moments(kstate, c: float = C_LIGHT) -> WMoments:
     return WMoments(mean_w=float(mean_w), mean_w2=float(mean_w2))
 
 
-def second_moment_operator(clock: ClockModel) -> np.ndarray:
-    """Second-moment operator of the time measurement.
-
-    Projective measurements square the calibrated time observable. The
-    phase clock's measurement is not projective, so its second moment is
-    the direct integral of s^2 against the phase density over one period
-    (shifted to the calibrated origin)."""
-    if clock.kind == "qubit_phase":
-        raw = phase_moment_operator(2, 0.0, clock.period, clock.omega)
-        # moments of (s - offset): T2 - 2 offset T1 + offset^2
-        t_raw = clock.t_cl_raw()
-        return raw - 2.0 * clock.time_offset * t_raw + clock.time_offset**2 * np.eye(clock.dim)
-    return clock.t_cl @ clock.t_cl
-
-
 def sigma_nr(clock, t: float, hbar: float = HBAR) -> float:
     """Clock-time standard deviation under free evolution."""
     require_clock(clock)
     if isinstance(clock, IdealisedClock):
         return clock.sigma_t0
-    rho_t = evolve(clock, t, hbar)
-    t2 = expectation_real(second_moment_operator(clock), rho_t)
-    t1 = expectation_real(clock.t_cl, rho_t)
-    return spread_from_moments(t1, t2)
+    psi_t = evolve(clock, t, hbar)
+    return spread_from_moments(expectation_real(clock.t_cl, psi_t),
+                               expectation_real(clock.t2_cl, psi_t))
 
 
 def spread_from_moments(mean: float, second: float) -> float:
@@ -110,7 +95,7 @@ def spread_from_moments(mean: float, second: float) -> float:
     var = second - mean**2
     if var < -1e-12 * second:
         raise ValueError(f"negative variance {var!r} from second moment {second!r}: "
-                         "the state is not a density matrix")
+                         "not the moments of a probability distribution")
     return float(np.sqrt(max(var, 0.0)))
 
 
@@ -147,9 +132,12 @@ def sigma_nonideal_term(clock: ClockModel, kstate, t: float,
                         c: float = C_LIGHT, hbar: float = HBAR) -> float:
     """Error-operator contribution to the clock-time spread at g = 0.
 
-    Direct matrix evaluation of the four-brace expression in E(t),
-    e = (i/hbar)[H, T] - I, <W> and <W^2>. The assembled value must be
-    real; an imaginary part above 1e-10 of scale raises instead of being
+    The four-brace expression in E(t) = e rho(t), e = (i/hbar)[H, T] - I,
+    <W> and <W^2>. With rho(t) = psi psi^dag every trace is an inner
+    product of kets, tr(X Y Z rho) = (X^dag psi)^dag Y (Z psi), built from
+    u = T psi, v = e psi and h = H psi (T and H Hermitian), so no
+    matrix-matrix product is formed. The assembled value must be real; an
+    imaginary part above 1e-10 of scale raises instead of being
     symmetrised away.
     """
     require_clock(clock)
@@ -160,23 +148,19 @@ def sigma_nonideal_term(clock: ClockModel, kstate, t: float,
     if s_nr <= 0:
         raise ValueError("sigma_NR must be positive for the non-idealised term")
     t_op = clock.t_cl
-    h_op = clock.h_cl
-    rho_t = evolve(clock, t, hbar)
-    e_op = error_operator(clock, t, hbar)
     e_small = rate_operator(clock, hbar) - np.eye(clock.dim)
-    tr_e = np.trace(e_op)
-    mean_t_nr = mean_clock_time_nr(clock, t, hbar)
+    psi = evolve(clock, t, hbar)
+    u, v, h = t_op @ psi, e_small @ psi, clock.energies * psi
+    tr_e = np.vdot(psi, v)  # tr E
+    mean_t_nr = np.vdot(psi, u).real
 
-    brace1 = np.trace((e_op + dagger(e_op)) @ t_op) - 2.0 * mean_t_nr * tr_e
+    brace1 = np.vdot(u, v) + np.vdot(v, u) - 2.0 * mean_t_nr * tr_e  # tr((E + E^dag) T)
     brace2 = 2.0 * tr_e + tr_e**2
     brace3 = (
         2.0 * tr_e
-        + (1j / hbar) * np.trace(
-            (h_op @ e_small @ t_op - t_op @ e_small @ h_op) @ rho_t
-            + h_op @ t_op @ e_op
-            - dagger(e_op) @ t_op @ h_op
-        )
-        + (2j / hbar) * mean_t_nr * np.trace(h_op @ (e_op - dagger(e_op)))
+        + (1j / hbar) * (np.vdot(h, e_small @ u) - np.vdot(u, e_small @ h)  # (H e T - T e H) rho
+                         + np.vdot(h, t_op @ v) - np.vdot(v, t_op @ h))  # H T E - E^dag T H
+        + (2j / hbar) * mean_t_nr * (np.vdot(h, v) - np.vdot(v, h))  # H (E - E^dag)
     )
     first = wm.mean_w * t / (2.0 * s_nr) * brace1
     second = -((wm.mean_w * t) ** 2) / (8.0 * s_nr**3) * brace1**2

@@ -50,9 +50,8 @@ def split_step_evolve(clock, kstate, t: float, g: float, steps: int,
     x = _position_grid(kstate, t, g, n_points)
     dx = x[1] - x[0]
     p = 2.0 * np.pi * hbar * np.fft.fftfreq(n_points, d=dx)
-    energies, vectors = np.linalg.eigh(clock.h_cl)
-    a0 = vectors.conj().T @ np.asarray(clock.psi0, dtype=complex)
-    psi = a0[:, None] * position_wavefunction(kstate, x)[None, :]
+    energies = clock.energies
+    psi = clock.psi0[:, None] * position_wavefunction(kstate, x)[None, :]
 
     kin_clock = energies[:, None] * (1.0 - p**2 / (2.0 * mass**2 * c**2))[None, :]
     kin_common = p**2 / (2.0 * mass) - p**4 / (8.0 * mass**3 * c**2)
@@ -69,7 +68,7 @@ def split_step_evolve(clock, kstate, t: float, g: float, steps: int,
         psi = np.fft.ifft(kin * np.fft.fft(psi, axis=1), axis=1)
         psi *= half_pot**2 if step < steps - 1 else half_pot
 
-    js = JointState(clock_dim=clock.dim, grid=x, amplitudes=vectors @ psi)
+    js = JointState(grid=x, amplitudes=psi)
     if abs(js.norm() - 1.0) > 1e-6:
         raise ValueError(f"norm leak {abs(js.norm() - 1.0):.3e} during split-step run")
     edge = max(1, n_points // 50)

@@ -14,10 +14,10 @@ from chronodil.clocks import (
     error_trace,
     evolve,
     fourier_time_basis,
-    integrated_error_trace,
     mean_clock_time_nr,
 )
 from chronodil.constants import HBAR
+from chronodil.linalg import projector
 from dense_reference import evolve_hermitian
 
 HBAR_ONE = 1.0
@@ -42,7 +42,7 @@ def qubit(omega=1.0):
 def test_swp_period_and_time_eigenvalues():
     clk = swp(2)
     assert np.isclose(clk.period, 2.0 * np.pi)
-    raw_eigs = np.sort(np.linalg.eigvalsh(clk.t_cl_raw()))
+    raw_eigs = np.sort(np.linalg.eigvalsh(clk.t_cl + clk.time_offset * np.eye(clk.dim)))
     assert np.allclose(raw_eigs, [0.0, np.pi], atol=1e-12)
 
 
@@ -63,7 +63,6 @@ def test_swp_rejects_bad_arguments():
 def test_quasi_ideal_normalised():
     for d, sb, m0 in [(8, 2.0, 4.0), (16, 4.0, 0.0), (32, np.sqrt(32), 11.3)]:
         clk = quasi(d, sb, m0)
-        assert abs(np.trace(clk.rho0).real - 1.0) < 1e-12
         assert abs(np.vdot(clk.psi0, clk.psi0).real - 1.0) < 1e-12
 
 
@@ -75,8 +74,8 @@ def test_quasi_ideal_normalised():
 def test_evolve_matches_dense_reference(clk, hbar):
     for frac in (0.0, 0.13, 0.5, 0.77, 3.4):
         t = frac * clk.period
-        dense = evolve_hermitian(clk.h_cl, clk.rho0, t, hbar)
-        assert np.abs(evolve(clk, t, hbar) - dense).max() < 1e-13
+        dense = evolve_hermitian(np.diag(clk.energies), projector(clk.psi0), t, hbar)
+        assert np.abs(projector(evolve(clk, t, hbar)) - dense).max() < 1e-13
 
 
 def test_energies_are_the_stored_diagonal():
@@ -84,22 +83,59 @@ def test_energies_are_the_stored_diagonal():
     assert np.array_equal(qubit().energies, [-0.5, 0.5])
 
 
-@pytest.mark.parametrize("h_cl", [
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.diag([0.0, 1.0 + 1e-3j]),
-    np.zeros((3, 3)),
-    np.zeros(2),
-], ids=["non_diagonal", "complex_diagonal", "wrong_shape", "vector"])
-def test_clock_model_requires_real_diagonal_hamiltonian(h_cl):
-    with pytest.raises(ValueError, match="h_cl"):
-        ClockModel(dim=2, h_cl=h_cl, t_cl=np.eye(2, dtype=complex),
-                   rho0=np.eye(2) / 2.0, period=1.0, time_offset=0.0)
+def make_clock(**fields):
+    """A valid two-level ClockModel with ``fields`` replaced."""
+    args = dict(energies=np.array([0.0, 1.0]), psi0=np.array([1.0, 0.0]),
+                t_cl=np.eye(2, dtype=complex), t2_cl=np.eye(2, dtype=complex),
+                period=1.0, time_offset=0.0)
+    return ClockModel(**{**args, **fields})
+
+
+# the Hamiltonian is given by its real diagonal, the energies
+@pytest.mark.parametrize("energies", [
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([0.0, 1.0 + 1e-3j]),
+    np.float64(1.0),
+    np.array([0.0, np.inf]),
+    np.array([np.nan, 1.0]),
+], ids=["non_diagonal", "complex_diagonal", "wrong_shape", "infinite", "nan"])
+def test_clock_model_requires_real_diagonal_hamiltonian(energies):
+    with pytest.raises(ValueError, match="energies"):
+        make_clock(energies=energies)
 
 
 def test_clock_model_rejects_mismatched_state_shape():
-    with pytest.raises(ValueError, match="rho0"):
-        ClockModel(dim=2, h_cl=np.eye(2), t_cl=np.eye(2, dtype=complex),
-                   rho0=np.eye(3) / 3.0, period=1.0, time_offset=0.0)
+    with pytest.raises(ValueError, match="psi0"):
+        make_clock(psi0=np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("norm", [0.5, 1.0 + 2e-12, 1.0 - 2e-12])
+def test_clock_model_rejects_non_unit_ket(norm):
+    with pytest.raises(ValueError, match="unit ket"):
+        make_clock(psi0=np.array([norm, 0.0]))
+    make_clock(psi0=np.array([1.0 + 5e-13, 0.0]))  # within 1e-12 of a unit norm
+
+
+@pytest.mark.parametrize("name", ["t_cl", "t2_cl"])
+def test_clock_model_rejects_mismatched_moment_operator(name):
+    with pytest.raises(ValueError, match=name):
+        make_clock(**{name: np.eye(3, dtype=complex)})
+    with pytest.raises(ValueError, match=name):
+        make_clock(**{name: np.ones(2, dtype=complex)})
+
+
+@pytest.mark.parametrize("clk, projective", [
+    (swp(6), True), (quasi(16, 4.0, m0=4.0), True), (qubit(), False),
+], ids=["swp", "quasi_ideal", "qubit"])
+def test_second_moment_dominates_squared_first_moment(clk, projective):
+    # T2 - T^2 is the outcome variance operator: positive semidefinite, and
+    # zero for a projective measurement
+    excess = clk.t2_cl - clk.t_cl @ clk.t_cl
+    assert np.linalg.eigvalsh(excess).min() > -1e-12
+    if projective:
+        assert np.abs(excess).max() < 1e-12
+    else:
+        assert np.linalg.eigvalsh(excess).max() > 0.1
 
 
 def test_quasi_ideal_circular_mean_matches_centre():
@@ -119,7 +155,8 @@ def test_quasi_ideal_rejects_sigma_out_of_range():
 
 def test_qubit_phase_first_moment_trace():
     clk = qubit(omega=2.0)
-    assert np.isclose(np.trace(clk.t_cl_raw()).real, 2.0 * np.pi / 2.0, atol=1e-12)
+    t_raw = clk.t_cl + clk.time_offset * np.eye(clk.dim)
+    assert np.isclose(np.trace(t_raw).real, 2.0 * np.pi / 2.0, atol=1e-12)
 
 
 def test_qubit_phase_rejects_bad_omega():
@@ -225,30 +262,18 @@ def test_quasi_ideal_tracks_lab_time():
     assert worst < 0.02 * clk.period
 
 
-def test_mean_reading_matches_accumulated_error_trace():
-    # <T>_NR(t) = t + integral of tr E, which ignores the dial's mod-period
-    # structure, so each time stays below the first wrap of the reading
-    def residual(clk, t):
-        return abs(mean_clock_time_nr(clk, t, HBAR_ONE) - t
-                   - integrated_error_trace(clk, t, HBAR_ONE))
-
-    clk = quasi(32, np.sqrt(32), m0=8.0)
-    assert residual(clk, clk.period / 4.0) < 1e-8
-    clk5 = swp(5)
-    assert residual(clk5, 0.15 * clk5.period) < 1e-8
-    assert residual(qubit(), 1.0) < 1e-8
-
-
 @pytest.mark.parametrize("clk, frac", [(swp(5), 0.15), (swp(5), 1.7),
                                        (quasi(16, 4.0, m0=4.0), 0.4), (qubit(), 0.3)],
                          ids=["swp", "swp_wrapped", "quasi_ideal", "qubit"])
 def test_integrated_error_trace_matches_quadrature(clk, frac):
+    # <T>_NR(t) - t is the integral of tr E over [0, t]; the dial's reading
+    # is a smooth expectation value, so this holds past the wrap as well
     from scipy.integrate import quad
 
     t = frac * clk.period
     numeric, _ = quad(lambda s: error_trace(clk, s, HBAR_ONE), 0.0, t,
                       epsabs=1e-13, epsrel=1e-12, limit=200)
-    assert abs(integrated_error_trace(clk, t, HBAR_ONE) - numeric) < 1e-10
+    assert abs(mean_clock_time_nr(clk, t, HBAR_ONE) - t - numeric) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +326,7 @@ def test_moment_check_flags_off_grid_dial_times():
 
 
 def test_moment_check_rejects_generic_clock():
-    from chronodil.clocks import ClockModel
-
-    generic = ClockModel(dim=2, h_cl=np.eye(2, dtype=complex),
-                         t_cl=np.eye(2, dtype=complex), rho0=np.eye(2) / 2.0,
-                         period=1.0, time_offset=0.0)
+    generic = make_clock()
     with pytest.raises(ValueError, match="unsupported"):
         covariant_moment_check(generic, 1, 0.1)
 

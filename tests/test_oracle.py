@@ -31,13 +31,12 @@ SPLIT_STEPS = 850
 
 def test_zero_clock_hamiltonian_leaves_clock_alone():
     basis0 = np.array([1.0, 0.0], dtype=complex)
-    clk = ClockModel(dim=2, h_cl=np.zeros((2, 2), dtype=complex),
-                     t_cl=np.diag([0.0, 1.0]).astype(complex),
-                     rho0=projector(basis0), period=np.inf, time_offset=0.0,
-                     psi0=basis0)
+    t_op = np.diag([0.0, 1.0]).astype(complex)
+    clk = ClockModel(energies=np.zeros(2), psi0=basis0, t_cl=t_op, t2_cl=t_op @ t_op,
+                     period=np.inf, time_offset=0.0)
     js = exact_evolve_g0(clk, bench_gaussian(), BENCH_T, c=bench_c())
     rho = reduced_clock_density(js)
-    assert np.abs(rho - clk.rho0).max() < 1e-12
+    assert np.abs(rho - projector(clk.psi0)).max() < 1e-12
 
 
 def test_narrow_packet_reduces_to_rescaled_time():
@@ -50,7 +49,7 @@ def test_narrow_packet_reduces_to_rescaled_time():
     t = BENCH_T
     js = exact_evolve_g0(clk, state, t, order="c2", c=c)
     rho = reduced_clock_density(js)
-    scaled = evolve_hermitian(clk.h_cl, clk.rho0,
+    scaled = evolve_hermitian(np.diag(clk.energies), projector(clk.psi0),
                               t * (1.0 + w_of_p(state.p0, state.mass, c, "c2")))
     # residual spread of w over the packet's +/- 8 sigma_p support
     assert np.abs(rho - scaled).max() < 1e-5
@@ -140,10 +139,9 @@ def test_split_step_matches_block_oracle_at_zero_g():
 
 def test_ehrenfest_trajectory_with_clock_off():
     basis0 = np.array([1.0, 0.0], dtype=complex)
-    clk = ClockModel(dim=2, h_cl=np.zeros((2, 2), dtype=complex),
-                     t_cl=np.diag([0.0, 1.0]).astype(complex),
-                     rho0=projector(basis0), period=np.inf, time_offset=0.0,
-                     psi0=basis0)
+    t_op = np.diag([0.0, 1.0]).astype(complex)
+    clk = ClockModel(energies=np.zeros(2), psi0=basis0, t_cl=t_op, t2_cl=t_op @ t_op,
+                     period=np.inf, time_offset=0.0)
     state = bench_gaussian()
     t = BENCH_T
     # near-physical light speed so the quartic kinetic correction to the

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from chronodil.clocks import ClockModel, IdealisedClock, build_quasi_ideal, build_swp
+from chronodil.clocks import (ClockModel, IdealisedClock, build_qubit_phase, build_quasi_ideal,
+                              build_swp)
 from chronodil.constants import C_LIGHT, ELECTRON_MASS
 from chronodil.kinematics import GaussianState
 from chronodil.precision import (
@@ -14,6 +15,8 @@ from chronodil.precision import (
     w_moments,
     w_of_p,
 )
+from dense_reference import sigma_nonideal_term_dense
+from helpers import BENCH_OMEGA, bench_c, bench_gaussian
 
 ELECTRON_NM = GaussianState(x0=0.0, p0=0.0, sigma_x=1e-9, mass=ELECTRON_MASS)
 
@@ -110,8 +113,6 @@ def test_unsupported_clock_type_rejected(name):
 
 
 def test_sigma_nonideal_quasi_ideal_negligible():
-    from helpers import BENCH_OMEGA, bench_c, bench_gaussian
-
     clk = build_quasi_ideal(32, BENCH_OMEGA, np.sqrt(32), m0=8.0)
     state = bench_gaussian(p0_sigmas=0.0)
     t = 0.3 * clk.period
@@ -122,13 +123,34 @@ def test_sigma_nonideal_quasi_ideal_negligible():
 
 
 def test_sigma_nonideal_swp_nonzero_and_real():
-    from helpers import BENCH_OMEGA, bench_c, bench_gaussian
-
     clk = build_swp(4, BENCH_OMEGA)
     t = 0.275 * clk.period
     value = sigma_nonideal_term(clk, bench_gaussian(), t, c=bench_c())
     assert np.isfinite(value)
     assert value != 0.0
+
+
+@pytest.mark.parametrize("clk", [
+    build_swp(4, BENCH_OMEGA), build_quasi_ideal(8, BENCH_OMEGA, np.sqrt(8.0), m0=2.0),
+    build_qubit_phase(BENCH_OMEGA),
+], ids=["swp4", "quasi_ideal8", "qubit"])
+def test_sigma_nonideal_matches_dense_reference(clk):
+    state, c = bench_gaussian(), bench_c()
+    for frac in (0.05, 0.13, 0.275, 0.4, 0.61, 0.87):
+        t = frac * clk.period
+        dense = sigma_nonideal_term_dense(clk, state, t, c=c)
+        assert dense != 0.0
+        assert abs(sigma_nonideal_term(clk, state, t, c=c) - dense) < 1e-10 * abs(dense)
+
+
+def test_sigma_nonideal_at_floor_matches_dense_reference():
+    # at d = 128 the term is round-off: both forms agree to the floor of sigma_NR
+    clk = build_quasi_ideal(128, BENCH_OMEGA, np.sqrt(128.0), m0=32.0)
+    state, c = bench_gaussian(), bench_c()
+    for frac in (0.1, 0.25, 0.4):
+        t = frac * clk.period
+        ket = sigma_nonideal_term(clk, state, t, c=c)
+        assert abs(ket - sigma_nonideal_term_dense(clk, state, t, c=c)) < 1e-14 * sigma_nr(clk, t)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +171,6 @@ def test_breakdown_idealised_assembly():
 
 
 def test_breakdown_matrix_clock_assembly():
-    from helpers import BENCH_OMEGA, bench_c, bench_gaussian
-
     clk = build_quasi_ideal(16, BENCH_OMEGA, 4.0, m0=4.0)
     t = 0.25 * clk.period
     br = sigma_breakdown(clk, bench_gaussian(), t, c=bench_c())
@@ -164,9 +184,10 @@ def test_free_spread_constant_for_idealised():
 
 
 def test_negative_variance_raises_instead_of_clamping():
-    # rho0 = diag(1.5, -0.5) is not a density matrix: <T^2> = 1, <T> = 2
-    clk = ClockModel(dim=2, h_cl=np.diag([0.0, 1.0]), t_cl=np.diag([1.0, -1.0]),
-                     rho0=np.diag([1.5, -0.5]), period=1.0, time_offset=0.0)
+    # a second-moment operator of 0 is no measurement's: <T^2> = 0 < <T>^2 = 1
+    clk = ClockModel(energies=np.array([0.0, 1.0]), psi0=np.array([1.0, 0.0]),
+                     t_cl=np.diag([1.0, -1.0]), t2_cl=np.zeros((2, 2)), period=1.0,
+                     time_offset=0.0)
     with pytest.raises(ValueError, match="negative variance"):
         sigma_nr(clk, 0.3, hbar=1.0)
     # round-off below a refocused zero spread still reads 0
@@ -179,8 +200,6 @@ def test_free_spread_qubit_phase_uses_outcome_second_moment():
     # the phase measurement is not projective: its second moment is the
     # outcome integral, not the squared observable; hand-computed variance
     # is pi^2/3 + 2 cos(omega t) - sin^2(omega t)
-    from chronodil.clocks import build_qubit_phase
-
     clk = build_qubit_phase(1.0, hbar=1.0)
     assert np.isclose(sigma_nr(clk, 0.0, hbar=1.0) ** 2, np.pi**2 / 3.0 + 2.0, rtol=1e-12)
     assert np.isclose(sigma_nr(clk, np.pi, hbar=1.0) ** 2, np.pi**2 / 3.0 - 2.0, rtol=1e-12)
