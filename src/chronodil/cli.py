@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import io
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -33,7 +34,7 @@ SCHEMA_VERSION = 1
 @dataclass
 class CsvTable:
     header: list[str]
-    rows: list[list]
+    rows: list  # one sequence of cells per row
     metadata: list[tuple[str, str]] = field(default_factory=list)
 
 
@@ -49,24 +50,25 @@ def _metadata(cfg: RunConfig, timestamp: bool) -> list[tuple[str, str]]:
     return meta
 
 
-def _format_value(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    value = float(value)
-    if not np.isfinite(value):
-        raise ValueError(f"non-finite value {value!r} in CSV output")
-    return format(value, ".17e")
+def _cell_format(value) -> str:
+    """printf format of one CSV cell; '%.17e' % x is format(x, '.17e')."""
+    return "%d" if isinstance(value, (int, np.integer)) else "%.17e"
 
 
 def write_csv(table: CsvTable, cfg: RunConfig, stream) -> None:
+    """Rows take the first row's cell formats; a non-finite cell raises before any write."""
+    values = np.asarray(table.rows, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"non-finite value {values[~np.isfinite(values)][0]!r} in CSV output")
     for key, value in table.metadata:
         stream.write(f"# {key} = {value}\n")
     stream.write("# config:\n")
     for line in echo_lines(cfg):
         stream.write(f"# cfg {line}\n")
     stream.write(",".join(table.header) + "\n")
-    for row in table.rows:
-        stream.write(",".join(_format_value(v) for v in row) + "\n")
+    if len(table.rows):
+        template = ",".join(_cell_format(v) for v in table.rows[0]) + "\n"
+        stream.write("".join(template % tuple(row) for row in table.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +80,10 @@ def _run_dilation(cfg: RunConfig) -> tuple[CsvTable, int]:
     kstate = cfg.kinematic_state()
     g = cfg.get("physics", "g")
     c = cfg.c_light()
-    rows = []
-    for t in cfg.times():
-        res = mean_clock_time(clock, kstate, t, g, c=c)
-        rows.append([res.t, res.mean_t_nr, res.r_factor, res.error_trace,
-                     res.mean_t, res.classical_tau])
+    res = mean_clock_time(clock, kstate, np.array(cfg.times()), g, c=c)
+    rows = np.column_stack(np.broadcast_arrays(  # an IdealisedClock's columns are scalars
+        res.t, res.mean_t_nr, res.r_factor, res.error_trace, res.mean_t,
+        res.classical_tau)).tolist()
     header = ["t", "mean_t_nr", "r_factor", "error_trace", "mean_t", "classical_tau"]
     return CsvTable(header=header, rows=rows), 0
 
@@ -103,10 +104,10 @@ def _run_precision(cfg: RunConfig) -> tuple[CsvTable, int]:
     clock = cfg.clock()
     kstate = cfg.kinematic_state()
     c = cfg.c_light()
-    rows = []
-    for t in cfg.times():
-        br = sigma_breakdown(clock, kstate, t, c=c)
-        rows.append([t, br.sigma_nr, br.sigma_i, br.sigma_ni, br.total])
+    times = np.array(cfg.times())
+    br = sigma_breakdown(clock, kstate, times, c=c)
+    rows = np.column_stack(np.broadcast_arrays(  # an IdealisedClock's columns are scalars
+        times, br.sigma_nr, br.sigma_i, br.sigma_ni, br.total)).tolist()
     header = ["t", "sigma_nr", "sigma_i", "sigma_ni", "sigma_total"]
     return CsvTable(header=header, rows=rows), 0
 
@@ -135,9 +136,8 @@ def _run_verify(cfg: RunConfig) -> tuple[CsvTable, int]:
         report = verify_mean_time(clock, kstate, t, g, c_scalings=scalings, base_c=c)
     else:
         report = verify_sigma(clock, kstate, t, c_scalings=scalings, base_c=c)
-    rows = [[lam, p, e, r, rr] for lam, p, e, r, rr in
-            zip(report.c_scalings, report.perturbative, report.exact,
-                report.residuals, report.relative_residuals)]
+    rows = list(zip(report.c_scalings, report.perturbative, report.exact,
+                    report.residuals, report.relative_residuals))
     header = ["c_scaling", "perturbative", "exact", "residual", "relative_residual"]
     table = CsvTable(header=header, rows=rows)
     table.metadata.append(("quantity", report.quantity))
@@ -207,9 +207,10 @@ def emit_plot_script(table: CsvTable, kind: str, csv_path: str = "out.csv") -> s
         ]
         plots = []
         for q in q_values:
-            selector = f"(${q_col} == {_format_value(q)} ? ${s_col} : 1/0)"
+            cell = _cell_format(q) % q
+            selector = f"(${q_col} == {cell} ? ${s_col} : 1/0)"
             plots.append(f"'{csv_path}' using {t_col}:{selector} with linespoints "
-                         f"title 'q = {_format_value(q)}'")
+                         f"title 'q = {cell}'")
         lines.append("plot \\\n    " + ", \\\n    ".join(plots))
     elif kind == "sweep":
         x_col = table.header.index("delta_x0_over_sigma_x") + 1
@@ -218,8 +219,8 @@ def emit_plot_script(table: CsvTable, kind: str, csv_path: str = "out.csv") -> s
         lines += [
             "set xlabel 'packet separation over packet width'",
             "set ylabel 'coherence contribution to the mean clock time (s)'",
-            f"set label 'maximum' at {_format_value(best[x_col - 1])},"
-            f"{_format_value(best[y_col - 1])} point pt 7",
+            f"set label 'maximum' at {_cell_format(best[x_col - 1]) % best[x_col - 1]},"
+            f"{_cell_format(best[y_col - 1]) % best[y_col - 1]} point pt 7",
             f"plot '{csv_path}' using {x_col}:{y_col} with lines title 'coherence term'",
         ]
     else:
@@ -256,19 +257,21 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
+    text = io.StringIO()
     try:
         table, code = run(cfg)
+        table.metadata = _metadata(cfg, timestamp=not args.no_timestamp) + table.metadata
+        write_csv(table, cfg, text)
     except (ValueError, TypeError) as exc:
         print(f"chronodil: {exc}", file=sys.stderr)
         return 2
 
-    table.metadata = _metadata(cfg, timestamp=not args.no_timestamp) + table.metadata
     out_path = args.out or cfg.out
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            write_csv(table, cfg, fh)
+            fh.write(text.getvalue())
     else:
-        write_csv(table, cfg, sys.stdout)
+        sys.stdout.write(text.getvalue())
 
     if args.plot_script:
         script = emit_plot_script(table, cfg.command, csv_path=out_path or "out.csv")

@@ -99,18 +99,10 @@ class IdealisedClock:
     sigma_t0: float = 0.0
 
     def moment(self, n: int, t: float) -> float:
-        # n-th moment of a normal distribution with mean t, std sigma_t0
-        total = 0.0
-        for k in range(0, n + 1, 2):
-            total += math.comb(n, k) * t ** (n - k) * _gaussian_central_moment(k, self.sigma_t0)
-        return total
-
-
-def _gaussian_central_moment(k: int, sigma: float) -> float:
-    if k % 2 == 1:
-        return 0.0
-    # (k-1)!! * sigma^k
-    return float(np.prod(np.arange(k - 1, 0, -2), initial=1.0) * sigma**k)
+        # n-th moment of N(t, s^2): odd central moments vanish, even ones are (k-1)!! s^k
+        s = self.sigma_t0
+        return sum(math.comb(n, k) * t ** (n - k) * (math.prod(range(k - 1, 0, -2)) * s**k)
+                   for k in range(0, n + 1, 2))
 
 
 @dataclass(frozen=True)
@@ -285,9 +277,10 @@ def require_clock(clock) -> None:
         raise TypeError(f"unsupported clock type {type(clock).__name__}")
 
 
-def evolve(clock: ClockModel, t: float, hbar: float = HBAR) -> np.ndarray:
-    """psi(t) under free clock evolution: a phase per energy component."""
-    return clock.psi0 * np.exp(-1j * clock.energies * t / hbar)
+def evolve(clock: ClockModel, t, hbar: float = HBAR) -> np.ndarray:
+    """psi(t) under free clock evolution, a phase per energy component: shape
+    (dim,) for a time, (n_t, dim) for a 1-D array of times, one ket per row."""
+    return clock.psi0 * np.exp(-1j * clock.energies * np.asarray(t)[..., None] / hbar)
 
 
 def rate_operator(clock: ClockModel, hbar: float = HBAR) -> np.ndarray:
@@ -299,20 +292,19 @@ def rate_operator(clock: ClockModel, hbar: float = HBAR) -> np.ndarray:
     return (-1j / hbar) * clock.t_cl * (e[None, :] - e[:, None])
 
 
-def error_trace(clock, t: float, hbar: float = HBAR) -> float:
-    """tr E(t) = <M>(t) - 1. Zero for an idealised clock at every time."""
+def error_trace(clock, t, hbar: float = HBAR):
+    """tr E(t) = <M - I>(t) at each time. Zero for an idealised clock."""
     if isinstance(clock, IdealisedClock):
         return 0.0
-    psi_t = evolve(clock, t, hbar)
-    val = expectation(rate_operator(clock, hbar), psi_t) - np.vdot(psi_t, psi_t)
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val)):
-        raise ValueError(f"tr E(t) has non-negligible imaginary part {val.imag:.3e}")
-    return float(val.real)
+    val = expectation(rate_operator(clock, hbar) - np.eye(clock.dim), evolve(clock, t, hbar))
+    if np.any(np.abs(val.imag) > 1e-10 * np.maximum(1.0, np.abs(val))):
+        raise ValueError(f"tr E(t) has imaginary part {np.max(np.abs(val.imag)):.3e}")
+    return val.real
 
 
-def mean_clock_time_nr(clock, t: float, hbar: float = HBAR) -> float:
-    """Mean clock reading under free (non-relativistic) evolution, with the
-    t = 0 offset calibrated away so the reading starts at zero."""
+def mean_clock_time_nr(clock, t, hbar: float = HBAR):
+    """Mean clock reading at each time under free (non-relativistic) evolution,
+    with the t = 0 offset calibrated away so the reading starts at zero."""
     if isinstance(clock, IdealisedClock):
         return t
     return expectation_real(clock.t_cl, evolve(clock, t, hbar))

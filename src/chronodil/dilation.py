@@ -35,15 +35,16 @@ class DilationResult:
     Invariant: mean_t == mean_t_nr + t * r_factor * (1 + error_trace)
     exactly as computed. ``classical_tau`` is the proper time of a
     classical observer launched from the state's mean position and
-    velocity.
+    velocity. Each field holds one value per lab time (an IdealisedClock's
+    zero error trace stays a scalar).
     """
 
-    t: float
-    mean_t_nr: float
-    r_factor: float
-    error_trace: float
-    mean_t: float
-    classical_tau: float
+    t: float | np.ndarray
+    mean_t_nr: float | np.ndarray
+    r_factor: float | np.ndarray
+    error_trace: float | np.ndarray
+    mean_t: float | np.ndarray
+    classical_tau: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,9 @@ def classical_proper_time(v0: float, x0: float, g: float, t: float, c: float = C
     return bracket * t
 
 
-def mean_clock_time(clock, kstate, t: float, g: float,
+def mean_clock_time(clock, kstate, t, g: float,
                     c: float = C_LIGHT, hbar: float = HBAR) -> DilationResult:
-    """Assemble the first-order mean clock time for any clock model.
+    """Assemble the first-order mean clock time for any clock model at each time.
 
     ``clock`` is a matrix ClockModel or an IdealisedClock (free reading t,
     error trace zero). The mass is taken from the motional state.
@@ -91,10 +92,9 @@ def mean_clock_time(clock, kstate, t: float, g: float,
                           mean_t=mean_t, classical_tau=tau)
 
 
-def _classical_tau_of_state(kstate, t: float, g: float, c: float) -> float:
+def _classical_tau_of_state(kstate, t, g: float, c: float):
     if isinstance(kstate, MixtureState):
-        return float(sum(w * _classical_tau_of_state(comp, t, g, c)
-                         for w, comp in kstate.components))
+        return sum(w * _classical_tau_of_state(comp, t, g, c) for w, comp in kstate.components)
     m = moments(kstate)
     with warnings.catch_warnings():
         # auxiliary report field; the caller picked the expansion regime

@@ -204,17 +204,17 @@ def _cat_moments(cat: CatState) -> KinematicMoments:
     return KinematicMoments(mean_x, mean_p, mean_p2, mean_p4, mean_p4 - mean_p2**2)
 
 
-def r_factor(state, t: float, g: float, c: float = C_LIGHT) -> float:
-    """Kinematic dilation factor R(t) from the exact moments of ``state``.
+def r_factor(state, t, g: float, c: float = C_LIGHT):
+    """Kinematic dilation factor R(t) at each time from the exact moments of ``state``.
 
     Mixtures reduce to the weighted sum of their components' factors by
     linearity of the expectation value.
     """
     if isinstance(state, MixtureState):
-        return float(sum(w * r_factor(comp, t, g, c) for w, comp in state.components))
+        return sum(w * r_factor(comp, t, g, c) for w, comp in state.components)
     m = moments(state)
     mass = state.mass
-    return float(
+    return (
         -m.mean_p2 / (2.0 * mass**2 * c**2)
         + g * m.mean_x / c**2
         + m.mean_p * g * t / (mass * c**2)

@@ -2,9 +2,9 @@
 
 Conventions:
 
-* Clock states are unit kets in the clock's energy eigenbasis, where
-  free evolution is a phase per component (``clocks.evolve``), so
-  nothing here diagonalises.
+* Clock states are unit kets in the clock's energy eigenbasis (free
+  evolution is a phase, ``clocks.evolve``; nothing here diagonalises). A
+  stack of kets is an (n, d) array, one ket per row, one value per ket.
 * Qubit basis: ``|0>`` is the ground state.
 """
 
@@ -22,21 +22,21 @@ def projector(ket: np.ndarray) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def expectation(a: np.ndarray, ket: np.ndarray) -> complex:
-    """psi^dag A psi as a complex number."""
-    if a.shape != (ket.size, ket.size):
-        raise ValueError(f"dimension mismatch: A {a.shape} vs ket {ket.shape}")
-    return complex(np.vdot(ket, a @ ket))
+def expectation(a: np.ndarray, kets: np.ndarray):
+    """psi^dag A psi of a ket, shape (d,), or of each row of kets, shape (n, d)."""
+    if a.shape != (kets.shape[-1],) * 2:
+        raise ValueError(f"dimension mismatch: A {a.shape} vs kets {kets.shape}")
+    return np.sum(kets.conj() * (kets @ a.T), axis=-1)
 
 
-def expectation_real(a: np.ndarray, ket: np.ndarray, imag_tol: float = 1e-9) -> float:
+def expectation_real(a: np.ndarray, kets: np.ndarray, imag_tol: float = 1e-9):
     """Real part of psi^dag A psi, checking that the imaginary part is noise.
 
-    Intended for Hermitian observables; the imaginary magnitude is compared
-    against ``imag_tol`` times the overall scale.
+    Intended for Hermitian observables; each ket's imaginary magnitude is
+    compared against ``imag_tol`` times its overall scale.
     """
-    val = expectation(a, ket)
-    scale = max(abs(val), float(np.abs(a).max()) or 1.0)
-    if abs(val.imag) > imag_tol * scale:
-        raise ValueError(f"expectation has non-negligible imaginary part {val.imag:.3e}")
+    val = expectation(a, kets)
+    scale = np.maximum(np.abs(val), float(np.abs(a).max()) or 1.0)
+    if np.any(np.abs(val.imag) > imag_tol * scale):
+        raise ValueError(f"expectation has imaginary part {np.max(np.abs(val.imag)):.3e}")
     return val.real

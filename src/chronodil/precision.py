@@ -51,12 +51,12 @@ class WMoments:
 
 @dataclass(frozen=True)
 class PrecisionBreakdown:
-    """sigma_NR + sigma_I + sigma_NI = total, exactly as assembled."""
+    """sigma_NR + sigma_I + sigma_NI = total at each time, exactly as assembled."""
 
-    sigma_nr: float
-    sigma_i: float
-    sigma_ni: float
-    total: float
+    sigma_nr: float | np.ndarray
+    sigma_i: float | np.ndarray
+    sigma_ni: float | np.ndarray
+    total: float | np.ndarray
 
 
 def w_of_p(p, mass: float, c: float = C_LIGHT, order: str = "c4"):
@@ -79,8 +79,8 @@ def w_moments(kstate, c: float = C_LIGHT) -> WMoments:
     return WMoments(mean_w=float(mean_w), mean_w2=float(mean_w2))
 
 
-def sigma_nr(clock, t: float, hbar: float = HBAR) -> float:
-    """Clock-time standard deviation under free evolution."""
+def sigma_nr(clock, t, hbar: float = HBAR):
+    """Clock-time standard deviation at each time under free evolution."""
     require_clock(clock)
     if isinstance(clock, IdealisedClock):
         return clock.sigma_t0
@@ -89,31 +89,31 @@ def sigma_nr(clock, t: float, hbar: float = HBAR) -> float:
                                expectation_real(clock.t2_cl, psi_t))
 
 
-def spread_from_moments(mean: float, second: float) -> float:
-    """sqrt(<T^2> - <T>^2). A variance below -1e-12 <T^2> raises ValueError;
-    above it is round-off (the d = 4 dial refocuses to zero spread) and reads 0."""
+def spread_from_moments(mean, second):
+    """sqrt(<T^2> - <T>^2) elementwise. A variance below -1e-12 <T^2> raises
+    ValueError; above it is round-off (the d = 4 dial refocuses to zero spread) and reads 0."""
     var = second - mean**2
-    if var < -1e-12 * second:
-        raise ValueError(f"negative variance {var!r} from second moment {second!r}: "
+    if np.any(var < -1e-12 * second):
+        raise ValueError(f"negative variance down to {np.min(var)!r}: "
                          "not the moments of a probability distribution")
-    return float(np.sqrt(max(var, 0.0)))
+    return np.sqrt(np.maximum(var, 0.0))
 
 
-def sigma_ideal_term(kstate, t: float, sigma_nr_value: float, c: float = C_LIGHT) -> float:
+def sigma_ideal_term(kstate, t, sigma_nr_value, c: float = C_LIGHT):
     """Idealised-clock precision loss t^2 (<p^4> + var(p^2)) / (8 sigma_NR m^4 c^4).
 
     Strictly positive for any spread-out momentum state at t > 0. A zero
     free spread sits outside this expression's validity and is an error.
     """
-    if sigma_nr_value <= 0:
+    if np.any(sigma_nr_value <= 0):
         raise ValueError("sigma_NR must be positive; a delta-sharp reading is outside "
                          "the validity of the idealised-term expression")
     m = moments(kstate)
     mass = kstate.mass
-    return float(t**2 * (m.mean_p4 + m.var_p2) / (8.0 * sigma_nr_value * mass**4 * c**4))
+    return t**2 * (m.mean_p4 + m.var_p2) / (8.0 * sigma_nr_value * mass**4 * c**4)
 
 
-def sigma_dispersion_exact(kstate, t: float, sigma_nr_value: float, c: float = C_LIGHT) -> float:
+def sigma_dispersion_exact(kstate, t, sigma_nr_value, c: float = C_LIGHT):
     """Leading excess spread produced by exact joint evolution.
 
     Each momentum component shifts the reading by t W(p), so the variance
@@ -121,23 +121,23 @@ def sigma_dispersion_exact(kstate, t: float, sigma_nr_value: float, c: float = C
     at leading order. Kept alongside ``sigma_ideal_term`` because the two
     differ at leading order (var(W) vs (<p^4> + var(p^2)) / (4 m^4 c^4)).
     """
-    if sigma_nr_value <= 0:
+    if np.any(sigma_nr_value <= 0):
         raise ValueError("sigma_NR must be positive")
     m = moments(kstate)
     mass = kstate.mass
-    return float(t**2 * m.var_p2 / (8.0 * sigma_nr_value * mass**4 * c**4))
+    return t**2 * m.var_p2 / (8.0 * sigma_nr_value * mass**4 * c**4)
 
 
-def sigma_nonideal_term(clock: ClockModel, kstate, t: float,
-                        c: float = C_LIGHT, hbar: float = HBAR) -> float:
-    """Error-operator contribution to the clock-time spread at g = 0.
+def sigma_nonideal_term(clock: ClockModel, kstate, t,
+                        c: float = C_LIGHT, hbar: float = HBAR):
+    """Error-operator contribution to the clock-time spread at g = 0, at each time.
 
     The four-brace expression in E(t) = e rho(t), e = (i/hbar)[H, T] - I,
     <W> and <W^2>. With rho(t) = psi psi^dag every trace is an inner
     product of kets, tr(X Y Z rho) = (X^dag psi)^dag Y (Z psi), built from
-    u = T psi, v = e psi and h = H psi (T and H Hermitian), so no
-    matrix-matrix product is formed. The assembled value must be real; an
-    imaginary part above 1e-10 of scale raises instead of being
+    u = T psi, v = e psi and h = H psi (T and H Hermitian) by (n_t, d) @ (d, d)
+    products, so no (n_t, d, d) tensor is formed. The assembled value must be
+    real; an imaginary part above 1e-10 of scale raises instead of being
     symmetrised away.
     """
     require_clock(clock)
@@ -145,35 +145,40 @@ def sigma_nonideal_term(clock: ClockModel, kstate, t: float,
         return 0.0
     wm = w_moments(kstate, c)
     s_nr = sigma_nr(clock, t, hbar)
-    if s_nr <= 0:
+    if np.any(s_nr <= 0):
         raise ValueError("sigma_NR must be positive for the non-idealised term")
-    t_op = clock.t_cl
-    e_small = rate_operator(clock, hbar) - np.eye(clock.dim)
-    psi = evolve(clock, t, hbar)
-    u, v, h = t_op @ psi, e_small @ psi, clock.energies * psi
-    tr_e = np.vdot(psi, v)  # tr E
-    mean_t_nr = np.vdot(psi, u).real
+    t_tr = clock.t_cl.T  # kets @ A.T applies A to every row
+    e_tr = (rate_operator(clock, hbar) - np.eye(clock.dim)).T
 
-    brace1 = np.vdot(u, v) + np.vdot(v, u) - 2.0 * mean_t_nr * tr_e  # tr((E + E^dag) T)
+    def dot(x, y):  # <x|y>, row by row
+        return np.sum(x.conj() * y, axis=-1)
+
+    psi = evolve(clock, t, hbar)
+    u, v, h = psi @ t_tr, psi @ e_tr, clock.energies * psi
+    tr_e = dot(psi, v)  # tr E
+    mean_t_nr = dot(psi, u).real
+
+    brace1 = dot(u, v) + dot(v, u) - 2.0 * mean_t_nr * tr_e  # tr((E + E^dag) T)
     brace2 = 2.0 * tr_e + tr_e**2
     brace3 = (
         2.0 * tr_e
-        + (1j / hbar) * (np.vdot(h, e_small @ u) - np.vdot(u, e_small @ h)  # (H e T - T e H) rho
-                         + np.vdot(h, t_op @ v) - np.vdot(v, t_op @ h))  # H T E - E^dag T H
-        + (2j / hbar) * mean_t_nr * (np.vdot(h, v) - np.vdot(v, h))  # H (E - E^dag)
+        + (1j / hbar) * (dot(h, u @ e_tr) - dot(u, h @ e_tr)  # (H e T - T e H) rho
+                         + dot(h, v @ t_tr) - dot(v, h @ t_tr))  # H T E - E^dag T H
+        + (2j / hbar) * mean_t_nr * (dot(h, v) - dot(v, h))  # H (E - E^dag)
     )
     first = wm.mean_w * t / (2.0 * s_nr) * brace1
     second = -((wm.mean_w * t) ** 2) / (8.0 * s_nr**3) * brace1**2
     third = -((wm.mean_w * t) ** 2) / (2.0 * s_nr) * brace2
     fourth = -(wm.mean_w2 * t**2) / (2.0 * s_nr) * brace3
     total = first + second + third + fourth
-    if abs(np.imag(total)) > 1e-10 * max(1.0, abs(total)):
-        raise ValueError(f"non-idealised term has imaginary part {np.imag(total):.3e}")
-    return float(np.real(total))
+    if np.any(np.abs(np.imag(total)) > 1e-10 * np.maximum(1.0, np.abs(total))):
+        raise ValueError(f"non-idealised term has imaginary part "
+                         f"{np.max(np.abs(np.imag(total))):.3e}")
+    return np.real(total)
 
 
-def sigma_breakdown(clock, kstate, t: float, c: float = C_LIGHT, hbar: float = HBAR) -> PrecisionBreakdown:
-    """Assemble the three-way spread decomposition at g = 0.
+def sigma_breakdown(clock, kstate, t, c: float = C_LIGHT, hbar: float = HBAR) -> PrecisionBreakdown:
+    """Assemble the three-way spread decomposition at g = 0 at each time.
 
     For an IdealisedClock the free spread is its constant t = 0 value and
     the non-idealised term vanishes identically.

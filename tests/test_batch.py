@@ -1,0 +1,127 @@
+"""The clock core on an array of times: a batch equals its rows, the guards
+hold row by row, and no (n_t, d, d) tensor is built."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from chronodil.clocks import (IdealisedClock, build_qubit_phase, build_quasi_ideal, build_swp,
+                              error_trace, evolve, mean_clock_time_nr)
+from chronodil.dilation import mean_clock_time
+from chronodil.linalg import expectation_real
+from chronodil.precision import sigma_breakdown, sigma_ideal_term, sigma_nr, spread_from_moments
+from helpers import BENCH_OMEGA, BENCH_PERIOD, bench_c, bench_cat, bench_gaussian
+
+# between the d = 4 dial's focusing times, where its spread is positive
+TIMES = np.linspace(0.03, 0.22, 7) * BENCH_PERIOD
+
+CLOCKS = {
+    "swp4": build_swp(4, BENCH_OMEGA),
+    "qi8": build_quasi_ideal(8, BENCH_OMEGA, sigma_bar=np.sqrt(8.0), m0=2.0),
+    "qi128": build_quasi_ideal(128, BENCH_OMEGA, sigma_bar=np.sqrt(128.0), m0=32.0),
+    "qubit": build_qubit_phase(BENCH_OMEGA),
+    "ideal": IdealisedClock(sigma_t0=1e-4),
+}
+STATES = {"gaussian": bench_gaussian(), "cat": bench_cat()}
+
+
+def _fields(result) -> dict:
+    return result if isinstance(result, dict) else dict(vars(result))
+
+
+def _assert_rows_match(batch, rows):
+    """Every column of a batched result against the scalar results.
+
+    A batch and a single ket take different matrix-product kernels, so
+    they agree to rounding, measured against the scale that cancels: 1 for
+    tr E = <M> - 1, the free spread for sigma_NI (whose whole value is
+    rounding on the quasi-ideal d = 128 dial), the value itself elsewhere.
+    """
+    rows = [_fields(r) for r in rows]
+    for key, column in _fields(batch).items():
+        column = np.broadcast_to(column, TIMES.shape)
+        expected = np.array([r[key] for r in rows], dtype=float)
+        assert all(np.ndim(r[key]) == 0 and isinstance(r[key], float) for r in rows), key
+        if key == "error_trace":
+            atol = 1e-15 * max(1.0, np.max(np.abs(expected)))
+        elif key == "sigma_ni":
+            atol = 1e-14 * max(r["sigma_nr"] for r in rows)
+        else:
+            np.testing.assert_allclose(column, expected, rtol=1e-13, atol=0, err_msg=key)
+            continue
+        np.testing.assert_allclose(column, expected, rtol=0, atol=atol, err_msg=key)
+
+
+@pytest.mark.parametrize("state_name", sorted(STATES))
+@pytest.mark.parametrize("clock_name", sorted(CLOCKS))
+def test_batch_equals_its_rows(clock_name, state_name):
+    clk, kstate = CLOCKS[clock_name], STATES[state_name]
+    c = bench_c()
+    quantities = [
+        lambda t: {"error_trace": error_trace(clk, t)},
+        lambda t: {"mean_t_nr": mean_clock_time_nr(clk, t)},
+        lambda t: mean_clock_time(clk, kstate, t, 9.81, c=c),
+        lambda t: {"sigma_nr": sigma_nr(clk, t)},
+        lambda t: sigma_breakdown(clk, kstate, t, c=c),
+    ]
+    for fn in quantities:
+        _assert_rows_match(fn(TIMES), [fn(t) for t in TIMES])
+
+
+@pytest.mark.parametrize("clock_name", sorted(set(CLOCKS) - {"ideal"}))
+def test_evolve_batch_equals_its_rows(clock_name):
+    clk = CLOCKS[clock_name]
+    kets = evolve(clk, TIMES)
+    assert kets.shape == (TIMES.size, clk.dim)
+    for t, row in zip(TIMES, kets):
+        np.testing.assert_allclose(row, evolve(clk, t), rtol=1e-13, atol=0)
+    assert evolve(clk, TIMES[0]).shape == (clk.dim,)
+
+
+# ---------------------------------------------------------------------------
+# guards hold row by row
+
+
+def test_spread_guard_raises_on_one_bad_row():
+    mean = np.array([1.0, 1.0, 1.0])
+    second = np.array([2.0, 1.0 - 1e-9, 2.0])  # row 1: variance -1e-9 < -1e-12 <T^2>
+    with pytest.raises(ValueError, match="negative variance"):
+        spread_from_moments(mean[1], second[1])
+    with pytest.raises(ValueError, match="negative variance"):
+        spread_from_moments(mean, second)
+    # inside the round-off band every row reads, the band row as 0
+    ok = spread_from_moments(mean, np.array([2.0, 1.0 - 1e-13, 2.0]))
+    np.testing.assert_array_equal(ok, [1.0, 0.0, 1.0])
+
+
+def test_ideal_term_guard_raises_on_one_zero_row():
+    sig = np.array([1e-5, 0.0, 1e-5])
+    with pytest.raises(ValueError, match="must be positive"):
+        sigma_ideal_term(bench_gaussian(), TIMES[1], sig[1], bench_c())
+    with pytest.raises(ValueError, match="must be positive"):
+        sigma_ideal_term(bench_gaussian(), TIMES[:3], sig, bench_c())
+
+
+def test_expectation_real_guard_raises_on_one_complex_row():
+    raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # <psi|a|psi> = psi_0^* psi_1
+    kets = np.array([[1.0, 0.0], [1.0, 1j], [0.0, 1.0]]) / np.array([[1.0], [np.sqrt(2)], [1.0]])
+    with pytest.raises(ValueError, match="imaginary part"):
+        expectation_real(raising, kets[1])
+    with pytest.raises(ValueError, match="imaginary part"):
+        expectation_real(raising, kets)
+    np.testing.assert_array_equal(expectation_real(raising, kets[[0, 2]]), [0.0, 0.0])
+
+
+def test_breakdown_builds_no_time_stacked_operator():
+    clk = build_quasi_ideal(128, BENCH_OMEGA, sigma_bar=np.sqrt(128.0), m0=32.0)
+    times = np.linspace(0.1, 0.4, 200) * BENCH_PERIOD
+    sigma_breakdown(clk, bench_cat(), times, c=bench_c())  # warm-up
+    tracemalloc.start()
+    try:
+        sigma_breakdown(clk, bench_cat(), times, c=bench_c())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one complex (n_t, d, d) tensor takes 200 * 128 * 128 * 16 B = 52 MB
+    assert peak < times.size * clk.dim**2 * 16

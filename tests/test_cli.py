@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chronodil import cli
 from chronodil.cli import CsvTable, emit_plot_script, main, run, write_csv
 from chronodil.config import ConfigError, echo_lines, parse_config
 from helpers import BENCH_MASS, BENCH_OMEGA, BENCH_SIGMA_X, BENCH_T, bench_c
@@ -229,6 +230,38 @@ def _write(table, cfg) -> bytes:
     buf = io.StringIO()
     write_csv(table, cfg, buf)
     return buf.getvalue().encode()
+
+
+def test_csv_rows_keep_the_per_cell_bytes():
+    cfg = parse_config(MINIMAL_DILATION)
+    rows = [[-0.0, 0, 5e-324],
+            [1.7976931348623157e308, np.int64(7), 1e-19],
+            [np.float64(1e-19), 12, -1.7976931348623157e308]]
+    lines = _write(CsvTable(header=["t", "bin", "x"], rows=rows), cfg).decode().splitlines()
+    expected = [",".join(str(int(v)) if isinstance(v, (int, np.integer)) else format(v, ".17e")
+                         for v in row) for row in rows]
+    assert lines[-4:] == ["t,bin,x"] + expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_csv_rejects_non_finite_cell(bad):
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="non-finite value"):
+        write_csv(CsvTable(header=["t", "x"], rows=[[1.0, 2.0], [3.0, bad]]),
+                  parse_config(MINIMAL_DILATION), buf)
+    assert buf.getvalue() == ""
+
+
+def test_cli_non_finite_output_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(cli._RUNNERS, "dilation",
+                        lambda cfg: (CsvTable(header=["t", "x"], rows=[[1.0, np.nan]]), 0))
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(bench_config("dilation"))
+    out = tmp_path / "out.csv"
+    assert main(["dilation", "--config", str(cfg_path), "--out", str(out),
+                 "--no-timestamp"]) == 2
+    assert "non-finite value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_csv_determinism_via_entry_point(tmp_path):
