@@ -29,10 +29,12 @@ expectation value psi(t)^dag A psi(t). The rate operator
 -(i/hbar)[T, H] has entries -(i/hbar) T_jk (E_k - E_j); nothing
 diagonalises.
 
-Conventions: energies ascend, the qubit ground state is ``|0>``, and the
-stored moment operators are offset-calibrated so that ``<T>(0) = 0``.
-``time_offset`` records the subtracted constant, so the raw first-moment
-operator is ``t_cl + time_offset * I``.
+Conventions: quantities are SI (energies in J, times in s) and hbar is
+the pinned ``constants.HBAR``, never an argument; energies ascend, the
+qubit ground state is ``|0>``, and the stored moment operators are
+offset-calibrated so that ``<T>(0) = 0``. ``time_offset`` records the
+subtracted constant, so the raw first-moment operator is
+``t_cl + time_offset * I``.
 """
 
 from __future__ import annotations
@@ -127,8 +129,10 @@ class MomentCheckReport:
 
 @dataclass(frozen=True)
 class CommutatorReport:
-    """Residual of [T, H] = i*hbar*(I - (s1 - s0) F(0)) for clocks with a
-    continuous covariant measurement on a bounded dial [s0, s1]."""
+    """Residual of [T, H] = i*hbar*(I - (s1 - s0) F(0)) divided by i*hbar,
+    the largest entry of |M - I + (s1 - s0) F(0)| with M = -(i/hbar)[T, H],
+    for clocks with a continuous covariant measurement on a bounded dial
+    [s0, s1]. Dimensionless: a period off by a fraction f reads about f."""
 
     residual: float
     applicable: bool
@@ -146,8 +150,8 @@ def fourier_time_basis(d: int) -> np.ndarray:
     return np.exp(-2j * np.pi * j * m / d) / np.sqrt(d)
 
 
-def _dial_operators(d: int, omega: float, hbar: float):
-    energies = np.arange(d) * hbar * omega
+def _dial_operators(d: int, omega: float):
+    energies = np.arange(d) * HBAR * omega
     period = 2.0 * np.pi / omega
     basis = fourier_time_basis(d)
     values = np.arange(d) * period / d
@@ -171,7 +175,7 @@ def _calibrated(energies: np.ndarray, t_raw: np.ndarray, period: float, psi0: np
                       time_offset=offset, **fields)
 
 
-def build_swp(d: int, omega: float, hbar: float = HBAR) -> ClockModel:
+def build_swp(d: int, omega: float) -> ClockModel:
     """Dial clock started in the time eigenstate with eigenvalue zero.
 
     Energies are j*hbar*omega for j = 0..d-1, the time basis is the
@@ -182,7 +186,7 @@ def build_swp(d: int, omega: float, hbar: float = HBAR) -> ClockModel:
         raise ValueError(f"clock dimension must be >= 2, got {d}")
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
-    energies, t_raw, period, basis = _dial_operators(d, omega, hbar)
+    energies, t_raw, period, basis = _dial_operators(d, omega)
     # the offset is zero: psi0 is the 0-eigenket
     return _calibrated(energies, t_raw, period, basis[:, 0].copy(), kind="swp", omega=omega)
 
@@ -193,7 +197,6 @@ def build_quasi_ideal(
     sigma_bar: float,
     m0: float,
     n0: float | None = None,
-    hbar: float = HBAR,
 ) -> ClockModel:
     """Dial clock started in a Gaussian-weighted superposition of time kets.
 
@@ -214,7 +217,7 @@ def build_quasi_ideal(
         raise ValueError(f"sigma_bar must lie in (0, d), got {sigma_bar}")
     if n0 is None:
         n0 = (d - 1) / 2.0
-    energies, t_raw, period, basis = _dial_operators(d, omega, hbar)
+    energies, t_raw, period, basis = _dial_operators(d, omega)
     m = np.arange(d)
     # displacement from m0, wrapped into [-d/2, d/2)
     delta = (m - m0 + d / 2.0) % d - d / 2.0
@@ -244,7 +247,7 @@ def _poly_phase_integral(n: int, a: float, b: float, omega: float) -> complex:
     return boundary - n / (1j * omega) * _poly_phase_integral(n - 1, a, b, omega)
 
 
-def build_qubit_phase(omega: float, hbar: float = HBAR) -> ClockModel:
+def build_qubit_phase(omega: float) -> ClockModel:
     """Two-level clock reading time from the relative phase of its levels.
 
     Energies -/+ hbar*omega/2 (traceless), initial state (|0>+|1>)/sqrt(2).
@@ -257,7 +260,7 @@ def build_qubit_phase(omega: float, hbar: float = HBAR) -> ClockModel:
     """
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
-    energies = (hbar * omega / 2.0) * np.array([-1.0, 1.0])
+    energies = (HBAR * omega / 2.0) * np.array([-1.0, 1.0])
     period = 2.0 * np.pi / omega
     t_raw = phase_moment_operator(1, 0.0, period, omega)
     t2_raw = phase_moment_operator(2, 0.0, period, omega)
@@ -277,46 +280,46 @@ def require_clock(clock) -> None:
         raise TypeError(f"unsupported clock type {type(clock).__name__}")
 
 
-def evolve(clock: ClockModel, t, hbar: float = HBAR) -> np.ndarray:
+def evolve(clock: ClockModel, t) -> np.ndarray:
     """psi(t) under free clock evolution, a phase per energy component: shape
     (dim,) for a time, (n_t, dim) for a 1-D array of times, one ket per row."""
-    return clock.psi0 * np.exp(-1j * clock.energies * np.asarray(t)[..., None] / hbar)
+    return clock.psi0 * np.exp(-1j * clock.energies * np.asarray(t)[..., None] / HBAR)
 
 
-def rate_operator(clock: ClockModel, hbar: float = HBAR) -> np.ndarray:
+def rate_operator(clock: ClockModel) -> np.ndarray:
     """M = -(i/hbar)[T, H], entries -(i/hbar) T_jk (E_k - E_j).
 
     d<T>/dt = <M>(t) under free evolution, and M = I for an idealised
     clock."""
     e = clock.energies
-    return (-1j / hbar) * clock.t_cl * (e[None, :] - e[:, None])
+    return (-1j / HBAR) * clock.t_cl * (e[None, :] - e[:, None])
 
 
-def error_trace(clock, t, hbar: float = HBAR):
+def error_trace(clock, t):
     """tr E(t) = <M - I>(t) at each time. Zero for an idealised clock."""
     if isinstance(clock, IdealisedClock):
         return 0.0
-    val = expectation(rate_operator(clock, hbar) - np.eye(clock.dim), evolve(clock, t, hbar))
+    val = expectation(rate_operator(clock) - np.eye(clock.dim), evolve(clock, t))
     if np.any(np.abs(val.imag) > 1e-10 * np.maximum(1.0, np.abs(val))):
         raise ValueError(f"tr E(t) has imaginary part {np.max(np.abs(val.imag)):.3e}")
     return val.real
 
 
-def mean_clock_time_nr(clock, t, hbar: float = HBAR):
+def mean_clock_time_nr(clock, t):
     """Mean clock reading at each time under free (non-relativistic) evolution,
     with the t = 0 offset calibrated away so the reading starts at zero."""
     if isinstance(clock, IdealisedClock):
         return t
-    return expectation_real(clock.t_cl, evolve(clock, t, hbar))
+    return expectation_real(clock.t_cl, evolve(clock, t))
 
 
-def circular_mean_time(clock: ClockModel, t: float = 0.0, hbar: float = HBAR) -> float:
+def circular_mean_time(clock: ClockModel, t: float = 0.0) -> float:
     """Mean clock reading interpreted on the dial circle (in [0, period)).
 
     Uses the argument of the first circular harmonic of the time-basis
     distribution, which is insensitive to the dial cut.
     """
-    psi_t = evolve(clock, t, hbar)
+    psi_t = evolve(clock, t)
     if clock.kind == "qubit_phase":
         # first harmonic of the phase density is rho_10
         harmonic = psi_t[1] * psi_t[0].conj()
@@ -331,7 +334,7 @@ def circular_mean_time(clock: ClockModel, t: float = 0.0, hbar: float = HBAR) ->
 # covariant-measurement algebra
 
 
-def covariant_moment_check(clock, n: int, t: float, hbar: float = HBAR) -> MomentCheckReport:
+def covariant_moment_check(clock, n: int, t: float) -> MomentCheckReport:
     """Check the moment polynomial of a covariant time measurement.
 
     The n-th outcome moment at lab time t, taken over a dial window that
@@ -352,13 +355,13 @@ def covariant_moment_check(clock, n: int, t: float, hbar: float = HBAR) -> Momen
             note="idealised clock: unbounded dial, polynomial exact",
         )
     if clock.kind == "qubit_phase":
-        return _qubit_moment_check(clock, n, t, hbar)
+        return _qubit_moment_check(clock, n, t)
     if clock.kind in ("swp", "quasi_ideal"):
-        return _dial_moment_check(clock, n, t, hbar)
+        return _dial_moment_check(clock, n, t)
     raise ValueError(f"unsupported clock type {clock.kind!r} for moment checks")
 
 
-def _qubit_moment_check(clock: ClockModel, n: int, t: float, hbar: float) -> MomentCheckReport:
+def _qubit_moment_check(clock: ClockModel, n: int, t: float) -> MomentCheckReport:
     period = clock.period
     omega = clock.omega
     # cut the dial at the outcome-density minimum of the initial state
@@ -369,7 +372,7 @@ def _qubit_moment_check(clock: ClockModel, n: int, t: float, hbar: float) -> Mom
     def moment(k: int, psi: np.ndarray, start: float) -> float:
         return expectation_real(phase_moment_operator(k, start, start + period, omega), psi)
 
-    lhs = moment(n, evolve(clock, t, hbar), start0 + t)
+    lhs = moment(n, evolve(clock, t), start0 + t)
     m0 = [moment(k, clock.psi0, start0) for k in range(n + 1)]
     rhs = sum(math.comb(n, k) * t ** (n - k) * m0[k] for k in range(n + 1))
     return MomentCheckReport(
@@ -379,14 +382,14 @@ def _qubit_moment_check(clock: ClockModel, n: int, t: float, hbar: float) -> Mom
     )
 
 
-def _dial_moment_check(clock: ClockModel, n: int, t: float, hbar: float) -> MomentCheckReport:
+def _dial_moment_check(clock: ClockModel, n: int, t: float) -> MomentCheckReport:
     d = clock.dim
     step = clock.period / d
     nu = t / step
     nu_int = round(nu)
     on_grid = abs(nu - nu_int) < 1e-9 * max(1.0, abs(nu))
     basis = fourier_time_basis(d)
-    center = round(circular_mean_time(clock, 0.0, hbar) / step) % d
+    center = round(circular_mean_time(clock, 0.0) / step) % d
     w0 = center - d // 2
 
     def moment(k: int, psi: np.ndarray, shift: int) -> float:
@@ -394,7 +397,7 @@ def _dial_moment_check(clock: ClockModel, n: int, t: float, hbar: float) -> Mome
         probs = np.abs(dagger(basis[:, idx % d]) @ psi) ** 2
         return float(np.sum((idx * step) ** k * probs))
 
-    lhs = moment(n, evolve(clock, t, hbar), nu_int)
+    lhs = moment(n, evolve(clock, t), nu_int)
     m0 = [moment(k, clock.psi0, 0) for k in range(n + 1)]
     rhs = sum(math.comb(n, k) * t ** (n - k) * m0[k] for k in range(n + 1))
     note = "dial clock at integer step time: window shifted with the state"
@@ -407,8 +410,9 @@ def _dial_moment_check(clock: ClockModel, n: int, t: float, hbar: float) -> Mome
     )
 
 
-def commutator_form_check(clock, hbar: float = HBAR) -> CommutatorReport:
-    """Residual of [T, H] - i*hbar*I - i*hbar*(s0 - s1) F(0).
+def commutator_form_check(clock) -> CommutatorReport:
+    """Residual of [T, H] = i*hbar*(I - (s1 - s0) F(0)), compared as the
+    dimensionless max |M - I + (s1 - s0) F(0)| with M = -(i/hbar)[T, H].
 
     The factor i on the boundary term is required for the left side's
     anti-Hermiticity; (s1 - s0) is the dial period. Clocks with a discrete
@@ -424,10 +428,8 @@ def commutator_form_check(clock, hbar: float = HBAR) -> CommutatorReport:
             residual=float("nan"), applicable=False,
             note="discrete PVM - continuous identity not applicable",
         )
-    ident = np.eye(clock.dim)
-    lhs = 1j * hbar * rate_operator(clock, hbar)  # [T, H]
-    rhs = 1j * hbar * ident + 1j * hbar * (-clock.period) * clock.povm_at_zero
-    residual = float(np.abs(lhs - rhs).max())
+    residual = float(np.abs(rate_operator(clock) - np.eye(clock.dim)
+                            + clock.period * clock.povm_at_zero).max())
     return CommutatorReport(
         residual=residual, applicable=True,
         note="bounded-dial Heisenberg form with boundary term at the cut",

@@ -79,8 +79,6 @@ _SCHEMA: dict[str, dict[str, KeySpec]] = {
         "bin": KeySpec("int", default=0),
     },
     "sweep": {
-        "parameter": KeySpec("str", choices=("delta_x0_over_sigma_x",),
-                             default="delta_x0_over_sigma_x"),
         "start": KeySpec("float", default=0.1),
         "stop": KeySpec("float", default=8.0),
         "num": KeySpec("int", low=2, default=50),
@@ -112,10 +110,7 @@ class RunConfig:
 
     # ---- builders ------------------------------------------------------
 
-    def clock(self, hbar=None):
-        from .constants import HBAR
-
-        hbar = HBAR if hbar is None else hbar
+    def clock(self):
         model = self.get("clock", "model")
         if model == "idealised":
             return IdealisedClock(sigma_t0=self.get("clock", "sigma_t0"))
@@ -123,18 +118,18 @@ class RunConfig:
         if omega is None:
             raise ConfigError(f"clock model {model!r} needs key 'omega' in [clock]")
         if model == "qubit_phase":
-            return build_qubit_phase(omega, hbar=hbar)
+            return build_qubit_phase(omega)
         d = self.get("clock", "d")
         if d is None:
             raise ConfigError(f"clock model {model!r} needs key 'd' in [clock]")
         if model == "swp":
-            return build_swp(d, omega, hbar=hbar)
+            return build_swp(d, omega)
         sigma_bar = self.get("clock", "sigma_bar")
         if sigma_bar is None:
             raise ConfigError("clock model 'quasi_ideal' needs key 'sigma_bar' in [clock]")
         m0 = self.get("clock", "m0")
         m0 = d / 2.0 if m0 is None else m0
-        return build_quasi_ideal(d, omega, sigma_bar, m0, self.get("clock", "n0"), hbar=hbar)
+        return build_quasi_ideal(d, omega, sigma_bar, m0, self.get("clock", "n0"))
 
     def kinematic_state(self):
         base = GaussianState(

@@ -75,17 +75,16 @@ def classical_proper_time(v0: float, x0: float, g: float, t: float, c: float = C
     return bracket * t
 
 
-def mean_clock_time(clock, kstate, t, g: float,
-                    c: float = C_LIGHT, hbar: float = HBAR) -> DilationResult:
+def mean_clock_time(clock, kstate, t, g: float, c: float = C_LIGHT) -> DilationResult:
     """Assemble the first-order mean clock time for any clock model at each time.
 
     ``clock`` is a matrix ClockModel or an IdealisedClock (free reading t,
     error trace zero). The mass is taken from the motional state.
     """
     require_clock(clock)
-    nr = mean_clock_time_nr(clock, t, hbar)
+    nr = mean_clock_time_nr(clock, t)
     r = r_factor(kstate, t, g, c)
-    err = error_trace(clock, t, hbar)
+    err = error_trace(clock, t)
     mean_t = nr + t * r * (1.0 + err)
     tau = _classical_tau_of_state(kstate, t, g, c)
     return DilationResult(t=t, mean_t_nr=nr, r_factor=r, error_trace=err,
@@ -137,8 +136,7 @@ def _mixture_r(cat: CatState, t: float, g: float, c: float) -> float:
     return cat.alpha * r_factor(cat.base, t, g, c) + (1.0 - cat.alpha) * r_factor(cat.upper, t, g, c)
 
 
-def sup_vs_mix(cat: CatState, t: float, g: float, c: float = C_LIGHT,
-               rtol: float = 1e-10) -> CoherenceResult:
+def sup_vs_mix(cat: CatState, t: float, g: float, c: float = C_LIGHT) -> CoherenceResult:
     """Compute T_sup and T_mix through the general first-order formula
     (idealised clock, cat-state moments with interference cross terms)
     and check T_sup - T_mix against the closed form of ``t_coh``.
@@ -146,7 +144,7 @@ def sup_vs_mix(cat: CatState, t: float, g: float, c: float = C_LIGHT,
     The difference is evaluated in correction space, t (R_sup - R_mix),
     so the order-one reading never swamps the tiny relativistic pieces.
     Raises ValueError when the two independent routes disagree beyond
-    ``rtol`` of the coherence term's natural scale.
+    1e-10 of the coherence term's natural scale.
     """
     r_sup = r_factor(cat, t, g, c)
     r_mix = _mixture_r(cat, t, g, c)
@@ -157,7 +155,7 @@ def sup_vs_mix(cat: CatState, t: float, g: float, c: float = C_LIGHT,
     prefactor, *terms = _coherence_terms(cat, t, g, c)
     term_scale = prefactor * max(abs(term) for term in terms) * abs(t) / 2.0
     scale = max(abs(closed.t_coh), 1e-6 * term_scale)
-    if scale > 0 and abs(direct - closed.t_coh) > rtol * scale:
+    if scale > 0 and abs(direct - closed.t_coh) > 1e-10 * scale:
         raise ValueError(
             f"coherence identity violated: direct {direct!r} vs closed form {closed.t_coh!r}"
         )

@@ -253,17 +253,17 @@ def cat_momentum_wavefunction(cat: CatState, p: np.ndarray) -> np.ndarray:
     ) / np.sqrt(n)
 
 
-def default_momentum_grid(state, n_points: int = 1024, half_width: float = 8.0) -> np.ndarray:
-    """Uniform momentum grid spanning +/- ``half_width`` spreads around the
+def default_momentum_grid(state) -> np.ndarray:
+    """Uniform 1024-point momentum grid spanning +/- 8 spreads around the
     shared mean momentum, widened in point count for cat states so that
     interference fringes keep at least 8 samples per fringe."""
     base = state.base if isinstance(state, CatState) else state
-    lo = base.p0 - half_width * base.sigma_p
-    hi = base.p0 + half_width * base.sigma_p
+    lo = base.p0 - 8.0 * base.sigma_p
+    hi = base.p0 + 8.0 * base.sigma_p
+    n_points = 1024
     if isinstance(state, CatState) and state.delta_x0 > 0:
         fringe = 2.0 * np.pi * HBAR / state.delta_x0
-        needed = int(np.ceil((hi - lo) / (fringe / 8.0))) + 1
-        n_points = max(n_points, needed)
+        n_points = max(n_points, int(np.ceil((hi - lo) / (fringe / 8.0))) + 1)
     return np.linspace(lo, hi, n_points)
 
 

@@ -3,8 +3,9 @@
 Conventions:
 
 * Clock states are unit kets in the clock's energy eigenbasis (free
-  evolution is a phase, ``clocks.evolve``; nothing here diagonalises). A
-  stack of kets is an (n, d) array, one ket per row, one value per ket.
+  evolution is a phase, ``clocks.evolve``, with the SI ``constants.HBAR``;
+  nothing here diagonalises or takes hbar). A stack of kets is an (n, d)
+  array, one ket per row, one value per ket.
 * Qubit basis: ``|0>`` is the ground state.
 """
 
@@ -29,14 +30,14 @@ def expectation(a: np.ndarray, kets: np.ndarray):
     return np.sum(kets.conj() * (kets @ a.T), axis=-1)
 
 
-def expectation_real(a: np.ndarray, kets: np.ndarray, imag_tol: float = 1e-9):
+def expectation_real(a: np.ndarray, kets: np.ndarray):
     """Real part of psi^dag A psi, checking that the imaginary part is noise.
 
-    Intended for Hermitian observables; each ket's imaginary magnitude is
-    compared against ``imag_tol`` times its overall scale.
+    Intended for Hermitian observables; each ket's imaginary magnitude must
+    stay within 1e-9 of its overall scale.
     """
     val = expectation(a, kets)
     scale = np.maximum(np.abs(val), float(np.abs(a).max()) or 1.0)
-    if np.any(np.abs(val.imag) > imag_tol * scale):
+    if np.any(np.abs(val.imag) > 1e-9 * scale):
         raise ValueError(f"expectation has imaginary part {np.max(np.abs(val.imag)):.3e}")
     return val.real

@@ -90,8 +90,7 @@ def _kinetic_energy(p: np.ndarray, mass: float, c: float, order: str) -> np.ndar
 
 
 def exact_evolve_g0(clock: ClockModel, kstate, t: float, order: str = "c2",
-                    c: float = C_LIGHT, hbar: float = HBAR,
-                    grid: np.ndarray | None = None) -> JointState:
+                    c: float = C_LIGHT, grid: np.ndarray | None = None) -> JointState:
     """Exact g = 0 evolution on a momentum grid (block diagonal, no steps).
 
     ``order`` selects the truncation of the momentum coupling: 'c2' uses
@@ -111,8 +110,8 @@ def exact_evolve_g0(clock: ClockModel, kstate, t: float, order: str = "c2",
     # clock-scale and kinematic-scale phases are exponentiated separately:
     # their energies can differ by many orders of magnitude, and a single
     # summed exponent would absorb the small clock phase entirely
-    clock_phases = np.exp(-1j * np.outer(energies, 1.0 + w) * t / hbar)
-    kin_phase = np.exp(-1j * hk * t / hbar)
+    clock_phases = np.exp(-1j * np.outer(energies, 1.0 + w) * t / HBAR)
+    kin_phase = np.exp(-1j * hk * t / HBAR)
     amps = (clock_phases * clock.psi0[:, None]) * (psi_kin * kin_phase)[None, :]
     return _check_norm(JointState(grid=np.asarray(grid, dtype=float), amplitudes=amps))
 
@@ -122,8 +121,7 @@ def exact_evolve_g0(clock: ClockModel, kstate, t: float, order: str = "c2",
 
 
 def evolve_characteristics_g(clock: ClockModel, kstate, t: float, g: float,
-                             c: float = C_LIGHT, hbar: float = HBAR,
-                             grid: np.ndarray | None = None) -> JointState:
+                             c: float = C_LIGHT, grid: np.ndarray | None = None) -> JointState:
     """Closed-form momentum-representation solution with gravity.
 
     Per clock energy component E_n the Hamiltonian is
@@ -159,8 +157,8 @@ def evolve_characteristics_g(clock: ClockModel, kstate, t: float, g: float,
     # clock-scale phase (E_n times the dilated elapsed time) separate from
     # the large common kinematic phase, which cancels in reduced clock
     # observables
-    clock_phase = np.exp(-1j * energies[:, None] * (t - i2 / (2.0 * mass**2 * c**2)) / hbar)
-    common_phase = np.exp(-1j * (i2 / (2.0 * mass) - i4 / (8.0 * mass**3 * c**2)) / hbar)
+    clock_phase = np.exp(-1j * energies[:, None] * (t - i2 / (2.0 * mass**2 * c**2)) / HBAR)
+    common_phase = np.exp(-1j * (i2 / (2.0 * mass) - i4 / (8.0 * mass**3 * c**2)) / HBAR)
     # one sampling of the initial wavefunction on all shifted grids; each row
     # must capture the state's norm on its own
     shifted = to_grid(kstate, p + s).amplitudes
@@ -184,15 +182,14 @@ def clock_time_stats(js: JointState, clock: ClockModel) -> tuple[float, float]:
     return mean, spread_from_moments(mean, second)
 
 
-def _oracle_mean(clock: ClockModel, kstate, t: float, g: float, c: float,
-                 hbar: float) -> float:
+def _oracle_mean(clock: ClockModel, kstate, t: float, g: float, c: float) -> float:
     if isinstance(kstate, MixtureState):
-        return float(sum(w * _oracle_mean(clock, comp, t, g, c, hbar)
+        return float(sum(w * _oracle_mean(clock, comp, t, g, c)
                          for w, comp in kstate.components))
     if g == 0.0:
-        js = exact_evolve_g0(clock, kstate, t, order="c2", c=c, hbar=hbar)
+        js = exact_evolve_g0(clock, kstate, t, order="c2", c=c)
     else:
-        js = evolve_characteristics_g(clock, kstate, t, g, c=c, hbar=hbar)
+        js = evolve_characteristics_g(clock, kstate, t, g, c=c)
     return clock_time_stats(js, clock)[0]
 
 
@@ -229,8 +226,7 @@ def _report(quantity: str, lams: np.ndarray, rows: list, floor_scale: float,
 
 
 def verify_mean_time(clock: ClockModel, kstate, t: float, g: float,
-                     c_scalings=(1.0, 2.0, 4.0), base_c: float = C_LIGHT,
-                     hbar: float = HBAR) -> VerificationReport:
+                     c_scalings=(1.0, 2.0, 4.0), base_c: float = C_LIGHT) -> VerificationReport:
     """Mean clock time: closed form vs joint evolution across c scalings.
 
     The oracle is the block-diagonal evolution with the 'c2' coupling at
@@ -247,16 +243,15 @@ def verify_mean_time(clock: ClockModel, kstate, t: float, g: float,
     rows = []
     for lam in lams:
         c_eff = lam * base_c
-        result = mean_clock_time(clock, kstate, t, g, c=c_eff, hbar=hbar)
-        rows.append((result.mean_t, _oracle_mean(clock, kstate, t, g, c_eff, hbar),
+        result = mean_clock_time(clock, kstate, t, g, c=c_eff)
+        rows.append((result.mean_t, _oracle_mean(clock, kstate, t, g, c_eff),
                      result.mean_t - result.mean_t_nr))
     return _report("mean_clock_time", lams, rows, abs(t), "rel", -1.8,
                    "relative residual measured against the relativistic correction term")
 
 
 def verify_sigma(clock: ClockModel, kstate, t: float,
-                 c_scalings=(1.0, 2.0, 4.0), base_c: float = C_LIGHT,
-                 hbar: float = HBAR) -> VerificationReport:
+                 c_scalings=(1.0, 2.0, 4.0), base_c: float = C_LIGHT) -> VerificationReport:
     """Clock-time spread: three-term decomposition vs joint evolution (g = 0).
 
     Passes when the absolute residual decays with fitted exponent <= -5,
@@ -269,17 +264,16 @@ def verify_sigma(clock: ClockModel, kstate, t: float,
     rows = []
     for lam in lams:
         c_eff = lam * base_c
-        breakdown = sigma_breakdown(clock, kstate, t, c=c_eff, hbar=hbar)
-        js = exact_evolve_g0(clock, kstate, t, order="c4", c=c_eff, hbar=hbar)
+        breakdown = sigma_breakdown(clock, kstate, t, c=c_eff)
+        js = exact_evolve_g0(clock, kstate, t, order="c4", c=c_eff)
         rows.append((breakdown.total, clock_time_stats(js, clock)[1],
                      breakdown.total - breakdown.sigma_nr))
     return _report("clock_time_spread", lams, rows, 0.0, "abs", -5.0,
                    "relative residual measured against the spread excess over the free value")
 
 
-def idealised_surrogate(omega: float, d: int = 64, sigma_bar: float = 8.0,
-                        hbar: float = HBAR) -> ClockModel:
+def idealised_surrogate(omega: float, d: int = 64, sigma_bar: float = 8.0) -> ClockModel:
     """High-dimensional dial clock whose error trace is far below test
     tolerances, started a quarter turn into the dial so that evolutions up
     to half a period stay clear of the dial cut."""
-    return build_quasi_ideal(d, omega, sigma_bar, m0=d / 4.0, hbar=hbar)
+    return build_quasi_ideal(d, omega, sigma_bar, m0=d / 4.0)

@@ -19,7 +19,8 @@ ket. The idealised term used here is
 
 and the non-idealised term is the full four-brace trace expression in
 terms of E(t), e = (i/hbar)[H, T] - I and the W moments, evaluated as
-inner products of kets (see ``sigma_nonideal_term``). A companion
+inner products of kets (see ``sigma_nonideal_term``); its (i/hbar)
+factors take the pinned SI ``constants.HBAR``. A companion
 ``sigma_dispersion_exact`` gives the excess that exact joint evolution
 produces, t^2 var(W) / (2 sigma_NR), whose leading term keeps var(p^2)
 but not <p^4>; the two closed forms disagree at leading order and the
@@ -79,12 +80,12 @@ def w_moments(kstate, c: float = C_LIGHT) -> WMoments:
     return WMoments(mean_w=float(mean_w), mean_w2=float(mean_w2))
 
 
-def sigma_nr(clock, t, hbar: float = HBAR):
+def sigma_nr(clock, t):
     """Clock-time standard deviation at each time under free evolution."""
     require_clock(clock)
     if isinstance(clock, IdealisedClock):
         return clock.sigma_t0
-    psi_t = evolve(clock, t, hbar)
+    psi_t = evolve(clock, t)
     return spread_from_moments(expectation_real(clock.t_cl, psi_t),
                                expectation_real(clock.t2_cl, psi_t))
 
@@ -128,8 +129,7 @@ def sigma_dispersion_exact(kstate, t, sigma_nr_value, c: float = C_LIGHT):
     return t**2 * m.var_p2 / (8.0 * sigma_nr_value * mass**4 * c**4)
 
 
-def sigma_nonideal_term(clock: ClockModel, kstate, t,
-                        c: float = C_LIGHT, hbar: float = HBAR):
+def sigma_nonideal_term(clock: ClockModel, kstate, t, c: float = C_LIGHT):
     """Error-operator contribution to the clock-time spread at g = 0, at each time.
 
     The four-brace expression in E(t) = e rho(t), e = (i/hbar)[H, T] - I,
@@ -140,20 +140,23 @@ def sigma_nonideal_term(clock: ClockModel, kstate, t,
     real; an imaginary part above 1e-10 of scale raises instead of being
     symmetrised away.
     """
-    require_clock(clock)
+    return _nonideal_term(clock, kstate, t, c, sigma_nr(clock, t))
+
+
+def _nonideal_term(clock, kstate, t, c: float, s_nr):
+    """``sigma_nonideal_term`` from the free spread ``s_nr`` at the same times."""
     if isinstance(clock, IdealisedClock):
         return 0.0
     wm = w_moments(kstate, c)
-    s_nr = sigma_nr(clock, t, hbar)
     if np.any(s_nr <= 0):
         raise ValueError("sigma_NR must be positive for the non-idealised term")
     t_tr = clock.t_cl.T  # kets @ A.T applies A to every row
-    e_tr = (rate_operator(clock, hbar) - np.eye(clock.dim)).T
+    e_tr = (rate_operator(clock) - np.eye(clock.dim)).T
 
     def dot(x, y):  # <x|y>, row by row
         return np.sum(x.conj() * y, axis=-1)
 
-    psi = evolve(clock, t, hbar)
+    psi = evolve(clock, t)
     u, v, h = psi @ t_tr, psi @ e_tr, clock.energies * psi
     tr_e = dot(psi, v)  # tr E
     mean_t_nr = dot(psi, u).real
@@ -162,9 +165,9 @@ def sigma_nonideal_term(clock: ClockModel, kstate, t,
     brace2 = 2.0 * tr_e + tr_e**2
     brace3 = (
         2.0 * tr_e
-        + (1j / hbar) * (dot(h, u @ e_tr) - dot(u, h @ e_tr)  # (H e T - T e H) rho
+        + (1j / HBAR) * (dot(h, u @ e_tr) - dot(u, h @ e_tr)  # (H e T - T e H) rho
                          + dot(h, v @ t_tr) - dot(v, h @ t_tr))  # H T E - E^dag T H
-        + (2j / hbar) * mean_t_nr * (dot(h, v) - dot(v, h))  # H (E - E^dag)
+        + (2j / HBAR) * mean_t_nr * (dot(h, v) - dot(v, h))  # H (E - E^dag)
     )
     first = wm.mean_w * t / (2.0 * s_nr) * brace1
     second = -((wm.mean_w * t) ** 2) / (8.0 * s_nr**3) * brace1**2
@@ -177,14 +180,14 @@ def sigma_nonideal_term(clock: ClockModel, kstate, t,
     return np.real(total)
 
 
-def sigma_breakdown(clock, kstate, t, c: float = C_LIGHT, hbar: float = HBAR) -> PrecisionBreakdown:
+def sigma_breakdown(clock, kstate, t, c: float = C_LIGHT) -> PrecisionBreakdown:
     """Assemble the three-way spread decomposition at g = 0 at each time.
 
     For an IdealisedClock the free spread is its constant t = 0 value and
     the non-idealised term vanishes identically.
     """
-    s_nr = sigma_nr(clock, t, hbar)
+    s_nr = sigma_nr(clock, t)
     s_i = sigma_ideal_term(kstate, t, s_nr, c)
-    s_ni = sigma_nonideal_term(clock, kstate, t, c, hbar)
+    s_ni = _nonideal_term(clock, kstate, t, c, s_nr)
     return PrecisionBreakdown(sigma_nr=s_nr, sigma_i=s_i, sigma_ni=s_ni,
                               total=s_nr + s_i + s_ni)

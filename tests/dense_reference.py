@@ -61,17 +61,16 @@ def evolve_hermitian(h: np.ndarray, rho: np.ndarray, t: float, hbar: float = HBA
     return u @ rho @ dagger(u)
 
 
-def sigma_nonideal_term_dense(clock, kstate, t: float,
-                              c: float = C_LIGHT, hbar: float = HBAR) -> float:
+def sigma_nonideal_term_dense(clock, kstate, t: float, c: float = C_LIGHT) -> float:
     """Four-brace non-idealised spread term by direct matrix evaluation on
     the evolved density matrix rho(t), with E(t) = M rho(t) - rho(t)."""
     wm = w_moments(kstate, c)
-    s_nr = sigma_nr(clock, t, hbar)
+    s_nr = sigma_nr(clock, t)
     t_op = clock.t_cl
     h_op = np.diag(clock.energies).astype(complex)
-    rho_t = evolve_hermitian(h_op, projector(clock.psi0), t, hbar)
-    e_op = rate_operator(clock, hbar) @ rho_t - rho_t
-    e_small = rate_operator(clock, hbar) - np.eye(clock.dim)
+    rho_t = evolve_hermitian(h_op, projector(clock.psi0), t, HBAR)
+    e_op = rate_operator(clock) @ rho_t - rho_t
+    e_small = rate_operator(clock) - np.eye(clock.dim)
     tr_e = np.trace(e_op)
     mean_t_nr = np.trace(t_op @ rho_t).real
 
@@ -79,12 +78,12 @@ def sigma_nonideal_term_dense(clock, kstate, t: float,
     brace2 = 2.0 * tr_e + tr_e**2
     brace3 = (
         2.0 * tr_e
-        + (1j / hbar) * np.trace(
+        + (1j / HBAR) * np.trace(
             (h_op @ e_small @ t_op - t_op @ e_small @ h_op) @ rho_t
             + h_op @ t_op @ e_op
             - dagger(e_op) @ t_op @ h_op
         )
-        + (2j / hbar) * mean_t_nr * np.trace(h_op @ (e_op - dagger(e_op)))
+        + (2j / HBAR) * mean_t_nr * np.trace(h_op @ (e_op - dagger(e_op)))
     )
     first = wm.mean_w * t / (2.0 * s_nr) * brace1
     second = -((wm.mean_w * t) ** 2) / (8.0 * s_nr**3) * brace1**2

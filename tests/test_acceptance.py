@@ -52,9 +52,9 @@ def _verdict(number: str, ok: bool, detail: str) -> bool:
 def test_criterion_01_swp_error_cancellation():
     worst = 0.0
     for d in (2, 3, 4, 5, 8, 16):
-        clk = build_swp(d, 1.0, hbar=1.0)
+        clk = build_swp(d, 1.0)
         for m in range(d):
-            worst = max(worst, abs(error_trace(clk, m * clk.period / d, hbar=1.0) + 1.0))
+            worst = max(worst, abs(error_trace(clk, m * clk.period / d) + 1.0))
     ok = worst < 1e-10
     assert _verdict("1", ok, f"dial-clock error trace at focusing times, worst |trE+1| = {worst:.2e}")
 
@@ -62,9 +62,9 @@ def test_criterion_01_swp_error_cancellation():
 def test_criterion_02_quasi_ideal_error_decay():
     maxima = []
     for d in (8, 16, 32, 64):
-        clk = build_quasi_ideal(d, 1.0, np.sqrt(d), m0=d / 4.0, hbar=1.0)
+        clk = build_quasi_ideal(d, 1.0, np.sqrt(d), m0=d / 4.0)
         times = np.linspace(0.0, clk.period / 2.0, 8 * d)
-        maxima.append(max(abs(error_trace(clk, t, hbar=1.0)) for t in times))
+        maxima.append(max(abs(error_trace(clk, t)) for t in times))
     decreasing = all(b < a for a, b in zip(maxima, maxima[1:]))
     ratios = [b / a for a, b in zip(maxima, maxima[1:])]
     ratios_decreasing = all(r2 < r1 for r1, r2 in zip(ratios, ratios[1:]))
@@ -117,7 +117,7 @@ def test_criterion_04_coherence_identity():
         g = float(rng.uniform(0.0, 20.0))
         t = float(rng.uniform(0.1, 5.0))
         try:
-            res = sup_vs_mix(cat, t, g, rtol=1e-10)  # raises beyond 1e-10 relative
+            res = sup_vs_mix(cat, t, g)  # raises beyond 1e-10 relative
         except ValueError:
             failures += 1
             continue
@@ -262,16 +262,16 @@ def test_criterion_08_measurement_recovery():
 
 def test_criterion_09_covariant_measurement_algebra():
     worst = 0.0
-    swp = build_swp(8, 1.0, hbar=1.0)
-    qi = build_quasi_ideal(32, 1.0, 4.0, m0=8.0, hbar=1.0)
-    qb = build_qubit_phase(1.0, hbar=1.0)
+    swp = build_swp(8, 1.0)
+    qi = build_quasi_ideal(32, 1.0, 4.0, m0=8.0)
+    qb = build_qubit_phase(1.0)
     ideal = IdealisedClock(sigma_t0=0.3)
     for n in range(4):
-        worst = max(worst, covariant_moment_check(swp, n, 3.0 * swp.period / 8.0, hbar=1.0).residual)
-        worst = max(worst, covariant_moment_check(qi, n, 4.0 * qi.period / 32.0, hbar=1.0).residual)
-        worst = max(worst, covariant_moment_check(qb, n, 0.3, hbar=1.0).residual)
+        worst = max(worst, covariant_moment_check(swp, n, 3.0 * swp.period / 8.0).residual)
+        worst = max(worst, covariant_moment_check(qi, n, 4.0 * qi.period / 32.0).residual)
+        worst = max(worst, covariant_moment_check(qb, n, 0.3).residual)
         worst = max(worst, covariant_moment_check(ideal, n, 0.7).residual)
-    commutator = commutator_form_check(qb, hbar=1.0)
+    commutator = commutator_form_check(qb)
     ok = worst < 1e-8 and commutator.applicable and commutator.residual < 1e-10
     assert _verdict("9", ok, f"moment polynomial worst residual {worst:.2e} (n <= 3), "
                              f"phase-clock commutator residual {commutator.residual:.2e}")

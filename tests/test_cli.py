@@ -165,6 +165,16 @@ def test_sweep_finds_interior_maximum():
     assert 0 < peak < len(values) - 1
 
 
+def test_sweep_parameter_key_is_unknown(tmp_path, capsys):
+    # the swept variable is always delta_x0 / sigma_x, so no key names it
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(bench_config(
+        "sweep", kin_type="cat", cat_keys="delta_x0 = 3e-7\nalpha = 0.5\ntheta = 0.0",
+        extra="\n[sweep]\nparameter = delta_x0_over_sigma_x\nnum = 4\n"))
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "s.csv")]) == 2
+    assert "unknown key 'parameter' in section [sweep]" in capsys.readouterr().err
+
+
 def test_verify_run_exit_codes():
     passing = parse_config(bench_config("verify", extra="\n[verify]\nc_scalings = 1,2,4\n"))
     table, code = run(passing)

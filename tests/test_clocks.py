@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,19 +22,17 @@ from chronodil.constants import HBAR
 from chronodil.linalg import projector
 from dense_reference import evolve_hermitian
 
-HBAR_ONE = 1.0
-
 
 def swp(d, omega=1.0):
-    return build_swp(d, omega, hbar=HBAR_ONE)
+    return build_swp(d, omega)
 
 
 def quasi(d, sigma_bar, m0, omega=1.0, n0=None):
-    return build_quasi_ideal(d, omega, sigma_bar, m0, n0, hbar=HBAR_ONE)
+    return build_quasi_ideal(d, omega, sigma_bar, m0, n0)
 
 
 def qubit(omega=1.0):
-    return build_qubit_phase(omega, hbar=HBAR_ONE)
+    return build_qubit_phase(omega)
 
 
 # ---------------------------------------------------------------------------
@@ -66,21 +66,22 @@ def test_quasi_ideal_normalised():
         assert abs(np.vdot(clk.psi0, clk.psi0).real - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("clk, hbar", [
-    (swp(5), HBAR_ONE), (build_swp(6, 1e3), HBAR),
-    (quasi(32, np.sqrt(32), m0=8.0), HBAR_ONE), (build_quasi_ideal(16, 1e3, 4.0, 4.0), HBAR),
-    (qubit(), HBAR_ONE), (build_qubit_phase(1e3), HBAR),
+@pytest.mark.parametrize("clk", [
+    swp(5), build_swp(6, 1e3),
+    quasi(32, np.sqrt(32), m0=8.0), build_quasi_ideal(16, 1e3, 4.0, 4.0),
+    qubit(), build_qubit_phase(1e3),
 ], ids=["swp", "swp_si", "quasi_ideal", "quasi_ideal_si", "qubit", "qubit_si"])
-def test_evolve_matches_dense_reference(clk, hbar):
+def test_evolve_matches_dense_reference(clk):
     for frac in (0.0, 0.13, 0.5, 0.77, 3.4):
         t = frac * clk.period
-        dense = evolve_hermitian(np.diag(clk.energies), projector(clk.psi0), t, hbar)
-        assert np.abs(projector(evolve(clk, t, hbar)) - dense).max() < 1e-13
+        dense = evolve_hermitian(np.diag(clk.energies), projector(clk.psi0), t, HBAR)
+        assert np.abs(projector(evolve(clk, t)) - dense).max() < 1e-13
 
 
 def test_energies_are_the_stored_diagonal():
-    assert np.array_equal(swp(4).energies, [0.0, 1.0, 2.0, 3.0])
-    assert np.array_equal(qubit().energies, [-0.5, 0.5])
+    omega = 1.0
+    assert np.array_equal(swp(4, omega).energies, np.arange(4) * HBAR * omega)
+    assert np.array_equal(qubit(omega).energies, (HBAR * omega / 2) * np.array([-1.0, 1.0]))
 
 
 def make_clock(**fields):
@@ -141,7 +142,7 @@ def test_second_moment_dominates_squared_first_moment(clk, projective):
 def test_quasi_ideal_circular_mean_matches_centre():
     # a packet centred on the dial cut still has circular mean at the cut
     clk = quasi(16, 4.0, m0=0.0, n0=7.5)
-    cm = circular_mean_time(clk, hbar=HBAR_ONE)
+    cm = circular_mean_time(clk)
     dist = min(cm % clk.period, clk.period - cm % clk.period)
     assert dist < 0.05 * clk.period
 
@@ -178,7 +179,7 @@ def test_idealised_error_trace_vanishes():
 def test_swp_error_trace_minus_one_at_focusing_times(d):
     clk = swp(d)
     for m in range(d):
-        assert abs(error_trace(clk, m * clk.period / d, hbar=HBAR_ONE) + 1.0) < 1e-10
+        assert abs(error_trace(clk, m * clk.period / d) + 1.0) < 1e-10
 
 
 def test_swp_error_trace_between_focusing_times():
@@ -186,11 +187,11 @@ def test_swp_error_trace_between_focusing_times():
     # derivative identity d<T>/dt = 1 + tr E(t)
     clk = swp(5)
     t = clk.period / 10.0
-    val = error_trace(clk, t, hbar=HBAR_ONE)
+    val = error_trace(clk, t)
     assert abs(val - 0.5084572773) < 1e-9
     h = 1e-6
-    derivative = (mean_clock_time_nr(clk, t + h, HBAR_ONE)
-                  - mean_clock_time_nr(clk, t - h, HBAR_ONE)) / (2.0 * h)
+    derivative = (mean_clock_time_nr(clk, t + h)
+                  - mean_clock_time_nr(clk, t - h)) / (2.0 * h)
     assert abs(derivative - 1.0 - val) < 1e-6
 
 
@@ -198,7 +199,7 @@ def test_quasi_ideal_error_smaller_at_higher_dimension():
     def max_error(d):
         clk = quasi(d, np.sqrt(d), m0=d / 4.0)
         times = np.linspace(0.0, clk.period / 2.0, 8 * d)
-        return max(abs(error_trace(clk, t, HBAR_ONE)) for t in times)
+        return max(abs(error_trace(clk, t)) for t in times)
 
     assert max_error(32) < max_error(8)
 
@@ -208,7 +209,7 @@ def test_quasi_ideal_error_decay_signature():
     for d in (8, 16, 32, 64):
         clk = quasi(d, np.sqrt(d), m0=d / 4.0)
         times = np.linspace(0.0, clk.period / 2.0, 8 * d)
-        maxima.append(max(abs(error_trace(clk, t, HBAR_ONE)) for t in times))
+        maxima.append(max(abs(error_trace(clk, t)) for t in times))
     assert all(b < a for a, b in zip(maxima, maxima[1:]))
     ratios = [b / a for a, b in zip(maxima, maxima[1:])]
     assert all(r2 < r1 for r1, r2 in zip(ratios, ratios[1:]))
@@ -220,7 +221,7 @@ def test_error_trace_is_real(kind, t):
     clk = {"swp": lambda: swp(5), "quasi": lambda: quasi(16, 4.0, 8.0),
            "qubit": lambda: qubit()}[kind]()
     # realness is asserted inside error_trace; a complex trace raises
-    error_trace(clk, t, hbar=HBAR_ONE)
+    error_trace(clk, t)
 
 
 def test_qubit_phase_error_trace_convention():
@@ -228,7 +229,7 @@ def test_qubit_phase_error_trace_convention():
     # 1 + tr E = -cos(omega t)
     clk = qubit()
     for wt in (0.0, 0.4, np.pi / 2.0, 2.2, np.pi, 5.0):
-        val = 1.0 + error_trace(clk, wt, hbar=HBAR_ONE)
+        val = 1.0 + error_trace(clk, wt)
         assert abs(abs(val) - abs(np.cos(wt))) < 1e-12
         assert abs(val + np.cos(wt)) < 1e-12
 
@@ -237,7 +238,7 @@ def test_qubit_phase_good_at_half_turn():
     # at omega t = pi the relativistic term carries weight |1 + tr E| = 1,
     # the same as for an idealised clock
     clk = qubit()
-    assert abs(abs(1.0 + error_trace(clk, np.pi, hbar=HBAR_ONE)) - 1.0) < 1e-12
+    assert abs(abs(1.0 + error_trace(clk, np.pi)) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +247,19 @@ def test_qubit_phase_good_at_half_turn():
 
 def test_mean_reading_starts_at_zero():
     for clk in (swp(4), quasi(16, 4.0, 8.0), qubit()):
-        assert abs(mean_clock_time_nr(clk, 0.0, HBAR_ONE)) < 1e-12
+        assert abs(mean_clock_time_nr(clk, 0.0)) < 1e-12
 
 
 def test_swp_focusing_time_reading():
     clk = swp(4)
     t = clk.period / 4.0
-    assert abs(mean_clock_time_nr(clk, t, HBAR_ONE) - t) < 1e-10
+    assert abs(mean_clock_time_nr(clk, t) - t) < 1e-10
 
 
 def test_quasi_ideal_tracks_lab_time():
     clk = quasi(32, np.sqrt(32), m0=8.0)
     times = np.linspace(0.0, clk.period / 2.0, 101)
-    worst = max(abs(mean_clock_time_nr(clk, t, HBAR_ONE) - t) for t in times)
+    worst = max(abs(mean_clock_time_nr(clk, t) - t) for t in times)
     assert worst < 0.02 * clk.period
 
 
@@ -271,9 +272,9 @@ def test_integrated_error_trace_matches_quadrature(clk, frac):
     from scipy.integrate import quad
 
     t = frac * clk.period
-    numeric, _ = quad(lambda s: error_trace(clk, s, HBAR_ONE), 0.0, t,
+    numeric, _ = quad(lambda s: error_trace(clk, s), 0.0, t,
                       epsabs=1e-13, epsrel=1e-12, limit=200)
-    assert abs(mean_clock_time_nr(clk, t, HBAR_ONE) - t - numeric) < 1e-10
+    assert abs(mean_clock_time_nr(clk, t) - t - numeric) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +284,7 @@ def test_integrated_error_trace_matches_quadrature(clk, frac):
 def test_moment_check_n0_resolution_of_identity():
     for clk in (swp(8), quasi(32, 4.0, 8.0), qubit(), IdealisedClock(0.2)):
         report = covariant_moment_check(clk, 0, 1.0 if isinstance(clk, IdealisedClock)
-                                        else 2.0 * clk.period / 8.0, HBAR_ONE)
+                                        else 2.0 * clk.period / 8.0)
         assert np.isclose(report.lhs, 1.0, atol=1e-10)
         assert np.isclose(report.rhs, 1.0, atol=1e-10)
 
@@ -298,30 +299,30 @@ def test_moment_check_idealised_first_moment():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_moment_check_dial_clocks_wrap_safe(n):
     clk = swp(8)
-    report = covariant_moment_check(clk, n, 3.0 * clk.period / 8.0, HBAR_ONE)
+    report = covariant_moment_check(clk, n, 3.0 * clk.period / 8.0)
     assert report.applicable
     assert report.residual < 1e-8
     qi = quasi(32, 4.0, m0=8.0)
-    report = covariant_moment_check(qi, n, 4.0 * qi.period / 32.0, HBAR_ONE)
+    report = covariant_moment_check(qi, n, 4.0 * qi.period / 32.0)
     assert report.applicable
     assert report.residual < 1e-8
 
 
 def test_moment_check_qubit_phase_variance_time_independent():
     clk = qubit()
-    report = covariant_moment_check(clk, 2, 0.3, HBAR_ONE)
+    report = covariant_moment_check(clk, 2, 0.3)
     assert report.residual < 1e-8
     variances = []
     for t in (0.0, 0.3, 1.7):
-        m1 = covariant_moment_check(clk, 1, t, HBAR_ONE).lhs
-        m2 = covariant_moment_check(clk, 2, t, HBAR_ONE).lhs
+        m1 = covariant_moment_check(clk, 1, t).lhs
+        m2 = covariant_moment_check(clk, 2, t).lhs
         variances.append(m2 - m1**2)
     assert np.ptp(variances) < 1e-10
 
 
 def test_moment_check_flags_off_grid_dial_times():
     clk = swp(8)
-    report = covariant_moment_check(clk, 2, 0.37 * clk.period, HBAR_ONE)
+    report = covariant_moment_check(clk, 2, 0.37 * clk.period)
     assert not report.applicable
 
 
@@ -332,9 +333,17 @@ def test_moment_check_rejects_generic_clock():
 
 
 def test_commutator_form_qubit_phase():
-    report = commutator_form_check(qubit(), hbar=HBAR_ONE)
+    report = commutator_form_check(qubit())
     assert report.applicable
     assert report.residual < 1e-10
+
+
+def test_commutator_form_flags_wrong_period_at_si_hbar():
+    # the residual is dimensionless: a period 50% too long reads 0.5 at SI hbar
+    clk = build_qubit_phase(1.0)
+    assert commutator_form_check(clk).residual < 1e-10
+    wrong = dataclasses.replace(clk, period=1.5 * clk.period)
+    assert abs(commutator_form_check(wrong).residual - 0.5) < 1e-10
 
 
 def test_commutator_form_idealised_pure_heisenberg():

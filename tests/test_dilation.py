@@ -93,10 +93,10 @@ def test_idealised_gaussian_matches_phase_space_average():
 
 
 def test_swp_focusing_time_cancels_relativistic_term():
-    clock = build_swp(4, 1.0, hbar=1.0)
+    clock = build_swp(4, 1.0)
     state = gaussian(p0=5e-25)
     t = clock.period / 4.0
-    res = mean_clock_time(clock, state, t, 9.81, hbar=1.0)
+    res = mean_clock_time(clock, state, t, 9.81)
     assert abs(res.mean_t - res.mean_t_nr) < 1e-12 * t
     assert abs(1.0 + res.error_trace) < 1e-10
 

@@ -158,7 +158,8 @@ def test_r_factor_mixture_linearity(w, sep_sigmas, x_off_sigmas):
 
 def test_grid_gaussian_real_and_even_about_mean():
     state = gaussian(x0=0.0, p0=3e-25)
-    grid = default_momentum_grid(state, n_points=401)
+    # an odd point count puts a sample on the mean
+    grid = np.linspace(state.p0 - 8.0 * state.sigma_p, state.p0 + 8.0 * state.sigma_p, 401)
     amps = to_grid(state, grid).amplitudes
     assert np.abs(amps.imag).max() < 1e-14 * np.abs(amps).max()
     assert np.abs(amps - amps[::-1]).max() < 1e-12 * np.abs(amps).max()
@@ -184,7 +185,7 @@ def test_grid_cat_fringe_period():
 def test_grid_rejects_mixture():
     # a mixture is an ensemble with no single wavefunction to sample
     mixture = MixtureState(components=((0.4, gaussian()), (0.6, gaussian(x0=5e-10))))
-    grid = default_momentum_grid(gaussian(), n_points=512)
+    grid = default_momentum_grid(gaussian())
     with pytest.raises(TypeError, match="ensemble"):
         to_grid(mixture, grid)
 

@@ -178,6 +178,23 @@ def test_breakdown_matrix_clock_assembly():
     assert br.sigma_nr > 0.0
 
 
+def test_breakdown_evaluates_free_spread_once(monkeypatch):
+    from chronodil import precision
+
+    calls = []
+    real = precision.sigma_nr
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(precision, "sigma_nr", counting)
+    clk = build_quasi_ideal(16, BENCH_OMEGA, 4.0, m0=4.0)
+    times = np.array([0.1, 0.25]) * clk.period
+    precision.sigma_breakdown(clk, bench_gaussian(), times, c=bench_c())
+    assert len(calls) == 1
+
+
 def test_free_spread_constant_for_idealised():
     clk = IdealisedClock(2e-9)
     assert sigma_nr(clk, 0.0) == sigma_nr(clk, 5.0) == 2e-9
@@ -189,7 +206,7 @@ def test_negative_variance_raises_instead_of_clamping():
                      t_cl=np.diag([1.0, -1.0]), t2_cl=np.zeros((2, 2)), period=1.0,
                      time_offset=0.0)
     with pytest.raises(ValueError, match="negative variance"):
-        sigma_nr(clk, 0.3, hbar=1.0)
+        sigma_nr(clk, 0.3)
     # round-off below a refocused zero spread still reads 0
     assert spread_from_moments(1.0, 1.0 - 1e-13) == 0.0
     with pytest.raises(ValueError, match="negative variance"):
@@ -200,9 +217,9 @@ def test_free_spread_qubit_phase_uses_outcome_second_moment():
     # the phase measurement is not projective: its second moment is the
     # outcome integral, not the squared observable; hand-computed variance
     # is pi^2/3 + 2 cos(omega t) - sin^2(omega t)
-    clk = build_qubit_phase(1.0, hbar=1.0)
-    assert np.isclose(sigma_nr(clk, 0.0, hbar=1.0) ** 2, np.pi**2 / 3.0 + 2.0, rtol=1e-12)
-    assert np.isclose(sigma_nr(clk, np.pi, hbar=1.0) ** 2, np.pi**2 / 3.0 - 2.0, rtol=1e-12)
+    clk = build_qubit_phase(1.0)
+    assert np.isclose(sigma_nr(clk, 0.0) ** 2, np.pi**2 / 3.0 + 2.0, rtol=1e-12)
+    assert np.isclose(sigma_nr(clk, np.pi) ** 2, np.pi**2 / 3.0 - 2.0, rtol=1e-12)
 
 
 def test_w_of_p_orders():
