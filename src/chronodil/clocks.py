@@ -7,7 +7,12 @@ time, that of ``T2`` its second moment. Three concrete models are
 provided:
 
 * a dial clock with evenly spaced energies whose time basis is the
-  discrete Fourier transform of the energy basis (``build_swp``),
+  discrete Fourier transform of the energy basis (``build_swp``); its
+  ``T`` and ``T2`` are circulant in the energy basis, entry (j, k)
+  a closed form in n = (j - k) mod d with u = -1/2 + (i/2) cot(pi n / d):
+  tau u and tau^2 ((d - 2) u - 2 u^2) off the diagonal, tau (d - 1)/2
+  and tau^2 (d - 1)(2d - 1)/6 on it, tau the dial step, so building a
+  dial is O(d^2) with no matrix-matrix product,
 * the same dial with a Gaussian-weighted superposition over the time
   basis as initial state, which keeps the time reading nearly
   dispersionless (``build_quasi_ideal``),
@@ -56,7 +61,8 @@ class ClockModel:
     measurement density at the dial's branch cut (1/s).
 
     ``energies`` must be a 1-D array of finite reals, ``psi0`` a unit
-    ket of the same length and ``t_cl`` and ``t2_cl`` (dim, dim)."""
+    ket of the same length and ``t_cl`` and ``t2_cl`` Hermitian (dim, dim)
+    matrices, to within 1e-12 of their largest entry."""
 
     energies: np.ndarray
     psi0: np.ndarray
@@ -80,9 +86,17 @@ class ClockModel:
         if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
             raise ValueError(f"psi0 must be a unit ket, got norm {np.linalg.norm(psi)!r}")
         for name in ("t_cl", "t2_cl"):
-            shape = np.shape(getattr(self, name))
-            if shape != (d, d):
-                raise ValueError(f"{name} must have shape {(d, d)}, got {shape}")
+            op = np.asarray(getattr(self, name))
+            if op.shape != (d, d):
+                raise ValueError(f"{name} must have shape {(d, d)}, got {op.shape}")
+            # A^T is copied before it is conjugated: subtracting a transposed
+            # view is about three times slower at d = 256
+            diff = op.T.copy()
+            np.conjugate(diff, out=diff)
+            diff -= op
+            defect = np.abs(diff).max()
+            if defect > 1e-12 * np.abs(op).max():
+                raise ValueError(f"{name} must be Hermitian: max |A - A^dag| = {defect:.3e}")
 
     @property
     def dim(self) -> int:
@@ -144,35 +158,61 @@ class CommutatorReport:
 
 
 def fourier_time_basis(d: int) -> np.ndarray:
-    """Columns are the time-basis kets: theta_m = d^{-1/2} sum_j e^{-2pi i j m / d} |e_j>."""
-    j = np.arange(d).reshape(-1, 1)
-    m = np.arange(d).reshape(1, -1)
-    return np.exp(-2j * np.pi * j * m / d) / np.sqrt(d)
+    """Columns are the time-basis kets: theta_m = d^{-1/2} sum_j e^{-2pi i j m / d} |e_j>.
+
+    Entry (j, m) is the d-th root of unity at (j m mod d), gathered from the
+    d roots, so no phase argument grows beyond 2 pi."""
+    roots = np.exp(-2j * np.pi * np.arange(d) / d) / np.sqrt(d)
+    index = np.outer(np.arange(d), np.arange(d))
+    index %= d
+    return roots[index]
 
 
-def _dial_operators(d: int, omega: float):
-    energies = np.arange(d) * HBAR * omega
+def _dial_operators(d: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Generating vectors c1, c2 of the raw moment operators of a dial with
+    step tau, T[j, k] = c1[(j - k) % d] and T2[j, k] = c2[(j - k) % d], in
+    the closed forms of ``build_swp``. Entries n > d/2 are the conjugates
+    of those at d - n, so both operators are exactly Hermitian."""
+    n = np.arange(1, (d + 1) // 2)  # 0 < n < d/2
+    cot = np.zeros(d)
+    cot[n] = 1.0 / np.tan(np.pi * n / d)
+    cot[d - n] = -cot[n]  # cot(pi/2) = 0 exactly at n = d/2
+    u = -0.5 + 0.5j * cot
+    c1 = tau * u
+    c2 = tau**2 * ((d - 2) * u - 2.0 * u * u)
+    c1[0] = tau * (d - 1) / 2.0
+    c2[0] = tau**2 * (d - 1) * (2 * d - 1) / 6.0
+    return c1, c2
+
+
+def _circulant(c: np.ndarray) -> np.ndarray:
+    """The (d, d) matrix A[j, k] = c[(j - k) % d]: row j is window d - 1 - j
+    of c reversed and repeated."""
+    d = len(c)
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((c, c))[::-1], d)
+    return windows[d - 1::-1].copy()
+
+
+def _calibrated(t_raw: np.ndarray, t2_raw: np.ndarray, offset: float, ident: np.ndarray):
+    """Moment operators of the reading s - offset from the raw ones:
+    T - offset I and T2 - 2 offset T + offset^2 I. ``ident`` is the identity
+    in the operators' representation."""
+    return t_raw - offset * ident, t2_raw - 2.0 * offset * t_raw + offset**2 * ident
+
+
+def _dial_clock(d: int, omega: float, psi0: np.ndarray, mean_step: float, kind: str) -> ClockModel:
+    """Dial clock started in ``psi0``, whose mean raw reading is ``mean_step``
+    dial steps. Calibration shifts the generating vectors (the identity's
+    is delta_0), then each operator is expanded once."""
     period = 2.0 * np.pi / omega
-    basis = fourier_time_basis(d)
-    values = np.arange(d) * period / d
-    t_raw = (basis * values) @ dagger(basis)
-    return energies, t_raw, period, basis
-
-
-def _calibrated(energies: np.ndarray, t_raw: np.ndarray, period: float, psi0: np.ndarray,
-                t2_raw: np.ndarray | None = None, **fields) -> ClockModel:
-    """Clock started in ``psi0``, its moment operators shifted so that <T>(0) = 0.
-
-    ``t2_raw`` is the raw second-moment operator; it defaults to the square
-    of the time observable, which is exact for a projective measurement."""
-    offset = expectation_real(t_raw, psi0)
-    ident = np.eye(len(psi0))
-    t_cl = t_raw - offset * ident
-    # moments of (s - offset): T2 - 2 offset T1 + offset^2
-    t2_cl = (t_cl @ t_cl if t2_raw is None
-             else t2_raw - 2.0 * offset * t_raw + offset**2 * ident)
-    return ClockModel(energies=energies, psi0=psi0, t_cl=t_cl, t2_cl=t2_cl, period=period,
-                      time_offset=offset, **fields)
+    tau = period / d
+    offset = tau * mean_step
+    delta0 = np.zeros(d)
+    delta0[0] = 1.0
+    c1, c2 = _calibrated(*_dial_operators(d, tau), offset, delta0)
+    return ClockModel(energies=np.arange(d) * HBAR * omega, psi0=psi0, t_cl=_circulant(c1),
+                      t2_cl=_circulant(c2), period=period, time_offset=offset, kind=kind,
+                      omega=omega)
 
 
 def build_swp(d: int, omega: float) -> ClockModel:
@@ -180,15 +220,23 @@ def build_swp(d: int, omega: float) -> ClockModel:
 
     Energies are j*hbar*omega for j = 0..d-1, the time basis is the
     discrete Fourier transform of the energy basis, and the time
-    observable assigns m*T0/d to the m-th time ket, T0 = 2*pi/omega.
+    observable assigns m*tau to the m-th time ket, tau = T0/d with
+    T0 = 2*pi/omega. Its moment operators are circulant in the energy
+    basis, with n = (j - k) mod d and u = -1/2 + (i/2) cot(pi n / d):
+
+        T[j, k] = tau u,                  T[j, j] = tau (d - 1)/2,
+        T2[j, k] = tau^2 ((d - 2) u - 2 u^2),  T2[j, j] = tau^2 (d - 1)(2d - 1)/6,
+
+    from sum_m m z^m = d/(z - 1) and sum_m m^2 z^m = d(d - 2)/(z - 1) -
+    2d/(z - 1)^2 over the d-th roots of unity z != 1. Construction is
+    O(d^2).
     """
     if d < 2:
         raise ValueError(f"clock dimension must be >= 2, got {d}")
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
-    energies, t_raw, period, basis = _dial_operators(d, omega)
-    # the offset is zero: psi0 is the 0-eigenket
-    return _calibrated(energies, t_raw, period, basis[:, 0].copy(), kind="swp", omega=omega)
+    # psi0 = theta_0, the 0-eigenket: the offset is zero
+    return _dial_clock(d, omega, np.full(d, 1.0 / np.sqrt(d), dtype=complex), 0.0, "swp")
 
 
 def build_quasi_ideal(
@@ -217,13 +265,13 @@ def build_quasi_ideal(
         raise ValueError(f"sigma_bar must lie in (0, d), got {sigma_bar}")
     if n0 is None:
         n0 = (d - 1) / 2.0
-    energies, t_raw, period, basis = _dial_operators(d, omega)
     m = np.arange(d)
     # displacement from m0, wrapped into [-d/2, d/2)
     delta = (m - m0 + d / 2.0) % d - d / 2.0
     amps = np.exp(-np.pi * delta**2 / sigma_bar**2) * np.exp(2j * np.pi * n0 * delta / d)
     amps /= np.linalg.norm(amps)
-    return _calibrated(energies, t_raw, period, basis @ amps, kind="quasi_ideal", omega=omega)
+    return _dial_clock(d, omega, fourier_time_basis(d) @ amps, float(m @ np.abs(amps) ** 2),
+                       "quasi_ideal")
 
 
 def phase_moment_operator(n: int, a: float, b: float, omega: float) -> np.ndarray:
@@ -266,8 +314,10 @@ def build_qubit_phase(omega: float) -> ClockModel:
     t2_raw = phase_moment_operator(2, 0.0, period, omega)
     psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     f0 = (omega / np.pi) * projector(psi0)  # density (1/s) of the phase ket at the cut
-    return _calibrated(energies, t_raw, period, psi0, t2_raw, povm_at_zero=f0,
-                       kind="qubit_phase", omega=omega)
+    offset = expectation_real(t_raw, psi0)
+    t_cl, t2_cl = _calibrated(t_raw, t2_raw, offset, np.eye(2))
+    return ClockModel(energies=energies, psi0=psi0, t_cl=t_cl, t2_cl=t2_cl, period=period,
+                      time_offset=offset, povm_at_zero=f0, kind="qubit_phase", omega=omega)
 
 
 # ---------------------------------------------------------------------------

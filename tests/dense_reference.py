@@ -9,17 +9,22 @@ the tests check that shortcut, and the oracles, against this routine.
 
 ``sigma_nonideal_term_dense`` is the four-brace spread term written with
 d x d matrix products on rho(t), the form the library's ket evaluation
-(``chronodil.precision.sigma_nonideal_term``) is checked against.
+(``chronodil.precision.sigma_nonideal_term``) is checked against. It
+builds the rate operator and the free spread itself, from the clock's
+stored moment operators and a dense Hamiltonian.
+
+``dial_moment_operators_dense`` builds a dial clock's time observable and
+its square from an explicit discrete Fourier matrix, the form the
+library's closed-form circulant operators are checked against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from chronodil.clocks import rate_operator
 from chronodil.constants import C_LIGHT, HBAR
 from chronodil.linalg import dagger, projector
-from chronodil.precision import sigma_nr, w_moments
+from chronodil.precision import w_moments
 
 HERMITICITY_RTOL = 1e-12
 
@@ -61,18 +66,32 @@ def evolve_hermitian(h: np.ndarray, rho: np.ndarray, t: float, hbar: float = HBA
     return u @ rho @ dagger(u)
 
 
+def dial_moment_operators_dense(d: int, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """Raw time observable F diag(m tau) F^dag of a d-level dial and its
+    second moment F diag((m tau)^2) F^dag, tau = 2 pi / (omega d), with
+    F[j, m] = e^{-2 pi i j m / d} / sqrt(d) evaluated entry by entry."""
+    tau = 2.0 * np.pi / omega / d
+    j = np.arange(d).reshape(-1, 1)
+    m = np.arange(d).reshape(1, -1)
+    fourier = np.exp(-2j * np.pi * j * m / d) / np.sqrt(d)
+    values = np.arange(d) * tau
+    return (fourier * values) @ dagger(fourier), (fourier * values**2) @ dagger(fourier)
+
+
 def sigma_nonideal_term_dense(clock, kstate, t: float, c: float = C_LIGHT) -> float:
     """Four-brace non-idealised spread term by direct matrix evaluation on
-    the evolved density matrix rho(t), with E(t) = M rho(t) - rho(t)."""
+    the evolved density matrix rho(t), with E(t) = M rho(t) - rho(t),
+    M = -(i/hbar)(T H - H T) and sigma_NR = sqrt(tr(T2 rho) - tr(T rho)^2)."""
     wm = w_moments(kstate, c)
-    s_nr = sigma_nr(clock, t)
     t_op = clock.t_cl
     h_op = np.diag(clock.energies).astype(complex)
     rho_t = evolve_hermitian(h_op, projector(clock.psi0), t, HBAR)
-    e_op = rate_operator(clock) @ rho_t - rho_t
-    e_small = rate_operator(clock) - np.eye(clock.dim)
+    rate = (-1j / HBAR) * (t_op @ h_op - h_op @ t_op)
+    e_op = rate @ rho_t - rho_t
+    e_small = rate - np.eye(clock.dim)
     tr_e = np.trace(e_op)
     mean_t_nr = np.trace(t_op @ rho_t).real
+    s_nr = np.sqrt(np.trace(clock.t2_cl @ rho_t).real - mean_t_nr**2)
 
     brace1 = np.trace((e_op + dagger(e_op)) @ t_op) - 2.0 * mean_t_nr * tr_e
     brace2 = 2.0 * tr_e + tr_e**2

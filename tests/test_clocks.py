@@ -20,7 +20,7 @@ from chronodil.clocks import (
 )
 from chronodil.constants import HBAR
 from chronodil.linalg import projector
-from dense_reference import evolve_hermitian
+from dense_reference import dial_moment_operators_dense, evolve_hermitian
 
 
 def swp(d, omega=1.0):
@@ -51,6 +51,28 @@ def test_swp_time_basis_mutually_unbiased(d):
     basis = fourier_time_basis(d)
     energy_overlaps = np.abs(basis) ** 2
     assert np.allclose(energy_overlaps, 1.0 / d, atol=1e-12)
+
+
+def test_fourier_time_basis_unitary():
+    basis = fourier_time_basis(256)
+    assert np.abs(basis @ basis.conj().T - np.eye(256)).max() < 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 64, 256])
+@pytest.mark.parametrize("kind", ["swp", "quasi_ideal"])
+def test_dial_moment_operators_match_dense_reference(kind, d):
+    # odd d has no n = d/2 entry; even d has one, which must come out real
+    omega = 1e3
+    clk = (build_swp(d, omega) if kind == "swp"
+           else build_quasi_ideal(d, omega, np.sqrt(d), m0=d / 4.0))
+    t_raw, t2_raw = dial_moment_operators_dense(d, omega)
+    ident = np.eye(d)
+    assert np.abs(clk.t_cl + clk.time_offset * ident - t_raw).max() < 1e-12 * np.abs(t_raw).max()
+    t_shifted = t_raw - clk.time_offset * ident
+    assert np.abs(clk.t2_cl - t_shifted @ t_shifted).max() < 1e-12 * np.abs(t2_raw).max()
+    # the entries past n = d/2 are conjugates of those before it
+    for op in (clk.t_cl, clk.t2_cl):
+        assert np.array_equal(op, op.conj().T)
 
 
 def test_swp_rejects_bad_arguments():
@@ -123,6 +145,15 @@ def test_clock_model_rejects_mismatched_moment_operator(name):
         make_clock(**{name: np.eye(3, dtype=complex)})
     with pytest.raises(ValueError, match=name):
         make_clock(**{name: np.ones(2, dtype=complex)})
+
+
+@pytest.mark.parametrize("name", ["t_cl", "t2_cl"])
+def test_clock_model_rejects_non_hermitian_moment_operator(name):
+    op = np.array([[1.0, 0.5 + 0.25j], [0.5 - 0.25j, 2.0]])
+    make_clock(**{name: op})
+    op[0, 1] += 1e-9
+    with pytest.raises(ValueError, match=f"{name} must be Hermitian"):
+        make_clock(**{name: op})
 
 
 @pytest.mark.parametrize("clk, projective", [
