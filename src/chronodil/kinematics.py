@@ -23,7 +23,6 @@ clock time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,7 @@ from .constants import C_LIGHT, HBAR
 def _require_finite(state, names) -> None:
     for name in names:
         value = getattr(state, name)
-        if not math.isfinite(value):
+        if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -67,6 +66,10 @@ class CatState:
     The second packet sits at ``base.x0 + delta_x0`` (delta_x0 >= 0); both
     share the mean momentum ``base.p0``. ``alpha`` weights the lower packet
     and ``theta`` is the relative phase on the upper one.
+
+    ``delta_x0`` may also be a 1-D array of separations, every one of which
+    must pass the checks: the closed forms (``dilation.t_coh``) then give
+    one value per separation. Sampling and oracles need a single float.
     """
 
     base: GaussianState
@@ -76,11 +79,11 @@ class CatState:
 
     def __post_init__(self):
         _require_finite(self, ("delta_x0", "alpha", "theta"))
-        if self.delta_x0 < 0:
+        if np.any(np.asarray(self.delta_x0) < 0):
             raise ValueError(f"delta_x0 must be >= 0, got {self.delta_x0}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if norm_factor(self) <= 0:
+        if np.any(norm_factor(self) <= 0):
             raise ValueError("state parameters give a non-positive norm factor")
 
     @property
@@ -135,7 +138,7 @@ class KinematicMoments:
 
 def overlap(cat: CatState) -> float:
     """<psi_1|psi_2>: real and positive for packets differing only in position."""
-    return float(np.exp(-0.5 * (cat.delta_x0 / (2.0 * cat.sigma_x)) ** 2))
+    return np.exp(-0.5 * (cat.delta_x0 / (2.0 * cat.sigma_x)) ** 2)
 
 
 def norm_factor(cat: CatState) -> float:

@@ -30,11 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, HBAR
-from .clocks import ClockModel, build_quasi_ideal
+from .clocks import ClockModel, build_quasi_ideal, reading_stats
 from .dilation import mean_clock_time
 from .kinematics import CatState, MixtureState, default_momentum_grid, to_grid
-from .linalg import dagger
-from .precision import sigma_breakdown, spread_from_moments, w_of_p
+from .precision import sigma_breakdown, w_of_p
 
 
 @dataclass(frozen=True)
@@ -170,16 +169,12 @@ def evolve_characteristics_g(clock: ClockModel, kstate, t: float, g: float,
 # observables on joint states
 
 
-def reduced_clock_density(js: JointState) -> np.ndarray:
-    return js.amplitudes @ dagger(js.amplitudes) * js.spacing
-
-
 def clock_time_stats(js: JointState, clock: ClockModel) -> tuple[float, float]:
-    """(mean, standard deviation) of the clock reading on a joint state."""
-    rho = reduced_clock_density(js)
-    mean = float(np.trace(clock.t_cl @ rho).real)
-    second = float(np.trace(clock.t2_cl @ rho).real)
-    return mean, spread_from_moments(mean, second)
+    """(mean, standard deviation) of the clock reading on a joint state: the
+    reading of the reduced clock density, the sum over grid points of each
+    point's clock ket times the grid spacing."""
+    mean, spread = reading_stats(clock, js.amplitudes.T, weight=js.spacing)
+    return float(mean), float(spread)
 
 
 def _oracle_mean(clock: ClockModel, kstate, t: float, g: float, c: float) -> float:

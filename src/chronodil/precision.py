@@ -11,15 +11,16 @@ The clock-time standard deviation then splits as
     sigma_T(t) = sigma_NR(t) + sigma_I(t) + sigma_NI(t):
 
 a free part, a part that survives for an idealised clock, and a part
-sourced entirely by the clock's error operator. The free part is
-sqrt(<T2> - <T>^2) from the clock's two moment operators in its evolved
-ket. The idealised term used here is
+sourced entirely by the clock's error operator. The free part is the
+spread of the clock's reading in its evolved ket
+(``clocks.reading_stats``). The idealised term used here is
 
     sigma_I(t) = t^2 (<p^4> + var(p^2)) / (8 sigma_NR(t) m^4 c^4),
 
 and the non-idealised term is the full four-brace trace expression in
 terms of E(t), e = (i/hbar)[H, T] - I and the W moments, evaluated as
-inner products of kets (see ``sigma_nonideal_term``); its (i/hbar)
+inner products of kets built by ``clocks.apply_time`` (see
+``sigma_nonideal_term``); its (i/hbar)
 factors take the pinned SI ``constants.HBAR``. A companion
 ``sigma_dispersion_exact`` gives the excess that exact joint evolution
 produces, t^2 var(W) / (2 sigma_NR), whose leading term keeps var(p^2)
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, HBAR
-from .clocks import ClockModel, IdealisedClock, evolve, rate_operator, require_clock
-from .linalg import expectation_real
+from .clocks import (ClockModel, IdealisedClock, apply_time, centred_energy, evolve,
+                     reading_mean, reading_stats, require_clock)
 from .kinematics import moments
 
 
@@ -85,19 +86,7 @@ def sigma_nr(clock, t):
     require_clock(clock)
     if isinstance(clock, IdealisedClock):
         return clock.sigma_t0
-    psi_t = evolve(clock, t)
-    return spread_from_moments(expectation_real(clock.t_cl, psi_t),
-                               expectation_real(clock.t2_cl, psi_t))
-
-
-def spread_from_moments(mean, second):
-    """sqrt(<T^2> - <T>^2) elementwise. A variance below -1e-12 <T^2> raises
-    ValueError; above it is round-off (the d = 4 dial refocuses to zero spread) and reads 0."""
-    var = second - mean**2
-    if np.any(var < -1e-12 * second):
-        raise ValueError(f"negative variance down to {np.min(var)!r}: "
-                         "not the moments of a probability distribution")
-    return np.sqrt(np.maximum(var, 0.0))
+    return reading_stats(clock, evolve(clock, t))[1]
 
 
 def sigma_ideal_term(kstate, t, sigma_nr_value, c: float = C_LIGHT):
@@ -135,10 +124,12 @@ def sigma_nonideal_term(clock: ClockModel, kstate, t, c: float = C_LIGHT):
     The four-brace expression in E(t) = e rho(t), e = (i/hbar)[H, T] - I,
     <W> and <W^2>. With rho(t) = psi psi^dag every trace is an inner
     product of kets, tr(X Y Z rho) = (X^dag psi)^dag Y (Z psi), built from
-    u = T psi, v = e psi and h = H psi (T and H Hermitian) by (n_t, d) @ (d, d)
-    products, so no (n_t, d, d) tensor is formed. The assembled value must be
-    real; an imaginary part above 1e-10 of scale raises instead of being
-    symmetrised away.
+    u = T psi, v = e psi and h = (H - <H>) psi (T and H Hermitian; shifting
+    H by a constant leaves the expression unchanged). e is applied as
+    -(i/hbar)[T - <T>, H - <H>] - I, whose shifts keep every intermediate
+    ket as small as the spreads; the T products go through
+    ``clocks.apply_time``, so no d x d operator is formed. The assembled value must be real; an imaginary part above 1e-10
+    of scale raises instead of being symmetrised away.
     """
     return _nonideal_term(clock, kstate, t, c, sigma_nr(clock, t))
 
@@ -150,23 +141,35 @@ def _nonideal_term(clock, kstate, t, c: float, s_nr):
     wm = w_moments(kstate, c)
     if np.any(s_nr <= 0):
         raise ValueError("sigma_NR must be positive for the non-idealised term")
-    t_tr = clock.t_cl.T  # kets @ A.T applies A to every row
-    e_tr = (rate_operator(clock) - np.eye(clock.dim)).T
 
     def dot(x, y):  # <x|y>, row by row
-        return np.sum(x.conj() * y, axis=-1)
+        return np.einsum("...j,...j->...", x.conj(), y)
 
     psi = evolve(clock, t)
-    u, v, h = psi @ t_tr, psi @ e_tr, clock.energies * psi
+    mean_t_nr = reading_mean(clock, psi)
+    a = np.asarray(mean_t_nr)[..., None]
+    dh, h = centred_energy(clock, psi)
+
+    def shifted_t(x):  # (T - <T>) x
+        return apply_time(clock, x, mean_t_nr)
+
+    def rate_minus_one(x, tx, thx):  # e x from (T - <T>) x and (T - <T>)(H - <H>) x
+        return (-1j / HBAR) * (thx - dh * tx) - x
+
+    t_psi, t_h = shifted_t(psi), shifted_t(h)
+    u = t_psi + a * psi
+    v = rate_minus_one(psi, t_psi, t_h)
+    e_u = rate_minus_one(u, shifted_t(u), shifted_t(dh * u))
+    e_h = rate_minus_one(h, t_h, shifted_t(dh * h))
+    t_v = shifted_t(v)
     tr_e = dot(psi, v)  # tr E
-    mean_t_nr = dot(psi, u).real
 
     brace1 = dot(u, v) + dot(v, u) - 2.0 * mean_t_nr * tr_e  # tr((E + E^dag) T)
     brace2 = 2.0 * tr_e + tr_e**2
     brace3 = (
         2.0 * tr_e
-        + (1j / HBAR) * (dot(h, u @ e_tr) - dot(u, h @ e_tr)  # (H e T - T e H) rho
-                         + dot(h, v @ t_tr) - dot(v, h @ t_tr))  # H T E - E^dag T H
+        + (1j / HBAR) * (dot(h, e_u) - dot(u, e_h)  # (H e T - T e H) rho
+                         + dot(h, t_v + a * v) - dot(v, t_h + a * h))  # H T E - E^dag T H
         + (2j / HBAR) * mean_t_nr * (dot(h, v) - dot(v, h))  # H (E - E^dag)
     )
     first = wm.mean_w * t / (2.0 * s_nr) * brace1

@@ -10,12 +10,17 @@ the tests check that shortcut, and the oracles, against this routine.
 ``sigma_nonideal_term_dense`` is the four-brace spread term written with
 d x d matrix products on rho(t), the form the library's ket evaluation
 (``chronodil.precision.sigma_nonideal_term``) is checked against. It
-builds the rate operator and the free spread itself, from the clock's
-stored moment operators and a dense Hamiltonian.
+builds the rate operator and the free spread itself, from dense moment
+operators and a dense Hamiltonian.
 
-``dial_moment_operators_dense`` builds a dial clock's time observable and
-its square from an explicit discrete Fourier matrix, the form the
-library's closed-form circulant operators are checked against.
+``fourier_time_basis`` holds a dial's time kets as the columns of an
+explicit discrete Fourier matrix, and ``dial_moment_operators_dense``
+builds the dial's time observable and its square from another one;
+``dial_moment_operators_circulant`` gives the same two operators in
+closed form, to a few ulp. The library reads dials by FFT and is checked
+against all three. ``dense_moment_operators`` gives any clock's
+calibrated T and T2 as matrices, and ``reduced_clock_density`` a joint
+state's clock density.
 """
 
 from __future__ import annotations
@@ -66,6 +71,17 @@ def evolve_hermitian(h: np.ndarray, rho: np.ndarray, t: float, hbar: float = HBA
     return u @ rho @ dagger(u)
 
 
+def fourier_time_basis(d: int) -> np.ndarray:
+    """Columns are the time-basis kets: theta_m = d^{-1/2} sum_j e^{-2pi i j m / d} |e_j>.
+
+    Entry (j, m) is the d-th root of unity at (j m mod d), gathered from the
+    d roots, so no phase argument grows beyond 2 pi."""
+    roots = np.exp(-2j * np.pi * np.arange(d) / d) / np.sqrt(d)
+    index = np.outer(np.arange(d), np.arange(d))
+    index %= d
+    return roots[index]
+
+
 def dial_moment_operators_dense(d: int, omega: float) -> tuple[np.ndarray, np.ndarray]:
     """Raw time observable F diag(m tau) F^dag of a d-level dial and its
     second moment F diag((m tau)^2) F^dag, tau = 2 pi / (omega d), with
@@ -78,12 +94,52 @@ def dial_moment_operators_dense(d: int, omega: float) -> tuple[np.ndarray, np.nd
     return (fourier * values) @ dagger(fourier), (fourier * values**2) @ dagger(fourier)
 
 
+def dial_moment_operators_circulant(d: int, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """The raw T and T2 of ``dial_moment_operators_dense`` in closed form,
+    accurate to a few ulp: both are circulant, T[j, k] = c1[n] and
+    T2[j, k] = c2[n] with n = (j - k) mod d, and with
+    u = -1/2 + (i/2) cot(pi n / d)
+
+        c1[n] = tau u,    c2[n] = tau^2 ((d - 2) u - 2 u^2)    (n != 0),
+        c1[0] = tau (d - 1)/2,    c2[0] = tau^2 (d - 1)(2d - 1)/6,
+
+    from sum_m m z^m = d/(z - 1) and sum_m m^2 z^m = d(d - 2)/(z - 1) -
+    2d/(z - 1)^2 over the d-th roots of unity z != 1."""
+    tau = 2.0 * np.pi / omega / d
+    n = np.arange(1, (d + 1) // 2)  # 0 < n < d/2; entries past d/2 are conjugates
+    cot = np.zeros(d)
+    cot[n] = 1.0 / np.tan(np.pi * n / d)
+    cot[d - n] = -cot[n]  # cot(pi/2) = 0 exactly at n = d/2
+    u = -0.5 + 0.5j * cot
+    c1, c2 = tau * u, tau**2 * ((d - 2) * u - 2.0 * u * u)
+    c1[0], c2[0] = tau * (d - 1) / 2.0, tau**2 * (d - 1) * (2 * d - 1) / 6.0
+    index = np.subtract.outer(np.arange(d), np.arange(d)) % d
+    return c1[index], c2[index]
+
+
+def dense_moment_operators(clock) -> tuple[np.ndarray, np.ndarray]:
+    """Calibrated (T, T2) of a clock as (dim, dim) matrices: a dense clock's
+    stored operators, or a dial's closed-form circulants shifted by its
+    ``time_offset`` o, T - o I and T2 - 2 o T + o^2 I."""
+    if clock.time_values is None:
+        return clock.t_cl, clock.t2_cl
+    t_raw, t2_raw = dial_moment_operators_circulant(clock.dim, clock.omega)
+    o, ident = clock.time_offset, np.eye(clock.dim)
+    return t_raw - o * ident, t2_raw - 2.0 * o * t_raw + o**2 * ident
+
+
+def reduced_clock_density(js) -> np.ndarray:
+    """Clock density matrix of a joint state: sum over grid points of each
+    point's clock ket times its conjugate, times the grid spacing."""
+    return js.amplitudes @ dagger(js.amplitudes) * js.spacing
+
+
 def sigma_nonideal_term_dense(clock, kstate, t: float, c: float = C_LIGHT) -> float:
     """Four-brace non-idealised spread term by direct matrix evaluation on
     the evolved density matrix rho(t), with E(t) = M rho(t) - rho(t),
     M = -(i/hbar)(T H - H T) and sigma_NR = sqrt(tr(T2 rho) - tr(T rho)^2)."""
     wm = w_moments(kstate, c)
-    t_op = clock.t_cl
+    t_op, t2_op = dense_moment_operators(clock)
     h_op = np.diag(clock.energies).astype(complex)
     rho_t = evolve_hermitian(h_op, projector(clock.psi0), t, HBAR)
     rate = (-1j / HBAR) * (t_op @ h_op - h_op @ t_op)
@@ -91,7 +147,7 @@ def sigma_nonideal_term_dense(clock, kstate, t: float, c: float = C_LIGHT) -> fl
     e_small = rate - np.eye(clock.dim)
     tr_e = np.trace(e_op)
     mean_t_nr = np.trace(t_op @ rho_t).real
-    s_nr = np.sqrt(np.trace(clock.t2_cl @ rho_t).real - mean_t_nr**2)
+    s_nr = np.sqrt(np.trace(t2_op @ rho_t).real - mean_t_nr**2)
 
     brace1 = np.trace((e_op + dagger(e_op)) @ t_op) - 2.0 * mean_t_nr * tr_e
     brace2 = 2.0 * tr_e + tr_e**2

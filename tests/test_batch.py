@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from chronodil.clocks import (IdealisedClock, build_qubit_phase, build_quasi_ideal, build_swp,
-                              error_trace, evolve, mean_clock_time_nr)
+                              error_trace, evolve, mean_clock_time_nr, spread_from_moments)
 from chronodil.dilation import mean_clock_time
 from chronodil.linalg import expectation_real
-from chronodil.precision import sigma_breakdown, sigma_ideal_term, sigma_nr, spread_from_moments
+from chronodil.precision import sigma_breakdown, sigma_ideal_term, sigma_nr
 from helpers import BENCH_OMEGA, BENCH_PERIOD, bench_c, bench_cat, bench_gaussian
 
 # between the d = 4 dial's focusing times, where its spread is positive
@@ -125,3 +125,19 @@ def test_breakdown_builds_no_time_stacked_operator():
         tracemalloc.stop()
     # one complex (n_t, d, d) tensor takes 200 * 128 * 128 * 16 B = 52 MB
     assert peak < times.size * clk.dim**2 * 16
+
+
+def test_dial_read_stores_no_square_operator():
+    # build, mean reading and spread breakdown of a d = 1024 dial over 20
+    # times stay below one complex d x d array: 1024 * 1024 * 16 B = 16 MiB
+    d = 1024
+    times = np.linspace(0.1, 0.4, 20) * BENCH_PERIOD
+    tracemalloc.start()
+    try:
+        clk = build_quasi_ideal(d, BENCH_OMEGA, sigma_bar=np.sqrt(d), m0=d / 4.0)
+        mean_clock_time(clk, bench_gaussian(), times, 9.81, c=bench_c())
+        sigma_breakdown(clk, bench_gaussian(), times, c=bench_c())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < d * d * 16

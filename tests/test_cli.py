@@ -216,20 +216,34 @@ def measurement_config() -> str:
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # the runtime needs numpy only: neither the import nor the measurement
-    # command, the last one that used a scipy routine, loads scipy
-    cfg_path = tmp_path / "m.cfg"
-    cfg_path.write_text(measurement_config())
-    argv = ["measurement", "--config", str(cfg_path), "--out", str(tmp_path / "m.csv"),
-            "--no-timestamp"]
-    code = ("import sys, chronodil, chronodil.cli; "
-            f"assert chronodil.cli.main({argv!r}) == 0; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # the runtime needs numpy only: neither the import nor a command loads
+    # scipy, the measurement command being the last one that used a scipy
+    # routine. numpy.fft loads only where a dial clock is read, so the
+    # import and the commands that read none do not pay for it
+    measurement = tmp_path / "m.cfg"
+    measurement.write_text(measurement_config())
+    sweep = tmp_path / "s.cfg"
+    sweep.write_text(bench_config(
+        "sweep", kin_type="cat", cat_keys="delta_x0 = 3e-7\nalpha = 0.5\ntheta = 0.0",
+        extra="\n[sweep]\nstart = 0.1\nstop = 8.0\nnum = 40\n"))
+    runs = [[command, "--config", str(path), "--out", str(tmp_path / f"{command}.csv"),
+             "--no-timestamp"]
+            for command, path in (("measurement", measurement),
+                                  ("coherence", REPO_ROOT / "configs" / "aluminium.cfg"),
+                                  ("sweep", sweep))]
+    code = ("import sys, chronodil, chronodil.cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.split('.')[0] == 'scipy' or m.startswith('numpy.fft'))\n"
+            "print(loaded())\n"
+            f"for argv in {runs!r}:\n"
+            "    assert chronodil.cli.main(argv) == 0\n"
+            "    print(loaded())\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]"] * 4
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,18 @@ from chronodil.clocks import (
     circular_mean_time,
     commutator_form_check,
     covariant_moment_check,
+    apply_time,
     error_trace,
     evolve,
-    fourier_time_basis,
     mean_clock_time_nr,
+    time_probabilities,
 )
 from chronodil.constants import HBAR
 from chronodil.linalg import projector
-from dense_reference import dial_moment_operators_dense, evolve_hermitian
+from chronodil.precision import sigma_nr
+from dense_reference import (dense_moment_operators, dial_moment_operators_circulant,
+                             dial_moment_operators_dense, evolve_hermitian, fourier_time_basis)
+from helpers import BENCH_OMEGA
 
 
 def swp(d, omega=1.0):
@@ -42,8 +46,9 @@ def qubit(omega=1.0):
 def test_swp_period_and_time_eigenvalues():
     clk = swp(2)
     assert np.isclose(clk.period, 2.0 * np.pi)
-    raw_eigs = np.sort(np.linalg.eigvalsh(clk.t_cl + clk.time_offset * np.eye(clk.dim)))
+    raw_eigs = np.sort(np.linalg.eigvalsh(dial_moment_operators_dense(2, 1.0)[0]))
     assert np.allclose(raw_eigs, [0.0, np.pi], atol=1e-12)
+    assert np.allclose(clk.time_values + clk.time_offset, raw_eigs, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
@@ -51,28 +56,92 @@ def test_swp_time_basis_mutually_unbiased(d):
     basis = fourier_time_basis(d)
     energy_overlaps = np.abs(basis) ** 2
     assert np.allclose(energy_overlaps, 1.0 / d, atol=1e-12)
+    # every energy ket (a row of the identity) reads each time ket with 1/d
+    assert np.allclose(time_probabilities(swp(d), np.eye(d)), 1.0 / d, atol=1e-12)
 
 
 def test_fourier_time_basis_unitary():
     basis = fourier_time_basis(256)
     assert np.abs(basis @ basis.conj().T - np.eye(256)).max() < 1e-13
+    # the FFT probabilities are |theta_m^dag psi|^2 for every ket of a stack
+    rng = np.random.default_rng(11)
+    kets = rng.normal(size=(5, 256)) + 1j * rng.normal(size=(5, 256))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    dense = np.abs(kets @ basis.conj()) ** 2
+    assert np.abs(time_probabilities(swp(256), kets) - dense).max() < 1e-13 * dense.max()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 64, 256])
 @pytest.mark.parametrize("kind", ["swp", "quasi_ideal"])
 def test_dial_moment_operators_match_dense_reference(kind, d):
-    # odd d has no n = d/2 entry; even d has one, which must come out real
+    # the dial's T and T2 = T^2, applied by FFT, against F diag(m tau) F^dag
+    # and its square built from an explicit Fourier matrix
     omega = 1e3
     clk = (build_swp(d, omega) if kind == "swp"
            else build_quasi_ideal(d, omega, np.sqrt(d), m0=d / 4.0))
+    assert np.isrealobj(clk.time_values) and clk.time_values.shape == (d,)
     t_raw, t2_raw = dial_moment_operators_dense(d, omega)
-    ident = np.eye(d)
-    assert np.abs(clk.t_cl + clk.time_offset * ident - t_raw).max() < 1e-12 * np.abs(t_raw).max()
-    t_shifted = t_raw - clk.time_offset * ident
-    assert np.abs(clk.t2_cl - t_shifted @ t_shifted).max() < 1e-12 * np.abs(t2_raw).max()
-    # the entries past n = d/2 are conjugates of those before it
-    for op in (clk.t_cl, clk.t2_cl):
-        assert np.array_equal(op, op.conj().T)
+    for closed, dense in zip(dial_moment_operators_circulant(d, omega), (t_raw, t2_raw)):
+        assert np.abs(closed - dense).max() < 1e-12 * np.abs(dense).max()
+    t_shifted = t_raw - clk.time_offset * np.eye(d)
+    columns = apply_time(clk, np.eye(d))  # row j is T e_j
+    assert np.abs(columns.T - t_shifted).max() < 1e-12 * np.abs(t_raw).max()
+    squared = apply_time(clk, columns)
+    assert np.abs(squared.T - t_shifted @ t_shifted).max() < 1e-12 * np.abs(t2_raw).max()
+    # shifting inside the FFT is T - shift I, one shift per ket
+    shifts = np.linspace(-1.0, 1.0, d) * clk.period
+    np.testing.assert_allclose(apply_time(clk, np.eye(d), shifts),
+                               columns - shifts[:, None] * np.eye(d),
+                               rtol=0, atol=1e-12 * np.abs(t_raw).max())
+
+
+@pytest.mark.parametrize("clk", [
+    swp(5), build_swp(4, 1e3), quasi(16, 4.0, m0=4.0), build_quasi_ideal(32, 1e3, 4.0, 8.0),
+    qubit(), build_qubit_phase(1e3),
+], ids=["swp", "swp_si", "quasi_ideal", "quasi_ideal_si", "qubit", "qubit_si"])
+def test_reading_matches_dense_operators(clk):
+    # mean, spread and error trace against psi^dag A psi of dense operators,
+    # with M = -(i/hbar)(T H - H T) formed in full
+    t_op, t2_op = dense_moment_operators(clk)
+    h_op = np.diag(clk.energies)
+    rate = (-1j / HBAR) * (t_op @ h_op - h_op @ t_op)
+    times = np.array([0.0, 0.13, 0.5, 0.77, 3.4]) * clk.period
+    kets = evolve(clk, times)
+    mean = np.einsum("nj,jk,nk->n", kets.conj(), t_op, kets).real
+    second = np.einsum("nj,jk,nk->n", kets.conj(), t2_op, kets).real
+    trace = np.einsum("nj,jk,nk->n", kets.conj(), rate, kets).real - 1.0
+    scale = np.abs(t_op).max()
+    np.testing.assert_allclose(mean_clock_time_nr(clk, times), mean, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(sigma_nr(clk, times) ** 2, second - mean**2,
+                               rtol=0, atol=1e-12 * scale**2)
+    np.testing.assert_allclose(error_trace(clk, times), trace, rtol=0, atol=1e-11)
+
+
+def test_quasi_ideal_reading_matches_mpmath():
+    # <T> and sigma_NR of the d = 128 quasi-ideal dial against the same
+    # time-basis sums at 40 digits, from the stored psi0 with exact phases
+    # j omega t; a spread taken as sqrt(<T2> - <T>^2) is off by about 4e-14
+    import mpmath as mp
+
+    d = 128
+    clk = build_quasi_ideal(d, BENCH_OMEGA, np.sqrt(d), 32.0)
+    with mp.workdps(40):
+        tau = 2 * mp.pi / (mp.mpf(BENCH_OMEGA) * d)
+        lam = [m * tau - mp.mpf(clk.time_offset) for m in range(d)]
+        psi0 = [mp.mpc(z) for z in clk.psi0]
+        for frac in (0.1, 0.25, 0.4):
+            t = frac * clk.period
+            probs = []
+            for m in range(d):
+                z = mp.expj(2 * mp.pi * m / d - mp.mpf(BENCH_OMEGA) * mp.mpf(t))
+                amp = mp.mpc(0)
+                for j in reversed(range(d)):  # sum_j psi0_j z^j by Horner
+                    amp = amp * z + psi0[j]
+                probs.append(abs(amp) ** 2 / d)
+            mean = mp.fsum(p * x for p, x in zip(probs, lam))
+            spread = mp.sqrt(mp.fsum(p * (x - mean) ** 2 for p, x in zip(probs, lam)))
+            assert abs(float((mean_clock_time_nr(clk, t) - mean) / mean)) < 2e-15
+            assert abs(float((sigma_nr(clk, t) - spread) / spread)) < 2e-15
 
 
 def test_swp_rejects_bad_arguments():
@@ -156,13 +225,38 @@ def test_clock_model_rejects_non_hermitian_moment_operator(name):
         make_clock(**{name: op})
 
 
+def make_dial(**fields):
+    """A valid two-level ClockModel given by its time values, ``fields`` replaced."""
+    args = dict(energies=np.array([0.0, 1.0]), psi0=np.array([1.0, 0.0]),
+                time_values=np.array([0.0, 0.5]), period=1.0, time_offset=0.0)
+    return ClockModel(**{**args, **fields})
+
+
+@pytest.mark.parametrize("values", [
+    np.array([[0.0, 0.5]]), np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.5 + 1e-3j]),
+    np.array([0.0, np.inf]), np.array([np.nan, 0.5]),
+], ids=["two_dimensional", "wrong_length", "complex", "infinite", "nan"])
+def test_clock_model_rejects_bad_time_values(values):
+    make_dial()
+    with pytest.raises(ValueError, match="time_values"):
+        make_dial(time_values=values)
+
+
+def test_clock_model_takes_exactly_one_measurement():
+    with pytest.raises(ValueError, match="not both"):
+        make_dial(t_cl=np.eye(2, dtype=complex), t2_cl=np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="t_cl is required"):
+        make_dial(time_values=None)
+
+
 @pytest.mark.parametrize("clk, projective", [
     (swp(6), True), (quasi(16, 4.0, m0=4.0), True), (qubit(), False),
 ], ids=["swp", "quasi_ideal", "qubit"])
 def test_second_moment_dominates_squared_first_moment(clk, projective):
     # T2 - T^2 is the outcome variance operator: positive semidefinite, and
     # zero for a projective measurement
-    excess = clk.t2_cl - clk.t_cl @ clk.t_cl
+    t_op, t2_op = dense_moment_operators(clk)
+    excess = t2_op - t_op @ t_op
     assert np.linalg.eigvalsh(excess).min() > -1e-12
     if projective:
         assert np.abs(excess).max() < 1e-12
@@ -233,6 +327,14 @@ def test_quasi_ideal_error_smaller_at_higher_dimension():
         return max(abs(error_trace(clk, t)) for t in times)
 
     assert max_error(32) < max_error(8)
+
+
+def test_quasi_ideal_error_trace_at_rounding_floor():
+    # at d = 256 the exact trace is far below rounding: the centred form
+    # reads a few ulp of 1, where <M> - 1 from uncentred T and H reads 3e-14
+    clk = build_quasi_ideal(256, BENCH_OMEGA, 16.0, 64.0)
+    times = np.linspace(0.05, 0.45, 40) * clk.period
+    assert np.abs(error_trace(clk, times)).max() < 1e-14
 
 
 def test_quasi_ideal_error_decay_signature():

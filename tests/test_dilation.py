@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -213,3 +215,16 @@ def test_t_coh_vanishes_at_large_separation():
                         1.0, 0.0).t_coh) for r in (6.0, 10.0, 14.0)]
     assert values[2] < values[1] < values[0]
     assert values[2] < 1e-6 * values[0]
+
+
+def test_t_coh_over_an_array_of_separations_equals_its_rows():
+    # one cat holding many separations gives the scalar closed form per row
+    cat = CatState(base=gaussian(), delta_x0=0.0, alpha=0.3, theta=0.7)
+    separations = np.linspace(0.0, 8.0, 41) * cat.sigma_x
+    batch = t_coh(replace(cat, delta_x0=separations), 1.0, 9.81)
+    for i, dx in enumerate(separations):
+        row = t_coh(replace(cat, delta_x0=float(dx)), 1.0, 9.81)
+        for name in ("t_sup", "t_mix", "t_coh"):
+            assert getattr(batch, name).shape == separations.shape
+            np.testing.assert_allclose(getattr(batch, name)[i], getattr(row, name),
+                                       rtol=1e-14, atol=0, err_msg=name)

@@ -217,6 +217,18 @@ def test_state_validation():
         MixtureState(components=((0.5, gaussian()), (0.4, gaussian())))
 
 
+def test_cat_checks_every_separation_of_an_array():
+    ok = CatState(base=gaussian(), delta_x0=np.array([0.0, 1e-9, 2e-9]), alpha=0.5)
+    assert np.all(norm_factor(ok) > 1.0)
+    with pytest.raises(ValueError, match="delta_x0 must be >= 0"):
+        CatState(base=gaussian(), delta_x0=np.array([1e-9, -1e-12, 2e-9]), alpha=0.5)
+    with pytest.raises(ValueError, match="delta_x0 must be finite"):
+        CatState(base=gaussian(), delta_x0=np.array([1e-9, np.nan]), alpha=0.5)
+    # N = 1 + cos(pi) = 0 at zero separation only
+    with pytest.raises(ValueError, match="norm factor"):
+        CatState(base=gaussian(), delta_x0=np.array([1e-9, 0.0]), alpha=0.5, theta=np.pi)
+
+
 def test_mixture_has_one_mass():
     mix = MixtureState(components=((0.4, gaussian()), (0.6, gaussian(x0=5e-10))))
     assert mix.mass == MASS

@@ -10,13 +10,12 @@ from chronodil.oracle import (
     evolve_characteristics_g,
     exact_evolve_g0,
     idealised_surrogate,
-    reduced_clock_density,
     verify_mean_time,
     verify_sigma,
 )
 from chronodil.precision import sigma_breakdown, sigma_dispersion_exact, sigma_nr
 from helpers import BENCH_OMEGA, BENCH_T, bench_c, bench_cat, bench_gaussian
-from dense_reference import evolve_hermitian
+from dense_reference import evolve_hermitian, reduced_clock_density
 from split_step import split_step_evolve
 
 G_EARTH = 9.81

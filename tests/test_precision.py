@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chronodil.clocks import (ClockModel, IdealisedClock, build_qubit_phase, build_quasi_ideal,
-                              build_swp)
+                              build_swp, spread_from_moments)
 from chronodil.constants import C_LIGHT, ELECTRON_MASS
 from chronodil.kinematics import GaussianState
 from chronodil.precision import (
@@ -11,12 +11,11 @@ from chronodil.precision import (
     sigma_ideal_term,
     sigma_nonideal_term,
     sigma_nr,
-    spread_from_moments,
     w_moments,
     w_of_p,
 )
 from dense_reference import sigma_nonideal_term_dense
-from helpers import BENCH_OMEGA, bench_c, bench_gaussian
+from helpers import BENCH_OMEGA, bench_c, bench_cat, bench_gaussian
 
 ELECTRON_NM = GaussianState(x0=0.0, p0=0.0, sigma_x=1e-9, mass=ELECTRON_MASS)
 
@@ -151,6 +150,15 @@ def test_sigma_nonideal_at_floor_matches_dense_reference():
         t = frac * clk.period
         ket = sigma_nonideal_term(clk, state, t, c=c)
         assert abs(ket - sigma_nonideal_term_dense(clk, state, t, c=c)) < 1e-14 * sigma_nr(clk, t)
+
+
+def test_sigma_nonideal_at_rounding_floor():
+    # at d = 128 the term is rounding; the commutator of the shifted T and H
+    # keeps it below 1e-17 s, where the unshifted one reads 2e-17 s
+    clk = build_quasi_ideal(128, BENCH_OMEGA, np.sqrt(128.0), m0=32.0)
+    times = np.linspace(0.05, 0.45, 40) * clk.period
+    for state in (bench_gaussian(), bench_cat()):
+        assert np.abs(sigma_nonideal_term(clk, state, times, c=bench_c())).max() < 1e-17
 
 
 # ---------------------------------------------------------------------------
