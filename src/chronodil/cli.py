@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import io
 import sys
 from dataclasses import dataclass, field, replace
@@ -34,7 +35,7 @@ SCHEMA_VERSION = 1
 @dataclass
 class CsvTable:
     header: list[str]
-    rows: list  # one sequence of cells per row
+    rows: list | np.ndarray  # one sequence of cells per row
     metadata: list[tuple[str, str]] = field(default_factory=list)
 
 
@@ -55,8 +56,21 @@ def _cell_format(value) -> str:
     return "%d" if isinstance(value, (int, np.integer)) else "%.17e"
 
 
+# Tables with fewer cells keep the per-row '%' loop. Between the clock
+# computations of a CLI run the kernel's fixed cost is 120-160 us per table,
+# and the two matched near 190 cells (5- and 6-column tables, 2-core x86-64).
+_KERNEL_MIN_CELLS = 200
+_BLOCK_CELLS = 2048  # cells per kernel block, which bounds its temporaries
+
+
 def write_csv(table: CsvTable, cfg: RunConfig, stream) -> None:
-    """Rows take the first row's cell formats; a non-finite cell raises before any write."""
+    """Write the metadata, the config echo, the header and the rows.
+
+    Cells are written as ``'%.17e' % x`` or, in a column whose first-row
+    cell is an integer, ``'%d' % x``. A table of floats alone with at least
+    ``_KERNEL_MIN_CELLS`` cells goes through the vectorised ``_write_floats``,
+    which writes the same bytes. A non-finite cell raises before any write.
+    """
     values = np.asarray(table.rows, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"non-finite value {values[~np.isfinite(values)][0]!r} in CSV output")
@@ -66,9 +80,140 @@ def write_csv(table: CsvTable, cfg: RunConfig, stream) -> None:
     for line in echo_lines(cfg):
         stream.write(f"# cfg {line}\n")
     stream.write(",".join(table.header) + "\n")
-    if len(table.rows):
-        template = ",".join(_cell_format(v) for v in table.rows[0]) + "\n"
-        stream.write("".join(template % tuple(row) for row in table.rows))
+    if not len(table.rows):
+        return
+    formats = [_cell_format(v) for v in table.rows[0]]
+    if values.size < _KERNEL_MIN_CELLS or "%d" in formats:
+        template = ",".join(formats) + "\n"
+        # Python scalars format faster than numpy's, and to the same bytes
+        rows = table.rows.tolist() if isinstance(table.rows, np.ndarray) else table.rows
+        stream.write("".join(template % tuple(row) for row in rows))
+        return
+    step = max(1, _BLOCK_CELLS // len(formats))
+    for start in range(0, len(values), step):
+        stream.write(_csv_rows(values[start:start + step]))
+
+
+def _csv_rows(values: np.ndarray) -> str:
+    """CSV text of a block of float rows. Each cell is laid out in a field of
+    bytes and a separator; the zero bytes between them are dropped."""
+    fields = np.empty((*values.shape, _FLOAT_FIELD + 1), dtype=np.uint8)
+    _write_floats(values.ravel(), fields.reshape(-1, _FLOAT_FIELD + 1))
+    fields[:, :, -1] = ord(",")
+    fields[:, -1, -1] = ord("\n")
+    return fields.tobytes().translate(None, b"\0").decode("ascii")
+
+
+# --- the '%.17e' kernel ------------------------------------------------------
+#
+# '%.17e' % x writes the 18 significant digits N of |x| rounded to nearest,
+# N in [1e17, 1e18), and the decimal exponent e, |x| ~ N 10^(e-17). The
+# kernel takes e from log10|x|, corrected by one step where that lands N
+# outside its range, and forms |x| 10^(17-e) in double-double arithmetic
+# against an exact table of powers of ten. Its error is below 1e-13 in units
+# of N's last digit, so only a fraction within _HALF_MARGIN of 1/2 can round
+# otherwise than Python's correctly rounded conversion: those cells, zeros
+# and cells outside the table's range go through '%.17e' one by one.
+
+_E_MAX = 270  # the table holds 10^(17-e) for e in [-_E_MAX, _E_MAX]
+_FAST_MIN, _FAST_MAX = 10.0 ** (2 - _E_MAX), 10.0 ** (_E_MAX - 2)  # slack for log10 and the step
+_HALF_MARGIN = 1e-9
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter of a double into 26-bit halves
+_EXP_MIN = -324  # the exponent of the smallest subnormal; the largest double's is 308
+_FLOAT_FIELD = 33  # bytes of a float cell: sign, six digit groups, 'e' and the exponent
+
+
+@functools.cache
+def _pow10_table() -> np.ndarray:
+    """Rows hi, hi's upper and lower 26-bit halves, and lo of the double-double
+    hi + lo = 10^(17-e) for e in [-_E_MAX, _E_MAX], from exact integer ratios."""
+    hi, lo = [], []
+    for e in range(-_E_MAX, _E_MAX + 1):
+        k = 17 - e
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+        h = num / den  # int / int is correctly rounded
+        a, b = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * b - a * den) / (den * b))  # 10^k - h, correctly rounded
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    upper = c - (c - hi)
+    return np.stack((hi, upper, hi - upper, np.array(lo)))
+
+
+def _byte_table(texts, width: int, dtype) -> np.ndarray:
+    """One ``dtype`` value per text: its ASCII bytes, padded with zero bytes."""
+    return np.frombuffer(b"".join(t.encode().ljust(width, b"\0") for t in texts), dtype=dtype)
+
+
+@functools.cache
+def _group_bytes() -> np.ndarray:
+    """Three digits of N per uint32: first the last five groups' entries,
+    with a zero pad byte, then the first group's, with the decimal point
+    after its first digit."""
+    return _byte_table([f"{i:03d}" for i in range(1000)]
+                       + [f"{i // 100}.{i % 100:02d}" for i in range(1000)], 4, np.uint32)
+
+
+@functools.cache
+def _exp_bytes() -> np.ndarray:
+    """'e' and the signed exponent of at least two digits per uint64, from _EXP_MIN."""
+    return _byte_table((f"e{e:+03d}" for e in range(_EXP_MIN, 309)), 8, np.uint64)
+
+
+def _scaled(ax: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer part (int64) and fraction of ax 10^(17-e), e in the table's range.
+
+    ax times hi is split exactly into p + err by Dekker's product; p is an
+    integer, as every double above 2^53 is, and lo's product joins err."""
+    hi, hi_upper, hi_lower, lo = _pow10_table().take(e + _E_MAX, axis=1)
+    p = ax * hi
+    c = _SPLIT * ax
+    upper = c - (c - ax)
+    lower = ax - upper
+    err = ((upper * hi_upper - p) + upper * hi_lower + lower * hi_upper) + lower * hi_lower
+    low = err + ax * lo
+    whole = np.floor(low)
+    return p.astype(np.int64) + whole.astype(np.int64), low - whole
+
+
+def _decimal_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N and e of '%.17e' % v for each value of a finite 1-D float array."""
+    ax = np.abs(x)
+    fast = (ax >= _FAST_MIN) & (ax <= _FAST_MAX)
+    ax = np.where(fast, ax, 1.0)
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    n, frac = _scaled(ax, e)
+    step = (n >= 10**18).astype(np.int64) - (n < 10**17)
+    moved = np.flatnonzero(step)
+    if moved.size:
+        e[moved] += step[moved]
+        n[moved], frac[moved] = _scaled(ax[moved], e[moved])
+    n += frac > 0.5
+    roll = n == 10**18  # rounded up to the next power of ten
+    n[roll] = 10**17
+    e[roll] += 1
+    for i in np.flatnonzero(~fast | (np.abs(frac - 0.5) <= _HALF_MARGIN)):
+        mantissa, _, exponent = ("%.17e" % x[i]).partition("e")
+        n[i] = int(mantissa.lstrip("-").replace(".", ""))
+        e[i] = int(exponent)
+    return n, e
+
+
+def _write_floats(x: np.ndarray, out: np.ndarray) -> None:
+    """Write '%.17e' % v for each value of a finite 1-D float array into the
+    first _FLOAT_FIELD bytes of its row of ``out``: the ASCII bytes, with zero
+    bytes between them."""
+    n, e = _decimal_parts(x)
+    groups = np.empty((len(x), 6), dtype=np.intp)  # N as six three-digit groups
+    for j in range(5, 0, -1):
+        rest = n // 1000
+        groups[:, j] = n - 1000 * rest
+        n = rest
+    groups[:, 0] = n + 1000  # the first group's entries come second
+    out[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    out[:, 1:25] = _group_bytes().take(groups).view(np.uint8).reshape(len(x), 24)
+    out[:, 25:_FLOAT_FIELD] = _exp_bytes().take(e - _EXP_MIN).view(np.uint8).reshape(len(x), 8)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +228,7 @@ def _run_dilation(cfg: RunConfig) -> tuple[CsvTable, int]:
     res = mean_clock_time(clock, kstate, np.array(cfg.times()), g, c=c)
     rows = np.column_stack(np.broadcast_arrays(  # an IdealisedClock's columns are scalars
         res.t, res.mean_t_nr, res.r_factor, res.error_trace, res.mean_t,
-        res.classical_tau)).tolist()
+        res.classical_tau))
     header = ["t", "mean_t_nr", "r_factor", "error_trace", "mean_t", "classical_tau"]
     return CsvTable(header=header, rows=rows), 0
 
@@ -92,10 +237,10 @@ def _run_coherence(cfg: RunConfig) -> tuple[CsvTable, int]:
     cat = cfg.kinematic_state()
     g = cfg.get("physics", "g")
     c = cfg.c_light()
-    rows = []
-    for t in cfg.times():
-        res = sup_vs_mix(cat, t, g, c=c)
-        rows.append([t, norm_factor(cat), res.t_sup, res.t_mix, res.t_coh])
+    times = np.array(cfg.times())
+    res = sup_vs_mix(cat, times, g, c=c)
+    rows = np.column_stack(np.broadcast_arrays(times, norm_factor(cat), res.t_sup, res.t_mix,
+                                               res.t_coh))
     header = ["t", "norm_factor", "t_sup", "t_mix", "t_coh"]
     return CsvTable(header=header, rows=rows), 0
 
@@ -107,7 +252,7 @@ def _run_precision(cfg: RunConfig) -> tuple[CsvTable, int]:
     times = np.array(cfg.times())
     br = sigma_breakdown(clock, kstate, times, c=c)
     rows = np.column_stack(np.broadcast_arrays(  # an IdealisedClock's columns are scalars
-        times, br.sigma_nr, br.sigma_i, br.sigma_ni, br.total)).tolist()
+        times, br.sigma_nr, br.sigma_i, br.sigma_ni, br.total))
     header = ["t", "sigma_nr", "sigma_i", "sigma_ni", "sigma_total"]
     return CsvTable(header=header, rows=rows), 0
 
@@ -159,7 +304,7 @@ def _run_sweep(cfg: RunConfig) -> tuple[CsvTable, int]:
     separations = ratios * cat.sigma_x
     # one cat holding every separation: the closed form runs once, elementwise
     res = t_coh(replace(cat, delta_x0=separations), t, g, c=c)
-    rows = np.column_stack((ratios, separations, res.t_sup, res.t_mix, res.t_coh)).tolist()
+    rows = np.column_stack((ratios, separations, res.t_sup, res.t_mix, res.t_coh))
     header = ["delta_x0_over_sigma_x", "delta_x0", "t_sup", "t_mix", "t_coh"]
     return CsvTable(header=header, rows=rows), 0
 

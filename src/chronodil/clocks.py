@@ -389,12 +389,7 @@ def error_trace(clock, t):
     the per-time shifts a = <T>, b = <H>: they leave the commutator as it
     is, keep both kets as small as the spreads, and form no rate operator.
     The value is real by construction."""
-    if isinstance(clock, IdealisedClock):
-        return 0.0
-    psi = evolve(clock, t)
-    t_psi = apply_time(clock, psi, reading_mean(clock, psi))
-    h_psi = centred_energy(clock, psi)[1]
-    return (2.0 / HBAR) * np.einsum("...j,...j->...", t_psi.conj(), h_psi).imag - 1.0
+    return _free_reading(clock, t)[1]
 
 
 def mean_clock_time_nr(clock, t):
@@ -403,6 +398,18 @@ def mean_clock_time_nr(clock, t):
     if isinstance(clock, IdealisedClock):
         return t
     return reading_mean(clock, evolve(clock, t))
+
+
+def _free_reading(clock, t):
+    """(``mean_clock_time_nr``, ``error_trace``) at each time from one
+    evolution of psi0: the error trace's shift a is the mean reading."""
+    if isinstance(clock, IdealisedClock):
+        return t, 0.0
+    psi = evolve(clock, t)
+    mean = reading_mean(clock, psi)
+    t_psi = apply_time(clock, psi, mean)
+    h_psi = centred_energy(clock, psi)[1]
+    return mean, (2.0 / HBAR) * np.einsum("...j,...j->...", t_psi.conj(), h_psi).imag - 1.0
 
 
 def circular_mean_time(clock: ClockModel, t: float = 0.0) -> float:

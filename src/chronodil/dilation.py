@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, HBAR
-from .clocks import error_trace, mean_clock_time_nr, require_clock
+from .clocks import _free_reading, require_clock
 from .kinematics import CatState, MixtureState, moments, norm_factor, overlap, r_factor
 
 
@@ -82,9 +82,8 @@ def mean_clock_time(clock, kstate, t, g: float, c: float = C_LIGHT) -> DilationR
     error trace zero). The mass is taken from the motional state.
     """
     require_clock(clock)
-    nr = mean_clock_time_nr(clock, t)
+    nr, err = _free_reading(clock, t)
     r = r_factor(kstate, t, g, c)
-    err = error_trace(clock, t)
     mean_t = nr + t * r * (1.0 + err)
     tau = _classical_tau_of_state(kstate, t, g, c)
     return DilationResult(t=t, mean_t_nr=nr, r_factor=r, error_trace=err,
@@ -136,15 +135,16 @@ def _mixture_r(cat: CatState, t: float, g: float, c: float) -> float:
     return cat.alpha * r_factor(cat.base, t, g, c) + (1.0 - cat.alpha) * r_factor(cat.upper, t, g, c)
 
 
-def sup_vs_mix(cat: CatState, t: float, g: float, c: float = C_LIGHT) -> CoherenceResult:
+def sup_vs_mix(cat: CatState, t, g: float, c: float = C_LIGHT) -> CoherenceResult:
     """Compute T_sup and T_mix through the general first-order formula
     (idealised clock, cat-state moments with interference cross terms)
-    and check T_sup - T_mix against the closed form of ``t_coh``.
+    and check T_sup - T_mix against the closed form of ``t_coh``, at each
+    time of ``t``.
 
     The difference is evaluated in correction space, t (R_sup - R_mix),
     so the order-one reading never swamps the tiny relativistic pieces.
     Raises ValueError when the two independent routes disagree beyond
-    1e-10 of the coherence term's natural scale.
+    1e-10 of the coherence term's natural scale at any time.
     """
     r_sup = r_factor(cat, t, g, c)
     r_mix = _mixture_r(cat, t, g, c)
@@ -152,12 +152,12 @@ def sup_vs_mix(cat: CatState, t: float, g: float, c: float = C_LIGHT) -> Coheren
     mix = t * (1.0 + r_mix)
     closed = t_coh(cat, t, g, c)
     # the largest single term sets the scale when the terms nearly cancel
-    prefactor, *terms = _coherence_terms(cat, t, g, c)
-    term_scale = prefactor * max(abs(term) for term in terms) * abs(t) / 2.0
-    scale = max(abs(closed.t_coh), 1e-6 * term_scale)
-    if scale > 0 and abs(direct - closed.t_coh) > 1e-10 * scale:
-        raise ValueError(
-            f"coherence identity violated: direct {direct!r} vs closed form {closed.t_coh!r}"
-        )
+    prefactor, motional, gravitational, phase_term = _coherence_terms(cat, t, g, c)
+    largest = np.maximum(np.maximum(np.abs(motional), np.abs(gravitational)), np.abs(phase_term))
+    scale = np.maximum(np.abs(closed.t_coh), 1e-6 * prefactor * largest * np.abs(t) / 2.0)
+    violated = (scale > 0) & (np.abs(direct - closed.t_coh) > 1e-10 * scale)
+    if np.any(violated):
+        i = np.argmax(violated)
+        raise ValueError(f"coherence identity violated: direct {float(np.ravel(direct)[i])!r} "
+                         f"vs closed form {float(np.ravel(closed.t_coh)[i])!r}")
     return CoherenceResult(t_sup=mix + direct, t_mix=mix, t_coh=direct)
-

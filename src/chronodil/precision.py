@@ -36,7 +36,7 @@ import numpy as np
 
 from .constants import C_LIGHT, HBAR
 from .clocks import (ClockModel, IdealisedClock, apply_time, centred_energy, evolve,
-                     reading_mean, reading_stats, require_clock)
+                     reading_stats, require_clock)
 from .kinematics import moments
 
 
@@ -83,10 +83,17 @@ def w_moments(kstate, c: float = C_LIGHT) -> WMoments:
 
 def sigma_nr(clock, t):
     """Clock-time standard deviation at each time under free evolution."""
+    return _free_stats(clock, t)[2]
+
+
+def _free_stats(clock, t):
+    """(kets, mean reading, spread) at each time from one evolution of psi0;
+    an IdealisedClock has no kets and keeps its t = 0 spread."""
     require_clock(clock)
     if isinstance(clock, IdealisedClock):
-        return clock.sigma_t0
-    return reading_stats(clock, evolve(clock, t))[1]
+        return None, t, clock.sigma_t0
+    psi = evolve(clock, t)
+    return (psi, *reading_stats(clock, psi))
 
 
 def sigma_ideal_term(kstate, t, sigma_nr_value, c: float = C_LIGHT):
@@ -131,12 +138,12 @@ def sigma_nonideal_term(clock: ClockModel, kstate, t, c: float = C_LIGHT):
     ``clocks.apply_time``, so no d x d operator is formed. The assembled value must be real; an imaginary part above 1e-10
     of scale raises instead of being symmetrised away.
     """
-    return _nonideal_term(clock, kstate, t, c, sigma_nr(clock, t))
+    return _nonideal_term(clock, kstate, t, c, *_free_stats(clock, t))
 
 
-def _nonideal_term(clock, kstate, t, c: float, s_nr):
-    """``sigma_nonideal_term`` from the free spread ``s_nr`` at the same times."""
-    if isinstance(clock, IdealisedClock):
+def _nonideal_term(clock, kstate, t, c: float, psi, mean_t_nr, s_nr):
+    """``sigma_nonideal_term`` from ``_free_stats`` at the same times."""
+    if psi is None:  # an IdealisedClock
         return 0.0
     wm = w_moments(kstate, c)
     if np.any(s_nr <= 0):
@@ -145,8 +152,6 @@ def _nonideal_term(clock, kstate, t, c: float, s_nr):
     def dot(x, y):  # <x|y>, row by row
         return np.einsum("...j,...j->...", x.conj(), y)
 
-    psi = evolve(clock, t)
-    mean_t_nr = reading_mean(clock, psi)
     a = np.asarray(mean_t_nr)[..., None]
     dh, h = centred_energy(clock, psi)
 
@@ -189,8 +194,9 @@ def sigma_breakdown(clock, kstate, t, c: float = C_LIGHT) -> PrecisionBreakdown:
     For an IdealisedClock the free spread is its constant t = 0 value and
     the non-idealised term vanishes identically.
     """
-    s_nr = sigma_nr(clock, t)
+    free = _free_stats(clock, t)
+    s_nr = free[2]
     s_i = sigma_ideal_term(kstate, t, s_nr, c)
-    s_ni = _nonideal_term(clock, kstate, t, c, s_nr)
+    s_ni = _nonideal_term(clock, kstate, t, c, *free)
     return PrecisionBreakdown(sigma_nr=s_nr, sigma_i=s_i, sigma_ni=s_ni,
                               total=s_nr + s_i + s_ni)

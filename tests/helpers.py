@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
+from chronodil.config import echo_lines
 from chronodil.constants import HBAR
 from chronodil.kinematics import CatState, GaussianState, MixtureState, norm_factor
 from chronodil.linalg import dagger
@@ -118,3 +119,26 @@ def quadrature_moment(state, k: int, axis: str = "p") -> float:
         return float(sum(w * _pure_quadrature_moment(comp, k, axis)
                          for w, comp in state.components))
     return float(_pure_quadrature_moment(state, k, axis))
+
+
+# ---------------------------------------------------------------------------
+# CSV reference
+
+
+def reference_write_csv(table, cfg, stream) -> None:
+    """``cli.write_csv`` with every row through one ``template % tuple(row)``,
+    the cell formats taken from the first row: the per-cell bytes the
+    vectorised writer must keep."""
+    values = np.asarray(table.rows, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"non-finite value {values[~np.isfinite(values)][0]!r} in CSV output")
+    for key, value in table.metadata:
+        stream.write(f"# {key} = {value}\n")
+    stream.write("# config:\n")
+    for line in echo_lines(cfg):
+        stream.write(f"# cfg {line}\n")
+    stream.write(",".join(table.header) + "\n")
+    if len(table.rows):
+        template = ",".join("%d" if isinstance(v, (int, np.integer)) else "%.17e"
+                            for v in table.rows[0]) + "\n"
+        stream.write("".join(template % tuple(row) for row in table.rows))

@@ -141,3 +141,15 @@ def test_dial_read_stores_no_square_operator():
     finally:
         tracemalloc.stop()
     assert peak < d * d * 16
+
+
+@pytest.mark.parametrize("clock_name", sorted(set(CLOCKS) - {"ideal"}))
+def test_mean_clock_time_evolves_once(clock_name, monkeypatch):
+    # the free reading and the error trace share one evolution of psi0
+    from chronodil import clocks
+
+    calls = []
+    real = clocks.evolve
+    monkeypatch.setattr(clocks, "evolve", lambda *args: calls.append(args) or real(*args))
+    mean_clock_time(CLOCKS[clock_name], bench_gaussian(), TIMES, 9.81, c=bench_c())
+    assert len(calls) == 1

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chronodil import cli
 from chronodil.cli import CsvTable, emit_plot_script, main, run, write_csv
 from chronodil.config import ConfigError, echo_lines, parse_config
-from helpers import BENCH_MASS, BENCH_OMEGA, BENCH_SIGMA_X, BENCH_T, bench_c
+from helpers import (BENCH_MASS, BENCH_OMEGA, BENCH_PERIOD, BENCH_SIGMA_X, BENCH_T, bench_c,
+                     reference_write_csv)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -286,6 +288,99 @@ def test_cli_non_finite_output_exits_2_and_writes_nothing(tmp_path, monkeypatch,
                  "--no-timestamp"]) == 2
     assert "non-finite value" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _kernel_cells(values) -> list[str]:
+    x = np.asarray(values, dtype=float)
+    out = np.zeros((x.size, cli._FLOAT_FIELD), dtype=np.uint8)
+    cli._write_floats(x, out)
+    return [bytes(row[row != 0]).decode() for row in out]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_float_kernel_writes_the_bytes_of_percent_17e(x):
+    # every finite double, -0.0 and the subnormals included
+    assert _kernel_cells([x]) == ["%.17e" % x]
+
+
+def _edge_values() -> list[float]:
+    values = [1.0 + 2.0**-18, 1.0 + 3.0 * 2.0**-18,  # exact ties, rounded half to even
+              5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    for k in range(-300, 301):
+        power = float(f"1e{k}")
+        values += [np.nextafter(power, 0.0), power, np.nextafter(power, np.inf),
+                   float(f"9.99999999999999999e{k}")]  # next to 10^(k+1)
+    return values
+
+
+def test_float_kernel_edge_cases():
+    values = _edge_values()
+    assert "%.17e" % values[0] == "1.00000381469726562e+00"
+    assert _kernel_cells(values) == ["%.17e" % v for v in values]
+
+
+def _mixed_table(n_rows: int) -> CsvTable:
+    rng = np.random.default_rng(n_rows)
+    scale = 10.0 ** rng.uniform(-40, 10, (n_rows, 4))
+    values = rng.normal(size=(n_rows, 4)) * scale
+    values[rng.random((n_rows, 4)) < 0.05] = 0.0
+    rows = [[v[0], i % 3 - 1, v[1], np.int64(10**12 * i), v[2], v[3]]
+            for i, v in enumerate(values.tolist())]
+    rows[-1][2] = 7  # an int in a float column keeps the column's '%.17e'
+    return CsvTable(header=["a", "bin", "b", "big", "c", "d"], rows=rows)
+
+
+@pytest.mark.parametrize("kernel_min_cells", [cli._KERNEL_MIN_CELLS, 0])
+@pytest.mark.parametrize("n_rows", [1, 3, 20, 2000])
+def test_csv_table_bytes_match_the_per_row_writer(n_rows, kernel_min_cells, monkeypatch):
+    monkeypatch.setattr(cli, "_KERNEL_MIN_CELLS", kernel_min_cells)
+    cfg = parse_config(MINIMAL_DILATION)
+    mixed = _mixed_table(n_rows)
+    floats = CsvTable(header=["x", "y", "z"],
+                      rows=np.array([row[::2] for row in mixed.rows], dtype=float))
+    for table in (mixed, floats):
+        expected = io.StringIO()
+        reference_write_csv(table, cfg, expected)
+        assert _write(table, cfg) == expected.getvalue().encode()
+
+
+GRID = f"t_start = {0.03 * BENCH_PERIOD!r}\nt_stop = {0.22 * BENCH_PERIOD!r}\nt_num = 40"
+CAT_KEYS = "delta_x0 = 3e-7\nalpha = 0.5\ntheta = 0.7"
+
+
+def _command_configs() -> dict:
+    single = f"t = {BENCH_T!r}"
+    return {
+        "dilation": bench_config("dilation").replace(single, GRID).replace(
+            "g = 0.0", "g = 9.81"),
+        "coherence": bench_config("coherence", kin_type="cat", cat_keys=CAT_KEYS).replace(
+            single, GRID).replace("g = 0.0", "g = 9.81"),
+        "precision": bench_config("precision").replace(single, GRID),
+        "measurement": measurement_config().replace(single, GRID),
+        "verify": bench_config("verify", extra="\n[verify]\nc_scalings = 1,2,4\n"),
+        "sweep": bench_config("sweep", kin_type="cat", cat_keys=CAT_KEYS,
+                              extra="\n[sweep]\nstart = 0.1\nstop = 8.0\nnum = 100\n"),
+    }
+
+
+@pytest.mark.parametrize("kernel_min_cells", [cli._KERNEL_MIN_CELLS, 0])
+def test_cli_bytes_of_every_command_match_the_per_row_writer(kernel_min_cells, tmp_path,
+                                                             monkeypatch):
+    monkeypatch.setattr(cli, "_KERNEL_MIN_CELLS", kernel_min_cells)
+    for command, text in _command_configs().items():
+        cfg_path = tmp_path / f"{command}.cfg"
+        cfg_path.write_text(text)
+        outs = []
+        for writer in (cli.write_csv, reference_write_csv):
+            with monkeypatch.context() as m:
+                m.setattr(cli, "write_csv", writer)
+                out = tmp_path / f"{command}-{len(outs)}.csv"
+                assert main([command, "--config", str(cfg_path), "--out", str(out),
+                             "--no-timestamp"]) == 0, command
+                outs.append(out.read_bytes())
+        assert outs[0] == outs[1], command
+        assert outs[0].count(b"\n") > 20 or command == "verify", command
 
 
 def test_csv_determinism_via_entry_point(tmp_path):

@@ -228,3 +228,30 @@ def test_t_coh_over_an_array_of_separations_equals_its_rows():
             assert getattr(batch, name).shape == separations.shape
             np.testing.assert_allclose(getattr(batch, name)[i], getattr(row, name),
                                        rtol=1e-14, atol=0, err_msg=name)
+
+
+def test_sup_vs_mix_over_an_array_of_times_equals_its_rows():
+    # the CLI's coherence table is one call on its time grid
+    cat = CatState(base=gaussian(p0=3e-25), delta_x0=4.0 * R_AL, alpha=0.3, theta=0.7)
+    times = np.linspace(0.0, 2.0, 57)
+    batch = sup_vs_mix(cat, times, 9.81)
+    for i, t in enumerate(times.tolist()):
+        row = sup_vs_mix(cat, t, 9.81)
+        for name in ("t_sup", "t_mix", "t_coh"):
+            assert getattr(batch, name)[i] == getattr(row, name), name
+
+
+def test_sup_vs_mix_checks_the_identity_at_every_time(monkeypatch):
+    from chronodil import dilation
+
+    cat = CatState(base=gaussian(p0=3e-25), delta_x0=4.0 * R_AL, alpha=0.3, theta=0.7)
+    times = np.array([0.5, 1.0, 1.5])
+    real = dilation.t_coh
+
+    def off_at_the_last_time(cat, t, g, c):
+        res = real(cat, t, g, c)
+        return replace(res, t_coh=res.t_coh * np.array([1.0, 1.0, 1.0 + 1e-6]))
+
+    monkeypatch.setattr(dilation, "t_coh", off_at_the_last_time)
+    with pytest.raises(ValueError, match="coherence identity violated"):
+        sup_vs_mix(cat, times, 9.81)

@@ -187,20 +187,26 @@ def test_breakdown_matrix_clock_assembly():
 
 
 def test_breakdown_evaluates_free_spread_once(monkeypatch):
+    # one evolution of psi0 and one reading of its spread feed sigma_NR, the
+    # ideal term and the non-idealised term
     from chronodil import precision
 
-    calls = []
-    real = precision.sigma_nr
+    calls = {"evolve": 0, "reading_stats": 0}
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(name):
+        real = getattr(precision, name)
 
-    monkeypatch.setattr(precision, "sigma_nr", counting)
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(precision, name, counting(name))
     clk = build_quasi_ideal(16, BENCH_OMEGA, 4.0, m0=4.0)
     times = np.array([0.1, 0.25]) * clk.period
     precision.sigma_breakdown(clk, bench_gaussian(), times, c=bench_c())
-    assert len(calls) == 1
+    assert calls == {"evolve": 1, "reading_stats": 1}
 
 
 def test_free_spread_constant_for_idealised():
