@@ -48,13 +48,11 @@ the raw first-moment operator ``t_cl + time_offset * I``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import HBAR
-from .linalg import expectation_real, projector
 
 
 @dataclass(frozen=True)
@@ -67,10 +65,7 @@ class ClockModel:
       projective onto the discrete Fourier transform of the energy basis
       (a dial), or
     * ``t_cl`` and ``t2_cl``: dense calibrated first- and second-moment
-      operators (s and s^2) of any other measurement,
-
-    and, for continuous phase measurements, the measurement density at the
-    dial's branch cut (1/s).
+      operators (s and s^2) of any other measurement.
 
     ``energies`` must be a 1-D array of finite reals and ``psi0`` a unit
     ket of the same length. ``time_values`` must be a 1-D array of as many
@@ -85,9 +80,6 @@ class ClockModel:
     time_values: np.ndarray | None = None
     t_cl: np.ndarray | None = None
     t2_cl: np.ndarray | None = None
-    povm_at_zero: np.ndarray | None = None
-    kind: str = "generic"
-    omega: float = 0.0
 
     def __post_init__(self):
         e = np.asarray(self.energies)
@@ -128,55 +120,22 @@ class IdealisedClock:
 
     Its mean reading tracks lab time, its error trace vanishes and its
     spread ``sigma_t0`` is constant. The reading distribution is taken
-    Gaussian, which fixes all higher moments.
+    Gaussian, which fixes all higher moments. ``sigma_t0`` must be finite
+    and non-negative.
     """
 
     sigma_t0: float = 0.0
 
-    def moment(self, n: int, t: float) -> float:
-        # n-th moment of N(t, s^2): odd central moments vanish, even ones are (k-1)!! s^k
-        s = self.sigma_t0
-        return sum(math.comb(n, k) * t ** (n - k) * (math.prod(range(k - 1, 0, -2)) * s**k)
-                   for k in range(0, n + 1, 2))
-
-
-@dataclass(frozen=True)
-class MomentCheckReport:
-    """Both sides of the covariant-measurement moment polynomial
-
-        <T^(n)>(t) = sum_k C(n, k) t^(n-k) <T^(k)>(0)
-
-    evaluated on a branch window that follows the state, plus their
-    difference. ``applicable`` is False when the requested time cannot be
-    made wrap-safe (for dial clocks, times off the integer step grid)."""
-
-    n: int
-    t: float
-    lhs: float
-    rhs: float
-    residual: float
-    branch_start: float
-    applicable: bool
-    note: str
-
-
-@dataclass(frozen=True)
-class CommutatorReport:
-    """Residual of [T, H] = i*hbar*(I - (s1 - s0) F(0)) divided by i*hbar,
-    the largest entry of |M - I + (s1 - s0) F(0)| with M = -(i/hbar)[T, H],
-    for clocks with a continuous covariant measurement on a bounded dial
-    [s0, s1]. Dimensionless: a period off by a fraction f reads about f."""
-
-    residual: float
-    applicable: bool
-    note: str
+    def __post_init__(self):
+        if not (np.isfinite(self.sigma_t0) and self.sigma_t0 >= 0.0):
+            raise ValueError(f"sigma_t0 must be finite and non-negative, got {self.sigma_t0!r}")
 
 
 # ---------------------------------------------------------------------------
 # model constructors
 
 
-def _dial_clock(d: int, omega: float, psi0: np.ndarray, mean_step: float, kind: str) -> ClockModel:
+def _dial_clock(d: int, omega: float, psi0: np.ndarray, mean_step: float) -> ClockModel:
     """Dial clock started in ``psi0``, whose mean raw reading is ``mean_step``
     dial steps: the time values m tau are shifted by that mean, so that
     <T>(0) = 0."""
@@ -184,8 +143,7 @@ def _dial_clock(d: int, omega: float, psi0: np.ndarray, mean_step: float, kind: 
     tau = period / d
     offset = tau * mean_step
     return ClockModel(energies=np.arange(d) * HBAR * omega, psi0=psi0, period=period,
-                      time_offset=offset, time_values=np.arange(d) * tau - offset, kind=kind,
-                      omega=omega)
+                      time_offset=offset, time_values=np.arange(d) * tau - offset)
 
 
 def build_swp(d: int, omega: float) -> ClockModel:
@@ -206,7 +164,7 @@ def build_swp(d: int, omega: float) -> ClockModel:
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
     # psi0 = theta_0, the 0-eigenket: the offset is zero
-    return _dial_clock(d, omega, np.full(d, 1.0 / np.sqrt(d), dtype=complex), 0.0, "swp")
+    return _dial_clock(d, omega, np.full(d, 1.0 / np.sqrt(d), dtype=complex), 0.0)
 
 
 def build_quasi_ideal(
@@ -242,8 +200,7 @@ def build_quasi_ideal(
     delta = (m - m0 + d / 2.0) % d - d / 2.0
     amps = np.exp(-np.pi * delta**2 / sigma_bar**2) * np.exp(2j * np.pi * n0 * delta / d)
     amps /= np.linalg.norm(amps)
-    return _dial_clock(d, omega, np.fft.fft(amps) / np.sqrt(d), float(m @ np.abs(amps) ** 2),
-                       "quasi_ideal")
+    return _dial_clock(d, omega, np.fft.fft(amps) / np.sqrt(d), float(m @ np.abs(amps) ** 2))
 
 
 def phase_moment_operator(n: int, a: float, b: float, omega: float) -> np.ndarray:
@@ -274,9 +231,7 @@ def build_qubit_phase(omega: float) -> ClockModel:
     The moment operators are the first and second moments of the phase
     measurement F(theta) = |theta><theta| / pi with clock time
     s = theta/omega, integrated over one period. The measurement is not
-    projective, so the second moment is not the square of the first. The
-    measurement density at the dial cut is stored for the commutator
-    identity check.
+    projective, so the second moment is not the square of the first.
     """
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
@@ -285,13 +240,11 @@ def build_qubit_phase(omega: float) -> ClockModel:
     t_raw = phase_moment_operator(1, 0.0, period, omega)
     t2_raw = phase_moment_operator(2, 0.0, period, omega)
     psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    f0 = (omega / np.pi) * projector(psi0)  # density (1/s) of the phase ket at the cut
     offset = expectation_real(t_raw, psi0)
     ident = np.eye(2)
     return ClockModel(energies=energies, psi0=psi0, period=period, time_offset=offset,
                       t_cl=t_raw - offset * ident,
-                      t2_cl=t2_raw - 2.0 * offset * t_raw + offset**2 * ident,
-                      povm_at_zero=f0, kind="qubit_phase", omega=omega)
+                      t2_cl=t2_raw - 2.0 * offset * t_raw + offset**2 * ident)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +279,26 @@ def spread_from_moments(mean, second):
         raise ValueError(f"negative variance down to {np.min(var)!r}: "
                          "not the moments of a probability distribution")
     return np.sqrt(np.maximum(var, 0.0))
+
+
+def expectation(a: np.ndarray, kets: np.ndarray):
+    """psi^dag A psi of a ket, shape (d,), or of each row of kets, shape (n, d)."""
+    if a.shape != (kets.shape[-1],) * 2:
+        raise ValueError(f"dimension mismatch: A {a.shape} vs kets {kets.shape}")
+    return np.sum(kets.conj() * (kets @ a.T), axis=-1)
+
+
+def expectation_real(a: np.ndarray, kets: np.ndarray):
+    """Real part of psi^dag A psi, checking that the imaginary part is noise.
+
+    Intended for Hermitian observables; each ket's imaginary magnitude must
+    stay within 1e-9 of its overall scale.
+    """
+    val = expectation(a, kets)
+    scale = np.maximum(np.abs(val), float(np.abs(a).max()) or 1.0)
+    if np.any(np.abs(val.imag) > 1e-9 * scale):
+        raise ValueError(f"expectation has imaginary part {np.max(np.abs(val.imag)):.3e}")
+    return val.real
 
 
 def reading_mean(clock: ClockModel, kets: np.ndarray):
@@ -410,128 +383,3 @@ def _free_reading(clock, t):
     t_psi = apply_time(clock, psi, mean)
     h_psi = centred_energy(clock, psi)[1]
     return mean, (2.0 / HBAR) * np.einsum("...j,...j->...", t_psi.conj(), h_psi).imag - 1.0
-
-
-def circular_mean_time(clock: ClockModel, t: float = 0.0) -> float:
-    """Mean clock reading interpreted on the dial circle (in [0, period)).
-
-    Uses the argument of the first circular harmonic of the time-basis
-    distribution, which is insensitive to the dial cut.
-    """
-    psi_t = evolve(clock, t)
-    if clock.kind == "qubit_phase":
-        # first harmonic of the phase density is rho_10
-        harmonic = psi_t[1] * psi_t[0].conj()
-    else:
-        probs = time_probabilities(clock, psi_t)
-        harmonic = np.sum(probs * np.exp(2j * np.pi * np.arange(clock.dim) / clock.dim))
-    angle = float(np.angle(harmonic)) % (2.0 * np.pi)
-    return angle / (2.0 * np.pi) * clock.period
-
-
-# ---------------------------------------------------------------------------
-# covariant-measurement algebra
-
-
-def covariant_moment_check(clock, n: int, t: float) -> MomentCheckReport:
-    """Check the moment polynomial of a covariant time measurement.
-
-    The n-th outcome moment at lab time t, taken over a dial window that
-    follows the state (keeping its support clear of the window edges),
-    must equal the binomial combination of the t = 0 moments. Wrap-safety
-    is what restricts the admissible times: dial clocks are exact only on
-    the integer step grid, the phase clock on any t once the window is cut
-    at the density minimum.
-    """
-    if n < 0:
-        raise ValueError("moment order must be non-negative")
-    if isinstance(clock, IdealisedClock):
-        lhs = clock.moment(n, t)
-        rhs = sum(math.comb(n, k) * t ** (n - k) * clock.moment(k, 0.0) for k in range(n + 1))
-        return MomentCheckReport(
-            n=n, t=t, lhs=lhs, rhs=rhs, residual=abs(lhs - rhs),
-            branch_start=-np.inf, applicable=True,
-            note="idealised clock: unbounded dial, polynomial exact",
-        )
-    if clock.kind == "qubit_phase":
-        return _qubit_moment_check(clock, n, t)
-    if clock.kind in ("swp", "quasi_ideal"):
-        return _dial_moment_check(clock, n, t)
-    raise ValueError(f"unsupported clock type {clock.kind!r} for moment checks")
-
-
-def _qubit_moment_check(clock: ClockModel, n: int, t: float) -> MomentCheckReport:
-    period = clock.period
-    omega = clock.omega
-    # cut the dial at the outcome-density minimum of the initial state
-    r01 = clock.psi0[1] * clock.psi0[0].conj()
-    peak0 = (-np.angle(r01) / omega) if abs(r01) > 1e-14 else 0.0
-    start0 = peak0 - period / 2.0
-
-    def moment(k: int, psi: np.ndarray, start: float) -> float:
-        return expectation_real(phase_moment_operator(k, start, start + period, omega), psi)
-
-    lhs = moment(n, evolve(clock, t), start0 + t)
-    m0 = [moment(k, clock.psi0, start0) for k in range(n + 1)]
-    rhs = sum(math.comb(n, k) * t ** (n - k) * m0[k] for k in range(n + 1))
-    return MomentCheckReport(
-        n=n, t=t, lhs=lhs, rhs=rhs, residual=abs(lhs - rhs),
-        branch_start=start0, applicable=True,
-        note="phase clock: window cut at the outcome-density minimum and advanced with the state",
-    )
-
-
-def _dial_moment_check(clock: ClockModel, n: int, t: float) -> MomentCheckReport:
-    d = clock.dim
-    step = clock.period / d
-    nu = t / step
-    nu_int = round(nu)
-    on_grid = abs(nu - nu_int) < 1e-9 * max(1.0, abs(nu))
-    center = round(circular_mean_time(clock, 0.0) / step) % d
-    w0 = center - d // 2
-
-    def moment(k: int, probs: np.ndarray, shift: int) -> float:
-        # dial positions start .. start + d - 1, their probabilities rolled
-        # into window order
-        start = w0 + shift
-        return float(np.sum(((start + np.arange(d)) * step) ** k * np.roll(probs, -start)))
-
-    probs0 = time_probabilities(clock, clock.psi0)
-    lhs = moment(n, time_probabilities(clock, evolve(clock, t)), nu_int)
-    m0 = [moment(k, probs0, 0) for k in range(n + 1)]
-    rhs = sum(math.comb(n, k) * t ** (n - k) * m0[k] for k in range(n + 1))
-    note = "dial clock at integer step time: window shifted with the state"
-    if not on_grid:
-        note = ("dial clock between step times: reading disperses, polynomial "
-                "holds only approximately")
-    return MomentCheckReport(
-        n=n, t=t, lhs=lhs, rhs=rhs, residual=abs(lhs - rhs),
-        branch_start=w0 * step, applicable=on_grid, note=note,
-    )
-
-
-def commutator_form_check(clock) -> CommutatorReport:
-    """Residual of [T, H] = i*hbar*(I - (s1 - s0) F(0)), compared as the
-    dimensionless max |M - I + (s1 - s0) F(0)| with M = -(i/hbar)[T, H].
-
-    The factor i on the boundary term is required for the left side's
-    anti-Hermiticity; (s1 - s0) is the dial period. Clocks with a discrete
-    projective measurement carry no F(0) and are flagged not applicable.
-    """
-    if isinstance(clock, IdealisedClock):
-        return CommutatorReport(
-            residual=0.0, applicable=True,
-            note="idealised clock: unbounded dial, boundary term vanishes, pure Heisenberg form",
-        )
-    if clock.povm_at_zero is None:
-        return CommutatorReport(
-            residual=float("nan"), applicable=False,
-            note="discrete PVM - continuous identity not applicable",
-        )
-    e = clock.energies
-    rate = (-1j / HBAR) * clock.t_cl * (e[None, :] - e[:, None])  # entries of M
-    residual = float(np.abs(rate - np.eye(clock.dim) + clock.period * clock.povm_at_zero).max())
-    return CommutatorReport(
-        residual=residual, applicable=True,
-        note="bounded-dial Heisenberg form with boundary term at the cut",
-    )

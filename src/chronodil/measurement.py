@@ -121,26 +121,6 @@ def conditioned_sigma(sigma_t0: float, kstate: GaussianState, t: float,
                              mean_t_given_n=float(t * (1.0 + mean_w)))
 
 
-def unconditioned_sigma_exact(sigma_t0: float, kstate: GaussianState, t: float,
-                              c: float = C_LIGHT) -> float:
-    """Spread with no measurement at all: W's moments over the whole
-    momentum support, p0 +- 12 sigma_p."""
-    return _spread(sigma_t0, t, _conditional_w_moments(kstate, -math.inf, math.inf, c)[2])
-
-
-def occupied_bins(kstate: GaussianState, binning: MomentumBinning,
-                  floor: float = 1e-13) -> list[int]:
-    """Bin indices whose probability exceeds ``floor`` (contiguous scan
-    outward from the bin containing the mean momentum)."""
-    center = int(np.floor(kstate.p0 / binning.delta_p + 0.5))
-    half_span = int(np.ceil(_SUPPORT_SIGMAS * kstate.sigma_p / binning.delta_p)) + 1
-    bins = []
-    for n in range(center - half_span, center + half_span + 1):
-        if bin_probability(kstate, binning, n) > floor:
-            bins.append(n)
-    return bins
-
-
 def sweep_conditioned(sigma_t0: float, kstate: GaussianState, times, q_values,
                       bin_index: int = 0, c: float = C_LIGHT) -> list[dict]:
     """Conditional spreads over a (t, q) grid, CSV-ready, t outer.

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, HBAR
-from .clocks import ClockModel, build_quasi_ideal, reading_stats
+from .clocks import ClockModel, reading_stats
 from .dilation import mean_clock_time
 from .kinematics import CatState, MixtureState, default_momentum_grid, to_grid
 from .precision import sigma_breakdown, w_of_p
@@ -265,10 +265,3 @@ def verify_sigma(clock: ClockModel, kstate, t: float,
                      breakdown.total - breakdown.sigma_nr))
     return _report("clock_time_spread", lams, rows, 0.0, "abs", -5.0,
                    "relative residual measured against the spread excess over the free value")
-
-
-def idealised_surrogate(omega: float, d: int = 64, sigma_bar: float = 8.0) -> ClockModel:
-    """High-dimensional dial clock whose error trace is far below test
-    tolerances, started a quarter turn into the dial so that evolutions up
-    to half a period stay clear of the dial cut."""
-    return build_quasi_ideal(d, omega, sigma_bar, m0=d / 4.0)

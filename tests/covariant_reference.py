@@ -1,0 +1,79 @@
+"""Reference checks that the clock models carry a covariant time measurement.
+
+``moment_polynomial`` gives both sides of the binomial law of the outcome
+moments, over a dial window that follows the state,
+
+    <T^(n)>(t) = sum_k C(n, k) t^(n-k) <T^(k)>(0),
+
+exact for a dial (a clock given by ``time_values``) only at whole dial
+steps, and for the phase clock at any t once its window is cut at the
+outcome-density minimum. ``commutator_residual`` gives the residual of
+the phase clock's [T, H] = i hbar (I - (s1 - s0) F(0)), with F(0) the
+measurement density at the dial cut and s1 - s0 the period. The state
+evolves under the stored energies, while the phase measurement rotates
+at 2 pi / period and F(0) comes from the energies: a phase clock whose
+period disagrees with its spectrum fails both checks.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from chronodil.clocks import evolve, expectation_real, phase_moment_operator, time_probabilities
+from chronodil.constants import HBAR
+
+
+def projector(ket: np.ndarray) -> np.ndarray:
+    return np.outer(ket, np.conj(ket))
+
+
+def circular_mean_time(clock, t: float = 0.0) -> float:
+    """Mean reading on the dial circle, in [0, period), from the argument of
+    the first circular harmonic of the reading distribution (rho_10 for the
+    phase clock), which is blind to the dial cut."""
+    psi_t = evolve(clock, t)
+    if clock.time_values is None:
+        harmonic = psi_t[1] * psi_t[0].conj()
+    else:
+        probs = time_probabilities(clock, psi_t)
+        harmonic = np.sum(probs * np.exp(2j * np.pi * np.arange(clock.dim) / clock.dim))
+    angle = float(np.angle(harmonic)) % (2.0 * np.pi)
+    return angle / (2.0 * np.pi) * clock.period
+
+
+def _window_moment(clock, k: int, t: float) -> float:
+    """k-th outcome moment at lab time t over a window that follows the state."""
+    psi_t = evolve(clock, t)
+    if clock.time_values is None:
+        omega = 2.0 * np.pi / clock.period
+        r01 = clock.psi0[1] * clock.psi0[0].conj()
+        peak0 = (-np.angle(r01) / omega) if abs(r01) > 1e-14 else 0.0
+        start = peak0 - clock.period / 2.0 + t
+        op = phase_moment_operator(k, start, start + clock.period, omega)
+        return expectation_real(op, psi_t)
+    # dial positions start .. start + d - 1, their probabilities rolled into
+    # window order; the window moves by whole steps
+    d = clock.dim
+    step = clock.period / d
+    start = round(circular_mean_time(clock) / step) % d - d // 2 + round(t / step)
+    probs = time_probabilities(clock, psi_t)
+    return float(np.sum(((start + np.arange(d)) * step) ** k * np.roll(probs, -start)))
+
+
+def moment_polynomial(clock, n: int, t: float) -> tuple[float, float]:
+    """(<T^(n)>(t), sum_k C(n, k) t^(n-k) <T^(k)>(0)) over the window."""
+    rhs = sum(math.comb(n, k) * t ** (n - k) * _window_moment(clock, k, 0.0)
+              for k in range(n + 1))
+    return _window_moment(clock, n, t), rhs
+
+
+def commutator_residual(clock) -> float:
+    """max |M - I + period F(0)| with M = -(i/hbar)[T, H] for the phase
+    clock, F(0) = (omega/pi)|+><+| and omega = (E1 - E0)/hbar.
+    Dimensionless: a period off by a fraction f reads about f."""
+    e = clock.energies
+    f0 = (float(e[1] - e[0]) / HBAR / np.pi) * projector(np.ones(2) / np.sqrt(2.0))
+    rate = (-1j / HBAR) * clock.t_cl * (e[None, :] - e[:, None])  # entries of M
+    return float(np.abs(rate - np.eye(clock.dim) + clock.period * f0).max())

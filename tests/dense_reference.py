@@ -28,10 +28,14 @@ from __future__ import annotations
 import numpy as np
 
 from chronodil.constants import C_LIGHT, HBAR
-from chronodil.linalg import dagger, projector
 from chronodil.precision import w_moments
+from covariant_reference import projector
 
 HERMITICITY_RTOL = 1e-12
+
+
+def dagger(a: np.ndarray) -> np.ndarray:
+    return a.conj().T
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -123,7 +127,7 @@ def dense_moment_operators(clock) -> tuple[np.ndarray, np.ndarray]:
     ``time_offset`` o, T - o I and T2 - 2 o T + o^2 I."""
     if clock.time_values is None:
         return clock.t_cl, clock.t2_cl
-    t_raw, t2_raw = dial_moment_operators_circulant(clock.dim, clock.omega)
+    t_raw, t2_raw = dial_moment_operators_circulant(clock.dim, 2.0 * np.pi / clock.period)
     o, ident = clock.time_offset, np.eye(clock.dim)
     return t_raw - o * ident, t2_raw - 2.0 * o * t_raw + o**2 * ident
 

@@ -1,16 +1,21 @@
-"""Shared test utilities: seeded random states and quadrature oracles."""
+"""Shared test utilities: seeded random states, quadrature oracles and
+test-only clock and momentum-measurement baselines."""
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
+from chronodil.clocks import ClockModel, build_quasi_ideal
 from chronodil.config import echo_lines
-from chronodil.constants import HBAR
+from chronodil.constants import C_LIGHT, HBAR
 from chronodil.kinematics import CatState, GaussianState, MixtureState, norm_factor
-from chronodil.linalg import dagger
+from chronodil.measurement import (_SUPPORT_SIGMAS, MomentumBinning, _conditional_w_moments,
+                                   _spread, bin_probability)
+from dense_reference import dagger
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +48,13 @@ def bench_c(v_over_c: float = 0.05) -> float:
     # base light speed such that sigma_v / c equals the requested ratio
     sigma_v = HBAR / (2.0 * BENCH_SIGMA_X) / BENCH_MASS
     return sigma_v / v_over_c
+
+
+def idealised_surrogate(omega: float, d: int = 64, sigma_bar: float = 8.0) -> ClockModel:
+    """High-dimensional dial clock whose error trace is far below test
+    tolerances, started a quarter turn into the dial so that evolutions up
+    to half a period stay clear of the dial cut."""
+    return build_quasi_ideal(d, omega, sigma_bar, m0=d / 4.0)
 
 
 def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
@@ -119,6 +131,26 @@ def quadrature_moment(state, k: int, axis: str = "p") -> float:
         return float(sum(w * _pure_quadrature_moment(comp, k, axis)
                          for w, comp in state.components))
     return float(_pure_quadrature_moment(state, k, axis))
+
+
+# ---------------------------------------------------------------------------
+# momentum-measurement baselines
+
+
+def unconditioned_sigma(sigma_t0: float, kstate: GaussianState, t: float,
+                        c: float = C_LIGHT) -> float:
+    """Spread with no measurement at all: W's moments over the whole
+    momentum support, p0 +- 12 sigma_p."""
+    return _spread(sigma_t0, t, _conditional_w_moments(kstate, -math.inf, math.inf, c)[2])
+
+
+def occupied_bins(kstate: GaussianState, binning: MomentumBinning) -> list[int]:
+    """Bin indices whose probability exceeds 1e-13 (contiguous scan outward
+    from the bin containing the mean momentum)."""
+    center = int(np.floor(kstate.p0 / binning.delta_p + 0.5))
+    half_span = int(np.ceil(_SUPPORT_SIGMAS * kstate.sigma_p / binning.delta_p)) + 1
+    return [n for n in range(center - half_span, center + half_span + 1)
+            if bin_probability(kstate, binning, n) > 1e-13]
 
 
 # ---------------------------------------------------------------------------

@@ -16,32 +16,22 @@ from chronodil.clocks import (
     build_qubit_phase,
     build_quasi_ideal,
     build_swp,
-    commutator_form_check,
-    covariant_moment_check,
     error_trace,
 )
 from chronodil.constants import ATOMIC_MASS_UNIT, C_LIGHT, ELECTRON_MASS
 from chronodil.dilation import classical_proper_time, mean_clock_time, sup_vs_mix, t_coh
 from chronodil.kinematics import CatState, GaussianState
-from chronodil.measurement import (
-    MomentumBinning,
-    conditioned_sigma,
-    occupied_bins,
-    unconditioned_sigma_exact,
-)
-from chronodil.oracle import (
-    clock_time_stats,
-    exact_evolve_g0,
-    idealised_surrogate,
-    verify_mean_time,
-)
+from chronodil.measurement import MomentumBinning, conditioned_sigma
+from chronodil.oracle import clock_time_stats, exact_evolve_g0, verify_mean_time
 from chronodil.precision import (
     sigma_breakdown,
     sigma_dispersion_exact,
     sigma_ideal_term,
     sigma_nr,
 )
-from helpers import BENCH_OMEGA, BENCH_T, bench_c, bench_cat, bench_gaussian, quadrature_moment
+from covariant_reference import commutator_residual, moment_polynomial
+from helpers import (BENCH_OMEGA, BENCH_T, bench_c, bench_cat, bench_gaussian,
+                     idealised_surrogate, occupied_bins, quadrature_moment, unconditioned_sigma)
 
 
 def _verdict(number: str, ok: bool, detail: str) -> bool:
@@ -240,7 +230,7 @@ def test_criterion_08_measurement_recovery():
     coarse_ok = abs(coarse - unconditioned) < 0.01 * unconditioned
 
     binning = MomentumBinning(delta_p=0.8 * state.sigma_p)
-    total_exact = unconditioned_sigma_exact(sigma_t0, state, t, c=c)
+    total_exact = unconditioned_sigma(sigma_t0, state, t, c=c)
     rows = [conditioned_sigma(sigma_t0, state, t, binning, n, c=c)
             for n in occupied_bins(state, binning)]
     mean_total = sum(r.probability * r.mean_t_given_n for r in rows)
@@ -261,20 +251,16 @@ def test_criterion_08_measurement_recovery():
 
 
 def test_criterion_09_covariant_measurement_algebra():
-    worst = 0.0
     swp = build_swp(8, 1.0)
     qi = build_quasi_ideal(32, 1.0, 4.0, m0=8.0)
     qb = build_qubit_phase(1.0)
-    ideal = IdealisedClock(sigma_t0=0.3)
-    for n in range(4):
-        worst = max(worst, covariant_moment_check(swp, n, 3.0 * swp.period / 8.0).residual)
-        worst = max(worst, covariant_moment_check(qi, n, 4.0 * qi.period / 32.0).residual)
-        worst = max(worst, covariant_moment_check(qb, n, 0.3).residual)
-        worst = max(worst, covariant_moment_check(ideal, n, 0.7).residual)
-    commutator = commutator_form_check(qb)
-    ok = worst < 1e-8 and commutator.applicable and commutator.residual < 1e-10
+    cases = ((swp, 3.0 * swp.period / 8.0), (qi, 4.0 * qi.period / 32.0), (qb, 0.3))
+    worst = max(abs(np.subtract(*moment_polynomial(clk, n, t)))
+                for n in range(4) for clk, t in cases)
+    commutator = commutator_residual(qb)
+    ok = worst < 1e-8 and commutator < 1e-10
     assert _verdict("9", ok, f"moment polynomial worst residual {worst:.2e} (n <= 3), "
-                             f"phase-clock commutator residual {commutator.residual:.2e}")
+                             f"phase-clock commutator residual {commutator:.2e}")
 
 
 def test_criterion_10_cli_determinism(tmp_path):

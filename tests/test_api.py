@@ -1,0 +1,43 @@
+"""The public surface: ``chronodil.__all__``, the fields of ``ClockModel``,
+and no public top-level definition in the library that nothing uses."""
+
+import ast
+import dataclasses
+from pathlib import Path
+
+import chronodil
+from chronodil.clocks import ClockModel
+
+SRC = Path(chronodil.__file__).parent
+
+EXPORTS = sorted("""
+    ATOMIC_MASS_UNIT C_LIGHT ELECTRON_MASS G_STANDARD HBAR ClockModel IdealisedClock
+    build_qubit_phase build_quasi_ideal build_swp error_trace mean_clock_time_nr CatState
+    GaussianState MixtureState moments norm_factor r_factor classical_proper_time
+    mean_clock_time sup_vs_mix t_coh sigma_breakdown sigma_dispersion_exact sigma_ideal_term
+    sigma_nonideal_term w_moments MomentumBinning bin_probability conditioned_sigma
+    sweep_conditioned JointState VerificationReport evolve_characteristics_g exact_evolve_g0
+    verify_mean_time verify_sigma""".split())
+
+
+def test_exports_are_pinned():
+    assert sorted(chronodil.__all__) == EXPORTS
+
+
+def test_clock_model_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(ClockModel)] == [
+        "energies", "psi0", "period", "time_offset", "time_values", "t_cl", "t2_cl"]
+
+
+def test_every_public_definition_is_exported_or_used():
+    # a public top-level def or class outside cli.py is exported, or named
+    # (as a Name node or an import alias) in some module of the library
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    named = {node.id if isinstance(node, ast.Name) else node.name
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.alias))}
+    unused = [f"{module}.{node.name}" for module, tree in trees.items() if module != "cli"
+              for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and node.name not in chronodil.__all__ and node.name not in named]
+    assert unused == []

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from chronodil.clocks import (IdealisedClock, build_qubit_phase, build_quasi_ideal, build_swp,
-                              error_trace, evolve, mean_clock_time_nr, spread_from_moments)
+                              error_trace, evolve, expectation_real, mean_clock_time_nr,
+                              spread_from_moments)
 from chronodil.dilation import mean_clock_time
-from chronodil.linalg import expectation_real
 from chronodil.precision import sigma_breakdown, sigma_ideal_term, sigma_nr
 from helpers import BENCH_OMEGA, BENCH_PERIOD, bench_c, bench_cat, bench_gaussian
 

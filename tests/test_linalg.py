@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chronodil.linalg import expectation, expectation_real, projector
+from chronodil.clocks import expectation, expectation_real
+from covariant_reference import projector
 from dense_reference import evolve_hermitian, is_hermitian
 from helpers import random_density, random_hermitian
 

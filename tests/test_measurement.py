@@ -8,11 +8,10 @@ from chronodil.measurement import (
     _conditional_w_moments,
     bin_probability,
     conditioned_sigma,
-    occupied_bins,
     sweep_conditioned,
-    unconditioned_sigma_exact,
 )
 from chronodil.precision import w_of_p
+from helpers import occupied_bins, unconditioned_sigma
 
 # electron with a nanometre packet and a nanosecond reading profile; the
 # base light speed is reduced so the motional coupling is resolvable
@@ -78,7 +77,7 @@ def test_fine_measurement_restores_free_spread():
 
 def test_coarse_measurement_recovers_nothing():
     res = conditioned_sigma(SIGMA_T0, STATE, T_BENCH, binning_for(1e3), 0, c=C_BENCH)
-    unconditioned = unconditioned_sigma_exact(SIGMA_T0, STATE, T_BENCH, c=C_BENCH)
+    unconditioned = unconditioned_sigma(SIGMA_T0, STATE, T_BENCH, c=C_BENCH)
     assert abs(res.sigma_t_given_n - unconditioned) < 0.01 * unconditioned
 
 
@@ -113,7 +112,7 @@ def test_refinement_recovers_precision_on_nested_binnings():
 
 def _assert_total_variance_law(state):
     binning = binning_for(0.8)
-    total_sigma = unconditioned_sigma_exact(SIGMA_T0, state, T_BENCH, c=C_BENCH)
+    total_sigma = unconditioned_sigma(SIGMA_T0, state, T_BENCH, c=C_BENCH)
     mean_total = 0.0
     pieces = []
     for n in occupied_bins(state, binning):

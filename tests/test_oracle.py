@@ -4,17 +4,16 @@ import pytest
 from chronodil.clocks import build_qubit_phase, build_quasi_ideal, build_swp, ClockModel
 from chronodil.dilation import mean_clock_time, sup_vs_mix
 from chronodil.kinematics import GaussianState
-from chronodil.linalg import projector
 from chronodil.oracle import (
     clock_time_stats,
     evolve_characteristics_g,
     exact_evolve_g0,
-    idealised_surrogate,
     verify_mean_time,
     verify_sigma,
 )
 from chronodil.precision import sigma_breakdown, sigma_dispersion_exact, sigma_nr
-from helpers import BENCH_OMEGA, BENCH_T, bench_c, bench_cat, bench_gaussian
+from helpers import BENCH_OMEGA, BENCH_T, bench_c, bench_cat, bench_gaussian, idealised_surrogate
+from covariant_reference import projector
 from dense_reference import evolve_hermitian, reduced_clock_density
 from split_step import split_step_evolve
 
