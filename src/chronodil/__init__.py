@@ -26,7 +26,6 @@ from .oracle import (
     JointState,
     VerificationReport,
     evolve_characteristics_g,
-    exact_evolve_g0,
     verify_mean_time,
     verify_sigma,
 )
@@ -40,6 +39,6 @@ __all__ = [
     "sigma_breakdown", "sigma_dispersion_exact", "sigma_ideal_term", "sigma_nonideal_term",
     "w_moments",
     "MomentumBinning", "bin_probability", "conditioned_sigma", "sweep_conditioned",
-    "JointState", "VerificationReport", "evolve_characteristics_g", "exact_evolve_g0",
+    "JointState", "VerificationReport", "evolve_characteristics_g",
     "verify_mean_time", "verify_sigma",
 ]

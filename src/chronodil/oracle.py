@@ -1,23 +1,20 @@
 """Brute-force joint evolution of clock and motional degrees of freedom.
 
-One exact evolution per regime, both on a momentum grid and in the
-clock's energy eigenbasis, where every part of the Hamiltonian is
-diagonal in the clock index:
+One exact evolution, ``evolve_characteristics_g``, on a momentum grid and
+in the clock's energy eigenbasis, where every part of the Hamiltonian is
+diagonal in the clock index. Each clock energy component feels a
+constant force, so its momentum wavefunction is shifted along straight
+characteristics and picks up the time integral of the momentum-diagonal
+energy along them. At g = 0 the force vanishes and the same solution is
+the block-diagonal one: each momentum sample evolves its clock block
+under H_cl (1 + w(p)) plus a kinematic phase.
 
-* ``exact_evolve_g0``: at g = 0 the total Hamiltonian is block diagonal
-  in momentum, so each momentum sample evolves its clock block under
-  H_cl (1 + w(p)) plus a kinematic phase.
-* ``evolve_characteristics_g``: with gravity on, each clock energy
-  component feels a constant force, so its momentum wavefunction is
-  shifted along straight characteristics and picks up the time integral
-  of the momentum-diagonal energy along them.
-
-Neither route steps in time, so there is no Trotter error; the only
+It does not step in time, so there is no Trotter error; the only
 approximation is the momentum grid itself, whose captured norm and final
 norm are checked.
 
 ``verify_mean_time`` and ``verify_sigma`` compare the perturbative
-closed forms against these evolutions while scaling the speed of light
+closed forms against this evolution while scaling the speed of light
 by factors lambda. Holding the states fixed and fitting the residual
 against lambda on log-log axes exposes the truncation order of the
 closed forms without needing relativistic-scale states.
@@ -32,8 +29,8 @@ import numpy as np
 from .constants import C_LIGHT, HBAR
 from .clocks import ClockModel, reading_stats
 from .dilation import mean_clock_time
-from .kinematics import CatState, MixtureState, default_momentum_grid, to_grid
-from .precision import sigma_breakdown, w_of_p
+from .kinematics import MixtureState, default_momentum_grid, to_grid
+from .precision import sigma_breakdown
 
 
 @dataclass(frozen=True)
@@ -81,74 +78,43 @@ def _check_norm(js: JointState) -> JointState:
     return js
 
 
-def _kinetic_energy(p: np.ndarray, mass: float, c: float, order: str) -> np.ndarray:
-    hk = p**2 / (2.0 * mass)
-    if order == "c4":
-        hk = hk - p**4 / (8.0 * mass**3 * c**2)
-    return hk
-
-
-def exact_evolve_g0(clock: ClockModel, kstate, t: float, order: str = "c2",
-                    c: float = C_LIGHT, grid: np.ndarray | None = None) -> JointState:
-    """Exact g = 0 evolution on a momentum grid (block diagonal, no steps).
-
-    ``order`` selects the truncation of the momentum coupling: 'c2' uses
-    w(p) = -p^2/(2 m^2 c^2) with a bare kinetic phase, 'c4' adds the
-    3 p^4/(8 m^4 c^4) coupling and the quartic kinetic correction. The
-    rest energy contributes only a global phase and is omitted.
-    """
-    if isinstance(kstate, MixtureState):
-        raise TypeError("mixtures are ensembles; evolve each component separately")
-    if grid is None:
-        grid = default_momentum_grid(kstate)
-    mass = kstate.mass
-    psi_kin = to_grid(kstate, grid).amplitudes
-    energies = clock.energies
-    w = w_of_p(grid, mass, c, "c4" if order == "c4" else "c2")
-    hk = _kinetic_energy(grid, mass, c, order)
-    # clock-scale and kinematic-scale phases are exponentiated separately:
-    # their energies can differ by many orders of magnitude, and a single
-    # summed exponent would absorb the small clock phase entirely
-    clock_phases = np.exp(-1j * np.outer(energies, 1.0 + w) * t / HBAR)
-    kin_phase = np.exp(-1j * hk * t / HBAR)
-    amps = (clock_phases * clock.psi0[:, None]) * (psi_kin * kin_phase)[None, :]
-    return _check_norm(JointState(grid=np.asarray(grid, dtype=float), amplitudes=amps))
-
-
-# ---------------------------------------------------------------------------
-# evolution with gravity
-
-
-def evolve_characteristics_g(clock: ClockModel, kstate, t: float, g: float,
+def evolve_characteristics_g(clock: ClockModel, kstate, t: float, g: float, order: str = "c2",
                              c: float = C_LIGHT, grid: np.ndarray | None = None) -> JointState:
-    """Closed-form momentum-representation solution with gravity.
+    """Closed-form momentum-representation solution, with or without gravity.
 
     Per clock energy component E_n the Hamiltonian is
 
-        E_n (1 - p^2/(2 m^2 c^2)) + p^2/2m - p^4/(8 m^3 c^2) + (m g + E_n g / c^2) x.
+        E_n (1 + w(p)) + p^2/2m - p^4/(8 m^3 c^2) + (m g + E_n g / c^2) x,
 
-    The force on each component is constant, so the component obeys a
-    transport equation in momentum: the propagator is a momentum shift
-    plus a phase given by the time integral of the momentum-diagonal part
-    along the shifted trajectory. No time stepping, no Trotter error. The
-    quartic kinetic term is always carried, with or without gravity; it is
-    common to all clock components and drops out of the clock readings.
+    with the clock coupling w(p) = -p^2/(2 m^2 c^2) for ``order`` 'c2',
+    plus 3 p^4/(8 m^4 c^4) for 'c4'. The force on each component is
+    constant, so the component obeys a transport equation in momentum: the
+    propagator is a momentum shift plus a phase given by the time integral
+    of the momentum-diagonal part along the shifted trajectory. No time
+    stepping, no Trotter error. The quartic kinetic term is common to all
+    clock components and drops out of the clock readings. The rest energy
+    contributes only a global phase and is omitted.
+
+    The default grid is ``default_momentum_grid`` moved by the classical
+    drift -m g t.
     """
+    if order not in ("c2", "c4"):
+        raise ValueError(f"order must be 'c2' or 'c4', got {order!r}")
     if isinstance(kstate, MixtureState):
         raise TypeError("mixtures are ensembles; evolve each component separately")
     mass = kstate.mass
-    base_p0 = kstate.base.p0 if isinstance(kstate, CatState) else kstate.p0
     if grid is None:
-        width = 8.0 * kstate.sigma_p + abs(mass * g * t)
-        grid = np.linspace(base_p0 - mass * g * t - width, base_p0 + width,
-                           4096 if isinstance(kstate, CatState) else 2048)
+        grid = default_momentum_grid(kstate) - mass * g * t
     grid = np.asarray(grid, dtype=float)
     energies = clock.energies
-    # momentum decreases at rate force[n]; rows of the (d, N) arrays are the
-    # clock energy components, columns the final momenta
+    # momentum decreases at rate force[n]; the wavefunction and the phase
+    # integrals depend on the component only through its shift, so they are
+    # evaluated once per distinct shift (one row at g = 0) and indexed back
+    # to the d clock rows
     force = mass * g + energies * g / c**2
+    shifts, row = np.unique(force * t, return_inverse=True)
     p = grid[None, :]
-    s = force[:, None] * t
+    s = shifts[:, None]
     # integrals over [0, t] of q^2 and q^4 along q(u) = p + force * u, in
     # polynomial form so that a vanishing force needs no special case
     i2 = t * (p**2 + p * s + s**2 / 3.0)
@@ -156,12 +122,14 @@ def evolve_characteristics_g(clock: ClockModel, kstate, t: float, g: float,
     # clock-scale phase (E_n times the dilated elapsed time) separate from
     # the large common kinematic phase, which cancels in reduced clock
     # observables
-    clock_phase = np.exp(-1j * energies[:, None] * (t - i2 / (2.0 * mass**2 * c**2)) / HBAR)
+    elapsed = t - i2 / (2.0 * mass**2 * c**2)
+    if order == "c4":
+        elapsed = elapsed + 3.0 * i4 / (8.0 * mass**4 * c**4)
+    clock_phase = np.exp(-1j * energies[:, None] * elapsed[row] / HBAR)
     common_phase = np.exp(-1j * (i2 / (2.0 * mass) - i4 / (8.0 * mass**3 * c**2)) / HBAR)
-    # one sampling of the initial wavefunction on all shifted grids; each row
-    # must capture the state's norm on its own
+    # each shifted grid must capture the state's norm on its own
     shifted = to_grid(kstate, p + s).amplitudes
-    amps = clock.psi0[:, None] * shifted * clock_phase * common_phase
+    amps = clock.psi0[:, None] * shifted[row] * clock_phase * common_phase[row]
     return _check_norm(JointState(grid=grid, amplitudes=amps))
 
 
@@ -181,11 +149,7 @@ def _oracle_mean(clock: ClockModel, kstate, t: float, g: float, c: float) -> flo
     if isinstance(kstate, MixtureState):
         return float(sum(w * _oracle_mean(clock, comp, t, g, c)
                          for w, comp in kstate.components))
-    if g == 0.0:
-        js = exact_evolve_g0(clock, kstate, t, order="c2", c=c)
-    else:
-        js = evolve_characteristics_g(clock, kstate, t, g, c=c)
-    return clock_time_stats(js, clock)[0]
+    return clock_time_stats(evolve_characteristics_g(clock, kstate, t, g, c=c), clock)[0]
 
 
 def _fit_exponent(lams: np.ndarray, residuals: np.ndarray) -> float | None:
@@ -224,11 +188,8 @@ def verify_mean_time(clock: ClockModel, kstate, t: float, g: float,
                      c_scalings=(1.0, 2.0, 4.0), base_c: float = C_LIGHT) -> VerificationReport:
     """Mean clock time: closed form vs joint evolution across c scalings.
 
-    The oracle is the block-diagonal evolution with the 'c2' coupling at
-    g = 0 and the characteristics solution otherwise. The gravity oracle
-    always carries the quartic kinetic term; it is a phase common to all
-    clock components, so the readings match the 'c2' block oracle as g
-    goes to 0.
+    The oracle is the characteristics solution with the 'c2' clock
+    coupling, at g = 0 as with gravity on.
 
     Passes when the relative residual (residual over the relativistic
     correction term) decays with fitted exponent <= -1.8, or when every
@@ -247,7 +208,8 @@ def verify_mean_time(clock: ClockModel, kstate, t: float, g: float,
 
 def verify_sigma(clock: ClockModel, kstate, t: float,
                  c_scalings=(1.0, 2.0, 4.0), base_c: float = C_LIGHT) -> VerificationReport:
-    """Clock-time spread: three-term decomposition vs joint evolution (g = 0).
+    """Clock-time spread: three-term decomposition vs joint evolution at
+    g = 0, the characteristics solution with the 'c4' clock coupling.
 
     Passes when the absolute residual decays with fitted exponent <= -5,
     or when every residual sits at the numerical noise floor. Both
@@ -260,7 +222,7 @@ def verify_sigma(clock: ClockModel, kstate, t: float,
     for lam in lams:
         c_eff = lam * base_c
         breakdown = sigma_breakdown(clock, kstate, t, c=c_eff)
-        js = exact_evolve_g0(clock, kstate, t, order="c4", c=c_eff)
+        js = evolve_characteristics_g(clock, kstate, t, 0.0, order="c4", c=c_eff)
         rows.append((breakdown.total, clock_time_stats(js, clock)[1],
                      breakdown.total - breakdown.sigma_nr))
     return _report("clock_time_spread", lams, rows, 0.0, "abs", -5.0,

@@ -21,13 +21,22 @@ closed form, to a few ulp. The library reads dials by FFT and is checked
 against all three. ``dense_moment_operators`` gives any clock's
 calibrated T and T2 as matrices, and ``reduced_clock_density`` a joint
 state's clock density.
+
+``block_evolve_g0`` is the g = 0 joint evolution written block by block:
+without gravity the Hamiltonian is diagonal in momentum, so each momentum
+sample evolves its clock block under H_cl (1 + w(p)) times t and carries a
+kinetic phase. The library's characteristics solution, which integrates
+the same Hamiltonian along momentum trajectories, is checked against it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from chronodil.constants import C_LIGHT, HBAR
+from chronodil.kinematics import to_grid
 from chronodil.precision import w_moments
 from covariant_reference import projector
 
@@ -136,6 +145,34 @@ def reduced_clock_density(js) -> np.ndarray:
     """Clock density matrix of a joint state: sum over grid points of each
     point's clock ket times its conjugate, times the grid spacing."""
     return js.amplitudes @ dagger(js.amplitudes) * js.spacing
+
+
+@dataclass(frozen=True)
+class BlockState:
+    """Joint amplitudes ``amplitudes[n, j]`` on clock state n at grid point j."""
+
+    grid: np.ndarray
+    amplitudes: np.ndarray
+
+    @property
+    def spacing(self) -> float:
+        return float(self.grid[1] - self.grid[0])
+
+
+def block_evolve_g0(clock, kstate, t: float, order: str, c: float,
+                    grid: np.ndarray) -> BlockState:
+    """g = 0 joint evolution of a pure state, one clock block per momentum
+    sample: exp(-i E_n (1 + w(p)) t / hbar) times the kinetic phase
+    exp(-i (p^2/2m - p^4/(8 m^3 c^2)) t / hbar), with w(p) = -p^2/(2 m^2 c^2)
+    for ``order`` 'c2', plus 3 p^4/(8 m^4 c^4) for 'c4'."""
+    mass = kstate.mass
+    w = -grid**2 / (2.0 * mass**2 * c**2)
+    if order == "c4":
+        w = w + 3.0 * grid**4 / (8.0 * mass**4 * c**4)
+    kinetic = grid**2 / (2.0 * mass) - grid**4 / (8.0 * mass**3 * c**2)
+    blocks = np.exp(-1j * np.outer(clock.energies, 1.0 + w) * t / HBAR)
+    psi = to_grid(kstate, grid).amplitudes * np.exp(-1j * kinetic * t / HBAR)
+    return BlockState(grid=grid, amplitudes=clock.psi0[:, None] * blocks * psi[None, :])
 
 
 def sigma_nonideal_term_dense(clock, kstate, t: float, c: float = C_LIGHT) -> float:

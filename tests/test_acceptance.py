@@ -22,7 +22,7 @@ from chronodil.constants import ATOMIC_MASS_UNIT, C_LIGHT, ELECTRON_MASS
 from chronodil.dilation import classical_proper_time, mean_clock_time, sup_vs_mix, t_coh
 from chronodil.kinematics import CatState, GaussianState
 from chronodil.measurement import MomentumBinning, conditioned_sigma
-from chronodil.oracle import clock_time_stats, exact_evolve_g0, verify_mean_time
+from chronodil.oracle import clock_time_stats, evolve_characteristics_g, verify_mean_time
 from chronodil.precision import (
     sigma_breakdown,
     sigma_dispersion_exact,
@@ -173,7 +173,7 @@ def test_criterion_07a_precision_excess_vs_ideal_term():
     state = bench_gaussian(p0_sigmas=0.0)
     c = bench_c()
     t = 0.3 * clk.period
-    js = exact_evolve_g0(clk, state, t, order="c4", c=c)
+    js = evolve_characteristics_g(clk, state, t, 0.0, order="c4", c=c)
     s_nr = sigma_nr(clk, t)
     excess = clock_time_stats(js, clk)[1] - s_nr
     s_i = sigma_ideal_term(state, t, s_nr, c=c)

@@ -16,7 +16,7 @@ EXPORTS = sorted("""
     GaussianState MixtureState moments norm_factor r_factor classical_proper_time
     mean_clock_time sup_vs_mix t_coh sigma_breakdown sigma_dispersion_exact sigma_ideal_term
     sigma_nonideal_term w_moments MomentumBinning bin_probability conditioned_sigma
-    sweep_conditioned JointState VerificationReport evolve_characteristics_g exact_evolve_g0
+    sweep_conditioned JointState VerificationReport evolve_characteristics_g
     verify_mean_time verify_sigma""".split())
 
 

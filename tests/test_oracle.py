@@ -7,14 +7,13 @@ from chronodil.kinematics import GaussianState
 from chronodil.oracle import (
     clock_time_stats,
     evolve_characteristics_g,
-    exact_evolve_g0,
     verify_mean_time,
     verify_sigma,
 )
 from chronodil.precision import sigma_breakdown, sigma_dispersion_exact, sigma_nr
 from helpers import BENCH_OMEGA, BENCH_T, bench_c, bench_cat, bench_gaussian, idealised_surrogate
 from covariant_reference import projector
-from dense_reference import evolve_hermitian, reduced_clock_density
+from dense_reference import block_evolve_g0, evolve_hermitian, reduced_clock_density
 from split_step import split_step_evolve
 
 G_EARTH = 9.81
@@ -24,7 +23,7 @@ SPLIT_STEPS = 850
 
 
 # ---------------------------------------------------------------------------
-# block-diagonal g = 0 evolution
+# g = 0 evolution: no force, so every momentum sample keeps its own clock block
 
 
 def test_zero_clock_hamiltonian_leaves_clock_alone():
@@ -32,7 +31,7 @@ def test_zero_clock_hamiltonian_leaves_clock_alone():
     t_op = np.diag([0.0, 1.0]).astype(complex)
     clk = ClockModel(energies=np.zeros(2), psi0=basis0, t_cl=t_op, t2_cl=t_op @ t_op,
                      period=np.inf, time_offset=0.0)
-    js = exact_evolve_g0(clk, bench_gaussian(), BENCH_T, c=bench_c())
+    js = evolve_characteristics_g(clk, bench_gaussian(), BENCH_T, 0.0, c=bench_c())
     rho = reduced_clock_density(js)
     assert np.abs(rho - projector(clk.psi0)).max() < 1e-12
 
@@ -45,7 +44,7 @@ def test_narrow_packet_reduces_to_rescaled_time():
     c = 3e-3  # strong coupling so the rescaling is visible
     clk = build_swp(4, BENCH_OMEGA)
     t = BENCH_T
-    js = exact_evolve_g0(clk, state, t, order="c2", c=c)
+    js = evolve_characteristics_g(clk, state, t, 0.0, order="c2", c=c)
     rho = reduced_clock_density(js)
     scaled = evolve_hermitian(np.diag(clk.energies), projector(clk.psi0),
                               t * (1.0 + w_of_p(state.p0, state.mass, c, "c2")))
@@ -56,8 +55,8 @@ def test_narrow_packet_reduces_to_rescaled_time():
 def test_norm_conservation_and_momentum_invariance():
     clk = build_quasi_ideal(8, BENCH_OMEGA, np.sqrt(8), m0=2.0)
     state = bench_gaussian()
-    js0 = exact_evolve_g0(clk, state, 0.0, c=bench_c())
-    js1 = exact_evolve_g0(clk, state, BENCH_T, c=bench_c())
+    js0 = evolve_characteristics_g(clk, state, 0.0, 0.0, c=bench_c())
+    js1 = evolve_characteristics_g(clk, state, BENCH_T, 0.0, c=bench_c())
     assert abs(js1.norm() - 1.0) < 1e-8
     # the momentum marginal is time invariant without gravity
     d0, d1 = (np.sum(np.abs(js.amplitudes) ** 2, axis=0) for js in (js0, js1))
@@ -65,16 +64,15 @@ def test_norm_conservation_and_momentum_invariance():
 
 
 def test_g0_oracle_insensitive_to_grid_refinement():
-    from chronodil.kinematics import default_momentum_grid
-
+    # the default grid, drift-shifted for the cat under gravity, against a
+    # 2x refinement of the same span
     clk = build_swp(4, BENCH_OMEGA)
-    state = bench_gaussian()
-    vals = []
-    coarse = default_momentum_grid(state)
-    for grid in (coarse, np.linspace(coarse[0], coarse[-1], 2 * coarse.size)):
-        js = exact_evolve_g0(clk, state, BENCH_T, c=bench_c(), grid=grid)
-        vals.append(clock_time_stats(js, clk)[0])
-    assert abs(vals[0] - vals[1]) < 1e-12 * max(abs(v) for v in vals)
+    for state, g in ((bench_gaussian(), 0.0), (bench_cat(theta=0.7), G_EARTH)):
+        coarse = evolve_characteristics_g(clk, state, BENCH_T, g, c=bench_c())
+        refined = np.linspace(coarse.grid[0], coarse.grid[-1], 2 * coarse.grid.size)
+        fine = evolve_characteristics_g(clk, state, BENCH_T, g, c=bench_c(), grid=refined)
+        vals = [clock_time_stats(js, clk)[0] for js in (coarse, fine)]
+        assert abs(vals[0] - vals[1]) < 1e-12 * max(abs(v) for v in vals)
 
 
 def test_mixture_rejected_by_pure_evolver():
@@ -82,27 +80,41 @@ def test_mixture_rejected_by_pure_evolver():
 
     mix = MixtureState(components=((1.0, bench_gaussian()),))
     with pytest.raises(TypeError, match="ensemble"):
-        exact_evolve_g0(build_swp(4, BENCH_OMEGA), mix, BENCH_T, c=bench_c())
+        evolve_characteristics_g(build_swp(4, BENCH_OMEGA), mix, BENCH_T, 0.0, c=bench_c())
+
+
+def test_unknown_order_rejected():
+    with pytest.raises(ValueError, match="order"):
+        evolve_characteristics_g(build_swp(4, BENCH_OMEGA), bench_gaussian(), BENCH_T, 0.0,
+                                 order="c3", c=bench_c())
 
 
 # ---------------------------------------------------------------------------
 # evolution with gravity: characteristics oracle and split-step reference
 
 
-@pytest.mark.parametrize("clock_name", ["dial d=4", "gaussian dial d=8", "qubit phase"])
-@pytest.mark.parametrize("state_name", ["gaussian", "cat"])
-def test_characteristics_at_zero_g_matches_c2_block_oracle(clock_name, state_name):
-    # the characteristics solution always carries the quartic kinetic term;
-    # at g = 0 it is a phase common to all clock components, so the reading
-    # equals the 'c2' block oracle's
+ZERO_G_CASES = [pytest.param(order, clock, state, id=f"{state}-{clock}{suffix}")
+                for order, suffix in (("c2", ""), ("c4", "-c4"))
+                for clock in ("dial d=4", "gaussian dial d=8", "qubit phase")
+                for state in ("gaussian", "cat")]
+
+
+@pytest.mark.parametrize("order,clock_name,state_name", ZERO_G_CASES)
+def test_characteristics_at_zero_g_matches_c2_block_oracle(order, clock_name, state_name):
+    # at g = 0 every momentum sample keeps its clock block, so the
+    # characteristics solution must reproduce the block-by-block reference
+    # with either clock coupling
     clk = {"dial d=4": build_swp(4, BENCH_OMEGA),
            "gaussian dial d=8": build_quasi_ideal(8, BENCH_OMEGA, np.sqrt(8), m0=2.0),
            "qubit phase": build_qubit_phase(BENCH_OMEGA)}[clock_name]
     state = {"gaussian": bench_gaussian(), "cat": bench_cat(theta=0.7)}[state_name]
     c = bench_c()
-    mean_char = clock_time_stats(evolve_characteristics_g(clk, state, BENCH_T, 0.0, c=c), clk)[0]
-    mean_block = clock_time_stats(exact_evolve_g0(clk, state, BENCH_T, order="c2", c=c), clk)[0]
+    js_char = evolve_characteristics_g(clk, state, BENCH_T, 0.0, order=order, c=c)
+    js_block = block_evolve_g0(clk, state, BENCH_T, order, c, js_char.grid)
+    (mean_char, spread_char), (mean_block, spread_block) = (
+        clock_time_stats(js, clk) for js in (js_char, js_block))
     assert abs(mean_char - mean_block) < 1e-12 * abs(mean_block)
+    assert abs(spread_char - spread_block) < 1e-12 * spread_block
 
 
 def test_characteristics_rejects_mixture_and_narrow_grid():
@@ -125,7 +137,7 @@ def test_split_step_matches_block_oracle_at_zero_g():
     clk = build_swp(4, BENCH_OMEGA)
     state = bench_gaussian()
     c = bench_c()
-    js_block = exact_evolve_g0(clk, state, BENCH_T, order="c2", c=c)
+    js_block = evolve_characteristics_g(clk, state, BENCH_T, 0.0, order="c2", c=c)
     js_split = split_step_evolve(clk, state, BENCH_T, 0.0, steps=SPLIT_STEPS, c=c)
     mean_block = clock_time_stats(js_block, clk)[0]
     mean_split = clock_time_stats(js_split, clk)[0]
@@ -217,7 +229,7 @@ def test_verify_mean_time_with_gravity():
 
 
 def test_oracle_confirms_coherence_split():
-    # three block-oracle runs (superposition and both constituents) against
+    # three g = 0 oracle runs (superposition and both constituents) against
     # the closed-form coherence contribution
     clk = idealised_surrogate(BENCH_OMEGA, d=64)
     cat = bench_cat(theta=0.0)
@@ -227,7 +239,7 @@ def test_oracle_confirms_coherence_split():
     t = BENCH_T
 
     def oracle_mean(ks):
-        js = exact_evolve_g0(clk, ks, t, order="c2", c=c)
+        js = evolve_characteristics_g(clk, ks, t, 0.0, order="c2", c=c)
         return clock_time_stats(js, clk)[0]
 
     t_sup = oracle_mean(cat)
@@ -239,7 +251,7 @@ def test_oracle_confirms_coherence_split():
 def test_verify_sigma_time_zero_matches_free_spread():
     clk = idealised_surrogate(BENCH_OMEGA, d=64)
     state = bench_gaussian(p0_sigmas=0.0)
-    js = exact_evolve_g0(clk, state, 0.0, order="c4", c=bench_c())
+    js = evolve_characteristics_g(clk, state, 0.0, 0.0, order="c4", c=bench_c())
     assert abs(clock_time_stats(js, clk)[1] - sigma_nr(clk, 0.0)) < 1e-12 * clk.period
 
 
@@ -249,7 +261,7 @@ def test_sigma_excess_quadratic_in_time():
     c = bench_c()
 
     def excess(t):
-        js = exact_evolve_g0(clk, state, t, order="c4", c=c)
+        js = evolve_characteristics_g(clk, state, t, 0.0, order="c4", c=c)
         return clock_time_stats(js, clk)[1] - sigma_nr(clk, t)
 
     t = 0.55 * BENCH_T
@@ -264,7 +276,7 @@ def test_sigma_excess_tracks_dispersion_term_not_contracted_form():
     state = bench_gaussian(p0_sigmas=0.0)
     c = bench_c()
     t = 0.3 * clk.period
-    js = exact_evolve_g0(clk, state, t, order="c4", c=c)
+    js = evolve_characteristics_g(clk, state, t, 0.0, order="c4", c=c)
     s_nr = sigma_nr(clk, t)
     excess = clock_time_stats(js, clk)[1] - s_nr
     dispersion = sigma_dispersion_exact(state, t, s_nr, c=c)
