@@ -10,8 +10,9 @@ the block-diagonal one: each momentum sample evolves its clock block
 under H_cl (1 + w(p)) plus a kinematic phase.
 
 It does not step in time, so there is no Trotter error; the only
-approximation is the momentum grid itself, whose captured norm and final
-norm are checked.
+approximation is the momentum grid itself. Its spacing follows the
+bandwidth of the joint state, and its captured norm and final norm are
+checked.
 
 ``verify_mean_time`` and ``verify_sigma`` compare the perturbative
 closed forms against this evolution while scaling the speed of light
@@ -29,7 +30,7 @@ import numpy as np
 from .constants import C_LIGHT, HBAR
 from .clocks import ClockModel, reading_stats
 from .dilation import mean_clock_time
-from .kinematics import MixtureState, default_momentum_grid, to_grid
+from .kinematics import CatState, MixtureState, to_grid
 from .precision import sigma_breakdown
 
 
@@ -78,6 +79,79 @@ def _check_norm(js: JointState) -> JointState:
     return js
 
 
+# largest clock-levels x momentum-points array the default grid may ask
+# for: 32 MB per complex array
+_MAX_DEFAULT_SAMPLES = 1 << 21
+
+
+def _row_shifts(clock: ClockModel, mass: float, t: float, g: float, c: float) -> np.ndarray:
+    """Momentum each clock component loses over [0, t] under its constant
+    force m g + E_n g / c^2."""
+    return (mass * g + clock.energies * g / c**2) * t
+
+
+def default_momentum_grid(clock: ClockModel, kstate, t: float, g: float, order: str = "c2",
+                          c: float = C_LIGHT) -> np.ndarray:
+    """Uniform momentum grid of ``evolve_characteristics_g``.
+
+    Clock row n samples the initial wavefunction at p + s_n, with the shift
+    s_n = (m g + E_n g / c^2) t, so the span [p0 - max s - 8 sigma_p,
+    p0 - min s + 8 sigma_p] holds every row's packet to 8 spreads.
+
+    The spacing takes 8 samples per the finest scale of the integrand of
+    the reduced clock density:
+
+    - sigma_p, the envelope;
+    - 2 pi hbar / delta_x0, the interference fringe of a cat;
+    - 2 pi hbar / X_c, the fringe of the phase between two clock rows,
+      where X_c bounds the momentum derivative of that phase times hbar.
+      With q_max the largest |q| on any characteristic that starts on the
+      grid, the dilated elapsed time changes with p at most at
+      t q_max / (m^2 c^2), plus 3 t q_max^3 / (2 m^4 c^4) for 'c4', and
+      X_c is (E_max - E_min) times that. Under gravity the rows also run
+      along different characteristics, which adds (max s - min s) times
+      the bound on how fast a shift changes the p-slopes of E_n times the
+      elapsed time and of the kinetic phase.
+
+    Raises ValueError when the grid would hold more than 2^21 clock-level
+    by momentum-point samples; pass ``grid`` to the evolution instead.
+    """
+    base = kstate.base if isinstance(kstate, CatState) else kstate
+    mass, sigma_p = kstate.mass, base.sigma_p
+    shifts = _row_shifts(clock, mass, t, g, c)
+    s_lo, s_hi = float(shifts.min()), float(shifts.max())
+    lo = base.p0 - s_hi - 8.0 * sigma_p
+    hi = base.p0 - s_lo + 8.0 * sigma_p
+    scales = [sigma_p]
+    if isinstance(kstate, CatState) and kstate.delta_x0 > 0:
+        scales.append(2.0 * np.pi * HBAR / kstate.delta_x0)
+    q_max = max(abs(lo + min(s_lo, 0.0)), abs(hi + max(s_hi, 0.0)))
+    t = abs(t)
+    # bounds on |d elapsed / dp|, on its change per unit shift, and on the
+    # change of the kinetic phase's p-slope per unit shift
+    slope = t * q_max / (mass**2 * c**2)
+    d_slope = 0.5 * t / (mass**2 * c**2)
+    d_kinetic = 0.5 * t * (1.0 / mass + 1.5 * q_max**2 / (mass**3 * c**2))
+    if order == "c4":
+        slope += 1.5 * t * q_max**3 / (mass**4 * c**4)
+        d_slope += 2.25 * t * q_max**2 / (mass**4 * c**4)
+    energies = clock.energies
+    x_c = (float(np.ptp(energies)) * slope
+           + (s_hi - s_lo) * (float(np.max(np.abs(energies))) * d_slope + d_kinetic))
+    if x_c > 0:
+        scales.append(2.0 * np.pi * HBAR / x_c)
+    # the width from its parts, so that 16 sigma_p over sigma_p / 8 is
+    # exactly 128 intervals
+    width = 16.0 * sigma_p + (s_hi - s_lo)
+    n_points = int(np.ceil(8.0 * width / min(scales))) + 1
+    if n_points * clock.dim > _MAX_DEFAULT_SAMPLES:
+        raise ValueError(
+            f"the default grid needs {n_points} momentum points for {clock.dim} clock "
+            f"levels, more than {_MAX_DEFAULT_SAMPLES} samples; pass grid= explicitly"
+        )
+    return np.linspace(lo, hi, n_points)
+
+
 def evolve_characteristics_g(clock: ClockModel, kstate, t: float, g: float, order: str = "c2",
                              c: float = C_LIGHT, grid: np.ndarray | None = None) -> JointState:
     """Closed-form momentum-representation solution, with or without gravity.
@@ -95,8 +169,11 @@ def evolve_characteristics_g(clock: ClockModel, kstate, t: float, g: float, orde
     clock components and drops out of the clock readings. The rest energy
     contributes only a global phase and is omitted.
 
-    The default grid is ``default_momentum_grid`` moved by the classical
-    drift -m g t.
+    The default grid, ``default_momentum_grid``, spans every clock row's
+    shifted packet and takes 8 samples per the finest scale of the
+    integrand: the envelope, a cat's fringe, or the phase between clock
+    rows, which grows with t, the clock's energy spread and 1/c^2.
+    ``grid`` overrides it.
     """
     if order not in ("c2", "c4"):
         raise ValueError(f"order must be 'c2' or 'c4', got {order!r}")
@@ -104,18 +181,17 @@ def evolve_characteristics_g(clock: ClockModel, kstate, t: float, g: float, orde
         raise TypeError("mixtures are ensembles; evolve each component separately")
     mass = kstate.mass
     if grid is None:
-        grid = default_momentum_grid(kstate) - mass * g * t
+        grid = default_momentum_grid(clock, kstate, t, g, order, c)
     grid = np.asarray(grid, dtype=float)
     energies = clock.energies
-    # momentum decreases at rate force[n]; the wavefunction and the phase
-    # integrals depend on the component only through its shift, so they are
-    # evaluated once per distinct shift (one row at g = 0) and indexed back
-    # to the d clock rows
-    force = mass * g + energies * g / c**2
-    shifts, row = np.unique(force * t, return_inverse=True)
+    # momentum decreases by shift[n] over [0, t]; the wavefunction and the
+    # phase integrals depend on the component only through its shift, so
+    # they are evaluated once per distinct shift (one row at g = 0) and
+    # indexed back to the d clock rows
+    shifts, row = np.unique(_row_shifts(clock, mass, t, g, c), return_inverse=True)
     p = grid[None, :]
     s = shifts[:, None]
-    # integrals over [0, t] of q^2 and q^4 along q(u) = p + force * u, in
+    # integrals over [0, t] of q^2 and q^4 along q(u) = p + s u / t, in
     # polynomial form so that a vanishing force needs no special case
     i2 = t * (p**2 + p * s + s**2 / 3.0)
     i4 = t * (p**4 + 2.0 * p**3 * s + 2.0 * p**2 * s**2 + p * s**3 + s**4 / 5.0)

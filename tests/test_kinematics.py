@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chronodil.clocks import build_swp
 from chronodil.constants import ATOMIC_MASS_UNIT, C_LIGHT, HBAR
 from chronodil.kinematics import (
     CatState,
     GaussianState,
     MixtureState,
-    default_momentum_grid,
     moments,
     norm_factor,
     r_factor,
     to_grid,
 )
+from chronodil.oracle import default_momentum_grid
 from helpers import quadrature_moment
 
 MASS = 27.0 * ATOMIC_MASS_UNIT
@@ -156,6 +157,12 @@ def test_r_factor_mixture_linearity(w, sep_sigmas, x_off_sigmas):
 # grid sampling
 
 
+def state_grid(state):
+    # the oracle's default grid at t = 0, where no clock phase has built up
+    # and only the packet's own scales set the spacing
+    return default_momentum_grid(build_swp(4, 1e3), state, 0.0, 0.0)
+
+
 def test_grid_gaussian_real_and_even_about_mean():
     state = gaussian(x0=0.0, p0=3e-25)
     # an odd point count puts a sample on the mean
@@ -167,7 +174,7 @@ def test_grid_gaussian_real_and_even_about_mean():
 
 def test_grid_cat_fringe_period():
     state = cat(delta=6.0 * SX)
-    grid = default_momentum_grid(state)
+    grid = state_grid(state)
     amps = to_grid(state, grid).amplitudes
     density = np.abs(amps) ** 2
     # locate the fringe frequency by Fourier transforming the density
@@ -185,7 +192,7 @@ def test_grid_cat_fringe_period():
 def test_grid_rejects_mixture():
     # a mixture is an ensemble with no single wavefunction to sample
     mixture = MixtureState(components=((0.4, gaussian()), (0.6, gaussian(x0=5e-10))))
-    grid = default_momentum_grid(gaussian())
+    grid = state_grid(gaussian())
     with pytest.raises(TypeError, match="ensemble"):
         to_grid(mixture, grid)
 
@@ -199,7 +206,7 @@ def test_grid_too_narrow_raises():
 
 def test_grid_cat_resolves_fringes():
     state = cat(delta=40.0 * SX)  # very fine fringes force a denser grid
-    grid = default_momentum_grid(state)
+    grid = state_grid(state)
     fringe = 2.0 * np.pi * HBAR / state.delta_x0
     assert (grid[1] - grid[0]) <= fringe / 8.0
 

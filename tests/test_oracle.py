@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 from chronodil.clocks import build_qubit_phase, build_quasi_ideal, build_swp, ClockModel
+from chronodil.constants import HBAR
 from chronodil.dilation import mean_clock_time, sup_vs_mix
-from chronodil.kinematics import GaussianState
+from chronodil.kinematics import GaussianState, MixtureState, to_grid
 from chronodil.oracle import (
     clock_time_stats,
+    default_momentum_grid,
     evolve_characteristics_g,
     verify_mean_time,
     verify_sigma,
 )
 from chronodil.precision import sigma_breakdown, sigma_dispersion_exact, sigma_nr
-from helpers import BENCH_OMEGA, BENCH_T, bench_c, bench_cat, bench_gaussian, idealised_surrogate
+from helpers import (BENCH_OMEGA, BENCH_PERIOD, BENCH_T, bench_c, bench_cat, bench_gaussian,
+                     idealised_surrogate)
 from covariant_reference import projector
 from dense_reference import block_evolve_g0, evolve_hermitian, reduced_clock_density
 from split_step import split_step_evolve
@@ -20,6 +23,13 @@ G_EARTH = 9.81
 # about the step count a 0.1 rad cap on the phase advance per step gives
 # for the benchmark packet and clocks below
 SPLIT_STEPS = 850
+
+CLOCKS = {"dial d=4": lambda: build_swp(4, BENCH_OMEGA),
+          "gaussian dial d=8": lambda: build_quasi_ideal(8, BENCH_OMEGA, np.sqrt(8), m0=2.0),
+          "gaussian dial d=64": lambda: idealised_surrogate(BENCH_OMEGA, d=64),
+          "qubit phase": lambda: build_qubit_phase(BENCH_OMEGA)}
+STATES = {"gaussian": bench_gaussian, "cat": lambda: bench_cat(theta=0.7),
+          "rest gaussian": lambda: bench_gaussian(p0_sigmas=0.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +74,8 @@ def test_norm_conservation_and_momentum_invariance():
 
 
 def test_g0_oracle_insensitive_to_grid_refinement():
-    # the default grid, drift-shifted for the cat under gravity, against a
-    # 2x refinement of the same span
+    # the default grid, which under gravity spans every level's shifted
+    # packet, against a 2x refinement of the same span
     clk = build_swp(4, BENCH_OMEGA)
     for state, g in ((bench_gaussian(), 0.0), (bench_cat(theta=0.7), G_EARTH)):
         coarse = evolve_characteristics_g(clk, state, BENCH_T, g, c=bench_c())
@@ -76,17 +86,96 @@ def test_g0_oracle_insensitive_to_grid_refinement():
 
 
 def test_mixture_rejected_by_pure_evolver():
-    from chronodil.kinematics import MixtureState
-
     mix = MixtureState(components=((1.0, bench_gaussian()),))
-    with pytest.raises(TypeError, match="ensemble"):
-        evolve_characteristics_g(build_swp(4, BENCH_OMEGA), mix, BENCH_T, 0.0, c=bench_c())
+    for g in (0.0, G_EARTH):
+        with pytest.raises(TypeError, match="ensemble"):
+            evolve_characteristics_g(build_swp(4, BENCH_OMEGA), mix, BENCH_T, g, c=bench_c())
 
 
 def test_unknown_order_rejected():
     with pytest.raises(ValueError, match="order"):
         evolve_characteristics_g(build_swp(4, BENCH_OMEGA), bench_gaussian(), BENCH_T, 0.0,
                                  order="c3", c=bench_c())
+
+
+# ---------------------------------------------------------------------------
+# the default momentum grid
+
+
+def density_refinement_gap(clk, state, t, g, order="c2", grid=None):
+    """Largest change of the reduced clock density when the grid spacing is
+    halved, over the largest entry of its relativistic correction (the
+    density minus the free one)."""
+    c = bench_c()
+    coarse = evolve_characteristics_g(clk, state, t, g, order, c=c, grid=grid)
+    span = coarse.grid
+    fine = evolve_characteristics_g(clk, state, t, g, order, c=c,
+                                    grid=np.linspace(span[0], span[-1], 2 * span.size - 1))
+    rho_coarse, rho_fine = (reduced_clock_density(js) for js in (coarse, fine))
+    gap = clk.energies[:, None] - clk.energies[None, :]
+    free = projector(clk.psi0) * np.exp(-1j * gap * t / HBAR)
+    return np.abs(rho_coarse - rho_fine).max() / np.abs(rho_fine - free).max()
+
+
+@pytest.mark.parametrize("clock_name,state_name,g,order,points", [
+    pytest.param("dial d=4", "gaussian", G_EARTH, "c2", 130, id="swp4_gaussian_g"),
+    pytest.param("gaussian dial d=8", "cat", G_EARTH, "c2", 130, id="qi8_cat_g"),
+    pytest.param("qubit phase", "cat", G_EARTH, "c2", 130, id="qubit_cat_g"),
+    pytest.param("gaussian dial d=64", "cat", 0.0, "c2", 129, id="qi64_cat_g0"),
+    pytest.param("gaussian dial d=64", "rest gaussian", 0.0, "c4", 129, id="qi64_rest_sigma"),
+])
+def test_default_grid_size_of_the_verify_cases(clock_name, state_name, g, order, points):
+    # the envelope sets the spacing at every scaling: 8 samples per sigma_p
+    # over 16 sigma_p is 129 points, and under gravity the levels' spread of
+    # shifts widens the span past 128 intervals
+    clk, state = CLOCKS[clock_name](), STATES[state_name]()
+    for lam in (1.0, 2.0, 4.0):
+        grid = default_momentum_grid(clk, state, BENCH_T, g, order, lam * bench_c())
+        assert grid.size == points
+
+
+@pytest.mark.parametrize("order", ["c2", "c4"])
+@pytest.mark.parametrize("g", [0.0, G_EARTH])
+@pytest.mark.parametrize("state_name", ["gaussian", "cat"])
+@pytest.mark.parametrize("clock_name", ["dial d=4", "qubit phase", "gaussian dial d=8",
+                                        "gaussian dial d=64"])
+def test_default_grid_matches_its_refinement(clock_name, state_name, g, order):
+    # what is left is phase rounding: clock and kinetic phases of up to
+    # about 100 rad carry about 1e-14 rad against density corrections near
+    # 1e-2, a floor of about 1e-12 of the correction (1.9e-12 at most here)
+    clk, state = CLOCKS[clock_name](), STATES[state_name]()
+    assert density_refinement_gap(clk, state, BENCH_T, g, order) < 1e-11
+
+
+def test_long_evolution_resolves_the_phase_between_levels():
+    # 50 periods on, the phase between the d = 64 levels winds across the
+    # packet (X_c near 1000 sigma_x), so the default grid takes about
+    # 11,000 points; 129 points miss the correction by 5e-4
+    clk = idealised_surrogate(BENCH_OMEGA, d=64)
+    t = 50.0 * BENCH_PERIOD + BENCH_T
+    assert density_refinement_gap(clk, bench_cat(theta=0.7), t, 0.0) < 1e-11
+
+
+def test_default_grid_spans_every_level_under_gravity():
+    # over half a period the top level of the d = 256 dial loses about
+    # 3.8 sigma_p more momentum than the bottom one; a span of 8 sigma_p
+    # about the classical drift alone loses 1.4e-5 of the top level's norm
+    clk = build_quasi_ideal(256, BENCH_OMEGA, 16.0, m0=64.0)
+    state = bench_gaussian()
+    t = 0.5 * BENCH_PERIOD
+    drift = np.linspace(-8.0, 8.0, 129) * state.sigma_p + state.p0 - state.mass * G_EARTH * t
+    with pytest.raises(ValueError, match="captured norm"):
+        evolve_characteristics_g(clk, state, t, G_EARTH, c=bench_c(), grid=drift)
+    assert density_refinement_gap(clk, state, t, G_EARTH) < 1e-11
+
+
+def test_default_grid_refuses_an_oversized_grid():
+    # 50 periods into the fall the bench packet moves at 28 c of the scaled
+    # light speed, and the levels' different quartic kinetic phases would
+    # need about 2e7 points per level
+    with pytest.raises(ValueError, match="grid="):
+        evolve_characteristics_g(build_swp(4, BENCH_OMEGA), bench_gaussian(),
+                                 50.0 * BENCH_PERIOD + BENCH_T, G_EARTH, c=bench_c())
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +193,8 @@ def test_characteristics_at_zero_g_matches_c2_block_oracle(order, clock_name, st
     # at g = 0 every momentum sample keeps its clock block, so the
     # characteristics solution must reproduce the block-by-block reference
     # with either clock coupling
-    clk = {"dial d=4": build_swp(4, BENCH_OMEGA),
-           "gaussian dial d=8": build_quasi_ideal(8, BENCH_OMEGA, np.sqrt(8), m0=2.0),
-           "qubit phase": build_qubit_phase(BENCH_OMEGA)}[clock_name]
-    state = {"gaussian": bench_gaussian(), "cat": bench_cat(theta=0.7)}[state_name]
+    clk = CLOCKS[clock_name]()
+    state = STATES[state_name]()
     c = bench_c()
     js_char = evolve_characteristics_g(clk, state, BENCH_T, 0.0, order=order, c=c)
     js_block = block_evolve_g0(clk, state, BENCH_T, order, c, js_char.grid)
@@ -117,13 +204,8 @@ def test_characteristics_at_zero_g_matches_c2_block_oracle(order, clock_name, st
     assert abs(spread_char - spread_block) < 1e-12 * spread_block
 
 
-def test_characteristics_rejects_mixture_and_narrow_grid():
-    from chronodil.kinematics import MixtureState, to_grid
-
+def test_characteristics_rejects_narrow_grid():
     clk = build_swp(4, BENCH_OMEGA)
-    mix = MixtureState(components=((1.0, bench_gaussian()),))
-    with pytest.raises(TypeError, match="ensemble"):
-        evolve_characteristics_g(clk, mix, BENCH_T, G_EARTH, c=bench_c())
     state = bench_gaussian()
     # wide enough for the unshifted packet, but the shift by the force (about
     # 3 sigma_p here) moves part of the packet off every row of the stacked grid
@@ -316,8 +398,6 @@ def test_surrogate_with_gravity_matches_first_order_correction():
 
 
 def test_verify_mean_time_mixture_state():
-    from chronodil.kinematics import MixtureState
-
     a = bench_gaussian()
     b = GaussianState(a.x0 + 2e-7, a.p0, a.sigma_x, a.mass)
     mix = MixtureState(components=((0.4, a), (0.6, b)))
