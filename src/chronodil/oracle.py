@@ -10,9 +10,9 @@ the block-diagonal one: each momentum sample evolves its clock block
 under H_cl (1 + w(p)) plus a kinematic phase.
 
 It does not step in time, so there is no Trotter error; the only
-approximation is the momentum grid itself. Its spacing follows the
-bandwidth of the joint state, and its captured norm and final norm are
-checked.
+approximation is the momentum grid itself. Its period in position,
+2 pi hbar over its spacing, covers the joint state's extent, and its
+captured norm and final norm are checked.
 
 ``verify_mean_time`` and ``verify_sigma`` compare the perturbative
 closed forms against this evolution while scaling the speed of light
@@ -57,7 +57,7 @@ class JointState:
 class VerificationReport:
     """Perturbative vs exact values across light-speed scalings, with the
     fitted residual-decay exponents (absolute and relative to the
-    correction term). ``at_floor`` marks residuals at numerical noise."""
+    correction term), None where ``at_floor`` marks residuals at noise."""
 
     quantity: str
     c_scalings: tuple
@@ -98,20 +98,18 @@ def default_momentum_grid(clock: ClockModel, kstate, t: float, g: float, order: 
     s_n = (m g + E_n g / c^2) t, so the span [p0 - max s - 8 sigma_p,
     p0 - min s + 8 sigma_p] holds every row's packet to 8 spreads.
 
-    The spacing takes 8 samples per the finest scale of the integrand of
-    the reduced clock density:
-
-    - sigma_p, the envelope;
-    - 2 pi hbar / delta_x0, the interference fringe of a cat;
-    - 2 pi hbar / X_c, the fringe of the phase between two clock rows,
-      where X_c bounds the momentum derivative of that phase times hbar.
-      With q_max the largest |q| on any characteristic that starts on the
-      grid, the dilated elapsed time changes with p at most at
-      t q_max / (m^2 c^2), plus 3 t q_max^3 / (2 m^4 c^4) for 'c4', and
-      X_c is (E_max - E_min) times that. Under gravity the rows also run
-      along different characteristics, which adds (max s - min s) times
-      the bound on how fast a shift changes the p-slopes of E_n times the
-      elapsed time and of the kinetic phase.
+    The clock density is a trapezoid sum over p of a_j(p) a_k*(p) h, exact
+    up to the integrand's Fourier tail beyond x = 2 pi hbar / h. So
+    h = 2 pi hbar / X, with X the integrand's extent in position: 18 sigma_x
+    for the envelope (9 standard deviations of the transform of |phi|^2,
+    a tail near 1e-18), a cat's separation delta_x0, and X_c, the which-path
+    displacement between clock levels, hbar times the p-slope of the phase
+    between them: (E_max - E_min) t q / (m^2 c^2), plus (E_max - E_min)
+    3 t q^3 / (2 m^4 c^4) for 'c4'. Under gravity the levels run along
+    different characteristics, which adds (max s - min s) times the bound
+    on how fast a shift changes the p-slopes of E_n times the elapsed time
+    and of the kinetic phase. Every term takes q at
+    q_pk = |p0| + 6 sigma_p + max |s|, on the packet's support.
 
     Raises ValueError when the grid would hold more than 2^21 clock-level
     by momentum-point samples; pass ``grid`` to the evolution instead.
@@ -122,28 +120,22 @@ def default_momentum_grid(clock: ClockModel, kstate, t: float, g: float, order: 
     s_lo, s_hi = float(shifts.min()), float(shifts.max())
     lo = base.p0 - s_hi - 8.0 * sigma_p
     hi = base.p0 - s_lo + 8.0 * sigma_p
-    scales = [sigma_p]
-    if isinstance(kstate, CatState) and kstate.delta_x0 > 0:
-        scales.append(2.0 * np.pi * HBAR / kstate.delta_x0)
-    q_max = max(abs(lo + min(s_lo, 0.0)), abs(hi + max(s_hi, 0.0)))
+    q_pk = abs(base.p0) + 6.0 * sigma_p + max(abs(s_lo), abs(s_hi))
     t = abs(t)
     # bounds on |d elapsed / dp|, on its change per unit shift, and on the
     # change of the kinetic phase's p-slope per unit shift
-    slope = t * q_max / (mass**2 * c**2)
+    slope = t * q_pk / (mass**2 * c**2)
     d_slope = 0.5 * t / (mass**2 * c**2)
-    d_kinetic = 0.5 * t * (1.0 / mass + 1.5 * q_max**2 / (mass**3 * c**2))
+    d_kinetic = 0.5 * t * (1.0 / mass + 1.5 * q_pk**2 / (mass**3 * c**2))
     if order == "c4":
-        slope += 1.5 * t * q_max**3 / (mass**4 * c**4)
-        d_slope += 2.25 * t * q_max**2 / (mass**4 * c**4)
+        slope += 1.5 * t * q_pk**3 / (mass**4 * c**4)
+        d_slope += 2.25 * t * q_pk**2 / (mass**4 * c**4)
     energies = clock.energies
-    x_c = (float(np.ptp(energies)) * slope
-           + (s_hi - s_lo) * (float(np.max(np.abs(energies))) * d_slope + d_kinetic))
-    if x_c > 0:
-        scales.append(2.0 * np.pi * HBAR / x_c)
-    # the width from its parts, so that 16 sigma_p over sigma_p / 8 is
-    # exactly 128 intervals
-    width = 16.0 * sigma_p + (s_hi - s_lo)
-    n_points = int(np.ceil(8.0 * width / min(scales))) + 1
+    extent = (18.0 * base.sigma_x + float(np.ptp(energies)) * slope
+              + (s_hi - s_lo) * (float(np.max(np.abs(energies))) * d_slope + d_kinetic))
+    if isinstance(kstate, CatState):
+        extent += kstate.delta_x0
+    n_points = int(np.ceil((hi - lo) * extent / (2.0 * np.pi * HBAR))) + 1
     if n_points * clock.dim > _MAX_DEFAULT_SAMPLES:
         raise ValueError(
             f"the default grid needs {n_points} momentum points for {clock.dim} clock "
@@ -170,10 +162,11 @@ def evolve_characteristics_g(clock: ClockModel, kstate, t: float, g: float, orde
     contributes only a global phase and is omitted.
 
     The default grid, ``default_momentum_grid``, spans every clock row's
-    shifted packet and takes 8 samples per the finest scale of the
-    integrand: the envelope, a cat's fringe, or the phase between clock
-    rows, which grows with t, the clock's energy spread and 1/c^2.
-    ``grid`` overrides it.
+    shifted packet, and its spacing is 2 pi hbar over the extent in
+    position of the integrand of the reduced clock density: the envelope,
+    a cat's separation and the which-path displacement between clock rows,
+    which grows with t, the clock's energy spread and 1/c^2. ``grid``
+    overrides it.
     """
     if order not in ("c2", "c4"):
         raise ValueError(f"order must be 'c2' or 'c4', got {order!r}")
@@ -229,10 +222,14 @@ def _oracle_mean(clock: ClockModel, kstate, t: float, g: float, c: float) -> flo
 
 
 def _fit_exponent(lams: np.ndarray, residuals: np.ndarray) -> float | None:
+    """Least-squares slope of log residual against log lambda over the
+    positive residuals, in closed form; None below two of them."""
     mask = residuals > 0
     if mask.sum() < 2:
         return None
-    return float(np.polyfit(np.log(lams[mask]), np.log(residuals[mask]), 1)[0])
+    x, y = np.log(lams[mask]), np.log(residuals[mask])
+    x = x - x.mean()
+    return float(np.dot(x, y - y.mean()) / np.dot(x, x))
 
 
 def _report(quantity: str, lams: np.ndarray, rows: list, floor_scale: float,
@@ -240,8 +237,8 @@ def _report(quantity: str, lams: np.ndarray, rows: list, floor_scale: float,
     """Report from one (perturbative, exact, correction) row per scaling.
 
     Residuals below 1e-12 of max(``floor_scale``, |exact|) are at the
-    floor. Passes at the floor, or when the exponent named by ``judged``
-    ('abs' or 'rel') is at most ``limit``.
+    floor, where no exponent is fitted. Passes at the floor, or when the
+    exponent named by ``judged`` ('abs' or 'rel') is at most ``limit``.
     """
     perturbative, exact, corrections = (tuple(col) for col in zip(*rows))
     residuals = tuple(abs(e - p) for p, e in zip(perturbative, exact))
@@ -249,8 +246,9 @@ def _report(quantity: str, lams: np.ndarray, rows: list, floor_scale: float,
                       for r, corr in zip(residuals, corrections))
     floor = 1e-12 * max(floor_scale, max(abs(v) for v in exact))
     at_floor = all(r < floor for r in residuals)
-    exp_abs = _fit_exponent(lams, np.asarray(residuals))
-    exp_rel = _fit_exponent(lams, np.asarray(relatives))
+    # residuals at the floor are rounding, with no decay to fit
+    exp_abs = None if at_floor else _fit_exponent(lams, np.asarray(residuals))
+    exp_rel = None if at_floor else _fit_exponent(lams, np.asarray(relatives))
     fitted = exp_rel if judged == "rel" else exp_abs
     return VerificationReport(
         quantity=quantity, c_scalings=tuple(lams), perturbative=perturbative, exact=exact,

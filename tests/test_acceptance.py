@@ -164,7 +164,9 @@ def test_criterion_06_oracle_scaling_mean_time():
                 good = report.at_floor or (report.exponent_rel is not None
                                            and report.exponent_rel <= -1.8)
                 ok = ok and good
-                results.append(f"{cname}/{kname}/g={g:g}: {report.exponent_rel:.2f}")
+                fitted = ("none" if report.exponent_rel is None
+                          else f"{report.exponent_rel:.2f}")
+                results.append(f"{cname}/{kname}/g={g:g}: {fitted}")
     assert _verdict("6", ok, "residual exponents " + "; ".join(results))
 
 

@@ -207,8 +207,15 @@ def test_grid_too_narrow_raises():
 def test_grid_cat_resolves_fringes():
     state = cat(delta=40.0 * SX)  # very fine fringes force a denser grid
     grid = state_grid(state)
-    fringe = 2.0 * np.pi * HBAR / state.delta_x0
-    assert (grid[1] - grid[0]) <= fringe / 8.0
+    # the grid's period in position, 2 pi hbar / h, covers the density's
+    # extent: the envelope's 18 sigma_x plus the separation
+    extent = 18.0 * state.base.sigma_x + state.delta_x0
+    assert (grid[1] - grid[0]) <= 2.0 * np.pi * HBAR / extent
+    # so the sums over the grid are the exact integrals
+    density = np.abs(to_grid(state, grid).amplitudes) ** 2 * (grid[1] - grid[0])
+    exact = moments(state)
+    assert abs(density.sum() - 1.0) < 1e-12
+    assert abs(np.sum(density * grid**2) / exact.mean_p2 - 1.0) < 1e-12
 
 
 def test_state_validation():

@@ -6,6 +6,8 @@ from chronodil.constants import HBAR
 from chronodil.dilation import mean_clock_time, sup_vs_mix
 from chronodil.kinematics import GaussianState, MixtureState, to_grid
 from chronodil.oracle import (
+    _fit_exponent,
+    _report,
     clock_time_stats,
     default_momentum_grid,
     evolve_characteristics_g,
@@ -65,8 +67,10 @@ def test_narrow_packet_reduces_to_rescaled_time():
 def test_norm_conservation_and_momentum_invariance():
     clk = build_quasi_ideal(8, BENCH_OMEGA, np.sqrt(8), m0=2.0)
     state = bench_gaussian()
-    js0 = evolve_characteristics_g(clk, state, 0.0, 0.0, c=bench_c())
-    js1 = evolve_characteristics_g(clk, state, BENCH_T, 0.0, c=bench_c())
+    # the default grid grows with t, so both times share the later one
+    grid = default_momentum_grid(clk, state, BENCH_T, 0.0, c=bench_c())
+    js0 = evolve_characteristics_g(clk, state, 0.0, 0.0, c=bench_c(), grid=grid)
+    js1 = evolve_characteristics_g(clk, state, BENCH_T, 0.0, c=bench_c(), grid=grid)
     assert abs(js1.norm() - 1.0) < 1e-8
     # the momentum marginal is time invariant without gravity
     d0, d1 = (np.sum(np.abs(js.amplitudes) ** 2, axis=0) for js in (js0, js1))
@@ -118,20 +122,22 @@ def density_refinement_gap(clk, state, t, g, order="c2", grid=None):
 
 
 @pytest.mark.parametrize("clock_name,state_name,g,order,points", [
-    pytest.param("dial d=4", "gaussian", G_EARTH, "c2", 130, id="swp4_gaussian_g"),
-    pytest.param("gaussian dial d=8", "cat", G_EARTH, "c2", 130, id="qi8_cat_g"),
-    pytest.param("qubit phase", "cat", G_EARTH, "c2", 130, id="qubit_cat_g"),
-    pytest.param("gaussian dial d=64", "cat", 0.0, "c2", 129, id="qi64_cat_g0"),
-    pytest.param("gaussian dial d=64", "rest gaussian", 0.0, "c4", 129, id="qi64_rest_sigma"),
+    pytest.param("dial d=4", "gaussian", G_EARTH, "c2", (25, 25, 24), id="swp4_gaussian_g"),
+    pytest.param("gaussian dial d=8", "cat", G_EARTH, "c2", (29, 29, 28), id="qi8_cat_g"),
+    pytest.param("qubit phase", "cat", G_EARTH, "c2", (28, 28, 28), id="qubit_cat_g"),
+    pytest.param("gaussian dial d=64", "cat", 0.0, "c2", (34, 30, 29), id="qi64_cat_g0"),
+    pytest.param("gaussian dial d=64", "rest gaussian", 0.0, "c4", (29, 25, 25),
+                 id="qi64_rest_sigma"),
 ])
 def test_default_grid_size_of_the_verify_cases(clock_name, state_name, g, order, points):
-    # the envelope sets the spacing at every scaling: 8 samples per sigma_p
-    # over 16 sigma_p is 129 points, and under gravity the levels' spread of
-    # shifts widens the span past 128 intervals
+    # 16 sigma_p over 2 pi hbar / (18 sigma_x) is 23 intervals; a cat's
+    # separation, the levels' which-path displacement (which falls with
+    # the light-speed scaling) and under gravity their spread of shifts add
+    # the rest
     clk, state = CLOCKS[clock_name](), STATES[state_name]()
-    for lam in (1.0, 2.0, 4.0):
-        grid = default_momentum_grid(clk, state, BENCH_T, g, order, lam * bench_c())
-        assert grid.size == points
+    sizes = tuple(default_momentum_grid(clk, state, BENCH_T, g, order, lam * bench_c()).size
+                  for lam in (1.0, 2.0, 4.0))
+    assert sizes == points
 
 
 @pytest.mark.parametrize("order", ["c2", "c4"])
@@ -149,11 +155,22 @@ def test_default_grid_matches_its_refinement(clock_name, state_name, g, order):
 
 def test_long_evolution_resolves_the_phase_between_levels():
     # 50 periods on, the phase between the d = 64 levels winds across the
-    # packet (X_c near 1000 sigma_x), so the default grid takes about
-    # 11,000 points; 129 points miss the correction by 5e-4
+    # packet (X_c near 900 sigma_x), so the default grid takes about
+    # 1,200 points; 129 points miss the correction by 5e-4
     clk = idealised_surrogate(BENCH_OMEGA, d=64)
     t = 50.0 * BENCH_PERIOD + BENCH_T
     assert density_refinement_gap(clk, bench_cat(theta=0.7), t, 0.0) < 1e-11
+
+
+def test_fast_fall_grid_stays_small_and_resolved():
+    # 10 periods into the fall the packet moves at 5.7 c of the scaled light
+    # speed; the levels' different kinetic phases, bounded on the packet's
+    # support, take about 4,600 points per level
+    clk = build_swp(4, BENCH_OMEGA)
+    state = bench_gaussian()
+    t = 10.0 * BENCH_PERIOD + BENCH_T
+    assert default_momentum_grid(clk, state, t, G_EARTH, c=bench_c()).size <= 5000
+    assert density_refinement_gap(clk, state, t, G_EARTH) < 1e-10
 
 
 def test_default_grid_spans_every_level_under_gravity():
@@ -405,3 +422,34 @@ def test_verify_mean_time_mixture_state():
     report = verify_mean_time(clk, mix, BENCH_T, 0.0,
                               c_scalings=(1.0, 2.0, 4.0), base_c=bench_c())
     assert report.passed
+
+
+# ---------------------------------------------------------------------------
+# the residual-decay fit
+
+
+def test_fit_exponent_is_the_least_squares_slope():
+    rng = np.random.default_rng(16)
+    for n in (2, 3, 4, 5):
+        for _ in range(20):
+            lams = np.sort(rng.uniform(0.5, 8.0, n))
+            residuals = np.exp(rng.normal(-20.0, 5.0, n))
+            slope = np.polyfit(np.log(lams), np.log(residuals), 1)[0]
+            assert abs(_fit_exponent(lams, residuals) - slope) < 1e-12 * max(1.0, abs(slope))
+
+
+def test_fit_exponent_needs_two_positive_residuals():
+    lams = np.array([1.0, 2.0, 4.0])
+    assert _fit_exponent(lams, np.array([0.0, 1e-9, 0.0])) is None
+    assert _fit_exponent(lams, np.zeros(3)) is None
+    assert _fit_exponent(lams, np.array([0.0, 4e-6, 1e-6])) == pytest.approx(-2.0, abs=1e-12)
+
+
+def test_report_at_the_floor_fits_no_exponent():
+    # residuals of one part in 1e15 of the reading are rounding: the report
+    # passes on the floor and prints no slope fitted to them
+    lams = np.array([1.0, 2.0, 4.0])
+    rows = [(1.0, 1.0 + 1e-15 * k, 1e-6 / lam**2) for k, lam in enumerate(lams, 1)]
+    report = _report("mean_clock_time", lams, rows, 1.0, "rel", -1.8, "")
+    assert report.at_floor and report.passed
+    assert report.exponent_abs is None and report.exponent_rel is None
