@@ -3,42 +3,37 @@
 Mean clock time, coherence-induced deviations from classical proper
 time, precision loss and its recovery by momentum measurements, all
 checked against a brute-force joint-evolution oracle.
+
+The exports are resolved on first access, so ``import chronodil`` loads
+no module until one of its names is used.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .constants import ATOMIC_MASS_UNIT, C_LIGHT, ELECTRON_MASS, G_STANDARD, HBAR
-from .clocks import (
-    ClockModel,
-    IdealisedClock,
-    build_qubit_phase,
-    build_quasi_ideal,
-    build_swp,
-    error_trace,
-    mean_clock_time_nr,
-)
-from .kinematics import CatState, GaussianState, MixtureState, moments, norm_factor, r_factor
-from .dilation import classical_proper_time, mean_clock_time, sup_vs_mix, t_coh
-from .precision import (sigma_breakdown, sigma_dispersion_exact, sigma_ideal_term,
-                        sigma_nonideal_term, w_moments)
-from .measurement import MomentumBinning, bin_probability, conditioned_sigma, sweep_conditioned
-from .oracle import (
-    JointState,
-    VerificationReport,
-    evolve_characteristics_g,
-    verify_mean_time,
-    verify_sigma,
-)
+# exported name -> defining module
+_EXPORTS = {
+    **dict.fromkeys(["ATOMIC_MASS_UNIT", "C_LIGHT", "ELECTRON_MASS", "G_STANDARD", "HBAR"],
+                    "constants"),
+    **dict.fromkeys(["ClockModel", "IdealisedClock", "build_qubit_phase", "build_quasi_ideal",
+                     "build_swp", "error_trace", "mean_clock_time_nr"], "clocks"),
+    **dict.fromkeys(["CatState", "GaussianState", "MixtureState", "moments", "norm_factor",
+                     "r_factor"], "kinematics"),
+    **dict.fromkeys(["classical_proper_time", "mean_clock_time", "sup_vs_mix", "t_coh"],
+                    "dilation"),
+    **dict.fromkeys(["sigma_breakdown", "sigma_dispersion_exact", "sigma_ideal_term",
+                     "sigma_nonideal_term", "w_moments"], "precision"),
+    **dict.fromkeys(["MomentumBinning", "bin_probability", "conditioned_sigma",
+                     "sweep_conditioned"], "measurement"),
+    **dict.fromkeys(["JointState", "VerificationReport", "evolve_characteristics_g",
+                     "verify_mean_time", "verify_sigma"], "oracle"),
+}
 
-__all__ = [
-    "ATOMIC_MASS_UNIT", "C_LIGHT", "ELECTRON_MASS", "G_STANDARD", "HBAR",
-    "ClockModel", "IdealisedClock", "build_qubit_phase", "build_quasi_ideal",
-    "build_swp", "error_trace", "mean_clock_time_nr",
-    "CatState", "GaussianState", "MixtureState", "moments", "norm_factor", "r_factor",
-    "classical_proper_time", "mean_clock_time", "sup_vs_mix", "t_coh",
-    "sigma_breakdown", "sigma_dispersion_exact", "sigma_ideal_term", "sigma_nonideal_term",
-    "w_moments",
-    "MomentumBinning", "bin_probability", "conditioned_sigma", "sweep_conditioned",
-    "JointState", "VerificationReport", "evolve_characteristics_g",
-    "verify_mean_time", "verify_sigma",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)

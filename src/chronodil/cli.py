@@ -7,6 +7,10 @@ Usage::
 
 Exit codes: 0 success, 2 configuration or physics-domain error,
 3 verification failure (a ``verify`` run whose report did not pass).
+
+A command imports only the library modules it runs: ``coherence`` and
+``sweep``, for example, never load ``oracle``, ``precision`` or
+``measurement``. The argument parser is built once per process.
 """
 
 from __future__ import annotations
@@ -21,13 +25,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .config import COMMANDS, ConfigError, RunConfig, echo_lines, parse_config
+from .config import COMMANDS, ConfigError, RunConfig, echo_lines, linear_grid, parse_config
 from .constants import C_LIGHT, HBAR
-from .dilation import mean_clock_time, sup_vs_mix, t_coh
-from .kinematics import norm_factor
-from .measurement import sweep_conditioned
-from .oracle import verify_mean_time, verify_sigma
-from .precision import sigma_breakdown
 
 SCHEMA_VERSION = 1
 
@@ -217,15 +216,18 @@ def _write_floats(x: np.ndarray, out: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: each imports the library function it calls, so
+# that a command loads only its own modules
 
 
 def _run_dilation(cfg: RunConfig) -> tuple[CsvTable, int]:
+    from .dilation import mean_clock_time
+
     clock = cfg.clock()
     kstate = cfg.kinematic_state()
     g = cfg.get("physics", "g")
     c = cfg.c_light()
-    res = mean_clock_time(clock, kstate, np.array(cfg.times()), g, c=c)
+    res = mean_clock_time(clock, kstate, cfg.times(), g, c=c)
     rows = np.column_stack(np.broadcast_arrays(  # an IdealisedClock's columns are scalars
         res.t, res.mean_t_nr, res.r_factor, res.error_trace, res.mean_t,
         res.classical_tau))
@@ -234,10 +236,13 @@ def _run_dilation(cfg: RunConfig) -> tuple[CsvTable, int]:
 
 
 def _run_coherence(cfg: RunConfig) -> tuple[CsvTable, int]:
+    from .dilation import sup_vs_mix
+    from .kinematics import norm_factor
+
     cat = cfg.kinematic_state()
     g = cfg.get("physics", "g")
     c = cfg.c_light()
-    times = np.array(cfg.times())
+    times = cfg.times()
     res = sup_vs_mix(cat, times, g, c=c)
     rows = np.column_stack(np.broadcast_arrays(times, norm_factor(cat), res.t_sup, res.t_mix,
                                                res.t_coh))
@@ -246,10 +251,12 @@ def _run_coherence(cfg: RunConfig) -> tuple[CsvTable, int]:
 
 
 def _run_precision(cfg: RunConfig) -> tuple[CsvTable, int]:
+    from .precision import sigma_breakdown
+
     clock = cfg.clock()
     kstate = cfg.kinematic_state()
     c = cfg.c_light()
-    times = np.array(cfg.times())
+    times = cfg.times()
     br = sigma_breakdown(clock, kstate, times, c=c)
     rows = np.column_stack(np.broadcast_arrays(  # an IdealisedClock's columns are scalars
         times, br.sigma_nr, br.sigma_i, br.sigma_ni, br.total))
@@ -258,10 +265,13 @@ def _run_precision(cfg: RunConfig) -> tuple[CsvTable, int]:
 
 
 def _run_measurement(cfg: RunConfig) -> tuple[CsvTable, int]:
+    from .measurement import sweep_conditioned
+
     clock = cfg.clock()
     kstate = cfg.kinematic_state()
     c = cfg.c_light()
-    rows_dicts = sweep_conditioned(clock.sigma_t0, kstate, cfg.times(),
+    # Python floats: t ** 2 on an np.float64 can differ from it by one ulp
+    rows_dicts = sweep_conditioned(clock.sigma_t0, kstate, cfg.times().tolist(),
                                    cfg.get("measurement", "q_values"),
                                    bin_index=cfg.get("measurement", "bin"), c=c)
     header = ["t", "q", "bin", "probability", "sigma_conditioned", "sigma_nr",
@@ -271,11 +281,13 @@ def _run_measurement(cfg: RunConfig) -> tuple[CsvTable, int]:
 
 
 def _run_verify(cfg: RunConfig) -> tuple[CsvTable, int]:
+    from .oracle import verify_mean_time, verify_sigma
+
     clock = cfg.clock()
     kstate = cfg.kinematic_state()
     g = cfg.get("physics", "g")
     c = cfg.c_light()
-    (t,) = cfg.times()
+    t = cfg.get("physics", "t")  # a single time, as the config requires
     scalings = cfg.get("verify", "c_scalings")
     if cfg.get("verify", "target") == "mean_time":
         report = verify_mean_time(clock, kstate, t, g, c_scalings=scalings, base_c=c)
@@ -294,13 +306,13 @@ def _run_verify(cfg: RunConfig) -> tuple[CsvTable, int]:
 
 
 def _run_sweep(cfg: RunConfig) -> tuple[CsvTable, int]:
+    from .dilation import t_coh
+
     cat = cfg.kinematic_state()
     g = cfg.get("physics", "g")
     c = cfg.c_light()
-    (t,) = cfg.times()
-    start, stop, num = (cfg.get("sweep", "start"), cfg.get("sweep", "stop"),
-                        cfg.get("sweep", "num"))
-    ratios = start + (stop - start) * np.arange(num) / (num - 1)
+    t = cfg.get("physics", "t")  # a single time, as the config requires
+    ratios = linear_grid(*(cfg.get("sweep", key) for key in ("start", "stop", "num")))
     separations = ratios * cat.sigma_x
     # one cat holding every separation: the closed form runs once, elementwise
     res = t_coh(replace(cat, delta_x0=separations), t, g, c=c)
@@ -376,15 +388,17 @@ def emit_plot_script(table: CsvTable, kind: str, csv_path: str = "out.csv") -> s
 # entry point
 
 
+# built once per process; parse_args keeps no state between calls
+_PARSER = argparse.ArgumentParser(prog="chronodil", description="quantum clock time-dilation runs")
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("--config", required=True)
+_PARSER.add_argument("--out", default=None)
+_PARSER.add_argument("--no-timestamp", action="store_true")
+_PARSER.add_argument("--plot-script", default=None)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="chronodil",
-                                     description="quantum clock time-dilation runs")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--no-timestamp", action="store_true")
-    parser.add_argument("--plot-script", default=None)
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

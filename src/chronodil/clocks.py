@@ -41,9 +41,7 @@ from the evolved kets; nothing diagonalises.
 Conventions: quantities are SI (energies in J, times in s) and hbar is
 the pinned ``constants.HBAR``, never an argument; energies ascend, the
 qubit ground state is ``|0>``, and the stored readings are
-offset-calibrated so that ``<T>(0) = 0``. ``time_offset`` records the
-subtracted constant: the raw readings are ``time_values + time_offset``,
-the raw first-moment operator ``t_cl + time_offset * I``.
+offset-calibrated so that ``<T>(0) = 0``.
 """
 
 from __future__ import annotations
@@ -57,9 +55,8 @@ from .constants import HBAR
 
 @dataclass(frozen=True)
 class ClockModel:
-    """Clock in its energy eigenbasis: energies (J), initial unit ket,
-    period (s), subtracted reading offset (s) and a time measurement given
-    as either
+    """Clock in its energy eigenbasis: energies (J), initial unit ket and a
+    time measurement given as either
 
     * ``time_values``: the calibrated readings (s) of a measurement that is
       projective onto the discrete Fourier transform of the energy basis
@@ -75,8 +72,6 @@ class ClockModel:
 
     energies: np.ndarray
     psi0: np.ndarray
-    period: float
-    time_offset: float
     time_values: np.ndarray | None = None
     t_cl: np.ndarray | None = None
     t2_cl: np.ndarray | None = None
@@ -139,11 +134,9 @@ def _dial_clock(d: int, omega: float, psi0: np.ndarray, mean_step: float) -> Clo
     """Dial clock started in ``psi0``, whose mean raw reading is ``mean_step``
     dial steps: the time values m tau are shifted by that mean, so that
     <T>(0) = 0."""
-    period = 2.0 * np.pi / omega
-    tau = period / d
-    offset = tau * mean_step
-    return ClockModel(energies=np.arange(d) * HBAR * omega, psi0=psi0, period=period,
-                      time_offset=offset, time_values=np.arange(d) * tau - offset)
+    tau = 2.0 * np.pi / omega / d
+    return ClockModel(energies=np.arange(d) * HBAR * omega, psi0=psi0,
+                      time_values=np.arange(d) * tau - tau * mean_step)
 
 
 def build_swp(d: int, omega: float) -> ClockModel:
@@ -242,8 +235,7 @@ def build_qubit_phase(omega: float) -> ClockModel:
     psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     offset = expectation_real(t_raw, psi0)
     ident = np.eye(2)
-    return ClockModel(energies=energies, psi0=psi0, period=period, time_offset=offset,
-                      t_cl=t_raw - offset * ident,
+    return ClockModel(energies=energies, psi0=psi0, t_cl=t_raw - offset * ident,
                       t2_cl=t2_raw - 2.0 * offset * t_raw + offset**2 * ident)
 
 

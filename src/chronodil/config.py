@@ -11,10 +11,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .clocks import IdealisedClock, build_quasi_ideal, build_qubit_phase, build_swp
 from .kinematics import CatState, GaussianState
 
 COMMANDS = ("dilation", "coherence", "precision", "measurement", "verify", "sweep")
+
+
+def linear_grid(start: float, stop: float, num: int) -> np.ndarray:
+    """``num`` evenly spaced values from ``start`` to ``stop``: cell i is
+    ``start + (stop - start) * i / (num - 1)``, the same IEEE operations in
+    the same order as that scalar formula, so the same bits."""
+    return start + (stop - start) * np.arange(num) / (num - 1)
 
 
 class ConfigError(ValueError):
@@ -147,15 +156,17 @@ class RunConfig:
             theta=self.get("kinematics", "theta"),
         )
 
-    def times(self) -> list[float]:
+    def times(self) -> np.ndarray:
+        """The lab times: ``t`` alone, or the ``linear_grid`` of the time grid keys."""
         t = self.get("physics", "t")
-        if t is not None:
-            return [t]
+        return np.array([t]) if t is not None else linear_grid(*self._time_grid())
+
+    def _time_grid(self) -> tuple[float, float, int]:
         start, stop, num = (self.get("physics", "t_start"), self.get("physics", "t_stop"),
                             self.get("physics", "t_num"))
         if start is None or stop is None or num is None:
             raise ConfigError("[physics] needs either 't' or all of 't_start', 't_stop', 't_num'")
-        return [start + (stop - start) * i / (num - 1) for i in range(num)]
+        return start, stop, num
 
     def c_light(self) -> float:
         from .constants import C_LIGHT
@@ -245,10 +256,11 @@ def _validate_semantics(cfg: RunConfig) -> None:
             raise ConfigError("command 'measurement' needs a positive sigma_t0 in [clock]")
         if cfg.get("kinematics", "type") != "gaussian":
             raise ConfigError("command 'measurement' needs kinematics type 'gaussian'")
-    times = cfg.times()  # raises when the time grid keys are incomplete
-    if cfg.command in ("verify", "sweep") and len(times) > 1:
-        raise ConfigError(f"command {cfg.command!r} runs at a single time; "
-                          "give 't' in [physics], not a time grid")
+    if cfg.get("physics", "t") is None:
+        cfg._time_grid()  # raises when the time grid keys are incomplete
+        if cfg.command in ("verify", "sweep"):  # a grid holds at least two times
+            raise ConfigError(f"command {cfg.command!r} runs at a single time; "
+                              "give 't' in [physics], not a time grid")
 
 
 def echo_lines(cfg: RunConfig) -> list[str]:

@@ -133,11 +133,12 @@ def dial_moment_operators_circulant(d: int, omega: float) -> tuple[np.ndarray, n
 def dense_moment_operators(clock) -> tuple[np.ndarray, np.ndarray]:
     """Calibrated (T, T2) of a clock as (dim, dim) matrices: a dense clock's
     stored operators, or a dial's closed-form circulants shifted by its
-    ``time_offset`` o, T - o I and T2 - 2 o T + o^2 I."""
+    reading offset o = -time_values[0], T - o I and T2 - 2 o T + o^2 I."""
     if clock.time_values is None:
         return clock.t_cl, clock.t2_cl
-    t_raw, t2_raw = dial_moment_operators_circulant(clock.dim, 2.0 * np.pi / clock.period)
-    o, ident = clock.time_offset, np.eye(clock.dim)
+    omega = float(clock.energies[1] - clock.energies[0]) / HBAR
+    t_raw, t2_raw = dial_moment_operators_circulant(clock.dim, omega)
+    o, ident = -clock.time_values[0], np.eye(clock.dim)
     return t_raw - o * ident, t2_raw - 2.0 * o * t_raw + o**2 * ident
 
 

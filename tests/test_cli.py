@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from chronodil import cli
 from chronodil.cli import CsvTable, emit_plot_script, main, run, write_csv
-from chronodil.config import ConfigError, echo_lines, parse_config
+from chronodil.config import ConfigError, RunConfig, echo_lines, parse_config
 from helpers import (BENCH_MASS, BENCH_OMEGA, BENCH_PERIOD, BENCH_SIGMA_X, BENCH_T, bench_c,
                      reference_write_csv)
 
@@ -127,6 +127,21 @@ def test_config_echo_is_lossless():
     assert cfg2.command == cfg.command
 
 
+_ENDS = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ENDS, min_size=2, max_size=2, unique=True), st.integers(2, 5000))
+def test_time_grid_is_the_scalar_formula_bit_for_bit(ends, num):
+    # the CSV's t column: the grid's one numpy expression must give the bits
+    # of the per-cell formula, signed zeros and subnormals included
+    start, stop = sorted(ends)
+    cfg = RunConfig(command="dilation", values={
+        ("physics", "t_start"): start, ("physics", "t_stop"): stop, ("physics", "t_num"): num})
+    expected = [start + (stop - start) * i / (num - 1) for i in range(num)]
+    assert cfg.times().tobytes() == np.array(expected).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # command runs
 
@@ -217,6 +232,11 @@ def measurement_config() -> str:
         "d = 4\n", "").replace(f"omega = {BENCH_OMEGA!r}\n", "")
 
 
+SWEEP_CONFIG = bench_config("sweep", kin_type="cat",
+                            cat_keys="delta_x0 = 3e-7\nalpha = 0.5\ntheta = 0.0",
+                            extra="\n[sweep]\nstart = 0.1\nstop = 8.0\nnum = 40\n")
+
+
 def test_import_loads_no_scipy(tmp_path):
     # the runtime needs numpy only: neither the import nor a command loads
     # scipy, the measurement command being the last one that used a scipy
@@ -225,9 +245,7 @@ def test_import_loads_no_scipy(tmp_path):
     measurement = tmp_path / "m.cfg"
     measurement.write_text(measurement_config())
     sweep = tmp_path / "s.cfg"
-    sweep.write_text(bench_config(
-        "sweep", kin_type="cat", cat_keys="delta_x0 = 3e-7\nalpha = 0.5\ntheta = 0.0",
-        extra="\n[sweep]\nstart = 0.1\nstop = 8.0\nnum = 40\n"))
+    sweep.write_text(SWEEP_CONFIG)
     runs = [[command, "--config", str(path), "--out", str(tmp_path / f"{command}.csv"),
              "--no-timestamp"]
             for command, path in (("measurement", measurement),
@@ -246,6 +264,41 @@ def test_import_loads_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.split() == ["[]"] * 4
+
+
+def test_cold_coherence_and_sweep_load_only_their_modules(tmp_path):
+    # a command imports only the library modules it runs; -X importtime
+    # names every module a cold `python -m chronodil.cli` process imports
+    sweep = tmp_path / "s.cfg"
+    sweep.write_text(SWEEP_CONFIG)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    for command, path in (("coherence", REPO_ROOT / "configs" / "aluminium.cfg"),
+                          ("sweep", sweep)):
+        out = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "chronodil.cli", command, "--config",
+             str(path), "--out", str(tmp_path / f"{command}.csv"), "--no-timestamp"],
+            env=env, capture_output=True, text=True, check=True)
+        loaded = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()}
+        assert "chronodil.dilation" in loaded, command
+        unused = {"chronodil.oracle", "chronodil.precision", "chronodil.measurement"}
+        assert not loaded & unused, command
+
+
+def test_shared_parser_keeps_nothing_between_calls(tmp_path):
+    # one parser serves every call in a process: an option of one call must
+    # not reach the next
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(SWEEP_CONFIG)
+    out, script = tmp_path / "s.csv", tmp_path / "s.gp"
+    argv = ["sweep", "--config", str(cfg_path), "--out", str(out)]
+    assert main(argv + ["--no-timestamp", "--plot-script", str(script)]) == 0
+    assert script.exists()
+    assert "# generated = " not in out.read_text()
+    script.unlink()
+    assert main(argv) == 0
+    assert not script.exists()
+    assert "# generated = " in out.read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,13 @@ from chronodil.clocks import (
     error_trace,
     evolve,
     mean_clock_time_nr,
+    phase_moment_operator,
     time_probabilities,
 )
 from chronodil.constants import HBAR
 from chronodil.precision import sigma_nr
-from covariant_reference import (circular_mean_time, commutator_residual, moment_polynomial,
-                                  projector)
+from covariant_reference import (circular_mean_time, clock_period, commutator_residual,
+                                  moment_polynomial, projector)
 from dense_reference import (dense_moment_operators, dial_moment_operators_circulant,
                              dial_moment_operators_dense, evolve_hermitian, fourier_time_basis)
 from helpers import BENCH_OMEGA
@@ -43,10 +44,11 @@ def qubit(omega=1.0):
 
 def test_swp_period_and_time_eigenvalues():
     clk = swp(2)
-    assert np.isclose(clk.period, 2.0 * np.pi)
+    assert np.isclose(clock_period(clk), 2.0 * np.pi)
     raw_eigs = np.sort(np.linalg.eigvalsh(dial_moment_operators_dense(2, 1.0)[0]))
     assert np.allclose(raw_eigs, [0.0, np.pi], atol=1e-12)
-    assert np.allclose(clk.time_values + clk.time_offset, raw_eigs, atol=1e-12)
+    # the calibrated readings are the raw ones less the first, here 0
+    assert np.allclose(clk.time_values - clk.time_values[0], raw_eigs, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
@@ -81,13 +83,13 @@ def test_dial_moment_operators_match_dense_reference(kind, d):
     t_raw, t2_raw = dial_moment_operators_dense(d, omega)
     for closed, dense in zip(dial_moment_operators_circulant(d, omega), (t_raw, t2_raw)):
         assert np.abs(closed - dense).max() < 1e-12 * np.abs(dense).max()
-    t_shifted = t_raw - clk.time_offset * np.eye(d)
+    t_shifted = t_raw + clk.time_values[0] * np.eye(d)  # the offset is -time_values[0]
     columns = apply_time(clk, np.eye(d))  # row j is T e_j
     assert np.abs(columns.T - t_shifted).max() < 1e-12 * np.abs(t_raw).max()
     squared = apply_time(clk, columns)
     assert np.abs(squared.T - t_shifted @ t_shifted).max() < 1e-12 * np.abs(t2_raw).max()
     # shifting inside the FFT is T - shift I, one shift per ket
-    shifts = np.linspace(-1.0, 1.0, d) * clk.period
+    shifts = np.linspace(-1.0, 1.0, d) * clock_period(clk)
     np.testing.assert_allclose(apply_time(clk, np.eye(d), shifts),
                                columns - shifts[:, None] * np.eye(d),
                                rtol=0, atol=1e-12 * np.abs(t_raw).max())
@@ -103,7 +105,7 @@ def test_reading_matches_dense_operators(clk):
     t_op, t2_op = dense_moment_operators(clk)
     h_op = np.diag(clk.energies)
     rate = (-1j / HBAR) * (t_op @ h_op - h_op @ t_op)
-    times = np.array([0.0, 0.13, 0.5, 0.77, 3.4]) * clk.period
+    times = np.array([0.0, 0.13, 0.5, 0.77, 3.4]) * clock_period(clk)
     kets = evolve(clk, times)
     mean = np.einsum("nj,jk,nk->n", kets.conj(), t_op, kets).real
     second = np.einsum("nj,jk,nk->n", kets.conj(), t2_op, kets).real
@@ -125,10 +127,10 @@ def test_quasi_ideal_reading_matches_mpmath():
     clk = build_quasi_ideal(d, BENCH_OMEGA, np.sqrt(d), 32.0)
     with mp.workdps(40):
         tau = 2 * mp.pi / (mp.mpf(BENCH_OMEGA) * d)
-        lam = [m * tau - mp.mpf(clk.time_offset) for m in range(d)]
+        lam = [m * tau + mp.mpf(clk.time_values[0]) for m in range(d)]
         psi0 = [mp.mpc(z) for z in clk.psi0]
         for frac in (0.1, 0.25, 0.4):
-            t = frac * clk.period
+            t = frac * clock_period(clk)
             probs = []
             for m in range(d):
                 z = mp.expj(2 * mp.pi * m / d - mp.mpf(BENCH_OMEGA) * mp.mpf(t))
@@ -162,7 +164,7 @@ def test_quasi_ideal_normalised():
 ], ids=["swp", "swp_si", "quasi_ideal", "quasi_ideal_si", "qubit", "qubit_si"])
 def test_evolve_matches_dense_reference(clk):
     for frac in (0.0, 0.13, 0.5, 0.77, 3.4):
-        t = frac * clk.period
+        t = frac * clock_period(clk)
         dense = evolve_hermitian(np.diag(clk.energies), projector(clk.psi0), t, HBAR)
         assert np.abs(projector(evolve(clk, t)) - dense).max() < 1e-13
 
@@ -176,8 +178,7 @@ def test_energies_are_the_stored_diagonal():
 def make_clock(**fields):
     """A valid two-level ClockModel with ``fields`` replaced."""
     args = dict(energies=np.array([0.0, 1.0]), psi0=np.array([1.0, 0.0]),
-                t_cl=np.eye(2, dtype=complex), t2_cl=np.eye(2, dtype=complex),
-                period=1.0, time_offset=0.0)
+                t_cl=np.eye(2, dtype=complex), t2_cl=np.eye(2, dtype=complex))
     return ClockModel(**{**args, **fields})
 
 
@@ -233,7 +234,7 @@ def test_idealised_clock_rejects_bad_spread(sigma_t0):
 def make_dial(**fields):
     """A valid two-level ClockModel given by its time values, ``fields`` replaced."""
     args = dict(energies=np.array([0.0, 1.0]), psi0=np.array([1.0, 0.0]),
-                time_values=np.array([0.0, 0.5]), period=1.0, time_offset=0.0)
+                time_values=np.array([0.0, 0.5]))
     return ClockModel(**{**args, **fields})
 
 
@@ -273,8 +274,8 @@ def test_quasi_ideal_circular_mean_matches_centre():
     # a packet centred on the dial cut still has circular mean at the cut
     clk = quasi(16, 4.0, m0=0.0, n0=7.5)
     cm = circular_mean_time(clk)
-    dist = min(cm % clk.period, clk.period - cm % clk.period)
-    assert dist < 0.05 * clk.period
+    dist = min(cm % clock_period(clk), clock_period(clk) - cm % clock_period(clk))
+    assert dist < 0.05 * clock_period(clk)
 
 
 def test_quasi_ideal_rejects_sigma_out_of_range():
@@ -285,9 +286,13 @@ def test_quasi_ideal_rejects_sigma_out_of_range():
 
 
 def test_qubit_phase_first_moment_trace():
+    # the raw first moment over one period has trace 2 pi / omega, and the
+    # stored one is offset so that <T>(0) = 0
     clk = qubit(omega=2.0)
-    t_raw = clk.t_cl + clk.time_offset * np.eye(clk.dim)
+    t_raw = phase_moment_operator(1, 0.0, np.pi, 2.0)
     assert np.isclose(np.trace(t_raw).real, 2.0 * np.pi / 2.0, atol=1e-12)
+    offset = np.vdot(clk.psi0, t_raw @ clk.psi0).real
+    assert np.allclose(clk.t_cl, t_raw - offset * np.eye(clk.dim), atol=1e-12)
 
 
 def test_qubit_phase_rejects_bad_omega():
@@ -309,14 +314,14 @@ def test_idealised_error_trace_vanishes():
 def test_swp_error_trace_minus_one_at_focusing_times(d):
     clk = swp(d)
     for m in range(d):
-        assert abs(error_trace(clk, m * clk.period / d) + 1.0) < 1e-10
+        assert abs(error_trace(clk, m * clock_period(clk) / d) + 1.0) < 1e-10
 
 
 def test_swp_error_trace_between_focusing_times():
     # frozen from brute-force matrix evaluation, cross-checked against the
     # derivative identity d<T>/dt = 1 + tr E(t)
     clk = swp(5)
-    t = clk.period / 10.0
+    t = clock_period(clk) / 10.0
     val = error_trace(clk, t)
     assert abs(val - 0.5084572773) < 1e-9
     h = 1e-6
@@ -328,7 +333,7 @@ def test_swp_error_trace_between_focusing_times():
 def test_quasi_ideal_error_smaller_at_higher_dimension():
     def max_error(d):
         clk = quasi(d, np.sqrt(d), m0=d / 4.0)
-        times = np.linspace(0.0, clk.period / 2.0, 8 * d)
+        times = np.linspace(0.0, clock_period(clk) / 2.0, 8 * d)
         return max(abs(error_trace(clk, t)) for t in times)
 
     assert max_error(32) < max_error(8)
@@ -338,7 +343,7 @@ def test_quasi_ideal_error_trace_at_rounding_floor():
     # at d = 256 the exact trace is far below rounding: the centred form
     # reads a few ulp of 1, where <M> - 1 from uncentred T and H reads 3e-14
     clk = build_quasi_ideal(256, BENCH_OMEGA, 16.0, 64.0)
-    times = np.linspace(0.05, 0.45, 40) * clk.period
+    times = np.linspace(0.05, 0.45, 40) * clock_period(clk)
     assert np.abs(error_trace(clk, times)).max() < 1e-14
 
 
@@ -346,7 +351,7 @@ def test_quasi_ideal_error_decay_signature():
     maxima = []
     for d in (8, 16, 32, 64):
         clk = quasi(d, np.sqrt(d), m0=d / 4.0)
-        times = np.linspace(0.0, clk.period / 2.0, 8 * d)
+        times = np.linspace(0.0, clock_period(clk) / 2.0, 8 * d)
         maxima.append(max(abs(error_trace(clk, t)) for t in times))
     assert all(b < a for a, b in zip(maxima, maxima[1:]))
     ratios = [b / a for a, b in zip(maxima, maxima[1:])]
@@ -390,15 +395,15 @@ def test_mean_reading_starts_at_zero():
 
 def test_swp_focusing_time_reading():
     clk = swp(4)
-    t = clk.period / 4.0
+    t = clock_period(clk) / 4.0
     assert abs(mean_clock_time_nr(clk, t) - t) < 1e-10
 
 
 def test_quasi_ideal_tracks_lab_time():
     clk = quasi(32, np.sqrt(32), m0=8.0)
-    times = np.linspace(0.0, clk.period / 2.0, 101)
+    times = np.linspace(0.0, clock_period(clk) / 2.0, 101)
     worst = max(abs(mean_clock_time_nr(clk, t) - t) for t in times)
-    assert worst < 0.02 * clk.period
+    assert worst < 0.02 * clock_period(clk)
 
 
 @pytest.mark.parametrize("clk, frac", [(swp(5), 0.15), (swp(5), 1.7),
@@ -409,7 +414,7 @@ def test_integrated_error_trace_matches_quadrature(clk, frac):
     # is a smooth expectation value, so this holds past the wrap as well
     from scipy.integrate import quad
 
-    t = frac * clk.period
+    t = frac * clock_period(clk)
     numeric, _ = quad(lambda s: error_trace(clk, s), 0.0, t,
                       epsabs=1e-13, epsrel=1e-12, limit=200)
     assert abs(mean_clock_time_nr(clk, t) - t - numeric) < 1e-10
@@ -421,7 +426,7 @@ def test_integrated_error_trace_matches_quadrature(clk, frac):
 
 def test_moment_check_n0_resolution_of_identity():
     for clk in (swp(8), quasi(32, 4.0, 8.0), qubit()):
-        lhs, rhs = moment_polynomial(clk, 0, 2.0 * clk.period / 8.0)
+        lhs, rhs = moment_polynomial(clk, 0, 2.0 * clock_period(clk) / 8.0)
         assert np.isclose(lhs, 1.0, atol=1e-10)
         assert np.isclose(rhs, 1.0, atol=1e-10)
 
@@ -429,10 +434,10 @@ def test_moment_check_n0_resolution_of_identity():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_moment_check_dial_clocks_wrap_safe(n):
     clk = swp(8)
-    lhs, rhs = moment_polynomial(clk, n, 3.0 * clk.period / 8.0)
+    lhs, rhs = moment_polynomial(clk, n, 3.0 * clock_period(clk) / 8.0)
     assert abs(lhs - rhs) < 1e-8
     qi = quasi(32, 4.0, m0=8.0)
-    lhs, rhs = moment_polynomial(qi, n, 4.0 * qi.period / 32.0)
+    lhs, rhs = moment_polynomial(qi, n, 4.0 * clock_period(qi) / 32.0)
     assert abs(lhs - rhs) < 1e-8
 
 
@@ -448,15 +453,16 @@ def test_moment_check_qubit_phase_variance_time_independent():
     assert np.ptp(variances) < 1e-10
 
 
-# the reference can fail: between dial steps, and on a phase clock whose
-# period disagrees with its spectrum, the two sides part by far more than
-# the 1e-8 of the wrap-safe cases
-@pytest.mark.parametrize("clk, n, t", [
-    (swp(8), 1, 0.37 * swp(8).period), (swp(8), 2, 0.37 * swp(8).period),
-    (dataclasses.replace(qubit(), period=1.5 * qubit().period), 2, 0.3),
+# the reference can fail: between dial steps, and on a phase clock read by a
+# window measurement whose period disagrees with its spectrum, the two sides
+# part by far more than the 1e-8 of the wrap-safe cases
+@pytest.mark.parametrize("clk, n, t, period", [
+    (swp(8), 1, 0.37 * clock_period(swp(8)), None),
+    (swp(8), 2, 0.37 * clock_period(swp(8)), None),
+    (qubit(), 2, 0.3, 1.5 * clock_period(qubit())),
 ], ids=["dial_n1", "dial_n2", "qubit_wrong_period"])
-def test_moment_check_can_fail(clk, n, t):
-    lhs, rhs = moment_polynomial(clk, n, t)
+def test_moment_check_can_fail(clk, n, t, period):
+    lhs, rhs = moment_polynomial(clk, n, t, period)
     assert abs(lhs - rhs) > 1e-3 * abs(rhs)
 
 
@@ -465,8 +471,9 @@ def test_commutator_form_qubit_phase():
 
 
 def test_commutator_form_flags_wrong_period_at_si_hbar():
-    # the residual is dimensionless: a period 50% too long reads 0.5 at SI hbar
+    # the residual is dimensionless: moment operators built for a period 1.5
+    # times the spectrum's read 0.5 at SI hbar
     clk = build_qubit_phase(1.0)
     assert commutator_residual(clk) < 1e-10
-    wrong = dataclasses.replace(clk, period=1.5 * clk.period)
+    wrong = dataclasses.replace(clk, energies=1.5 * clk.energies)
     assert abs(commutator_residual(wrong) - 0.5) < 1e-10

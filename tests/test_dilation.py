@@ -8,6 +8,7 @@ from chronodil.clocks import IdealisedClock, build_swp
 from chronodil.constants import ATOMIC_MASS_UNIT, C_LIGHT
 from chronodil.dilation import classical_proper_time, mean_clock_time, sup_vs_mix, t_coh
 from chronodil.kinematics import CatState, GaussianState
+from covariant_reference import clock_period
 
 MASS = 27.0 * ATOMIC_MASS_UNIT
 R_AL = 184e-12  # aluminium Van der Waals radius, used as the length unit
@@ -97,7 +98,7 @@ def test_idealised_gaussian_matches_phase_space_average():
 def test_swp_focusing_time_cancels_relativistic_term():
     clock = build_swp(4, 1.0)
     state = gaussian(p0=5e-25)
-    t = clock.period / 4.0
+    t = clock_period(clock) / 4.0
     res = mean_clock_time(clock, state, t, 9.81)
     assert abs(res.mean_t - res.mean_t_nr) < 1e-12 * t
     assert abs(1.0 + res.error_trace) < 1e-10

@@ -17,7 +17,7 @@ from chronodil.oracle import (
 from chronodil.precision import sigma_breakdown, sigma_dispersion_exact, sigma_nr
 from helpers import (BENCH_OMEGA, BENCH_PERIOD, BENCH_T, bench_c, bench_cat, bench_gaussian,
                      idealised_surrogate)
-from covariant_reference import projector
+from covariant_reference import clock_period, projector
 from dense_reference import block_evolve_g0, evolve_hermitian, reduced_clock_density
 from split_step import split_step_evolve
 
@@ -41,8 +41,7 @@ STATES = {"gaussian": bench_gaussian, "cat": lambda: bench_cat(theta=0.7),
 def test_zero_clock_hamiltonian_leaves_clock_alone():
     basis0 = np.array([1.0, 0.0], dtype=complex)
     t_op = np.diag([0.0, 1.0]).astype(complex)
-    clk = ClockModel(energies=np.zeros(2), psi0=basis0, t_cl=t_op, t2_cl=t_op @ t_op,
-                     period=np.inf, time_offset=0.0)
+    clk = ClockModel(energies=np.zeros(2), psi0=basis0, t_cl=t_op, t2_cl=t_op @ t_op)
     js = evolve_characteristics_g(clk, bench_gaussian(), BENCH_T, 0.0, c=bench_c())
     rho = reduced_clock_density(js)
     assert np.abs(rho - projector(clk.psi0)).max() < 1e-12
@@ -249,8 +248,7 @@ def test_split_step_matches_block_oracle_at_zero_g():
 def test_ehrenfest_trajectory_with_clock_off():
     basis0 = np.array([1.0, 0.0], dtype=complex)
     t_op = np.diag([0.0, 1.0]).astype(complex)
-    clk = ClockModel(energies=np.zeros(2), psi0=basis0, t_cl=t_op, t2_cl=t_op @ t_op,
-                     period=np.inf, time_offset=0.0)
+    clk = ClockModel(energies=np.zeros(2), psi0=basis0, t_cl=t_op, t2_cl=t_op @ t_op)
     state = bench_gaussian()
     t = BENCH_T
     # near-physical light speed so the quartic kinetic correction to the
@@ -351,7 +349,7 @@ def test_verify_sigma_time_zero_matches_free_spread():
     clk = idealised_surrogate(BENCH_OMEGA, d=64)
     state = bench_gaussian(p0_sigmas=0.0)
     js = evolve_characteristics_g(clk, state, 0.0, 0.0, order="c4", c=bench_c())
-    assert abs(clock_time_stats(js, clk)[1] - sigma_nr(clk, 0.0)) < 1e-12 * clk.period
+    assert abs(clock_time_stats(js, clk)[1] - sigma_nr(clk, 0.0)) < 1e-12 * clock_period(clk)
 
 
 def test_sigma_excess_quadratic_in_time():
@@ -374,7 +372,7 @@ def test_sigma_excess_tracks_dispersion_term_not_contracted_form():
     clk = idealised_surrogate(BENCH_OMEGA, d=64)
     state = bench_gaussian(p0_sigmas=0.0)
     c = bench_c()
-    t = 0.3 * clk.period
+    t = 0.3 * clock_period(clk)
     js = evolve_characteristics_g(clk, state, t, 0.0, order="c4", c=c)
     s_nr = sigma_nr(clk, t)
     excess = clock_time_stats(js, clk)[1] - s_nr
@@ -387,7 +385,7 @@ def test_sigma_excess_tracks_dispersion_term_not_contracted_form():
 def test_verify_sigma_report_is_honest():
     clk = idealised_surrogate(BENCH_OMEGA, d=64)
     state = bench_gaussian(p0_sigmas=0.0)
-    report = verify_sigma(clk, state, 0.3 * clk.period,
+    report = verify_sigma(clk, state, 0.3 * clock_period(clk),
                           c_scalings=(1.0, 2.0, 4.0), base_c=bench_c())
     # the contracted closed form leaves a fourth-order residual, so the
     # fitted absolute exponent sits near -4 and the report does not pass

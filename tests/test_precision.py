@@ -14,6 +14,7 @@ from chronodil.precision import (
     w_moments,
     w_of_p,
 )
+from covariant_reference import clock_period
 from dense_reference import sigma_nonideal_term_dense
 from helpers import BENCH_OMEGA, bench_c, bench_cat, bench_gaussian
 
@@ -114,7 +115,7 @@ def test_unsupported_clock_type_rejected(name):
 def test_sigma_nonideal_quasi_ideal_negligible():
     clk = build_quasi_ideal(32, BENCH_OMEGA, np.sqrt(32), m0=8.0)
     state = bench_gaussian(p0_sigmas=0.0)
-    t = 0.3 * clk.period
+    t = 0.3 * clock_period(clk)
     c = bench_c()
     s_nr = sigma_nr(clk, t)
     ratio = abs(sigma_nonideal_term(clk, state, t, c=c)) / sigma_ideal_term(state, t, s_nr, c=c)
@@ -123,7 +124,7 @@ def test_sigma_nonideal_quasi_ideal_negligible():
 
 def test_sigma_nonideal_swp_nonzero_and_real():
     clk = build_swp(4, BENCH_OMEGA)
-    t = 0.275 * clk.period
+    t = 0.275 * clock_period(clk)
     value = sigma_nonideal_term(clk, bench_gaussian(), t, c=bench_c())
     assert np.isfinite(value)
     assert value != 0.0
@@ -136,7 +137,7 @@ def test_sigma_nonideal_swp_nonzero_and_real():
 def test_sigma_nonideal_matches_dense_reference(clk):
     state, c = bench_gaussian(), bench_c()
     for frac in (0.05, 0.13, 0.275, 0.4, 0.61, 0.87):
-        t = frac * clk.period
+        t = frac * clock_period(clk)
         dense = sigma_nonideal_term_dense(clk, state, t, c=c)
         assert dense != 0.0
         assert abs(sigma_nonideal_term(clk, state, t, c=c) - dense) < 1e-10 * abs(dense)
@@ -147,7 +148,7 @@ def test_sigma_nonideal_at_floor_matches_dense_reference():
     clk = build_quasi_ideal(128, BENCH_OMEGA, np.sqrt(128.0), m0=32.0)
     state, c = bench_gaussian(), bench_c()
     for frac in (0.1, 0.25, 0.4):
-        t = frac * clk.period
+        t = frac * clock_period(clk)
         ket = sigma_nonideal_term(clk, state, t, c=c)
         assert abs(ket - sigma_nonideal_term_dense(clk, state, t, c=c)) < 1e-14 * sigma_nr(clk, t)
 
@@ -156,7 +157,7 @@ def test_sigma_nonideal_at_rounding_floor():
     # at d = 128 the term is rounding; the commutator of the shifted T and H
     # keeps it below 1e-17 s, where the unshifted one reads 2e-17 s
     clk = build_quasi_ideal(128, BENCH_OMEGA, np.sqrt(128.0), m0=32.0)
-    times = np.linspace(0.05, 0.45, 40) * clk.period
+    times = np.linspace(0.05, 0.45, 40) * clock_period(clk)
     for state in (bench_gaussian(), bench_cat()):
         assert np.abs(sigma_nonideal_term(clk, state, times, c=bench_c())).max() < 1e-17
 
@@ -180,7 +181,7 @@ def test_breakdown_idealised_assembly():
 
 def test_breakdown_matrix_clock_assembly():
     clk = build_quasi_ideal(16, BENCH_OMEGA, 4.0, m0=4.0)
-    t = 0.25 * clk.period
+    t = 0.25 * clock_period(clk)
     br = sigma_breakdown(clk, bench_gaussian(), t, c=bench_c())
     assert br.total == br.sigma_nr + br.sigma_i + br.sigma_ni
     assert br.sigma_nr > 0.0
@@ -204,7 +205,7 @@ def test_breakdown_evaluates_free_spread_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(precision, name, counting(name))
     clk = build_quasi_ideal(16, BENCH_OMEGA, 4.0, m0=4.0)
-    times = np.array([0.1, 0.25]) * clk.period
+    times = np.array([0.1, 0.25]) * clock_period(clk)
     precision.sigma_breakdown(clk, bench_gaussian(), times, c=bench_c())
     assert calls == {"evolve": 1, "reading_stats": 1}
 
@@ -217,8 +218,7 @@ def test_free_spread_constant_for_idealised():
 def test_negative_variance_raises_instead_of_clamping():
     # a second-moment operator of 0 is no measurement's: <T^2> = 0 < <T>^2 = 1
     clk = ClockModel(energies=np.array([0.0, 1.0]), psi0=np.array([1.0, 0.0]),
-                     t_cl=np.diag([1.0, -1.0]), t2_cl=np.zeros((2, 2)), period=1.0,
-                     time_offset=0.0)
+                     t_cl=np.diag([1.0, -1.0]), t2_cl=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="negative variance"):
         sigma_nr(clk, 0.3)
     # round-off below a refocused zero spread still reads 0
