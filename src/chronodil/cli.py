@@ -43,7 +43,7 @@ def _metadata(cfg: RunConfig, timestamp: bool) -> list[tuple[str, str]]:
         ("schema", str(SCHEMA_VERSION)),
         ("library", f"chronodil {__version__}"),
         ("constants", f"hbar={HBAR!r} J s, c={C_LIGHT!r} m/s"),
-        ("seed", str(cfg.seed)),
+        ("seed", str(cfg.get("run", "seed"))),
     ]
     if timestamp:
         meta.append(("generated", datetime.datetime.now(datetime.timezone.utc).isoformat()))
@@ -424,7 +424,7 @@ def main(argv=None) -> int:
         print(f"chronodil: {exc}", file=sys.stderr)
         return 2
 
-    out_path = args.out or cfg.out
+    out_path = args.out or cfg.get("run", "out")
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text.getvalue())

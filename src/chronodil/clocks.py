@@ -22,9 +22,10 @@ models are provided:
   matrices.
 
 Every clock read goes through functions that hide the difference:
-``reading_mean`` and ``reading_stats``, the mean, and the mean and
-spread, of the reading in each ket of a stack, and ``apply_time``, T
-applied to each ket of a stack.
+``reading_stats``, the mean and spread of the reading in each ket of a
+stack, and ``apply_time``, T applied to each ket of a stack.
+``free_reading`` is the one read of the free clock: its kets, mean and
+spread at each time, from which every closed form starts.
 
 The central diagnostic is the error trace ``tr E(t)`` with
 
@@ -165,7 +166,6 @@ def build_quasi_ideal(
     omega: float,
     sigma_bar: float,
     m0: float,
-    n0: float | None = None,
 ) -> ClockModel:
     """Dial clock started in a Gaussian-weighted superposition of time kets.
 
@@ -173,7 +173,7 @@ def build_quasi_ideal(
 
         g(m) = A exp(-pi (m - m0)^2 / sigma_bar^2) exp(2 pi i n0 (m - m0) / d)
 
-    wrapped onto the dial. ``n0`` defaults to (d-1)/2, centring the energy
+    wrapped onto the dial, with n0 = (d-1)/2, which centres the energy
     distribution mid-spectrum. The time reading of this state advances with
     lab time while staying sharply peaked, so its error trace is
     exponentially small in d while the packet stays clear of the dial cut.
@@ -186,11 +186,10 @@ def build_quasi_ideal(
         raise ValueError(f"omega must be positive, got {omega}")
     if not 0.0 < sigma_bar < d:
         raise ValueError(f"sigma_bar must lie in (0, d), got {sigma_bar}")
-    if n0 is None:
-        n0 = (d - 1) / 2.0
     m = np.arange(d)
     # displacement from m0, wrapped into [-d/2, d/2)
     delta = (m - m0 + d / 2.0) % d - d / 2.0
+    n0 = (d - 1) / 2.0
     amps = np.exp(-np.pi * delta**2 / sigma_bar**2) * np.exp(2j * np.pi * n0 * delta / d)
     amps /= np.linalg.norm(amps)
     return _dial_clock(d, omega, np.fft.fft(amps) / np.sqrt(d), float(m @ np.abs(amps) ** 2))
@@ -243,12 +242,6 @@ def build_qubit_phase(omega: float) -> ClockModel:
 # diagnostics
 
 
-def require_clock(clock) -> None:
-    """Raise TypeError unless ``clock`` is a ClockModel or an IdealisedClock."""
-    if not isinstance(clock, (ClockModel, IdealisedClock)):
-        raise TypeError(f"unsupported clock type {type(clock).__name__}")
-
-
 def evolve(clock: ClockModel, t) -> np.ndarray:
     """psi(t) under free clock evolution, a phase per energy component: shape
     (dim,) for a time, (n_t, dim) for a 1-D array of times, one ket per row."""
@@ -291,14 +284,6 @@ def expectation_real(a: np.ndarray, kets: np.ndarray):
     if np.any(np.abs(val.imag) > 1e-9 * scale):
         raise ValueError(f"expectation has imaginary part {np.max(np.abs(val.imag)):.3e}")
     return val.real
-
-
-def reading_mean(clock: ClockModel, kets: np.ndarray):
-    """Mean clock reading in each ket of a stack: p . lambda from a dial's
-    time-basis probabilities p, psi^dag T psi for a dense clock."""
-    if clock.time_values is not None:
-        return time_probabilities(clock, kets) @ clock.time_values
-    return expectation_real(clock.t_cl, kets)
 
 
 def reading_stats(clock: ClockModel, kets: np.ndarray, weight: float | None = None):
@@ -347,6 +332,28 @@ def centred_energy(clock: ClockModel, kets: np.ndarray) -> tuple[np.ndarray, np.
     return diag, diag * kets
 
 
+def free_reading(clock, t):
+    """(kets, mean, spread) of the reading at each time under free evolution,
+    from one evolution of psi0. An IdealisedClock has no kets, reads t and
+    keeps its spread sigma_t0; any other type but ClockModel raises TypeError."""
+    if isinstance(clock, IdealisedClock):
+        return None, t, clock.sigma_t0
+    if not isinstance(clock, ClockModel):
+        raise TypeError(f"unsupported clock type {type(clock).__name__}")
+    psi = evolve(clock, t)
+    return (psi, *reading_stats(clock, psi))
+
+
+def error_trace_from(clock, kets, mean):
+    """tr E at each time from ``free_reading``'s kets and mean reading, the
+    shift a of ``error_trace``; zero without kets (an IdealisedClock)."""
+    if kets is None:
+        return 0.0
+    t_psi = apply_time(clock, kets, mean)
+    h_psi = centred_energy(clock, kets)[1]
+    return (2.0 / HBAR) * np.einsum("...j,...j->...", t_psi.conj(), h_psi).imag - 1.0
+
+
 def error_trace(clock, t):
     """tr E(t) = <M>(t) - 1 at each time, zero for an idealised clock.
 
@@ -354,24 +361,10 @@ def error_trace(clock, t):
     the per-time shifts a = <T>, b = <H>: they leave the commutator as it
     is, keep both kets as small as the spreads, and form no rate operator.
     The value is real by construction."""
-    return _free_reading(clock, t)[1]
+    return error_trace_from(clock, *free_reading(clock, t)[:2])
 
 
 def mean_clock_time_nr(clock, t):
     """Mean clock reading at each time under free (non-relativistic) evolution,
     with the t = 0 offset calibrated away so the reading starts at zero."""
-    if isinstance(clock, IdealisedClock):
-        return t
-    return reading_mean(clock, evolve(clock, t))
-
-
-def _free_reading(clock, t):
-    """(``mean_clock_time_nr``, ``error_trace``) at each time from one
-    evolution of psi0: the error trace's shift a is the mean reading."""
-    if isinstance(clock, IdealisedClock):
-        return t, 0.0
-    psi = evolve(clock, t)
-    mean = reading_mean(clock, psi)
-    t_psi = apply_time(clock, psi, mean)
-    h_psi = centred_energy(clock, psi)[1]
-    return mean, (2.0 / HBAR) * np.einsum("...j,...j->...", t_psi.conj(), h_psi).imag - 1.0
+    return free_reading(clock, t)[1]

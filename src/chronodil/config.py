@@ -58,7 +58,6 @@ _SCHEMA: dict[str, dict[str, KeySpec]] = {
         "omega": KeySpec("float", low=0.0, open_low=True, default=None),
         "sigma_bar": KeySpec("float", low=0.0, open_low=True, default=None),
         "m0": KeySpec("float", default=None),
-        "n0": KeySpec("float", default=None),
         "sigma_t0": KeySpec("float", low=0.0, default=0.0),
     },
     "kinematics": {
@@ -94,23 +93,11 @@ _SCHEMA: dict[str, dict[str, KeySpec]] = {
     },
 }
 
-_REQUIRED_SECTIONS = {
-    "dilation": ("run", "clock", "kinematics", "physics"),
-    "coherence": ("run", "kinematics", "physics"),
-    "precision": ("run", "clock", "kinematics", "physics"),
-    "measurement": ("run", "clock", "kinematics", "physics", "measurement"),
-    "verify": ("run", "clock", "kinematics", "physics", "verify"),
-    "sweep": ("run", "kinematics", "physics", "sweep"),
-}
-
-
 @dataclass
 class RunConfig:
     command: str
     values: dict = field(default_factory=dict)  # (section, key) -> typed value
     raw_lines: list = field(default_factory=list)  # (section, key, raw string) in file order
-    seed: int = 0
-    out: str | None = None
 
     def get(self, section: str, key: str):
         if (section, key) in self.values:
@@ -138,7 +125,7 @@ class RunConfig:
             raise ConfigError("clock model 'quasi_ideal' needs key 'sigma_bar' in [clock]")
         m0 = self.get("clock", "m0")
         m0 = d / 2.0 if m0 is None else m0
-        return build_quasi_ideal(d, omega, sigma_bar, m0, self.get("clock", "n0"))
+        return build_quasi_ideal(d, omega, sigma_bar, m0)
 
     def kinematic_state(self):
         base = GaussianState(
@@ -231,15 +218,12 @@ def parse_config(text: str) -> RunConfig:
         values[(section, key)] = _parse_scalar(raw_value, _SCHEMA[section][key], key, line_no)
         raw_lines.append((section, key, raw_value))
 
-    if ("run", "command") not in values:
-        raise ConfigError("missing required key 'command' in section [run]")
-    command = values[("run", "command")]
-    for sec in _REQUIRED_SECTIONS[command]:
-        for key, spec in _SCHEMA[sec].items():
+    # every required key sits in [run] or [kinematics], which every command reads
+    for sec, specs in _SCHEMA.items():
+        for key, spec in specs.items():
             if spec.required and (sec, key) not in values:
                 raise ConfigError(f"missing required key {key!r} in section [{sec}]")
-    cfg = RunConfig(command=command, values=values, raw_lines=raw_lines,
-                    seed=values.get(("run", "seed"), 0), out=values.get(("run", "out")))
+    cfg = RunConfig(command=values[("run", "command")], values=values, raw_lines=raw_lines)
     _validate_semantics(cfg)
     return cfg
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, HBAR
-from .clocks import _free_reading, require_clock
+from .clocks import error_trace_from, free_reading
 from .kinematics import CatState, MixtureState, moments, norm_factor, overlap, r_factor
 
 
@@ -52,14 +52,12 @@ class CoherenceResult:
     """Superposition vs mixture mean readings and their difference.
 
     ``t_sup = t_mix + t_coh`` by construction. Computed under the
-    good-clock assumption (error trace neglected), recorded in
-    ``good_clock``.
+    good-clock assumption: the error trace is neglected.
     """
 
     t_sup: float
     t_mix: float
     t_coh: float
-    good_clock: bool = True
 
 
 def classical_proper_time(v0: float, x0: float, g: float, t: float, c: float = C_LIGHT) -> float:
@@ -81,8 +79,8 @@ def mean_clock_time(clock, kstate, t, g: float, c: float = C_LIGHT) -> DilationR
     ``clock`` is a matrix ClockModel or an IdealisedClock (free reading t,
     error trace zero). The mass is taken from the motional state.
     """
-    require_clock(clock)
-    nr, err = _free_reading(clock, t)
+    kets, nr, _ = free_reading(clock, t)
+    err = error_trace_from(clock, kets, nr)
     r = r_factor(kstate, t, g, c)
     mean_t = nr + t * r * (1.0 + err)
     tau = _classical_tau_of_state(kstate, t, g, c)

@@ -148,8 +148,6 @@ def norm_factor(cat: CatState) -> float:
 
 def _gaussian_p_moment(mean, var, k: int):
     """<p^k> for a (possibly complex-shifted) Gaussian momentum variable."""
-    if k == 0:
-        return 1.0
     if k == 1:
         return mean
     if k == 2:

@@ -52,7 +52,6 @@ class MomentumBinning:
 
 @dataclass(frozen=True)
 class ConditionedResult:
-    bin_index: int
     probability: float
     sigma_t_given_n: float
     mean_t_given_n: float
@@ -116,7 +115,7 @@ def conditioned_sigma(sigma_t0: float, kstate: GaussianState, t: float,
     Raises ValueError on an effectively empty bin (probability < 1e-15).
     """
     prob, mean_w, var_w = _conditional_w_moments(kstate, *binning.edges(n), c)
-    return ConditionedResult(bin_index=n, probability=prob,
+    return ConditionedResult(probability=prob,
                              sigma_t_given_n=_spread(sigma_t0, t, var_w),
                              mean_t_given_n=float(t * (1.0 + mean_w)))
 

@@ -69,7 +69,6 @@ class VerificationReport:
     exponent_rel: float | None
     at_floor: bool
     passed: bool
-    note: str = ""
 
 
 def _check_norm(js: JointState) -> JointState:
@@ -233,7 +232,7 @@ def _fit_exponent(lams: np.ndarray, residuals: np.ndarray) -> float | None:
 
 
 def _report(quantity: str, lams: np.ndarray, rows: list, floor_scale: float,
-            judged: str, limit: float, note: str) -> VerificationReport:
+            judged: str, limit: float) -> VerificationReport:
     """Report from one (perturbative, exact, correction) row per scaling.
 
     Residuals below 1e-12 of max(``floor_scale``, |exact|) are at the
@@ -254,7 +253,7 @@ def _report(quantity: str, lams: np.ndarray, rows: list, floor_scale: float,
         quantity=quantity, c_scalings=tuple(lams), perturbative=perturbative, exact=exact,
         residuals=residuals, relative_residuals=relatives,
         exponent_abs=exp_abs, exponent_rel=exp_rel, at_floor=at_floor,
-        passed=at_floor or (fitted is not None and fitted <= limit), note=note,
+        passed=at_floor or (fitted is not None and fitted <= limit),
     )
 
 
@@ -276,8 +275,7 @@ def verify_mean_time(clock: ClockModel, kstate, t: float, g: float,
         result = mean_clock_time(clock, kstate, t, g, c=c_eff)
         rows.append((result.mean_t, _oracle_mean(clock, kstate, t, g, c_eff),
                      result.mean_t - result.mean_t_nr))
-    return _report("mean_clock_time", lams, rows, abs(t), "rel", -1.8,
-                   "relative residual measured against the relativistic correction term")
+    return _report("mean_clock_time", lams, rows, abs(t), "rel", -1.8)
 
 
 def verify_sigma(clock: ClockModel, kstate, t: float,
@@ -287,7 +285,8 @@ def verify_sigma(clock: ClockModel, kstate, t: float,
 
     Passes when the absolute residual decays with fitted exponent <= -5,
     or when every residual sits at the numerical noise floor. Both
-    exponents are reported as measured.
+    exponents are reported as measured, the relative one against the
+    spread's excess over its free value.
     """
     if isinstance(kstate, MixtureState):
         raise TypeError("spread verification expects a pure motional state")
@@ -299,5 +298,4 @@ def verify_sigma(clock: ClockModel, kstate, t: float,
         js = evolve_characteristics_g(clock, kstate, t, 0.0, order="c4", c=c_eff)
         rows.append((breakdown.total, clock_time_stats(js, clock)[1],
                      breakdown.total - breakdown.sigma_nr))
-    return _report("clock_time_spread", lams, rows, 0.0, "abs", -5.0,
-                   "relative residual measured against the spread excess over the free value")
+    return _report("clock_time_spread", lams, rows, 0.0, "abs", -5.0)

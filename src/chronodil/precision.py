@@ -13,7 +13,7 @@ The clock-time standard deviation then splits as
 a free part, a part that survives for an idealised clock, and a part
 sourced entirely by the clock's error operator. The free part is the
 spread of the clock's reading in its evolved ket
-(``clocks.reading_stats``). The idealised term used here is
+(``clocks.free_reading``). The idealised term used here is
 
     sigma_I(t) = t^2 (<p^4> + var(p^2)) / (8 sigma_NR(t) m^4 c^4),
 
@@ -35,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, HBAR
-from .clocks import (ClockModel, IdealisedClock, apply_time, centred_energy, evolve,
-                     reading_stats, require_clock)
+from .clocks import ClockModel, apply_time, centred_energy, free_reading
 from .kinematics import moments
 
 
@@ -83,17 +82,7 @@ def w_moments(kstate, c: float = C_LIGHT) -> WMoments:
 
 def sigma_nr(clock, t):
     """Clock-time standard deviation at each time under free evolution."""
-    return _free_stats(clock, t)[2]
-
-
-def _free_stats(clock, t):
-    """(kets, mean reading, spread) at each time from one evolution of psi0;
-    an IdealisedClock has no kets and keeps its t = 0 spread."""
-    require_clock(clock)
-    if isinstance(clock, IdealisedClock):
-        return None, t, clock.sigma_t0
-    psi = evolve(clock, t)
-    return (psi, *reading_stats(clock, psi))
+    return free_reading(clock, t)[2]
 
 
 def sigma_ideal_term(kstate, t, sigma_nr_value, c: float = C_LIGHT):
@@ -138,11 +127,11 @@ def sigma_nonideal_term(clock: ClockModel, kstate, t, c: float = C_LIGHT):
     ``clocks.apply_time``, so no d x d operator is formed. The assembled value must be real; an imaginary part above 1e-10
     of scale raises instead of being symmetrised away.
     """
-    return _nonideal_term(clock, kstate, t, c, *_free_stats(clock, t))
+    return _nonideal_term(clock, kstate, t, c, *free_reading(clock, t))
 
 
 def _nonideal_term(clock, kstate, t, c: float, psi, mean_t_nr, s_nr):
-    """``sigma_nonideal_term`` from ``_free_stats`` at the same times."""
+    """``sigma_nonideal_term`` from ``clocks.free_reading`` at the same times."""
     if psi is None:  # an IdealisedClock
         return 0.0
     wm = w_moments(kstate, c)
@@ -194,7 +183,7 @@ def sigma_breakdown(clock, kstate, t, c: float = C_LIGHT) -> PrecisionBreakdown:
     For an IdealisedClock the free spread is its constant t = 0 value and
     the non-idealised term vanishes identically.
     """
-    free = _free_stats(clock, t)
+    free = free_reading(clock, t)
     s_nr = free[2]
     s_i = sigma_ideal_term(kstate, t, s_nr, c)
     s_ni = _nonideal_term(clock, kstate, t, c, *free)

@@ -60,3 +60,15 @@ def test_every_public_definition_is_exported_or_used():
               and not node.name.startswith("_")
               and node.name not in chronodil.__all__ and node.name not in named]
     assert unused == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name with a leading underscore (dunders aside) stays inside its module
+    private = [f"{path.stem}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("chronodil"))
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []

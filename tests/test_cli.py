@@ -70,7 +70,7 @@ c_scale = {c_scale!r}
 def test_parse_minimal_dilation_config():
     cfg = parse_config(MINIMAL_DILATION)
     assert cfg.command == "dilation"
-    assert cfg.seed == 3
+    assert cfg.get("run", "seed") == 3
     assert cfg.get("clock", "d") == 4
     assert cfg.get("kinematics", "sigma_x") == 1e-9
     clock = cfg.clock()

@@ -30,8 +30,8 @@ def swp(d, omega=1.0):
     return build_swp(d, omega)
 
 
-def quasi(d, sigma_bar, m0, omega=1.0, n0=None):
-    return build_quasi_ideal(d, omega, sigma_bar, m0, n0)
+def quasi(d, sigma_bar, m0, omega=1.0):
+    return build_quasi_ideal(d, omega, sigma_bar, m0)
 
 
 def qubit(omega=1.0):
@@ -272,7 +272,7 @@ def test_second_moment_dominates_squared_first_moment(clk, projective):
 
 def test_quasi_ideal_circular_mean_matches_centre():
     # a packet centred on the dial cut still has circular mean at the cut
-    clk = quasi(16, 4.0, m0=0.0, n0=7.5)
+    clk = quasi(16, 4.0, m0=0.0)
     cm = circular_mean_time(clk)
     dist = min(cm % clock_period(clk), clock_period(clk) - cm % clock_period(clk))
     assert dist < 0.05 * clock_period(clk)

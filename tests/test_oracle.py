@@ -448,6 +448,6 @@ def test_report_at_the_floor_fits_no_exponent():
     # passes on the floor and prints no slope fitted to them
     lams = np.array([1.0, 2.0, 4.0])
     rows = [(1.0, 1.0 + 1e-15 * k, 1e-6 / lam**2) for k, lam in enumerate(lams, 1)]
-    report = _report("mean_clock_time", lams, rows, 1.0, "rel", -1.8, "")
+    report = _report("mean_clock_time", lams, rows, 1.0, "rel", -1.8)
     assert report.at_floor and report.passed
     assert report.exponent_abs is None and report.exponent_rel is None

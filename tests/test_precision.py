@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from chronodil.clocks import (ClockModel, IdealisedClock, build_qubit_phase, build_quasi_ideal,
-                              build_swp, spread_from_moments)
+                              build_swp, error_trace, mean_clock_time_nr, spread_from_moments)
 from chronodil.constants import C_LIGHT, ELECTRON_MASS
+from chronodil.dilation import mean_clock_time
 from chronodil.kinematics import GaussianState
 from chronodil.precision import (
     sigma_breakdown,
@@ -102,12 +103,16 @@ def test_sigma_nonideal_idealised_limit_is_zero():
     assert sigma_nonideal_term(IdealisedClock(1e-9), ELECTRON_NM, 1.0) == 0.0
 
 
-@pytest.mark.parametrize("name", ["sigma_nr", "sigma_nonideal_term", "sigma_breakdown"])
+@pytest.mark.parametrize("name", ["sigma_nr", "sigma_nonideal_term", "sigma_breakdown",
+                                  "mean_clock_time_nr", "error_trace", "mean_clock_time"])
 def test_unsupported_clock_type_rejected(name):
     # a bare matrix is not a clock: it has no time observable or period
     call = {"sigma_nr": lambda clk: sigma_nr(clk, 1.0),
             "sigma_nonideal_term": lambda clk: sigma_nonideal_term(clk, ELECTRON_NM, 1.0),
-            "sigma_breakdown": lambda clk: sigma_breakdown(clk, ELECTRON_NM, 1.0)}[name]
+            "sigma_breakdown": lambda clk: sigma_breakdown(clk, ELECTRON_NM, 1.0),
+            "mean_clock_time_nr": lambda clk: mean_clock_time_nr(clk, 1.0),
+            "error_trace": lambda clk: error_trace(clk, 1.0),
+            "mean_clock_time": lambda clk: mean_clock_time(clk, ELECTRON_NM, 1.0, 0.0)}[name]
     with pytest.raises(TypeError, match="unsupported clock type ndarray"):
         call(np.eye(2))
 
@@ -189,13 +194,13 @@ def test_breakdown_matrix_clock_assembly():
 
 def test_breakdown_evaluates_free_spread_once(monkeypatch):
     # one evolution of psi0 and one reading of its spread feed sigma_NR, the
-    # ideal term and the non-idealised term
-    from chronodil import precision
+    # ideal term and the non-idealised term; the mean time reads them once too
+    from chronodil import clocks
 
     calls = {"evolve": 0, "reading_stats": 0}
 
     def counting(name):
-        real = getattr(precision, name)
+        real = getattr(clocks, name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -203,11 +208,13 @@ def test_breakdown_evaluates_free_spread_once(monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(precision, name, counting(name))
+        monkeypatch.setattr(clocks, name, counting(name))
     clk = build_quasi_ideal(16, BENCH_OMEGA, 4.0, m0=4.0)
     times = np.array([0.1, 0.25]) * clock_period(clk)
-    precision.sigma_breakdown(clk, bench_gaussian(), times, c=bench_c())
+    sigma_breakdown(clk, bench_gaussian(), times, c=bench_c())
     assert calls == {"evolve": 1, "reading_stats": 1}
+    mean_clock_time(clk, bench_gaussian(), times, 9.81, c=bench_c())
+    assert calls == {"evolve": 2, "reading_stats": 2}
 
 
 def test_free_spread_constant_for_idealised():
