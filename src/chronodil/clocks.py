@@ -288,9 +288,9 @@ def expectation_real(a: np.ndarray, kets: np.ndarray):
 
 def reading_stats(clock: ClockModel, kets: np.ndarray, weight: float | None = None):
     """(mean, spread) of the clock reading in each ket of a stack, one ket per
-    row. With ``weight``, the rows are instead the components of the one
-    density matrix weight * sum_n |k_n><k_n|, and one (mean, spread) is
-    returned.
+    row. With ``weight``, the rows along the second-last axis are instead
+    the components of one density matrix weight * sum_n |k_n><k_n|, and one
+    (mean, spread) is returned per index of any axes before them.
 
     A dial reads its time-basis probabilities p, the mean as p . lambda and
     the variance as p . (lambda - mean)^2, so no large second moment
@@ -298,16 +298,19 @@ def reading_stats(clock: ClockModel, kets: np.ndarray, weight: float | None = No
     its two moment operators, or tr(A rho) of the density matrix."""
     if clock.time_values is not None:
         p = time_probabilities(clock, kets)
-        if weight is not None:
-            p = weight * p.sum(axis=0)
-        mean = p @ clock.time_values
+        if weight is None:
+            mean = p @ clock.time_values
+        else:  # one (1, d) @ (d,) inner product per density matrix, rounded as for one
+            p = weight * p.sum(axis=-2)
+            mean = (p[..., None, :] @ clock.time_values)[..., 0]
         dev = clock.time_values - np.asarray(mean)[..., None]
         return mean, np.sqrt(np.sum(p * dev * dev, axis=-1))
     if weight is None:
         mean, second = expectation_real(clock.t_cl, kets), expectation_real(clock.t2_cl, kets)
-    else:  # tr(A rho) of the small dense density matrix
-        rho = weight * (kets.T @ kets.conj())
-        mean, second = (float(np.sum(op * rho.T).real) for op in (clock.t_cl, clock.t2_cl))
+    else:  # tr(A rho) of each small dense density matrix
+        rho = weight * (np.swapaxes(kets, -1, -2) @ kets.conj())
+        mean, second = (np.sum(op * np.swapaxes(rho, -1, -2), axis=(-2, -1)).real
+                        for op in (clock.t_cl, clock.t2_cl))
     return mean, spread_from_moments(mean, second)
 
 

@@ -35,8 +35,9 @@ class DilationResult:
     Invariant: mean_t == mean_t_nr + t * r_factor * (1 + error_trace)
     exactly as computed. ``classical_tau`` is the proper time of a
     classical observer launched from the state's mean position and
-    velocity. Each field holds one value per lab time (an IdealisedClock's
-    zero error trace stays a scalar).
+    velocity. Each field holds one value per lab time, or per light speed
+    of a stack (the free reading and error trace, which do not depend on
+    c, one value; an IdealisedClock's zero error trace stays a scalar).
     """
 
     t: float | np.ndarray
@@ -63,8 +64,9 @@ class CoherenceResult:
 def classical_proper_time(v0: float, x0: float, g: float, t: float, c: float = C_LIGHT) -> float:
     """Proper time of a classical clock with initial velocity v0 and
     position x0 in a uniform field g, to first order in the weak-field,
-    low-velocity expansion."""
-    if abs(v0) > 0.01 * c:
+    low-velocity expansion; elementwise over arrays. Warns when |v0|
+    exceeds 0.01 c anywhere."""
+    if np.any(abs(v0) > 0.01 * c):
         warnings.warn(
             f"|v0| = {abs(v0):.3e} exceeds 0.01 c; the low-velocity expansion degrades",
             stacklevel=2,
@@ -77,7 +79,8 @@ def mean_clock_time(clock, kstate, t, g: float, c: float = C_LIGHT) -> DilationR
     """Assemble the first-order mean clock time for any clock model at each time.
 
     ``clock`` is a matrix ClockModel or an IdealisedClock (free reading t,
-    error trace zero). The mass is taken from the motional state.
+    error trace zero). The mass is taken from the motional state. At one
+    time ``c`` may be a 1-D stack of light speeds, one result per entry.
     """
     kets, nr, _ = free_reading(clock, t)
     err = error_trace_from(clock, kets, nr)

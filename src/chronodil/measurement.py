@@ -23,6 +23,7 @@ moment, non-negative by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,12 +58,18 @@ class ConditionedResult:
     mean_t_given_n: float
 
 
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """24-point Gauss-Legendre nodes and weights on [-1, 1], built on first
+    use, so that `import chronodil` does not load numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(24)
+
+
 def _bin_rule(kstate: GaussianState, lo: float, hi: float):
     """(momenta, weights, clipped lo, clipped hi) of the module's Gauss-Legendre
     rule on the bin [lo, hi); the weights carry the momentum density, so
     they sum to the bin's probability."""
-    # built per call, so that `import chronodil` does not load numpy.polynomial
-    nodes, gl_weights = np.polynomial.legendre.leggauss(24)
+    nodes, gl_weights = _legendre_rule()
     sp = kstate.sigma_p
     lo_c = max(lo, kstate.p0 - _SUPPORT_SIGMAS * sp)
     hi_c = max(lo_c, min(hi, kstate.p0 + _SUPPORT_SIGMAS * sp))  # a bin off the support has width 0

@@ -14,11 +14,18 @@ approximation is the momentum grid itself. Its period in position,
 2 pi hbar over its spacing, covers the joint state's extent, and its
 captured norm and final norm are checked.
 
+The speed of light is one value or a 1-D stack of L values. A stack
+adds a leading axis of length L to the amplitudes and to every
+observable read from them, and all its entries share one momentum grid,
+the one of the smallest light speed, whose integrand is the widest.
+
 ``verify_mean_time`` and ``verify_sigma`` compare the perturbative
 closed forms against this evolution while scaling the speed of light
 by factors lambda. Holding the states fixed and fitting the residual
 against lambda on log-log axes exposes the truncation order of the
-closed forms without needing relativistic-scale states.
+closed forms without needing relativistic-scale states. Every scaling
+is one entry of a single stack, so each report takes one free read of
+the clock, one grid and one joint evolution.
 """
 
 from __future__ import annotations
@@ -38,8 +45,10 @@ from .precision import sigma_breakdown
 class JointState:
     """Clock x kinematic pure state sampled on a grid.
 
-    ``amplitudes[n, j]`` is the component on clock basis state n at grid
-    point j. The discrete norm must be 1 within 1e-8.
+    ``amplitudes[..., n, j]`` is the component on clock basis state n at
+    grid point j; a leading axis, if any, holds one state per light speed
+    of a stack, all on the same grid. Each discrete norm must be 1 within
+    1e-8.
     """
 
     grid: np.ndarray
@@ -49,8 +58,9 @@ class JointState:
     def spacing(self) -> float:
         return float(self.grid[1] - self.grid[0])
 
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.spacing)
+    def norm(self):
+        """Discrete norm, one per state of a stack."""
+        return np.sum(np.abs(self.amplitudes) ** 2, axis=(-2, -1)) * self.spacing
 
 
 @dataclass(frozen=True)
@@ -72,30 +82,32 @@ class VerificationReport:
 
 
 def _check_norm(js: JointState) -> JointState:
-    norm = js.norm()
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"grid under-resolution: joint norm {norm!r} deviates from 1")
+    norms = np.ravel(js.norm())
+    worst = float(norms[np.argmax(np.abs(norms - 1.0))])
+    if abs(worst - 1.0) > 1e-8:
+        raise ValueError(f"grid under-resolution: joint norm {worst!r} deviates from 1")
     return js
 
 
-# largest clock-levels x momentum-points array the default grid may ask
-# for: 32 MB per complex array
+# largest light-speeds x clock-levels x momentum-points array the default
+# grid may ask for: 32 MB per complex array
 _MAX_DEFAULT_SAMPLES = 1 << 21
 
 
-def _row_shifts(clock: ClockModel, mass: float, t: float, g: float, c: float) -> np.ndarray:
+def _row_shifts(clock: ClockModel, mass: float, t: float, g: float, c) -> np.ndarray:
     """Momentum each clock component loses over [0, t] under its constant
-    force m g + E_n g / c^2."""
-    return (mass * g + clock.energies * g / c**2) * t
+    force m g + E_n g / c^2: shape (d,) for one c, (L, d) for a stack."""
+    return (mass * g + clock.energies * g / np.expand_dims(c**2, -1)) * t
 
 
 def default_momentum_grid(clock: ClockModel, kstate, t: float, g: float, order: str = "c2",
-                          c: float = C_LIGHT) -> np.ndarray:
+                          c: float | np.ndarray = C_LIGHT) -> np.ndarray:
     """Uniform momentum grid of ``evolve_characteristics_g``.
 
     Clock row n samples the initial wavefunction at p + s_n, with the shift
     s_n = (m g + E_n g / c^2) t, so the span [p0 - max s - 8 sigma_p,
-    p0 - min s + 8 sigma_p] holds every row's packet to 8 spreads.
+    p0 - min s + 8 sigma_p] holds every row's packet to 8 spreads. For a
+    1-D stack of light speeds, min and max run over every row at every c.
 
     The clock density is a trapezoid sum over p of a_j(p) a_k*(p) h, exact
     up to the integrand's Fourier tail beyond x = 2 pi hbar / h. So
@@ -108,10 +120,12 @@ def default_momentum_grid(clock: ClockModel, kstate, t: float, g: float, order: 
     different characteristics, which adds (max s - min s) times the bound
     on how fast a shift changes the p-slopes of E_n times the elapsed time
     and of the kinetic phase. Every term takes q at
-    q_pk = |p0| + 6 sigma_p + max |s|, on the packet's support.
+    q_pk = |p0| + 6 sigma_p + max |s|, on the packet's support. Every term
+    of X falls with c, so a stack takes its spacing from its smallest c.
 
-    Raises ValueError when the grid would hold more than 2^21 clock-level
-    by momentum-point samples; pass ``grid`` to the evolution instead.
+    Raises ValueError when the grid would hold more than 2^21 light-speed
+    by clock-level by momentum-point samples; pass ``grid`` to the
+    evolution instead.
     """
     base = kstate.base if isinstance(kstate, CatState) else kstate
     mass, sigma_p = kstate.mass, base.sigma_p
@@ -120,31 +134,35 @@ def default_momentum_grid(clock: ClockModel, kstate, t: float, g: float, order: 
     lo = base.p0 - s_hi - 8.0 * sigma_p
     hi = base.p0 - s_lo + 8.0 * sigma_p
     q_pk = abs(base.p0) + 6.0 * sigma_p + max(abs(s_lo), abs(s_hi))
+    rows = np.size(c) * clock.dim
+    c_min = np.min(c)  # the widest integrand
     t = abs(t)
     # bounds on |d elapsed / dp|, on its change per unit shift, and on the
     # change of the kinetic phase's p-slope per unit shift
-    slope = t * q_pk / (mass**2 * c**2)
-    d_slope = 0.5 * t / (mass**2 * c**2)
-    d_kinetic = 0.5 * t * (1.0 / mass + 1.5 * q_pk**2 / (mass**3 * c**2))
+    slope = t * q_pk / (mass**2 * c_min**2)
+    d_slope = 0.5 * t / (mass**2 * c_min**2)
+    d_kinetic = 0.5 * t * (1.0 / mass + 1.5 * q_pk**2 / (mass**3 * c_min**2))
     if order == "c4":
-        slope += 1.5 * t * q_pk**3 / (mass**4 * c**4)
-        d_slope += 2.25 * t * q_pk**2 / (mass**4 * c**4)
+        slope += 1.5 * t * q_pk**3 / (mass**4 * c_min**4)
+        d_slope += 2.25 * t * q_pk**2 / (mass**4 * c_min**4)
     energies = clock.energies
     extent = (18.0 * base.sigma_x + float(np.ptp(energies)) * slope
               + (s_hi - s_lo) * (float(np.max(np.abs(energies))) * d_slope + d_kinetic))
     if isinstance(kstate, CatState):
         extent += kstate.delta_x0
     n_points = int(np.ceil((hi - lo) * extent / (2.0 * np.pi * HBAR))) + 1
-    if n_points * clock.dim > _MAX_DEFAULT_SAMPLES:
+    if n_points * rows > _MAX_DEFAULT_SAMPLES:
         raise ValueError(
-            f"the default grid needs {n_points} momentum points for {clock.dim} clock "
-            f"levels, more than {_MAX_DEFAULT_SAMPLES} samples; pass grid= explicitly"
+            f"the default grid needs {n_points} momentum points for {rows} clock rows "
+            f"({clock.dim} levels at {np.size(c)} light speeds), more than "
+            f"{_MAX_DEFAULT_SAMPLES} samples; pass grid= explicitly"
         )
     return np.linspace(lo, hi, n_points)
 
 
 def evolve_characteristics_g(clock: ClockModel, kstate, t: float, g: float, order: str = "c2",
-                             c: float = C_LIGHT, grid: np.ndarray | None = None) -> JointState:
+                             c: float | np.ndarray = C_LIGHT,
+                             grid: np.ndarray | None = None) -> JointState:
     """Closed-form momentum-representation solution, with or without gravity.
 
     Per clock energy component E_n the Hamiltonian is
@@ -160,12 +178,17 @@ def evolve_characteristics_g(clock: ClockModel, kstate, t: float, g: float, orde
     clock components and drops out of the clock readings. The rest energy
     contributes only a global phase and is omitted.
 
+    ``c`` is one light speed, giving amplitudes of shape (d, N), or a 1-D
+    stack of L, giving (L, d, N) on one grid: entry l is the evolution at
+    c[l] on that grid.
+
     The default grid, ``default_momentum_grid``, spans every clock row's
     shifted packet, and its spacing is 2 pi hbar over the extent in
     position of the integrand of the reduced clock density: the envelope,
     a cat's separation and the which-path displacement between clock rows,
-    which grows with t, the clock's energy spread and 1/c^2. ``grid``
-    overrides it.
+    which grows with t, the clock's energy spread and 1/c^2. For a stack
+    it spans every row at every c and takes the smallest c's spacing.
+    ``grid`` overrides it.
     """
     if order not in ("c2", "c4"):
         raise ValueError(f"order must be 'c2' or 'c4', got {order!r}")
@@ -176,13 +199,22 @@ def evolve_characteristics_g(clock: ClockModel, kstate, t: float, g: float, orde
         grid = default_momentum_grid(clock, kstate, t, g, order, c)
     grid = np.asarray(grid, dtype=float)
     energies = clock.energies
-    # momentum decreases by shift[n] over [0, t]; the wavefunction and the
-    # phase integrals depend on the component only through its shift, so
-    # they are evaluated once per distinct shift (one row at g = 0) and
-    # indexed back to the d clock rows
-    shifts, row = np.unique(_row_shifts(clock, mass, t, g, c), return_inverse=True)
+    # momentum decreases by shift[n] over [0, t]; the wavefunction depends
+    # on the component only through its shift, and the phase integrals
+    # through its shift and light speed, so they are evaluated once per
+    # distinct shift and per distinct pair (one row, or one per c, at
+    # g = 0) and indexed back to the clock rows
+    shifts, at_shift = np.unique(_row_shifts(clock, mass, t, g, c), return_inverse=True)
+    # the inverse's shape differs between numpy 1 and 2
+    at_shift = at_shift.reshape(np.shape(c) + (clock.dim,))
+    entry = np.arange(np.size(c)).reshape(np.shape(c) + (1,))
+    pairs, at_pair = np.unique(entry * shifts.size + at_shift, return_inverse=True)
+    at_pair = at_pair.reshape(at_shift.shape)
+    entry, pair_shift = np.divmod(pairs, shifts.size)
     p = grid[None, :]
-    s = shifts[:, None]
+    s = shifts[pair_shift, None]
+    # powers of c as given, so one c keeps its scalar arithmetic
+    c2 = np.ravel(c**2)[entry, None]
     # integrals over [0, t] of q^2 and q^4 along q(u) = p + s u / t, in
     # polynomial form so that a vanishing force needs no special case
     i2 = t * (p**2 + p * s + s**2 / 3.0)
@@ -190,14 +222,14 @@ def evolve_characteristics_g(clock: ClockModel, kstate, t: float, g: float, orde
     # clock-scale phase (E_n times the dilated elapsed time) separate from
     # the large common kinematic phase, which cancels in reduced clock
     # observables
-    elapsed = t - i2 / (2.0 * mass**2 * c**2)
+    elapsed = t - i2 / (2.0 * mass**2 * c2)
     if order == "c4":
-        elapsed = elapsed + 3.0 * i4 / (8.0 * mass**4 * c**4)
-    clock_phase = np.exp(-1j * energies[:, None] * elapsed[row] / HBAR)
-    common_phase = np.exp(-1j * (i2 / (2.0 * mass) - i4 / (8.0 * mass**3 * c**2)) / HBAR)
+        elapsed = elapsed + 3.0 * i4 / (8.0 * mass**4 * np.ravel(c**4)[entry, None])
+    clock_phase = np.exp(-1j * energies[:, None] * elapsed[at_pair] / HBAR)
+    common_phase = np.exp(-1j * (i2 / (2.0 * mass) - i4 / (8.0 * mass**3 * c2)) / HBAR)
     # each shifted grid must capture the state's norm on its own
-    shifted = to_grid(kstate, p + s).amplitudes
-    amps = clock.psi0[:, None] * shifted[row] * clock_phase * common_phase[row]
+    shifted = to_grid(kstate, p + shifts[:, None]).amplitudes
+    amps = clock.psi0[:, None] * shifted[at_shift] * clock_phase * common_phase[at_pair]
     return _check_norm(JointState(grid=grid, amplitudes=amps))
 
 
@@ -205,18 +237,17 @@ def evolve_characteristics_g(clock: ClockModel, kstate, t: float, g: float, orde
 # observables on joint states
 
 
-def clock_time_stats(js: JointState, clock: ClockModel) -> tuple[float, float]:
-    """(mean, standard deviation) of the clock reading on a joint state: the
-    reading of the reduced clock density, the sum over grid points of each
-    point's clock ket times the grid spacing."""
-    mean, spread = reading_stats(clock, js.amplitudes.T, weight=js.spacing)
-    return float(mean), float(spread)
+def clock_time_stats(js: JointState, clock: ClockModel):
+    """(mean, standard deviation) of the clock reading on a joint state, one
+    each per state of a stack: the reading of the reduced clock density,
+    the sum over grid points of each point's clock ket times the grid
+    spacing."""
+    return reading_stats(clock, np.swapaxes(js.amplitudes, -1, -2), weight=js.spacing)
 
 
-def _oracle_mean(clock: ClockModel, kstate, t: float, g: float, c: float) -> float:
+def _oracle_mean(clock: ClockModel, kstate, t: float, g: float, c):
     if isinstance(kstate, MixtureState):
-        return float(sum(w * _oracle_mean(clock, comp, t, g, c)
-                         for w, comp in kstate.components))
+        return sum(w * _oracle_mean(clock, comp, t, g, c) for w, comp in kstate.components)
     return clock_time_stats(evolve_characteristics_g(clock, kstate, t, g, c=c), clock)[0]
 
 
@@ -231,7 +262,7 @@ def _fit_exponent(lams: np.ndarray, residuals: np.ndarray) -> float | None:
     return float(np.dot(x, y - y.mean()) / np.dot(x, x))
 
 
-def _report(quantity: str, lams: np.ndarray, rows: list, floor_scale: float,
+def _report(quantity: str, lams: np.ndarray, rows, floor_scale: float,
             judged: str, limit: float) -> VerificationReport:
     """Report from one (perturbative, exact, correction) row per scaling.
 
@@ -239,7 +270,7 @@ def _report(quantity: str, lams: np.ndarray, rows: list, floor_scale: float,
     floor, where no exponent is fitted. Passes at the floor, or when the
     exponent named by ``judged`` ('abs' or 'rel') is at most ``limit``.
     """
-    perturbative, exact, corrections = (tuple(col) for col in zip(*rows))
+    perturbative, exact, corrections = (tuple(map(float, col)) for col in zip(*rows))
     residuals = tuple(abs(e - p) for p, e in zip(perturbative, exact))
     relatives = tuple(r / abs(corr) if corr != 0 else np.inf
                       for r, corr in zip(residuals, corrections))
@@ -262,26 +293,28 @@ def verify_mean_time(clock: ClockModel, kstate, t: float, g: float,
     """Mean clock time: closed form vs joint evolution across c scalings.
 
     The oracle is the characteristics solution with the 'c2' clock
-    coupling, at g = 0 as with gravity on.
+    coupling, at g = 0 as with gravity on. Every scaling is one entry of
+    a single stack of light speeds: one closed-form call and one
+    evolution (one per component of a mixture), on the grid of the
+    smallest c.
 
     Passes when the relative residual (residual over the relativistic
     correction term) decays with fitted exponent <= -1.8, or when every
     residual sits at the numerical noise floor.
     """
     lams = np.asarray(c_scalings, dtype=float)
-    rows = []
-    for lam in lams:
-        c_eff = lam * base_c
-        result = mean_clock_time(clock, kstate, t, g, c=c_eff)
-        rows.append((result.mean_t, _oracle_mean(clock, kstate, t, g, c_eff),
-                     result.mean_t - result.mean_t_nr))
+    c = lams * base_c
+    result = mean_clock_time(clock, kstate, t, g, c=c)
+    rows = zip(result.mean_t, _oracle_mean(clock, kstate, t, g, c),
+               result.mean_t - result.mean_t_nr)
     return _report("mean_clock_time", lams, rows, abs(t), "rel", -1.8)
 
 
 def verify_sigma(clock: ClockModel, kstate, t: float,
                  c_scalings=(1.0, 2.0, 4.0), base_c: float = C_LIGHT) -> VerificationReport:
     """Clock-time spread: three-term decomposition vs joint evolution at
-    g = 0, the characteristics solution with the 'c4' clock coupling.
+    g = 0, the characteristics solution with the 'c4' clock coupling,
+    each called once on the stack of every scaled light speed.
 
     Passes when the absolute residual decays with fitted exponent <= -5,
     or when every residual sits at the numerical noise floor. Both
@@ -291,11 +324,9 @@ def verify_sigma(clock: ClockModel, kstate, t: float,
     if isinstance(kstate, MixtureState):
         raise TypeError("spread verification expects a pure motional state")
     lams = np.asarray(c_scalings, dtype=float)
-    rows = []
-    for lam in lams:
-        c_eff = lam * base_c
-        breakdown = sigma_breakdown(clock, kstate, t, c=c_eff)
-        js = evolve_characteristics_g(clock, kstate, t, 0.0, order="c4", c=c_eff)
-        rows.append((breakdown.total, clock_time_stats(js, clock)[1],
-                     breakdown.total - breakdown.sigma_nr))
+    c = lams * base_c
+    breakdown = sigma_breakdown(clock, kstate, t, c=c)
+    js = evolve_characteristics_g(clock, kstate, t, 0.0, order="c4", c=c)
+    rows = zip(breakdown.total, clock_time_stats(js, clock)[1],
+               breakdown.total - breakdown.sigma_nr)
     return _report("clock_time_spread", lams, rows, 0.0, "abs", -5.0)

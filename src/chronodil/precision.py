@@ -44,15 +44,17 @@ class WMoments:
     """First and (truncated) second moments of the clock-rate shift W.
 
     ``mean_w2`` keeps only p^4/(4 m^4 c^4), which is non-negative; the
-    cross and p^8 pieces are of sixth order in p/(m c) and dropped."""
+    cross and p^8 pieces are of sixth order in p/(m c) and dropped. One
+    value each per light speed of a stack."""
 
-    mean_w: float
-    mean_w2: float
+    mean_w: float | np.ndarray
+    mean_w2: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class PrecisionBreakdown:
-    """sigma_NR + sigma_I + sigma_NI = total at each time, exactly as assembled."""
+    """sigma_NR + sigma_I + sigma_NI = total at each time, or at each light
+    speed of a stack, exactly as assembled."""
 
     sigma_nr: float | np.ndarray
     sigma_i: float | np.ndarray
@@ -77,7 +79,7 @@ def w_moments(kstate, c: float = C_LIGHT) -> WMoments:
     mass = kstate.mass
     mean_w = -m.mean_p2 / (2.0 * mass**2 * c**2) + 3.0 * m.mean_p4 / (8.0 * mass**4 * c**4)
     mean_w2 = m.mean_p4 / (4.0 * mass**4 * c**4)
-    return WMoments(mean_w=float(mean_w), mean_w2=float(mean_w2))
+    return WMoments(mean_w=mean_w, mean_w2=mean_w2)
 
 
 def sigma_nr(clock, t):
@@ -181,7 +183,9 @@ def sigma_breakdown(clock, kstate, t, c: float = C_LIGHT) -> PrecisionBreakdown:
     """Assemble the three-way spread decomposition at g = 0 at each time.
 
     For an IdealisedClock the free spread is its constant t = 0 value and
-    the non-idealised term vanishes identically.
+    the non-idealised term vanishes identically. At one time ``c`` may be
+    a 1-D stack of light speeds, one result per entry; the free spread
+    does not depend on c and stays one value.
     """
     free = free_reading(clock, t)
     s_nr = free[2]

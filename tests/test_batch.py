@@ -1,5 +1,6 @@
-"""The clock core on an array of times: a batch equals its rows, the guards
-hold row by row, and no (n_t, d, d) tensor is built."""
+"""The clock core on an array of times, and the closed forms and the oracle
+on a stack of light speeds: a batch equals its rows, the guards hold row
+by row, and no (n_t, d, d) tensor is built."""
 
 import tracemalloc
 
@@ -10,8 +11,9 @@ from chronodil.clocks import (IdealisedClock, build_qubit_phase, build_quasi_ide
                               error_trace, evolve, expectation_real, mean_clock_time_nr,
                               spread_from_moments)
 from chronodil.dilation import mean_clock_time
+from chronodil.oracle import clock_time_stats, default_momentum_grid, evolve_characteristics_g
 from chronodil.precision import sigma_breakdown, sigma_ideal_term, sigma_nr
-from helpers import BENCH_OMEGA, BENCH_PERIOD, bench_c, bench_cat, bench_gaussian
+from helpers import BENCH_OMEGA, BENCH_PERIOD, BENCH_T, bench_c, bench_cat, bench_gaussian
 
 # between the d = 4 dial's focusing times, where its spread is positive
 TIMES = np.linspace(0.03, 0.22, 7) * BENCH_PERIOD
@@ -24,6 +26,8 @@ CLOCKS = {
     "ideal": IdealisedClock(sigma_t0=1e-4),
 }
 STATES = {"gaussian": bench_gaussian(), "cat": bench_cat()}
+# verify's light-speed scalings, as one stack
+LIGHT_SPEEDS = np.array([1.0, 2.0, 4.0]) * bench_c()
 
 
 def _fields(result) -> dict:
@@ -40,7 +44,7 @@ def _assert_rows_match(batch, rows):
     """
     rows = [_fields(r) for r in rows]
     for key, column in _fields(batch).items():
-        column = np.broadcast_to(column, TIMES.shape)
+        column = np.broadcast_to(column, (len(rows),))
         expected = np.array([r[key] for r in rows], dtype=float)
         assert all(np.ndim(r[key]) == 0 and isinstance(r[key], float) for r in rows), key
         if key == "error_trace":
@@ -153,3 +157,39 @@ def test_mean_clock_time_evolves_once(clock_name, monkeypatch):
     monkeypatch.setattr(clocks, "evolve", lambda *args: calls.append(args) or real(*args))
     mean_clock_time(CLOCKS[clock_name], bench_gaussian(), TIMES, 9.81, c=bench_c())
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("state_name", sorted(STATES))
+@pytest.mark.parametrize("clock_name", sorted(CLOCKS))
+def test_light_speed_stack_equals_its_rows(clock_name, state_name):
+    # at one time, a 1-D c gives one value per light speed
+    clk, kstate = CLOCKS[clock_name], STATES[state_name]
+    quantities = [
+        lambda c: mean_clock_time(clk, kstate, BENCH_T, 9.81, c=c),
+        lambda c: sigma_breakdown(clk, kstate, BENCH_T, c=c),
+    ]
+    for fn in quantities:
+        _assert_rows_match(fn(LIGHT_SPEEDS), [fn(c) for c in LIGHT_SPEEDS])
+
+
+@pytest.mark.parametrize("order", ["c2", "c4"])
+@pytest.mark.parametrize("g", [0.0, 9.81])
+@pytest.mark.parametrize("state_name", sorted(STATES))
+@pytest.mark.parametrize("clock_name", ["swp4", "qi8", "qubit"])
+def test_oracle_light_speed_stack_equals_its_rows(clock_name, state_name, g, order):
+    # on the stack's grid, entry l is the evolution at c[l]; the readings
+    # and norms follow entry by entry
+    clk, kstate = CLOCKS[clock_name], STATES[state_name]
+    grid = default_momentum_grid(clk, kstate, BENCH_T, g, order, LIGHT_SPEEDS)
+    stack = evolve_characteristics_g(clk, kstate, BENCH_T, g, order, LIGHT_SPEEDS, grid)
+    assert stack.amplitudes.shape == (LIGHT_SPEEDS.size, clk.dim, grid.size)
+    rows = [evolve_characteristics_g(clk, kstate, BENCH_T, g, order, c, grid)
+            for c in LIGHT_SPEEDS]
+    scale = np.abs(stack.amplitudes).max()
+    for amplitudes, row in zip(stack.amplitudes, rows):
+        np.testing.assert_allclose(amplitudes, row.amplitudes, rtol=1e-13, atol=1e-15 * scale)
+    np.testing.assert_allclose(stack.norm(), [row.norm() for row in rows], rtol=1e-14, atol=0)
+    for stacked, per_row in zip(clock_time_stats(stack, clk),
+                                zip(*(clock_time_stats(row, clk) for row in rows))):
+        assert np.shape(stacked) == LIGHT_SPEEDS.shape
+        np.testing.assert_allclose(stacked, per_row, rtol=1e-13, atol=0)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from chronodil import measurement
 from chronodil.constants import ELECTRON_MASS
 from chronodil.kinematics import GaussianState
 from chronodil.measurement import (
@@ -220,6 +226,31 @@ def test_sweep_shape_and_invariants():
     for row in rows:
         assert row["sigma_nr"] <= row["sigma_conditioned"] <= row["sigma_unconditioned"] + 1e-12
         assert np.isfinite(row["sigma_conditioned"])
+
+
+def test_quadrature_rule_is_built_once(monkeypatch):
+    # the sweep reads the unconditioned moments and one bin per q through
+    # one Gauss-Legendre rule, built on first use
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: calls.append(n) or leggauss(n))
+    measurement._legendre_rule.cache_clear()
+    sweep_conditioned(SIGMA_T0, STATE, [T_BENCH], [0.1, 1.0, 10.0], c=C_BENCH)
+    bin_probability(STATE, binning_for(1.0), 1)
+    assert calls == [24]
+
+
+def test_import_builds_no_quadrature_rule():
+    # the rule waits for its first use, so the import loads no numpy.polynomial
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, chronodil.measurement\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["[]"]
 
 
 def test_binning_validation():

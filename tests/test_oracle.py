@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chronodil import oracle
 from chronodil.clocks import build_qubit_phase, build_quasi_ideal, build_swp, ClockModel
 from chronodil.constants import HBAR
 from chronodil.dilation import mean_clock_time, sup_vs_mix
@@ -32,6 +33,7 @@ CLOCKS = {"dial d=4": lambda: build_swp(4, BENCH_OMEGA),
           "qubit phase": lambda: build_qubit_phase(BENCH_OMEGA)}
 STATES = {"gaussian": bench_gaussian, "cat": lambda: bench_cat(theta=0.7),
           "rest gaussian": lambda: bench_gaussian(p0_sigmas=0.0)}
+LAMS = np.array([1.0, 2.0, 4.0])
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +137,31 @@ def test_default_grid_size_of_the_verify_cases(clock_name, state_name, g, order,
     # the rest
     clk, state = CLOCKS[clock_name](), STATES[state_name]()
     sizes = tuple(default_momentum_grid(clk, state, BENCH_T, g, order, lam * bench_c()).size
-                  for lam in (1.0, 2.0, 4.0))
+                  for lam in LAMS)
     assert sizes == points
+    # verify's stack of the three runs on the grid of lambda = 1
+    np.testing.assert_array_equal(
+        default_momentum_grid(clk, state, BENCH_T, g, order, LAMS * bench_c()),
+        default_momentum_grid(clk, state, BENCH_T, g, order, bench_c()))
+
+
+@pytest.mark.parametrize("order", ["c2", "c4"])
+@pytest.mark.parametrize("g", [0.0, G_EARTH])
+@pytest.mark.parametrize("state_name", ["gaussian", "cat"])
+@pytest.mark.parametrize("clock_name", ["dial d=4", "qubit phase", "gaussian dial d=8"])
+def test_stack_grid_holds_every_light_speed(clock_name, state_name, g, order):
+    # the shared grid spans each light speed's own default grid, and its
+    # spacing stays within 2 pi hbar / X_c for every c. An own grid rounds
+    # its interval count up, so its spacing lies in (n - 2, n - 1] / (n - 1)
+    # of that bound: a wider span may round to a spacing up to one
+    # interval's share wider than the own one, and no more
+    clk, state = CLOCKS[clock_name](), STATES[state_name]()
+    t = 3.0 * BENCH_T
+    stack = default_momentum_grid(clk, state, t, g, order, np.array([4.0, 1.0, 2.0]) * bench_c())
+    for lam in LAMS:
+        own = default_momentum_grid(clk, state, t, g, order, lam * bench_c())
+        assert stack[0] <= own[0] and stack[-1] >= own[-1]
+        assert stack[1] - stack[0] < (own[-1] - own[0]) / (own.size - 2)
 
 
 @pytest.mark.parametrize("order", ["c2", "c4"])
@@ -189,9 +214,15 @@ def test_default_grid_refuses_an_oversized_grid():
     # 50 periods into the fall the bench packet moves at 28 c of the scaled
     # light speed, and the levels' different quartic kinetic phases would
     # need about 2e7 points per level
+    clk, state = build_swp(4, BENCH_OMEGA), bench_gaussian()
     with pytest.raises(ValueError, match="grid="):
-        evolve_characteristics_g(build_swp(4, BENCH_OMEGA), bench_gaussian(),
-                                 50.0 * BENCH_PERIOD + BENCH_T, G_EARTH, c=bench_c())
+        evolve_characteristics_g(clk, state, 50.0 * BENCH_PERIOD + BENCH_T, G_EARTH, c=bench_c())
+    # 28 periods in, one light speed needs about 250,000 points per level,
+    # 1.0e6 samples; a stack of three shares that grid but needs 3.0e6
+    t = 28.0 * BENCH_PERIOD + BENCH_T
+    assert default_momentum_grid(clk, state, t, G_EARTH, c=bench_c()).size * clk.dim < 1 << 21
+    with pytest.raises(ValueError, match="grid="):
+        evolve_characteristics_g(clk, state, t, G_EARTH, c=LAMS * bench_c())
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +441,69 @@ def test_surrogate_with_gravity_matches_first_order_correction():
     oracle = clock_time_stats(js, clk)[0]
     correction = result.mean_t - result.mean_t_nr
     assert abs(oracle - result.mean_t) < 1e-2 * abs(correction)
+
+
+VERIFY_CASES = [
+    pytest.param("dial d=4", "gaussian", G_EARTH, id="swp4_gaussian_g"),
+    pytest.param("gaussian dial d=8", "cat", G_EARTH, id="qi8_cat_g"),
+    pytest.param("qubit phase", "cat", G_EARTH, id="qubit_cat_g"),
+    pytest.param("gaussian dial d=64", "cat", 0.0, id="qi64_cat_g0"),
+    pytest.param("gaussian dial d=64", "rest gaussian", None, id="qi64_rest_sigma"),
+]
+
+
+@pytest.mark.parametrize("clock_name,state_name,g", VERIFY_CASES)
+def test_stacked_exact_matches_each_scaling_on_its_own_grid(clock_name, state_name, g):
+    # lambda = 2 and 4 share the finer grid of lambda = 1; two grids that
+    # both resolve the integrand agree to the rounding of the full reading
+    # (halving a lambda's own spacing moves it as much)
+    clk, state = CLOCKS[clock_name](), STATES[state_name]()
+    sigma = g is None
+    t = 0.3 * clock_period(clk) if sigma else BENCH_T
+    if sigma:
+        report = verify_sigma(clk, state, t, c_scalings=LAMS, base_c=bench_c())
+    else:
+        report = verify_mean_time(clk, state, t, g, c_scalings=LAMS, base_c=bench_c())
+    for lam, exact in zip(LAMS, report.exact):
+        js = evolve_characteristics_g(clk, state, t, 0.0 if sigma else g,
+                                      order="c4" if sigma else "c2", c=lam * bench_c())
+        own = clock_time_stats(js, clk)[1 if sigma else 0]
+        assert abs(exact - own) < 1e-14 * abs(own)
+        if lam == 1.0:
+            assert exact == own
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_verify_evaluates_every_scaling_at_once(monkeypatch):
+    # one free read of the clock and one joint evolution per pure state,
+    # whatever the number of scalings
+    from chronodil import dilation, precision
+
+    counts = {}
+    _count_calls(monkeypatch, oracle, "evolve_characteristics_g", counts)
+    for module in (dilation, precision):
+        _count_calls(monkeypatch, module, "free_reading", counts)
+    clk, state = build_swp(4, BENCH_OMEGA), bench_gaussian()
+    verify_mean_time(clk, state, BENCH_T, G_EARTH, c_scalings=LAMS, base_c=bench_c())
+    assert counts == {"evolve_characteristics_g": 1, "free_reading": 1}
+    counts.clear()
+    other = GaussianState(state.x0 + 2e-7, state.p0, state.sigma_x, state.mass)
+    mix = MixtureState(components=((0.4, state), (0.6, other)))
+    verify_mean_time(clk, mix, BENCH_T, 0.0, c_scalings=LAMS, base_c=bench_c())
+    assert counts == {"evolve_characteristics_g": 2, "free_reading": 1}
+    counts.clear()
+    verify_sigma(clk, bench_gaussian(p0_sigmas=0.0), 0.1 * BENCH_PERIOD, c_scalings=LAMS,
+                 base_c=bench_c())
+    assert counts == {"evolve_characteristics_g": 1, "free_reading": 1}
 
 
 def test_verify_mean_time_mixture_state():
