@@ -10,7 +10,8 @@ Exit codes: 0 success, 2 configuration or physics-domain error,
 
 A command imports only the library modules it runs: ``coherence`` and
 ``sweep``, for example, never load ``oracle``, ``precision`` or
-``measurement``. The argument parser is built once per process.
+``measurement``. The argument parser is built once per process. The CSV
+is written as bytes, UTF-8 with ``\n`` line ends on every platform.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ _BLOCK_CELLS = 2048  # cells per kernel block, which bounds its temporaries
 
 
 def write_csv(table: CsvTable, cfg: RunConfig, stream) -> None:
-    """Write the metadata, the config echo, the header and the rows.
+    """Write the metadata, config echo, header and rows to a binary stream.
 
     Cells are written as ``'%.17e' % x`` or, in a column whose first-row
     cell is an integer, ``'%d' % x``. A table of floats alone with at least
@@ -73,12 +74,9 @@ def write_csv(table: CsvTable, cfg: RunConfig, stream) -> None:
     values = np.asarray(table.rows, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"non-finite value {values[~np.isfinite(values)][0]!r} in CSV output")
-    for key, value in table.metadata:
-        stream.write(f"# {key} = {value}\n")
-    stream.write("# config:\n")
-    for line in echo_lines(cfg):
-        stream.write(f"# cfg {line}\n")
-    stream.write(",".join(table.header) + "\n")
+    lines = [f"# {key} = {value}" for key, value in table.metadata]
+    lines += ["# config:", *(f"# cfg {line}" for line in echo_lines(cfg)), ",".join(table.header)]
+    stream.write(("\n".join(lines) + "\n").encode())
     if not len(table.rows):
         return
     formats = [_cell_format(v) for v in table.rows[0]]
@@ -86,21 +84,21 @@ def write_csv(table: CsvTable, cfg: RunConfig, stream) -> None:
         template = ",".join(formats) + "\n"
         # Python scalars format faster than numpy's, and to the same bytes
         rows = table.rows.tolist() if isinstance(table.rows, np.ndarray) else table.rows
-        stream.write("".join(template % tuple(row) for row in rows))
+        stream.write("".join(template % tuple(row) for row in rows).encode())
         return
     step = max(1, _BLOCK_CELLS // len(formats))
     for start in range(0, len(values), step):
         stream.write(_csv_rows(values[start:start + step]))
 
 
-def _csv_rows(values: np.ndarray) -> str:
-    """CSV text of a block of float rows. Each cell is laid out in a field of
+def _csv_rows(values: np.ndarray) -> bytes:
+    """CSV bytes of a block of float rows. Each cell is laid out in a field of
     bytes and a separator; the zero bytes between them are dropped."""
     fields = np.empty((*values.shape, _FLOAT_FIELD + 1), dtype=np.uint8)
     _write_floats(values.ravel(), fields.reshape(-1, _FLOAT_FIELD + 1))
     fields[:, :, -1] = ord(",")
     fields[:, -1, -1] = ord("\n")
-    return fields.tobytes().translate(None, b"\0").decode("ascii")
+    return fields.tobytes().translate(None, b"\0")
 
 
 # --- the '%.17e' kernel ------------------------------------------------------
@@ -415,21 +413,22 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    text = io.StringIO()
+    csv = io.BytesIO()
     try:
         table, code = run(cfg)
         table.metadata = _metadata(cfg, timestamp=not args.no_timestamp) + table.metadata
-        write_csv(table, cfg, text)
+        write_csv(table, cfg, csv)
     except (ValueError, TypeError) as exc:
         print(f"chronodil: {exc}", file=sys.stderr)
         return 2
 
     out_path = args.out or cfg.get("run", "out")
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text.getvalue())
+        with open(out_path, "wb") as fh:
+            fh.write(csv.getbuffer())
     else:
-        sys.stdout.write(text.getvalue())
+        sys.stdout.flush()
+        sys.stdout.buffer.write(csv.getbuffer())
 
     if args.plot_script:
         script = emit_plot_script(table, cfg.command, csv_path=out_path or "out.csv")

@@ -298,13 +298,13 @@ def reading_stats(clock: ClockModel, kets: np.ndarray, weight: float | None = No
     its two moment operators, or tr(A rho) of the density matrix."""
     if clock.time_values is not None:
         p = time_probabilities(clock, kets)
-        if weight is None:
-            mean = p @ clock.time_values
-        else:  # one (1, d) @ (d,) inner product per density matrix, rounded as for one
+        if weight is not None:
             p = weight * p.sum(axis=-2)
-            mean = (p[..., None, :] @ clock.time_values)[..., 0]
-        dev = clock.time_values - np.asarray(mean)[..., None]
-        return mean, np.sqrt(np.sum(p * dev * dev, axis=-1))
+        # one (1, d) @ (d,) product per ket, so a batch rounds as its rows do;
+        # summing the length-1 axis gives a single ket a scalar mean
+        mean = p[..., None, :] @ clock.time_values
+        dev = clock.time_values - mean
+        return mean.sum(axis=-1), np.sqrt(np.sum(p * dev * dev, axis=-1))
     if weight is None:
         mean, second = expectation_real(clock.t_cl, kets), expectation_real(clock.t2_cl, kets)
     else:  # tr(A rho) of each small dense density matrix

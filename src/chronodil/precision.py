@@ -19,8 +19,8 @@ spread of the clock's reading in its evolved ket
 
 and the non-idealised term is the full four-brace trace expression in
 terms of E(t), e = (i/hbar)[H, T] - I and the W moments, evaluated as
-inner products of kets built by ``clocks.apply_time`` (see
-``sigma_nonideal_term``); its (i/hbar)
+inner products of kets from three applications of T per time through
+``clocks.apply_time`` (see ``sigma_nonideal_term``); its (i/hbar)
 factors take the pinned SI ``constants.HBAR``. A companion
 ``sigma_dispersion_exact`` gives the excess that exact joint evolution
 produces, t^2 var(W) / (2 sigma_NR), whose leading term keeps var(p^2)
@@ -121,13 +121,20 @@ def sigma_nonideal_term(clock: ClockModel, kstate, t, c: float = C_LIGHT):
 
     The four-brace expression in E(t) = e rho(t), e = (i/hbar)[H, T] - I,
     <W> and <W^2>. With rho(t) = psi psi^dag every trace is an inner
-    product of kets, tr(X Y Z rho) = (X^dag psi)^dag Y (Z psi), built from
-    u = T psi, v = e psi and h = (H - <H>) psi (T and H Hermitian; shifting
-    H by a constant leaves the expression unchanged). e is applied as
-    -(i/hbar)[T - <T>, H - <H>] - I, whose shifts keep every intermediate
-    ket as small as the spreads; the T products go through
-    ``clocks.apply_time``, so no d x d operator is formed. The assembled value must be real; an imaginary part above 1e-10
-    of scale raises instead of being symmetrised away.
+    product of kets built from u = T psi, v = e psi and h = D psi, with
+    D = H - <H> (a constant shift of H leaves the expression unchanged) and
+    e applied as -(i/hbar)[T', D] - I, T' = T - <T>: the shifts keep every
+    ket as small as the spreads. ``clocks.apply_time`` applies T' to psi, h
+    and D h alone; T is Hermitian, so with k = -i/hbar every other T
+    product moves onto the bra of its inner product:
+
+        <h|e u> = k (<D T' h|u> - <T' D h|u>) - <h|u>,
+        <u|e h> = k (<u|T' D h> - <u|D T' h>) - <u|h>,  <h|T v> = <T h|v>.
+
+    No d x d operator is formed, and each inner product is formed on its
+    own. An imaginary part of the total above 1e-10 max(1, |sigma_NI|)
+    raises; for spreads in seconds that is an absolute 1e-10 s, which no
+    spread the library computes reaches.
     """
     return _nonideal_term(clock, kstate, t, c, *free_reading(clock, t))
 
@@ -144,28 +151,21 @@ def _nonideal_term(clock, kstate, t, c: float, psi, mean_t_nr, s_nr):
         return np.einsum("...j,...j->...", x.conj(), y)
 
     a = np.asarray(mean_t_nr)[..., None]
+    k = -1j / HBAR
     dh, h = centred_energy(clock, psi)
-
-    def shifted_t(x):  # (T - <T>) x
-        return apply_time(clock, x, mean_t_nr)
-
-    def rate_minus_one(x, tx, thx):  # e x from (T - <T>) x and (T - <T>)(H - <H>) x
-        return (-1j / HBAR) * (thx - dh * tx) - x
-
-    t_psi, t_h = shifted_t(psi), shifted_t(h)
-    u = t_psi + a * psi
-    v = rate_minus_one(psi, t_psi, t_h)
-    e_u = rate_minus_one(u, shifted_t(u), shifted_t(dh * u))
-    e_h = rate_minus_one(h, t_h, shifted_t(dh * h))
-    t_v = shifted_t(v)
+    t_psi, t_h, t_dh = (apply_time(clock, x, mean_t_nr) for x in (psi, h, dh * h))
+    u = t_psi + a * psi  # T psi
+    v = k * (t_h - dh * t_psi) - psi  # e psi
+    d_th, th = dh * t_h, t_h + a * h  # (H - <H>)(T - <T>) h and T h
     tr_e = dot(psi, v)  # tr E
 
     brace1 = dot(u, v) + dot(v, u) - 2.0 * mean_t_nr * tr_e  # tr((E + E^dag) T)
     brace2 = 2.0 * tr_e + tr_e**2
     brace3 = (
         2.0 * tr_e
-        + (1j / HBAR) * (dot(h, e_u) - dot(u, e_h)  # (H e T - T e H) rho
-                         + dot(h, t_v + a * v) - dot(v, t_h + a * h))  # H T E - E^dag T H
+        + (1j / HBAR) * (k * (dot(d_th, u) - dot(t_dh, u)) - dot(h, u)  # <h|e u>: H e T rho
+                         - k * (dot(u, t_dh) - dot(u, d_th)) + dot(u, h)  # -<u|e h>: -T e H rho
+                         + dot(th, v) - dot(v, th))  # <T h|v> - <v|T h>: H T E - E^dag T H
         + (2j / HBAR) * mean_t_nr * (dot(h, v) - dot(v, h))  # H (E - E^dag)
     )
     first = wm.mean_w * t / (2.0 * s_nr) * brace1

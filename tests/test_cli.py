@@ -306,9 +306,9 @@ def test_shared_parser_keeps_nothing_between_calls(tmp_path):
 
 
 def _write(table, cfg) -> bytes:
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_csv(table, cfg, buf)
-    return buf.getvalue().encode()
+    return buf.getvalue()
 
 
 def test_csv_rows_keep_the_per_cell_bytes():
@@ -324,11 +324,11 @@ def test_csv_rows_keep_the_per_cell_bytes():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_csv_rejects_non_finite_cell(bad):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     with pytest.raises(ValueError, match="non-finite value"):
         write_csv(CsvTable(header=["t", "x"], rows=[[1.0, 2.0], [3.0, bad]]),
                   parse_config(MINIMAL_DILATION), buf)
-    assert buf.getvalue() == ""
+    assert buf.getvalue() == b""
 
 
 def test_cli_non_finite_output_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
@@ -393,9 +393,9 @@ def test_csv_table_bytes_match_the_per_row_writer(n_rows, kernel_min_cells, monk
     floats = CsvTable(header=["x", "y", "z"],
                       rows=np.array([row[::2] for row in mixed.rows], dtype=float))
     for table in (mixed, floats):
-        expected = io.StringIO()
+        expected = io.BytesIO()
         reference_write_csv(table, cfg, expected)
-        assert _write(table, cfg) == expected.getvalue().encode()
+        assert _write(table, cfg) == expected.getvalue()
 
 
 GRID = f"t_start = {0.03 * BENCH_PERIOD!r}\nt_stop = {0.22 * BENCH_PERIOD!r}\nt_num = 40"
@@ -436,7 +436,7 @@ def test_cli_bytes_of_every_command_match_the_per_row_writer(kernel_min_cells, t
         assert outs[0].count(b"\n") > 20 or command == "verify", command
 
 
-def test_csv_determinism_via_entry_point(tmp_path):
+def test_csv_determinism_via_entry_point(tmp_path, capsysbinary):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(bench_config("dilation"))
     outs = []
@@ -447,6 +447,9 @@ def test_csv_determinism_via_entry_point(tmp_path):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+    # without --out the same bytes go to standard output
+    assert main(["dilation", "--config", str(cfg_path), "--no-timestamp"]) == 0
+    assert capsysbinary.readouterr().out == outs[0]
 
 
 def test_csv_contains_schema_and_config_echo(tmp_path):

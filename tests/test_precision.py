@@ -140,12 +140,13 @@ def test_sigma_nonideal_swp_nonzero_and_real():
     build_qubit_phase(BENCH_OMEGA),
 ], ids=["swp4", "quasi_ideal8", "qubit"])
 def test_sigma_nonideal_matches_dense_reference(clk):
-    state, c = bench_gaussian(), bench_c()
-    for frac in (0.05, 0.13, 0.275, 0.4, 0.61, 0.87):
-        t = frac * clock_period(clk)
-        dense = sigma_nonideal_term_dense(clk, state, t, c=c)
-        assert dense != 0.0
-        assert abs(sigma_nonideal_term(clk, state, t, c=c) - dense) < 1e-10 * abs(dense)
+    c = bench_c()
+    for state in (bench_gaussian(), bench_cat()):
+        for frac in (0.05, 0.13, 0.275, 0.4, 0.61, 0.87):
+            t = frac * clock_period(clk)
+            dense = sigma_nonideal_term_dense(clk, state, t, c=c)
+            assert dense != 0.0
+            assert abs(sigma_nonideal_term(clk, state, t, c=c) - dense) < 1e-10 * abs(dense)
 
 
 def test_sigma_nonideal_at_floor_matches_dense_reference():
@@ -194,27 +195,29 @@ def test_breakdown_matrix_clock_assembly():
 
 def test_breakdown_evaluates_free_spread_once(monkeypatch):
     # one evolution of psi0 and one reading of its spread feed sigma_NR, the
-    # ideal term and the non-idealised term; the mean time reads them once too
-    from chronodil import clocks
+    # ideal term and the non-idealised term; the mean time reads them once too.
+    # The non-idealised term applies T to three kets of the whole stack.
+    from chronodil import clocks, precision
 
-    calls = {"evolve": 0, "reading_stats": 0}
+    calls = {"evolve": 0, "reading_stats": 0, "apply_time": 0}
 
-    def counting(name):
-        real = getattr(clocks, name)
+    def counting(module, name):
+        real = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
             return real(*args)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(clocks, name, counting(name))
+    for name in ("evolve", "reading_stats"):
+        monkeypatch.setattr(clocks, name, counting(clocks, name))
+    monkeypatch.setattr(precision, "apply_time", counting(precision, "apply_time"))
     clk = build_quasi_ideal(16, BENCH_OMEGA, 4.0, m0=4.0)
     times = np.array([0.1, 0.25]) * clock_period(clk)
     sigma_breakdown(clk, bench_gaussian(), times, c=bench_c())
-    assert calls == {"evolve": 1, "reading_stats": 1}
+    assert calls == {"evolve": 1, "reading_stats": 1, "apply_time": 3}
     mean_clock_time(clk, bench_gaussian(), times, 9.81, c=bench_c())
-    assert calls == {"evolve": 2, "reading_stats": 2}
+    assert calls == {"evolve": 2, "reading_stats": 2, "apply_time": 3}
 
 
 def test_free_spread_constant_for_idealised():
