@@ -267,10 +267,12 @@ def spread_from_moments(mean, second):
 
 
 def expectation(a: np.ndarray, kets: np.ndarray):
-    """psi^dag A psi of a ket, shape (d,), or of each row of kets, shape (n, d)."""
+    """psi^dag A psi of a ket, shape (d,), or of each row of kets, shape (n, d),
+    by einsum loops that take the same kernel for a stack as for one ket, so
+    a stack rounds as its rows do."""
     if a.shape != (kets.shape[-1],) * 2:
         raise ValueError(f"dimension mismatch: A {a.shape} vs kets {kets.shape}")
-    return np.sum(kets.conj() * (kets @ a.T), axis=-1)
+    return np.einsum("...j,...j->...", kets.conj(), np.einsum("jk,...k->...j", a, kets))
 
 
 def expectation_real(a: np.ndarray, kets: np.ndarray):

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import C_LIGHT
 from .clocks import IdealisedClock, build_quasi_ideal, build_qubit_phase, build_swp
 from .kinematics import CatState, GaussianState
 
@@ -156,8 +157,6 @@ class RunConfig:
         return start, stop, num
 
     def c_light(self) -> float:
-        from .constants import C_LIGHT
-
         return self.get("physics", "c_scale") * C_LIGHT
 
 

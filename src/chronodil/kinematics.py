@@ -229,13 +229,12 @@ def r_factor(state, t, g: float, c: float = C_LIGHT):
 
 @dataclass(frozen=True)
 class GridAmplitudes:
-    """Momentum samples and the pure state's complex amplitudes on them.
+    """A pure state's complex amplitudes on a momentum grid.
 
     ``captured_norm`` is the discrete norm on the grid before any
     renormalisation (reported, never silently applied).
     """
 
-    grid: np.ndarray
     amplitudes: np.ndarray
     captured_norm: float
 
@@ -280,4 +279,4 @@ def to_grid(state, grid: np.ndarray) -> GridAmplitudes:
         raise ValueError(
             f"grid too narrow: captured norm {captured!r} < 1 - 1e-6; widen the span"
         )
-    return GridAmplitudes(grid=grid, amplitudes=amps, captured_norm=captured)
+    return GridAmplitudes(amplitudes=amps, captured_norm=captured)

@@ -62,15 +62,9 @@ class PrecisionBreakdown:
     total: float | np.ndarray
 
 
-def w_of_p(p, mass: float, c: float = C_LIGHT, order: str = "c4"):
-    """Per-momentum clock-rate shift W(p). ``order='c2'`` keeps only the
-    quadratic term."""
-    w = -(p**2) / (2.0 * mass**2 * c**2)
-    if order == "c4":
-        w = w + 3.0 * p**4 / (8.0 * mass**4 * c**4)
-    elif order != "c2":
-        raise ValueError(f"order must be 'c2' or 'c4', got {order!r}")
-    return w
+def w_of_p(p, mass: float, c: float = C_LIGHT):
+    """Per-momentum clock-rate shift W(p), to fourth order in p/(m c)."""
+    return -(p**2) / (2.0 * mass**2 * c**2) + 3.0 * p**4 / (8.0 * mass**4 * c**4)
 
 
 def w_moments(kstate, c: float = C_LIGHT) -> WMoments:

@@ -10,6 +10,7 @@ import pytest
 from chronodil.clocks import (IdealisedClock, build_qubit_phase, build_quasi_ideal, build_swp,
                               error_trace, evolve, expectation_real, mean_clock_time_nr,
                               spread_from_moments)
+from chronodil.constants import C_LIGHT
 from chronodil.dilation import mean_clock_time
 from chronodil.oracle import clock_time_stats, default_momentum_grid, evolve_characteristics_g
 from chronodil.precision import sigma_breakdown, sigma_ideal_term, sigma_nr
@@ -74,11 +75,10 @@ def test_batch_equals_its_rows(clock_name, state_name):
         lambda t: {"sigma_nr": sigma_nr(clk, t)},
         lambda t: sigma_breakdown(clk, kstate, t, c=c),
     ]
-    # a dial reads each ket's mean and spread by one reduction per ket, and an
-    # idealised clock reads t and sigma_t0; the qubit's dense products round per batch
-    exact = () if clock_name == "qubit" else ("mean_t_nr", "sigma_nr")
+    # a dial reads each ket's mean and spread by one reduction per ket, the
+    # qubit by einsum loops, and an idealised clock reads t and sigma_t0
     for fn in quantities:
-        _assert_rows_match(fn(TIMES), [fn(t) for t in TIMES], exact)
+        _assert_rows_match(fn(TIMES), [fn(t) for t in TIMES], ("mean_t_nr", "sigma_nr"))
 
 
 @pytest.mark.parametrize("clock_name", sorted(set(CLOCKS) - {"ideal"}))
@@ -193,11 +193,31 @@ def test_oracle_light_speed_stack_equals_its_rows(clock_name, state_name, g, ord
     assert stack.amplitudes.shape == (LIGHT_SPEEDS.size, clk.dim, grid.size)
     rows = [evolve_characteristics_g(clk, kstate, BENCH_T, g, order, c, grid)
             for c in LIGHT_SPEEDS]
-    scale = np.abs(stack.amplitudes).max()
     for amplitudes, row in zip(stack.amplitudes, rows):
-        np.testing.assert_allclose(amplitudes, row.amplitudes, rtol=1e-13, atol=1e-15 * scale)
-    np.testing.assert_allclose(stack.norm(), [row.norm() for row in rows], rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(amplitudes, row.amplitudes)
+    np.testing.assert_array_equal(stack.norm(), [row.norm() for row in rows])
     for stacked, per_row in zip(clock_time_stats(stack, clk),
                                 zip(*(clock_time_stats(row, clk) for row in rows))):
         assert np.shape(stacked) == LIGHT_SPEEDS.shape
-        np.testing.assert_allclose(stacked, per_row, rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(stacked, per_row)
+
+
+@pytest.mark.parametrize("g, scale, rows", [
+    (0.0, 1.0, (1,)),
+    (9.81, C_LIGHT / bench_c(), (1,)),
+    (9.81, 1.0, (LIGHT_SPEEDS.size, 4)),
+])
+def test_oracle_sampled_grid_shape(g, scale, rows, monkeypatch):
+    # at g = 0 every shift is 0, and at the physical c E_n g t / c^2 is below
+    # one ulp of m g t, so the wavefunction is sampled once; at the scaled c
+    # with gravity every clock row at every light speed has its own shift
+    from chronodil import oracle
+
+    grids = []
+    real = oracle.to_grid
+    monkeypatch.setattr(oracle, "to_grid",
+                        lambda state, grid: grids.append(np.shape(grid)) or real(state, grid))
+    js = evolve_characteristics_g(CLOCKS["swp4"], bench_gaussian(), BENCH_T, g,
+                                  c=scale * LIGHT_SPEEDS)
+    assert grids == [rows + (js.grid.size,)]
+    assert js.amplitudes.shape == (LIGHT_SPEEDS.size, 4, js.grid.size)

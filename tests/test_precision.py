@@ -248,8 +248,6 @@ def test_free_spread_qubit_phase_uses_outcome_second_moment():
 
 def test_w_of_p_orders():
     p, m, c = 1e-24, ELECTRON_MASS, C_LIGHT
-    assert np.isclose(w_of_p(p, m, c, "c2"), -p**2 / (2.0 * m**2 * c**2), rtol=1e-14)
-    assert np.isclose(w_of_p(p, m, c, "c4") - w_of_p(p, m, c, "c2"),
-                      3.0 * p**4 / (8.0 * m**4 * c**4), rtol=1e-10)
-    with pytest.raises(ValueError):
-        w_of_p(p, m, c, "c6")
+    quadratic, quartic = -p**2 / (2.0 * m**2 * c**2), 3.0 * p**4 / (8.0 * m**4 * c**4)
+    assert np.isclose(w_of_p(p, m, c), quadratic + quartic, rtol=1e-14)
+    assert np.isclose(w_of_p(p, m, c) - quadratic, quartic, rtol=1e-10)
