@@ -325,15 +325,16 @@ def apply_time(clock: ClockModel, kets: np.ndarray, shift=0.0) -> np.ndarray:
     if clock.time_values is not None:
         amps = np.fft.ifft(kets, axis=-1)
         amps *= clock.time_values - shift
-        return np.fft.fft(amps, axis=-1, out=amps)
-    return kets @ clock.t_cl.T - shift * kets
+        return np.fft.fft(amps, axis=-1)
+    return np.einsum("jk,...k->...j", clock.t_cl, kets) - shift * kets
 
 
 def centred_energy(clock: ClockModel, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(H - <H>) as one diagonal per ket of a stack, and those diagonals
-    applied to the kets."""
-    mean_e = (kets.real**2 + kets.imag**2) @ clock.energies
-    diag = clock.energies - np.asarray(mean_e)[..., None]
+    applied to the kets. <H> is one (1, d) @ (d,) product per ket, as in
+    ``reading_stats``, so a batch rounds as its rows do."""
+    mean_e = (kets.real**2 + kets.imag**2)[..., None, :] @ clock.energies
+    diag = clock.energies - mean_e
     return diag, diag * kets
 
 

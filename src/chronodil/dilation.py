@@ -68,7 +68,7 @@ def classical_proper_time(v0: float, x0: float, g: float, t: float, c: float = C
     exceeds 0.01 c anywhere."""
     if np.any(abs(v0) > 0.01 * c):
         warnings.warn(
-            f"|v0| = {abs(v0):.3e} exceeds 0.01 c; the low-velocity expansion degrades",
+            f"|v0| = {np.max(np.abs(v0)):.3e} exceeds 0.01 c; the low-velocity expansion degrades",
             stacklevel=2,
         )
     bracket = 1.0 - v0**2 / (2.0 * c**2) + g * x0 / c**2 + v0 * g * t / c**2 - (g * t / c) ** 2 / 3.0

@@ -194,6 +194,8 @@ def evolve_characteristics_g(clock: ClockModel, kstate, t: float, g: float, orde
         raise ValueError(f"order must be 'c2' or 'c4', got {order!r}")
     if isinstance(kstate, MixtureState):
         raise TypeError("mixtures are ensembles; evolve each component separately")
+    if not isinstance(clock, ClockModel):
+        raise TypeError(f"the joint evolution needs a ClockModel, got {type(clock).__name__}")
     mass = kstate.mass
     if grid is None:
         grid = default_momentum_grid(clock, kstate, t, g, order, c)

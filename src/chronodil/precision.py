@@ -19,13 +19,13 @@ spread of the clock's reading in its evolved ket
 
 and the non-idealised term is the full four-brace trace expression in
 terms of E(t), e = (i/hbar)[H, T] - I and the W moments, evaluated as
-inner products of kets from three applications of T per time through
-``clocks.apply_time`` (see ``sigma_nonideal_term``); its (i/hbar)
-factors take the pinned SI ``constants.HBAR``. A companion
-``sigma_dispersion_exact`` gives the excess that exact joint evolution
-produces, t^2 var(W) / (2 sigma_NR), whose leading term keeps var(p^2)
-but not <p^4>; the two closed forms disagree at leading order and the
-oracle module quantifies that.
+seven inner products, real by construction, of kets from three
+applications of T per time through ``clocks.apply_time`` (see
+``sigma_nonideal_term``); its (i/hbar) factors take the pinned SI
+``constants.HBAR``. A companion ``sigma_dispersion_exact`` gives the
+excess that exact joint evolution produces, t^2 var(W) / (2 sigma_NR),
+whose leading term keeps var(p^2) but not <p^4>; the two closed forms
+disagree at leading order and the oracle module quantifies that.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def sigma_ideal_term(kstate, t, sigma_nr_value, c: float = C_LIGHT):
                          "the validity of the idealised-term expression")
     m = moments(kstate)
     mass = kstate.mass
-    return t**2 * (m.mean_p4 + m.var_p2) / (8.0 * sigma_nr_value * mass**4 * c**4)
+    return t * t * (m.mean_p4 + m.var_p2) / (8.0 * sigma_nr_value * mass**4 * c**4)
 
 
 def sigma_dispersion_exact(kstate, t, sigma_nr_value, c: float = C_LIGHT):
@@ -119,16 +119,13 @@ def sigma_nonideal_term(clock: ClockModel, kstate, t, c: float = C_LIGHT):
     D = H - <H> (a constant shift of H leaves the expression unchanged) and
     e applied as -(i/hbar)[T', D] - I, T' = T - <T>: the shifts keep every
     ket as small as the spreads. ``clocks.apply_time`` applies T' to psi, h
-    and D h alone; T is Hermitian, so with k = -i/hbar every other T
-    product moves onto the bra of its inner product:
-
-        <h|e u> = k (<D T' h|u> - <T' D h|u>) - <h|u>,
-        <u|e h> = k (<u|T' D h> - <u|D T' h>) - <u|h>,  <h|T v> = <T h|v>.
-
-    No d x d operator is formed, and each inner product is formed on its
-    own. An imaginary part of the total above 1e-10 max(1, |sigma_NI|)
-    raises; for spreads in seconds that is an absolute 1e-10 s, which no
-    spread the library computes reaches.
+    and D h alone; T is Hermitian, so every other T product moves onto the
+    bra of its inner product. <y|x> is the conjugate of <x|y>, so each pair
+    of traces is 2 Re or 2i Im of one inner product, and with
+    tr E = (2/hbar) Im <T' psi|h> - 1, as in ``clocks.error_trace_from``,
+    the total is real by construction from seven inner products: <T' psi|h>,
+    <u|v>, <D T' h|u>, <T' D h|u>, <u|h>, <T h|v> and <h|v>. No d x d
+    operator is formed.
     """
     return _nonideal_term(clock, kstate, t, c, *free_reading(clock, t))
 
@@ -145,32 +142,26 @@ def _nonideal_term(clock, kstate, t, c: float, psi, mean_t_nr, s_nr):
         return np.einsum("...j,...j->...", x.conj(), y)
 
     a = np.asarray(mean_t_nr)[..., None]
-    k = -1j / HBAR
     dh, h = centred_energy(clock, psi)
     t_psi, t_h, t_dh = (apply_time(clock, x, mean_t_nr) for x in (psi, h, dh * h))
     u = t_psi + a * psi  # T psi
-    v = k * (t_h - dh * t_psi) - psi  # e psi
+    v = -1j / HBAR * (t_h - dh * t_psi) - psi  # e psi
     d_th, th = dh * t_h, t_h + a * h  # (H - <H>)(T - <T>) h and T h
-    tr_e = dot(psi, v)  # tr E
+    tr_e = (2.0 / HBAR) * dot(t_psi, h).imag - 1.0  # as clocks.error_trace_from
 
-    brace1 = dot(u, v) + dot(v, u) - 2.0 * mean_t_nr * tr_e  # tr((E + E^dag) T)
-    brace2 = 2.0 * tr_e + tr_e**2
+    brace1 = 2.0 * (dot(u, v).real - mean_t_nr * tr_e)  # tr((E + E^dag) T)
+    brace2 = tr_e * (2.0 + tr_e)
+    # 2 tr E + (i/hbar) tr(H e T rho - T e H rho + H T E - E^dag T H + 2 <T> H (E - E^dag))
     brace3 = (
         2.0 * tr_e
-        + (1j / HBAR) * (k * (dot(d_th, u) - dot(t_dh, u)) - dot(h, u)  # <h|e u>: H e T rho
-                         - k * (dot(u, t_dh) - dot(u, d_th)) + dot(u, h)  # -<u|e h>: -T e H rho
-                         + dot(th, v) - dot(v, th))  # <T h|v> - <v|T h>: H T E - E^dag T H
-        + (2j / HBAR) * mean_t_nr * (dot(h, v) - dot(v, h))  # H (E - E^dag)
+        + (2.0 / HBAR**2) * (dot(d_th, u).real - dot(t_dh, u).real)
+        - (2.0 / HBAR) * (dot(u, h).imag + dot(th, v).imag + 2.0 * mean_t_nr * dot(h, v).imag)
     )
     first = wm.mean_w * t / (2.0 * s_nr) * brace1
     second = -((wm.mean_w * t) ** 2) / (8.0 * s_nr**3) * brace1**2
     third = -((wm.mean_w * t) ** 2) / (2.0 * s_nr) * brace2
-    fourth = -(wm.mean_w2 * t**2) / (2.0 * s_nr) * brace3
-    total = first + second + third + fourth
-    if np.any(np.abs(np.imag(total)) > 1e-10 * np.maximum(1.0, np.abs(total))):
-        raise ValueError(f"non-idealised term has imaginary part "
-                         f"{np.max(np.abs(np.imag(total))):.3e}")
-    return np.real(total)
+    fourth = -(wm.mean_w2 * t * t) / (2.0 * s_nr) * brace3
+    return first + second + third + fourth
 
 
 def sigma_breakdown(clock, kstate, t, c: float = C_LIGHT) -> PrecisionBreakdown:

@@ -35,32 +35,15 @@ def _fields(result) -> dict:
     return result if isinstance(result, dict) else dict(vars(result))
 
 
-def _assert_rows_match(batch, rows, exact=()):
-    """Every column of a batched result against the scalar results.
-
-    The columns named in ``exact`` must equal their rows bit for bit. The
-    others may take different matrix-product kernels for a batch and a
-    single ket, so they agree to rounding, measured against the scale that
-    cancels: 1 for tr E = <M> - 1, the free spread for sigma_NI (whose
-    whole value is rounding on the quasi-ideal d = 128 dial), the value
-    itself elsewhere.
-    """
+def _assert_rows_match(batch, rows):
+    """Every column of a batched result equals the scalar results bit for
+    bit: a batch takes the same kernels as its rows."""
     rows = [_fields(r) for r in rows]
     for key, column in _fields(batch).items():
         column = np.broadcast_to(column, (len(rows),))
         expected = np.array([r[key] for r in rows], dtype=float)
         assert all(np.ndim(r[key]) == 0 and isinstance(r[key], float) for r in rows), key
-        if key in exact:
-            np.testing.assert_array_equal(column, expected, err_msg=key)
-            continue
-        if key == "error_trace":
-            atol = 1e-15 * max(1.0, np.max(np.abs(expected)))
-        elif key == "sigma_ni":
-            atol = 1e-14 * max(r["sigma_nr"] for r in rows)
-        else:
-            np.testing.assert_allclose(column, expected, rtol=1e-13, atol=0, err_msg=key)
-            continue
-        np.testing.assert_allclose(column, expected, rtol=0, atol=atol, err_msg=key)
+        np.testing.assert_array_equal(column, expected, err_msg=key)
 
 
 @pytest.mark.parametrize("state_name", sorted(STATES))
@@ -75,10 +58,11 @@ def test_batch_equals_its_rows(clock_name, state_name):
         lambda t: {"sigma_nr": sigma_nr(clk, t)},
         lambda t: sigma_breakdown(clk, kstate, t, c=c),
     ]
-    # a dial reads each ket's mean and spread by one reduction per ket, the
-    # qubit by einsum loops, and an idealised clock reads t and sigma_t0
+    # a dial reads each ket's mean and spread, and centres its energy, by one
+    # reduction per ket, the qubit by einsum loops, and an idealised clock
+    # reads t and sigma_t0
     for fn in quantities:
-        _assert_rows_match(fn(TIMES), [fn(t) for t in TIMES], ("mean_t_nr", "sigma_nr"))
+        _assert_rows_match(fn(TIMES), [fn(t) for t in TIMES])
 
 
 @pytest.mark.parametrize("clock_name", sorted(set(CLOCKS) - {"ideal"}))

@@ -343,6 +343,17 @@ def test_cli_non_finite_output_exits_2_and_writes_nothing(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def test_verify_on_idealised_clock_exits_2_and_writes_nothing(tmp_path, capsys):
+    # idealised is the schema's default model; the oracle cannot evolve it
+    cfg_path = tmp_path / "verify.cfg"
+    cfg_path.write_text(bench_config("verify").replace("model = swp\nd = 4\n",
+                                                       "model = idealised\nsigma_t0 = 1e-4\n"))
+    out = tmp_path / "out.csv"
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out), "--no-timestamp"]) == 2
+    assert "needs a ClockModel" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _kernel_cells(values) -> list[str]:
     x = np.asarray(values, dtype=float)
     out = np.zeros((x.size, cli._FLOAT_FIELD), dtype=np.uint8)

@@ -51,6 +51,10 @@ def test_velocity_term():
 def test_fast_observer_warns():
     with pytest.warns(UserWarning, match="0.01 c"):
         classical_proper_time(0.02 * C_LIGHT, 0.0, 0.0, 1.0)
+    # on an array the warning names the largest speed
+    with pytest.warns(UserWarning, match=r"\|v0\| = 5\.996e\+06 exceeds 0.01 c"):
+        tau = classical_proper_time(np.array([0.0, -0.02]) * C_LIGHT, 0.0, 0.0, 1.0)
+    assert tau.shape == (2,)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from chronodil import oracle
-from chronodil.clocks import build_qubit_phase, build_quasi_ideal, build_swp, ClockModel
+from chronodil.clocks import (build_qubit_phase, build_quasi_ideal, build_swp, ClockModel,
+                              IdealisedClock)
 from chronodil.constants import HBAR
 from chronodil.dilation import mean_clock_time, sup_vs_mix
 from chronodil.kinematics import GaussianState, MixtureState, to_grid
@@ -93,6 +94,15 @@ def test_mixture_rejected_by_pure_evolver():
     for g in (0.0, G_EARTH):
         with pytest.raises(TypeError, match="ensemble"):
             evolve_characteristics_g(build_swp(4, BENCH_OMEGA), mix, BENCH_T, g, c=bench_c())
+
+
+def test_idealised_clock_rejected_by_joint_evolution():
+    # an IdealisedClock has no energies or ket to evolve with the motion
+    clk = IdealisedClock(sigma_t0=1e-4)
+    with pytest.raises(TypeError, match="ClockModel, got IdealisedClock"):
+        verify_mean_time(clk, bench_gaussian(), BENCH_T, G_EARTH, base_c=bench_c())
+    with pytest.raises(TypeError, match="ClockModel, got IdealisedClock"):
+        verify_sigma(clk, bench_gaussian(), BENCH_T, base_c=bench_c())
 
 
 def test_unknown_order_rejected():
