@@ -20,12 +20,10 @@ _EXPORTS = {
                      "build_swp", "error_trace", "mean_clock_time_nr"], "clocks"),
     **dict.fromkeys(["CatState", "GaussianState", "MixtureState", "moments", "norm_factor",
                      "r_factor"], "kinematics"),
-    **dict.fromkeys(["classical_proper_time", "mean_clock_time", "sup_vs_mix", "t_coh"],
-                    "dilation"),
+    **dict.fromkeys(["classical_proper_time", "mean_clock_time", "t_coh"], "dilation"),
     **dict.fromkeys(["sigma_breakdown", "sigma_dispersion_exact", "sigma_ideal_term",
                      "sigma_nonideal_term", "w_moments"], "precision"),
-    **dict.fromkeys(["MomentumBinning", "bin_probability", "conditioned_sigma",
-                     "sweep_conditioned"], "measurement"),
+    **dict.fromkeys(["MomentumBinning", "bin_probability", "conditioned_sigma"], "measurement"),
     **dict.fromkeys(["JointState", "VerificationReport", "evolve_characteristics_g",
                      "verify_mean_time", "verify_sigma"], "oracle"),
 }

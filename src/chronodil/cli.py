@@ -234,14 +234,14 @@ def _run_dilation(cfg: RunConfig) -> tuple[CsvTable, int]:
 
 
 def _run_coherence(cfg: RunConfig) -> tuple[CsvTable, int]:
-    from .dilation import sup_vs_mix
+    from .dilation import t_coh
     from .kinematics import norm_factor
 
     cat = cfg.kinematic_state()
     g = cfg.get("physics", "g")
     c = cfg.c_light()
     times = cfg.times()
-    res = sup_vs_mix(cat, times, g, c=c)
+    res = t_coh(cat, times, g, c=c)
     rows = np.column_stack(np.broadcast_arrays(times, norm_factor(cat), res.t_sup, res.t_mix,
                                                res.t_coh))
     header = ["t", "norm_factor", "t_sup", "t_mix", "t_coh"]
@@ -263,18 +263,23 @@ def _run_precision(cfg: RunConfig) -> tuple[CsvTable, int]:
 
 
 def _run_measurement(cfg: RunConfig) -> tuple[CsvTable, int]:
-    from .measurement import sweep_conditioned
+    from .measurement import MomentumBinning, conditioned_sigma
 
     clock = cfg.clock()
     kstate = cfg.kinematic_state()
     c = cfg.c_light()
-    # Python floats: t ** 2 on an np.float64 can differ from it by one ulp
-    rows_dicts = sweep_conditioned(clock.sigma_t0, kstate, cfg.times().tolist(),
-                                   cfg.get("measurement", "q_values"),
-                                   bin_index=cfg.get("measurement", "bin"), c=c)
+    times = cfg.times()
+    q_values = cfg.get("measurement", "q_values")
+    n = cfg.get("measurement", "bin")
+    sigma_t0 = clock.sigma_t0
+    per_q = [(q, conditioned_sigma(sigma_t0, kstate, times, MomentumBinning(q * kstate.sigma_p), n,
+                                   c=c)) for q in q_values]
+    # a bin of infinite width is no measurement
+    unconditioned = conditioned_sigma(sigma_t0, kstate, times, MomentumBinning(np.inf), 0, c=c)
+    rows = [[t, q, n, res.probability, res.sigma_t_given_n[i], sigma_t0,
+             unconditioned.sigma_t_given_n[i]] for i, t in enumerate(times) for q, res in per_q]
     header = ["t", "q", "bin", "probability", "sigma_conditioned", "sigma_nr",
               "sigma_unconditioned"]
-    rows = [[d[k] for k in header] for d in rows_dicts]
     return CsvTable(header=header, rows=rows), 0
 
 

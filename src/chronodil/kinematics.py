@@ -215,11 +215,12 @@ def r_factor(state, t, g: float, c: float = C_LIGHT):
         return sum(w * r_factor(comp, t, g, c) for w, comp in state.components)
     m = moments(state)
     mass = state.mass
+    gt = g * t / c  # a product, not ** 2: pow on a float can round otherwise than in an array
     return (
         -m.mean_p2 / (2.0 * mass**2 * c**2)
         + g * m.mean_x / c**2
         + m.mean_p * g * t / (mass * c**2)
-        - (g * t / c) ** 2 / 3.0
+        - gt * gt / 3.0
     )
 
 

@@ -9,8 +9,9 @@ mixture of shifted Gaussians over the bin's momentum density:
     var(T | bin n) = sigma_T(0)^2 + t^2 var(W(p) | bin n).
 
 The bin width delta_p sets how much motional information the measurement
-recovers: delta_p -> 0 restores the free spread, delta_p -> infinity
-recovers nothing. This reduction is validated against the explicit
+recovers: delta_p -> 0 restores the free spread, and an infinite delta_p,
+whose bin 0 is the whole momentum line, recovers nothing: it gives the
+unconditioned spread. This reduction is validated against the explicit
 joint-state oracle in the test suite before anything relies on it.
 
 The bin moments come from one fixed rule: 24-point Gauss-Legendre on
@@ -53,9 +54,11 @@ class MomentumBinning:
 
 @dataclass(frozen=True)
 class ConditionedResult:
+    """Bin probability, and the conditional spread and mean reading at each time."""
+
     probability: float
-    sigma_t_given_n: float
-    mean_t_given_n: float
+    sigma_t_given_n: float | np.ndarray
+    mean_t_given_n: float | np.ndarray
 
 
 @functools.cache
@@ -107,52 +110,24 @@ def _conditional_w_moments(kstate: GaussianState, lo: float, hi: float,
     return prob, float(w_of_p(pc, kstate.mass, c)) + mean_dev, var_w
 
 
-def _spread(sigma_t0: float, t: float, var_w: float) -> float:
+def _spread(sigma_t0: float, t, var_w: float):
     """sqrt(sigma_t0^2 + t^2 var(W)): a Gaussian profile mixed over shifts t W(p)."""
     if sigma_t0 < 0:
         raise ValueError("sigma_t0 must be non-negative")
-    return float(np.sqrt(sigma_t0**2 + t**2 * var_w))
+    return np.sqrt(sigma_t0**2 + t * t * var_w)
 
 
-def conditioned_sigma(sigma_t0: float, kstate: GaussianState, t: float,
+def conditioned_sigma(sigma_t0: float, kstate: GaussianState, t,
                       binning: MomentumBinning, n: int, c: float = C_LIGHT) -> ConditionedResult:
     """Clock-time spread after finding the momentum in bin n (g = 0,
-    idealised clock with a Gaussian reading profile of spread sigma_t0).
+    idealised clock with a Gaussian reading profile of spread sigma_t0), at
+    each time of ``t``.
 
-    Raises ValueError on an effectively empty bin (probability < 1e-15).
+    The momentum distribution is time invariant at g = 0, so the bin's
+    probability and moments are computed once for all times. Raises
+    ValueError on an effectively empty bin (probability < 1e-15).
     """
     prob, mean_w, var_w = _conditional_w_moments(kstate, *binning.edges(n), c)
     return ConditionedResult(probability=prob,
                              sigma_t_given_n=_spread(sigma_t0, t, var_w),
-                             mean_t_given_n=float(t * (1.0 + mean_w)))
-
-
-def sweep_conditioned(sigma_t0: float, kstate: GaussianState, times, q_values,
-                      bin_index: int = 0, c: float = C_LIGHT) -> list[dict]:
-    """Conditional spreads over a (t, q) grid, CSV-ready, t outer.
-
-    Each row carries the conditional spread in bin ``bin_index`` plus the
-    free and unconditioned baselines at the same lab time. The momentum
-    distribution is time invariant at g = 0, so the bin moments are
-    computed once per q and once for the unconditioned spread.
-    """
-    var_all = _conditional_w_moments(kstate, -math.inf, math.inf, c)[2]
-    per_q = []
-    for q in q_values:
-        binning = MomentumBinning(delta_p=q * kstate.sigma_p)
-        prob, _, var_w = _conditional_w_moments(kstate, *binning.edges(bin_index), c)
-        per_q.append((q, prob, var_w))
-    rows = []
-    for t in times:
-        unconditioned = _spread(sigma_t0, t, var_all)
-        for q, prob, var_w in per_q:
-            rows.append({
-                "t": t,
-                "q": q,
-                "bin": bin_index,
-                "probability": prob,
-                "sigma_conditioned": _spread(sigma_t0, t, var_w),
-                "sigma_nr": sigma_t0,
-                "sigma_unconditioned": unconditioned,
-            })
-    return rows
+                             mean_t_given_n=t * (1.0 + mean_w))

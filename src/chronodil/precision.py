@@ -107,7 +107,7 @@ def sigma_dispersion_exact(kstate, t, sigma_nr_value, c: float = C_LIGHT):
         raise ValueError("sigma_NR must be positive")
     m = moments(kstate)
     mass = kstate.mass
-    return t**2 * m.var_p2 / (8.0 * sigma_nr_value * mass**4 * c**4)
+    return t * t * m.var_p2 / (8.0 * sigma_nr_value * mass**4 * c**4)
 
 
 def sigma_nonideal_term(clock: ClockModel, kstate, t, c: float = C_LIGHT):

@@ -12,7 +12,7 @@ from scipy.integrate import IntegrationWarning, quad
 from chronodil.clocks import ClockModel, build_quasi_ideal
 from chronodil.config import echo_lines
 from chronodil.constants import C_LIGHT, HBAR
-from chronodil.kinematics import CatState, GaussianState, MixtureState, norm_factor
+from chronodil.kinematics import CatState, GaussianState, MixtureState, norm_factor, r_factor
 from chronodil.measurement import (_SUPPORT_SIGMAS, MomentumBinning, _conditional_w_moments,
                                    _spread, bin_probability)
 from dense_reference import dagger
@@ -131,6 +131,18 @@ def quadrature_moment(state, k: int, axis: str = "p") -> float:
         return float(sum(w * _pure_quadrature_moment(comp, k, axis)
                          for w, comp in state.components))
     return float(_pure_quadrature_moment(state, k, axis))
+
+
+# ---------------------------------------------------------------------------
+# coherence reference
+
+
+def coherence_direct(cat: CatState, t, g: float, c: float = C_LIGHT):
+    """T_sup - T_mix by the general first-order formula, t (R_cat - R_mix),
+    from the cat's moments with their interference cross terms and the
+    matching mixture's weighted factors; the reference for ``t_coh``."""
+    r_mix = cat.alpha * r_factor(cat.base, t, g, c) + (1.0 - cat.alpha) * r_factor(cat.upper, t, g, c)
+    return t * (r_factor(cat, t, g, c) - r_mix)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,9 @@ EXPORTS = sorted("""
     ATOMIC_MASS_UNIT C_LIGHT ELECTRON_MASS G_STANDARD HBAR ClockModel IdealisedClock
     build_qubit_phase build_quasi_ideal build_swp error_trace mean_clock_time_nr CatState
     GaussianState MixtureState moments norm_factor r_factor classical_proper_time
-    mean_clock_time sup_vs_mix t_coh sigma_breakdown sigma_dispersion_exact sigma_ideal_term
-    sigma_nonideal_term w_moments MomentumBinning bin_probability conditioned_sigma
-    sweep_conditioned JointState VerificationReport evolve_characteristics_g
-    verify_mean_time verify_sigma""".split())
+    mean_clock_time t_coh sigma_breakdown sigma_dispersion_exact sigma_ideal_term
+    sigma_nonideal_term w_moments MomentumBinning bin_probability conditioned_sigma JointState
+    VerificationReport evolve_characteristics_g verify_mean_time verify_sigma""".split())
 
 
 def test_exports_are_pinned():

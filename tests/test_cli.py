@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from chronodil import cli
 from chronodil.cli import CsvTable, emit_plot_script, main, run, write_csv
 from chronodil.config import ConfigError, RunConfig, echo_lines, parse_config
+from chronodil.constants import C_LIGHT, HBAR
 from helpers import (BENCH_MASS, BENCH_OMEGA, BENCH_PERIOD, BENCH_SIGMA_X, BENCH_T, bench_c,
                      reference_write_csv)
 
@@ -159,6 +160,50 @@ def test_aluminium_config_reproduces_coherence_run():
     assert code == 0
     t_coh = table.rows[0][table.header.index("t_coh")]
     assert 1.9e-17 < t_coh < 2.4e-17
+
+
+def _mpmath_t_coh(mpmath, kin: dict, t, g):
+    """T_sup - T_mix = t (R_cat - R_mix) at 50 digits, from the cat's
+    moments with their interference cross terms, at the physical c."""
+    mpf = mpmath.mpf
+    with mpmath.mp.workdps(50):
+        hbar, c, t, g = mpf(HBAR), mpf(C_LIGHT), mpf(t), mpf(g)
+        sx, dx, alpha, theta, mass, x1, p0 = (mpf(kin[key]) for key in (
+            "sigma_x", "delta_x0", "alpha", "theta", "mass", "x0", "p0"))
+        x2 = x1 + dx
+        sp2 = (hbar / (2 * sx)) ** 2
+        k_amp = 2 * mpmath.sqrt(alpha * (1 - alpha)) * mpmath.exp(-(dx / (2 * sx)) ** 2 / 2)
+        n = 1 + k_amp * mpmath.cos(theta)
+        phase = mpmath.expj(theta)
+        mu = p0 - 1j * sp2 * dx / hbar  # mean of the cross terms' shifted Gaussian
+        mean_p = (p0 + k_amp * mpmath.re(phase * mu)) / n
+        mean_p2 = (p0**2 + sp2 + k_amp * mpmath.re(phase * (mu**2 + sp2))) / n
+        mean_x = (alpha * x1 + (1 - alpha) * x2 + k_amp * mpmath.cos(theta) * (x1 + x2) / 2) / n
+
+        def r(mean_x, mean_p, mean_p2):
+            return (-mean_p2 / (2 * mass**2 * c**2) + g * mean_x / c**2
+                    + mean_p * g * t / (mass * c**2) - (g * t / c) ** 2 / 3)
+
+        r_mix = alpha * r(x1, p0, p0**2 + sp2) + (1 - alpha) * r(x2, p0, p0**2 + sp2)
+        return t * (r(mean_x, mean_p, mean_p2) - r_mix)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 0.7, 1.1, 2.5])
+def test_coherence_column_matches_50_digits(theta):
+    # the aluminium cat moving at 3 sigma_p, 20 times in [0.1, 2] s
+    mpmath = pytest.importorskip("mpmath")
+    text = (REPO_ROOT / "configs" / "aluminium.cfg").read_text()
+    kin = {"sigma_x": 368e-12, "delta_x0": 736e-12, "alpha": 0.5, "mass": 4.483455479820e-26,
+           "x0": 0.0, "p0": 3.0 * HBAR / (2.0 * 368e-12), "theta": theta}
+    text = text.replace("p0 = 0.0", f"p0 = {kin['p0']!r}").replace("theta = 0.0",
+                                                                   f"theta = {theta!r}")
+    text = text.replace("t = 1.0", "t_start = 0.1\nt_stop = 2.0\nt_num = 20")
+    table, code = run(parse_config(text))
+    assert code == 0 and len(table.rows) == 20
+    for row in table.rows:
+        t, value = row[table.header.index("t")], row[table.header.index("t_coh")]
+        ref = _mpmath_t_coh(mpmath, kin, t, 9.81)
+        assert abs(value - ref) <= 5e-14 * abs(ref), (t, value, float(ref))
 
 
 def test_coherence_zero_separation_gives_zero_column():

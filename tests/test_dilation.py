@@ -6,9 +6,10 @@ from scipy.optimize import minimize_scalar
 
 from chronodil.clocks import IdealisedClock, build_swp
 from chronodil.constants import ATOMIC_MASS_UNIT, C_LIGHT
-from chronodil.dilation import classical_proper_time, mean_clock_time, sup_vs_mix, t_coh
+from chronodil.dilation import classical_proper_time, mean_clock_time, t_coh
 from chronodil.kinematics import CatState, GaussianState
 from covariant_reference import clock_period
+from helpers import coherence_direct
 
 MASS = 27.0 * ATOMIC_MASS_UNIT
 R_AL = 184e-12  # aluminium Van der Waals radius, used as the length unit
@@ -159,15 +160,15 @@ def test_aluminium_example_value():
 
 def test_sup_vs_mix_single_component_limit():
     cat = CatState(base=gaussian(), delta_x0=3.0 * R_AL, alpha=1.0 - 1e-12)
-    res = sup_vs_mix(cat, 1.0, 0.0)
+    res = t_coh(cat, 1.0, 0.0)
     assert abs(res.t_coh) < 1e-12 * abs(res.t_sup)
+    assert abs(coherence_direct(cat, 1.0, 0.0)) < 1e-12 * abs(res.t_sup)
 
 
 def test_sup_vs_mix_identity_free_fall_free():
     cat = CatState(base=gaussian(sigma_x=2.0 * R_AL), delta_x0=8.0 * R_AL, alpha=0.5)
-    res = sup_vs_mix(cat, 1.0, 0.0)
-    closed = t_coh(cat, 1.0, 0.0)
-    assert np.isclose(res.t_coh, closed.t_coh, rtol=1e-10)
+    res = t_coh(cat, 1.0, 0.0)
+    assert np.isclose(coherence_direct(cat, 1.0, 0.0), res.t_coh, rtol=1e-10)
     assert np.isclose(res.t_sup, res.t_mix + res.t_coh, rtol=1e-12)
 
 
@@ -176,9 +177,10 @@ def test_sup_vs_mix_quarter_phase_finite():
     # expanded product, and the direct route must agree
     cat = CatState(base=gaussian(p0=3e-25), delta_x0=4.0 * R_AL, alpha=0.3,
                    theta=np.pi / 2.0)
-    res = sup_vs_mix(cat, 0.7, 9.81)
+    res = t_coh(cat, 0.7, 9.81)
     assert np.isfinite(res.t_coh)
     assert abs(res.t_coh) > 0.0
+    assert abs(coherence_direct(cat, 0.7, 9.81) - res.t_coh) <= 1e-10 * abs(res.t_coh)
 
 
 def test_coherence_identity_random_sweep():
@@ -195,8 +197,9 @@ def test_coherence_identity_random_sweep():
         )
         g = float(rng.uniform(0.0, 20.0))
         t = float(rng.uniform(0.1, 5.0))
-        res = sup_vs_mix(cat, t, g)  # raises if the two routes disagree
-        assert np.isfinite(res.t_coh)
+        closed = t_coh(cat, t, g).t_coh
+        assert np.isfinite(closed)
+        assert abs(coherence_direct(cat, t, g) - closed) <= 1e-10 * abs(closed)
 
 
 def test_t_coh_has_interior_maximum():
@@ -235,28 +238,12 @@ def test_t_coh_over_an_array_of_separations_equals_its_rows():
                                        rtol=1e-14, atol=0, err_msg=name)
 
 
-def test_sup_vs_mix_over_an_array_of_times_equals_its_rows():
+def test_t_coh_over_an_array_of_times_equals_its_rows():
     # the CLI's coherence table is one call on its time grid
     cat = CatState(base=gaussian(p0=3e-25), delta_x0=4.0 * R_AL, alpha=0.3, theta=0.7)
     times = np.linspace(0.0, 2.0, 57)
-    batch = sup_vs_mix(cat, times, 9.81)
+    batch = t_coh(cat, times, 9.81)
     for i, t in enumerate(times.tolist()):
-        row = sup_vs_mix(cat, t, 9.81)
+        row = t_coh(cat, t, 9.81)
         for name in ("t_sup", "t_mix", "t_coh"):
             assert getattr(batch, name)[i] == getattr(row, name), name
-
-
-def test_sup_vs_mix_checks_the_identity_at_every_time(monkeypatch):
-    from chronodil import dilation
-
-    cat = CatState(base=gaussian(p0=3e-25), delta_x0=4.0 * R_AL, alpha=0.3, theta=0.7)
-    times = np.array([0.5, 1.0, 1.5])
-    real = dilation.t_coh
-
-    def off_at_the_last_time(cat, t, g, c):
-        res = real(cat, t, g, c)
-        return replace(res, t_coh=res.t_coh * np.array([1.0, 1.0, 1.0 + 1e-6]))
-
-    monkeypatch.setattr(dilation, "t_coh", off_at_the_last_time)
-    with pytest.raises(ValueError, match="coherence identity violated"):
-        sup_vs_mix(cat, times, 9.81)

@@ -130,6 +130,16 @@ def test_r_factor_free_rest_state_time_independent():
     assert np.isclose(values.pop(), -state.sigma_p**2 / (2.0 * MASS**2 * C_LIGHT**2), rtol=1e-14)
 
 
+def test_r_factor_over_an_array_of_times_equals_its_rows():
+    # (g t / c)^2 is a product: pow on a Python float rounds apart from an
+    # array's square at some times
+    state = GaussianState(0.0, 1e-27, 3e-7, 1e-25)
+    times = np.linspace(0.1, 2.0, 2000)
+    batch = r_factor(state, times, 9.81, C_LIGHT)
+    rows = np.array([r_factor(state, t, 9.81, C_LIGHT) for t in times.tolist()])
+    assert np.array_equal(batch, rows), np.flatnonzero(batch != rows)
+
+
 def test_r_factor_cat_matches_quadrature():
     state = cat(delta=4.0 * SX, alpha=0.5, theta=0.0)
     g, t = 9.81, 1.3

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,6 @@ from chronodil.measurement import (
     _conditional_w_moments,
     bin_probability,
     conditioned_sigma,
-    sweep_conditioned,
 )
 from chronodil.precision import w_of_p
 from helpers import occupied_bins, unconditioned_sigma
@@ -219,13 +219,42 @@ def test_conditional_reduction_matches_joint_grid_oracle():
     assert abs(res.sigma_t_given_n - sigma_oracle) < 1e-6 * sigma_oracle
 
 
+def test_conditioned_sigma_over_an_array_of_times_equals_its_rows():
+    # the CLI's measurement table is one call per q on its time grid
+    times = np.linspace(0.0, 10.0 * T_BENCH, 101)
+    for q in (1e-4, 0.3, 1.0, 10.0):
+        batch = conditioned_sigma(SIGMA_T0, STATE, times, binning_for(q), 0, c=C_BENCH)
+        for i, t in enumerate(times.tolist()):
+            row = conditioned_sigma(SIGMA_T0, STATE, t, binning_for(q), 0, c=C_BENCH)
+            assert row.probability == batch.probability
+            assert batch.sigma_t_given_n[i] == row.sigma_t_given_n, (q, t)
+            assert batch.mean_t_given_n[i] == row.mean_t_given_n, (q, t)
+
+
+def test_infinite_bin_is_no_measurement():
+    # bin 0 of an infinite width covers the whole momentum line
+    whole = MomentumBinning(math.inf)
+    for t in (0.0, 0.5 * T_BENCH, T_BENCH, 7.0 * T_BENCH):
+        res = conditioned_sigma(SIGMA_T0, STATE, t, whole, 0, c=C_BENCH)
+        assert res.sigma_t_given_n == unconditioned_sigma(SIGMA_T0, STATE, t, c=C_BENCH)
+    assert abs(res.probability - 1.0) < 1e-12
+
+
+def _sweep(times, q_values):
+    # the layout of the CLI's measurement table: t outer, q inner
+    unconditioned = conditioned_sigma(SIGMA_T0, STATE, times, MomentumBinning(math.inf), 0,
+                                      c=C_BENCH).sigma_t_given_n
+    per_q = [conditioned_sigma(SIGMA_T0, STATE, times, binning_for(q), 0,
+                               c=C_BENCH).sigma_t_given_n for q in q_values]
+    return [(sigma[i], unconditioned[i]) for i in range(len(times)) for sigma in per_q]
+
+
 def test_sweep_shape_and_invariants():
-    rows = sweep_conditioned(SIGMA_T0, STATE, [0.5 * T_BENCH, T_BENCH, 2.0 * T_BENCH],
-                             [0.1, 1.0, 10.0], c=C_BENCH)
+    rows = _sweep(np.array([0.5 * T_BENCH, T_BENCH, 2.0 * T_BENCH]), [0.1, 1.0, 10.0])
     assert len(rows) == 9
-    for row in rows:
-        assert row["sigma_nr"] <= row["sigma_conditioned"] <= row["sigma_unconditioned"] + 1e-12
-        assert np.isfinite(row["sigma_conditioned"])
+    for sigma_conditioned, sigma_unconditioned in rows:
+        assert SIGMA_T0 <= sigma_conditioned <= sigma_unconditioned + 1e-12
+        assert np.isfinite(sigma_conditioned)
 
 
 def test_quadrature_rule_is_built_once(monkeypatch):
@@ -236,7 +265,7 @@ def test_quadrature_rule_is_built_once(monkeypatch):
     monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                         lambda n: calls.append(n) or leggauss(n))
     measurement._legendre_rule.cache_clear()
-    sweep_conditioned(SIGMA_T0, STATE, [T_BENCH], [0.1, 1.0, 10.0], c=C_BENCH)
+    _sweep(np.array([T_BENCH]), [0.1, 1.0, 10.0])
     bin_probability(STATE, binning_for(1.0), 1)
     assert calls == [24]
 

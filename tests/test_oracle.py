@@ -5,7 +5,7 @@ from chronodil import oracle
 from chronodil.clocks import (build_qubit_phase, build_quasi_ideal, build_swp, ClockModel,
                               IdealisedClock)
 from chronodil.constants import HBAR
-from chronodil.dilation import mean_clock_time, sup_vs_mix
+from chronodil.dilation import mean_clock_time, t_coh
 from chronodil.kinematics import GaussianState, MixtureState, to_grid
 from chronodil.oracle import (
     _fit_exponent,
@@ -380,7 +380,7 @@ def test_oracle_confirms_coherence_split():
 
     t_sup = oracle_mean(cat)
     t_mix = cat.alpha * oracle_mean(lower) + (1.0 - cat.alpha) * oracle_mean(upper)
-    closed = sup_vs_mix(cat, t, 0.0, c=c).t_coh
+    closed = t_coh(cat, t, 0.0, c=c).t_coh
     assert abs((t_sup - t_mix) - closed) < 1e-2 * abs(closed)
 
 
