@@ -17,13 +17,13 @@ _EXPORTS = {
     **dict.fromkeys(["ATOMIC_MASS_UNIT", "C_LIGHT", "ELECTRON_MASS", "G_STANDARD", "HBAR"],
                     "constants"),
     **dict.fromkeys(["ClockModel", "IdealisedClock", "build_qubit_phase", "build_quasi_ideal",
-                     "build_swp", "error_trace", "mean_clock_time_nr"], "clocks"),
+                     "build_swp", "error_trace_from", "free_reading"], "clocks"),
     **dict.fromkeys(["CatState", "GaussianState", "MixtureState", "moments", "norm_factor",
                      "r_factor"], "kinematics"),
     **dict.fromkeys(["classical_proper_time", "mean_clock_time", "t_coh"], "dilation"),
     **dict.fromkeys(["sigma_breakdown", "sigma_dispersion_exact", "sigma_ideal_term",
-                     "sigma_nonideal_term", "w_moments"], "precision"),
-    **dict.fromkeys(["MomentumBinning", "bin_probability", "conditioned_sigma"], "measurement"),
+                     "w_moments"], "precision"),
+    **dict.fromkeys(["MomentumBinning", "conditioned_sigma"], "measurement"),
     **dict.fromkeys(["JointState", "VerificationReport", "evolve_characteristics_g",
                      "verify_mean_time", "verify_sigma"], "oracle"),
 }

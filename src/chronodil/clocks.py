@@ -27,7 +27,8 @@ stack, and ``apply_time``, T applied to each ket of a stack.
 ``free_reading`` is the one read of the free clock: its kets, mean and
 spread at each time, from which every closed form starts.
 
-The central diagnostic is the error trace ``tr E(t)`` with
+The central diagnostic is the error trace ``tr E(t)``, read from those
+kets by ``error_trace_from``, with
 
     E(t) = -(i/hbar) [T, H] rho(t) - rho(t),
 
@@ -351,26 +352,15 @@ def free_reading(clock, t):
 
 
 def error_trace_from(clock, kets, mean):
-    """tr E at each time from ``free_reading``'s kets and mean reading, the
-    shift a of ``error_trace``; zero without kets (an IdealisedClock)."""
-    if kets is None:
-        return 0.0
-    t_psi = apply_time(clock, kets, mean)
-    h_psi = centred_energy(clock, kets)[1]
-    return (2.0 / HBAR) * np.einsum("...j,...j->...", t_psi.conj(), h_psi).imag - 1.0
-
-
-def error_trace(clock, t):
-    """tr E(t) = <M>(t) - 1 at each time, zero for an idealised clock.
+    """tr E = <M> - 1 at each time from ``free_reading``'s kets and mean
+    reading, zero without kets (an IdealisedClock).
 
     <M> = -(i/hbar) <[T, H]> = (2/hbar) Im <(T - a) psi | (H - b) psi> at
     the per-time shifts a = <T>, b = <H>: they leave the commutator as it
     is, keep both kets as small as the spreads, and form no rate operator.
     The value is real by construction."""
-    return error_trace_from(clock, *free_reading(clock, t)[:2])
-
-
-def mean_clock_time_nr(clock, t):
-    """Mean clock reading at each time under free (non-relativistic) evolution,
-    with the t = 0 offset calibrated away so the reading starts at zero."""
-    return free_reading(clock, t)[1]
+    if kets is None:
+        return 0.0
+    t_psi = apply_time(clock, kets, mean)
+    h_psi = centred_energy(clock, kets)[1]
+    return (2.0 / HBAR) * np.einsum("...j,...j->...", t_psi.conj(), h_psi).imag - 1.0

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,15 +41,18 @@ _SUPPORT_SIGMAS = 12.0  # Gaussian mass beyond this is far below double precisio
 @dataclass(frozen=True)
 class MomentumBinning:
     """Partition of the momentum line into bins of width delta_p, bin n
-    covering [(n - 1/2) delta_p, (n + 1/2) delta_p)."""
+    covering [(n - 1/2) delta_p, (n + 1/2) delta_p). ``delta_p`` must be
+    positive, and may be infinite: bin 0 is then the whole line. A bin
+    index must be an integer; anything else raises TypeError."""
 
     delta_p: float
 
     def __post_init__(self):
-        if self.delta_p <= 0:
+        if not self.delta_p > 0:
             raise ValueError(f"delta_p must be positive, got {self.delta_p}")
 
     def edges(self, n: int) -> tuple[float, float]:
+        n = operator.index(n)
         return ((n - 0.5) * self.delta_p, (n + 0.5) * self.delta_p)
 
 
@@ -84,16 +88,6 @@ def _bin_rule(kstate: GaussianState, lo: float, hi: float):
     return p, weights, lo_c, hi_c
 
 
-def bin_probability(kstate: GaussianState, binning: MomentumBinning, n: int) -> float:
-    """Probability of finding the momentum inside bin n.
-
-    The momentum distribution is time invariant at g = 0, so this is the
-    Gaussian integral over the bin at any lab time, by the same rule as
-    the bin moments.
-    """
-    return float(np.sum(_bin_rule(kstate, *binning.edges(n))[1]))
-
-
 def _conditional_w_moments(kstate: GaussianState, lo: float, hi: float,
                            c: float) -> tuple[float, float, float]:
     """(probability, E[W | bin], var(W | bin)) of the bin [lo, hi) by the
@@ -112,8 +106,8 @@ def _conditional_w_moments(kstate: GaussianState, lo: float, hi: float,
 
 def _spread(sigma_t0: float, t, var_w: float):
     """sqrt(sigma_t0^2 + t^2 var(W)): a Gaussian profile mixed over shifts t W(p)."""
-    if sigma_t0 < 0:
-        raise ValueError("sigma_t0 must be non-negative")
+    if not (np.isfinite(sigma_t0) and sigma_t0 >= 0.0):
+        raise ValueError(f"sigma_t0 must be finite and non-negative, got {sigma_t0!r}")
     return np.sqrt(sigma_t0**2 + t * t * var_w)
 
 
@@ -125,7 +119,9 @@ def conditioned_sigma(sigma_t0: float, kstate: GaussianState, t,
 
     The momentum distribution is time invariant at g = 0, so the bin's
     probability and moments are computed once for all times. Raises
-    ValueError on an effectively empty bin (probability < 1e-15).
+    ValueError on an effectively empty bin (probability < 1e-15) or a
+    sigma_t0 that is not finite and non-negative, and TypeError on a bin
+    index that is not an integer.
     """
     prob, mean_w, var_w = _conditional_w_moments(kstate, *binning.edges(n), c)
     return ConditionedResult(probability=prob,

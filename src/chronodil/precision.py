@@ -20,8 +20,8 @@ spread of the clock's reading in its evolved ket
 and the non-idealised term is the full four-brace trace expression in
 terms of E(t), e = (i/hbar)[H, T] - I and the W moments, evaluated as
 seven inner products, real by construction, of kets from three
-applications of T per time through ``clocks.apply_time`` (see
-``sigma_nonideal_term``); its (i/hbar) factors take the pinned SI
+applications of T per time through ``clocks.apply_time`` (the sigma_NI
+term of ``sigma_breakdown``); its (i/hbar) factors take the pinned SI
 ``constants.HBAR``. A companion ``sigma_dispersion_exact`` gives the
 excess that exact joint evolution produces, t^2 var(W) / (2 sigma_NR),
 whose leading term keeps var(p^2) but not <p^4>; the two closed forms
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, HBAR
-from .clocks import ClockModel, apply_time, centred_energy, free_reading
+from .clocks import apply_time, centred_energy, free_reading
 from .kinematics import moments
 
 
@@ -76,11 +76,6 @@ def w_moments(kstate, c: float = C_LIGHT) -> WMoments:
     return WMoments(mean_w=mean_w, mean_w2=mean_w2)
 
 
-def sigma_nr(clock, t):
-    """Clock-time standard deviation at each time under free evolution."""
-    return free_reading(clock, t)[2]
-
-
 def sigma_ideal_term(kstate, t, sigma_nr_value, c: float = C_LIGHT):
     """Idealised-clock precision loss t^2 (<p^4> + var(p^2)) / (8 sigma_NR m^4 c^4).
 
@@ -110,8 +105,9 @@ def sigma_dispersion_exact(kstate, t, sigma_nr_value, c: float = C_LIGHT):
     return t * t * m.var_p2 / (8.0 * sigma_nr_value * mass**4 * c**4)
 
 
-def sigma_nonideal_term(clock: ClockModel, kstate, t, c: float = C_LIGHT):
-    """Error-operator contribution to the clock-time spread at g = 0, at each time.
+def _nonideal_term(clock, kstate, t, c: float, psi, mean_t_nr, s_nr):
+    """Error-operator contribution to the clock-time spread at g = 0, at each
+    time, from ``clocks.free_reading``'s kets, mean and spread at those times.
 
     The four-brace expression in E(t) = e rho(t), e = (i/hbar)[H, T] - I,
     <W> and <W^2>. With rho(t) = psi psi^dag every trace is an inner
@@ -127,11 +123,6 @@ def sigma_nonideal_term(clock: ClockModel, kstate, t, c: float = C_LIGHT):
     <u|v>, <D T' h|u>, <T' D h|u>, <u|h>, <T h|v> and <h|v>. No d x d
     operator is formed.
     """
-    return _nonideal_term(clock, kstate, t, c, *free_reading(clock, t))
-
-
-def _nonideal_term(clock, kstate, t, c: float, psi, mean_t_nr, s_nr):
-    """``sigma_nonideal_term`` from ``clocks.free_reading`` at the same times."""
     if psi is None:  # an IdealisedClock
         return 0.0
     wm = w_moments(kstate, c)

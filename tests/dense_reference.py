@@ -9,9 +9,9 @@ the tests check that shortcut, and the oracles, against this routine.
 
 ``sigma_nonideal_term_dense`` is the four-brace spread term written with
 d x d matrix products on rho(t), the form the library's ket evaluation
-(``chronodil.precision.sigma_nonideal_term``) is checked against. It
-builds the rate operator and the free spread itself, from dense moment
-operators and a dense Hamiltonian.
+(the sigma_NI term of ``chronodil.precision.sigma_breakdown``) is checked
+against. It builds the rate operator and the free spread itself, from
+dense moment operators and a dense Hamiltonian.
 
 ``fourier_time_basis`` holds a dial's time kets as the columns of an
 explicit discrete Fourier matrix, and ``dial_moment_operators_dense``

@@ -9,12 +9,12 @@ import warnings
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from chronodil.clocks import ClockModel, build_quasi_ideal
+from chronodil.clocks import ClockModel, build_quasi_ideal, error_trace_from, free_reading
 from chronodil.config import echo_lines
 from chronodil.constants import C_LIGHT, HBAR
 from chronodil.kinematics import CatState, GaussianState, MixtureState, norm_factor, r_factor
-from chronodil.measurement import (_SUPPORT_SIGMAS, MomentumBinning, _conditional_w_moments,
-                                   _spread, bin_probability)
+from chronodil.measurement import (_SUPPORT_SIGMAS, MomentumBinning, _bin_rule,
+                                   _conditional_w_moments, _spread)
 from dense_reference import dagger
 
 
@@ -55,6 +55,12 @@ def idealised_surrogate(omega: float, d: int = 64, sigma_bar: float = 8.0) -> Cl
     tolerances, started a quarter turn into the dial so that evolutions up
     to half a period stay clear of the dial cut."""
     return build_quasi_ideal(d, omega, sigma_bar, m0=d / 4.0)
+
+
+def free_error_trace(clock, t):
+    """tr E of the free clock at each time, by the library's route:
+    ``error_trace_from`` on the kets and mean of one ``free_reading``."""
+    return error_trace_from(clock, *free_reading(clock, t)[:2])
 
 
 def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
@@ -162,7 +168,7 @@ def occupied_bins(kstate: GaussianState, binning: MomentumBinning) -> list[int]:
     center = int(np.floor(kstate.p0 / binning.delta_p + 0.5))
     half_span = int(np.ceil(_SUPPORT_SIGMAS * kstate.sigma_p / binning.delta_p)) + 1
     return [n for n in range(center - half_span, center + half_span + 1)
-            if bin_probability(kstate, binning, n) > 1e-13]
+            if np.sum(_bin_rule(kstate, *binning.edges(n))[1]) > 1e-13]
 
 
 # ---------------------------------------------------------------------------

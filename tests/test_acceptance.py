@@ -16,7 +16,7 @@ from chronodil.clocks import (
     build_qubit_phase,
     build_quasi_ideal,
     build_swp,
-    error_trace,
+    free_reading,
 )
 from chronodil.constants import ATOMIC_MASS_UNIT, C_LIGHT, ELECTRON_MASS
 from chronodil.dilation import classical_proper_time, mean_clock_time, t_coh
@@ -27,12 +27,11 @@ from chronodil.precision import (
     sigma_breakdown,
     sigma_dispersion_exact,
     sigma_ideal_term,
-    sigma_nr,
 )
 from covariant_reference import clock_period, commutator_residual, moment_polynomial
 from helpers import (BENCH_OMEGA, BENCH_T, bench_c, bench_cat, bench_gaussian,
-                     coherence_direct, idealised_surrogate, occupied_bins, quadrature_moment,
-                     unconditioned_sigma)
+                     coherence_direct, free_error_trace, idealised_surrogate, occupied_bins,
+                     quadrature_moment, unconditioned_sigma)
 
 
 def _verdict(number: str, ok: bool, detail: str) -> bool:
@@ -45,7 +44,7 @@ def test_criterion_01_swp_error_cancellation():
     for d in (2, 3, 4, 5, 8, 16):
         clk = build_swp(d, 1.0)
         for m in range(d):
-            worst = max(worst, abs(error_trace(clk, m * clock_period(clk) / d) + 1.0))
+            worst = max(worst, abs(free_error_trace(clk, m * clock_period(clk) / d) + 1.0))
     ok = worst < 1e-10
     assert _verdict("1", ok, f"dial-clock error trace at focusing times, worst |trE+1| = {worst:.2e}")
 
@@ -55,7 +54,7 @@ def test_criterion_02_quasi_ideal_error_decay():
     for d in (8, 16, 32, 64):
         clk = build_quasi_ideal(d, 1.0, np.sqrt(d), m0=d / 4.0)
         times = np.linspace(0.0, clock_period(clk) / 2.0, 8 * d)
-        maxima.append(max(abs(error_trace(clk, t)) for t in times))
+        maxima.append(max(abs(free_error_trace(clk, t)) for t in times))
     decreasing = all(b < a for a, b in zip(maxima, maxima[1:]))
     ratios = [b / a for a, b in zip(maxima, maxima[1:])]
     ratios_decreasing = all(r2 < r1 for r1, r2 in zip(ratios, ratios[1:]))
@@ -174,7 +173,7 @@ def test_criterion_07a_precision_excess_vs_ideal_term():
     c = bench_c()
     t = 0.3 * clock_period(clk)
     js = evolve_characteristics_g(clk, state, t, 0.0, order="c4", c=c)
-    s_nr = sigma_nr(clk, t)
+    s_nr = free_reading(clk, t)[2]
     excess = clock_time_stats(js, clk)[1] - s_nr
     s_i = sigma_ideal_term(state, t, s_nr, c=c)
     ratio = excess / s_i
@@ -193,7 +192,7 @@ def test_criterion_07b_ideal_term_quadratic_in_time():
     state = bench_gaussian(p0_sigmas=0.0)
     c = bench_c()
     t = 0.25 * clock_period(clk)
-    values = {k: sigma_ideal_term(state, k * t, sigma_nr(clk, k * t), c=c)
+    values = {k: sigma_ideal_term(state, k * t, free_reading(clk, k * t)[2], c=c)
               for k in (0.5, 1.0, 2.0)}
     r_quarter = values[0.5] / values[1.0]
     r_four = values[2.0] / values[1.0]
@@ -206,7 +205,7 @@ def test_criterion_07c_ideal_term_inverse_quartic_in_c():
     clk = idealised_surrogate(BENCH_OMEGA, d=64)
     state = bench_gaussian(p0_sigmas=0.0)
     t = 0.25 * clock_period(clk)
-    s_nr = sigma_nr(clk, t)
+    s_nr = free_reading(clk, t)[2]
     ratio = sigma_ideal_term(state, t, s_nr, c=bench_c()) \
         / sigma_ideal_term(state, t, s_nr, c=2.0 * bench_c())
     ok = abs(ratio - 16.0) < 1e-10

@@ -1,9 +1,11 @@
 """The public surface: ``chronodil.__all__``, the fields of ``ClockModel``,
-and no public top-level definition in the library that nothing uses."""
+no public top-level definition in the library that nothing calls, and no
+``module.name`` in README that the package lacks."""
 
 import ast
 import dataclasses
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -12,14 +14,18 @@ import chronodil
 from chronodil.clocks import ClockModel
 
 SRC = Path(chronodil.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 EXPORTS = sorted("""
     ATOMIC_MASS_UNIT C_LIGHT ELECTRON_MASS G_STANDARD HBAR ClockModel IdealisedClock
-    build_qubit_phase build_quasi_ideal build_swp error_trace mean_clock_time_nr CatState
+    build_qubit_phase build_quasi_ideal build_swp error_trace_from free_reading CatState
     GaussianState MixtureState moments norm_factor r_factor classical_proper_time
     mean_clock_time t_coh sigma_breakdown sigma_dispersion_exact sigma_ideal_term
-    sigma_nonideal_term w_moments MomentumBinning bin_probability conditioned_sigma JointState
-    VerificationReport evolve_characteristics_g verify_mean_time verify_sigma""".split())
+    w_moments MomentumBinning conditioned_sigma JointState VerificationReport
+    evolve_characteristics_g verify_mean_time verify_sigma""".split())
+
+# the variance-law reference that criterion 7a prints and README documents
+UNCALLED = ["precision.sigma_dispersion_exact"]
 
 
 def test_exports_are_pinned():
@@ -48,17 +54,29 @@ def test_clock_model_fields_are_pinned():
 
 
 def test_every_public_definition_is_exported_or_used():
-    # a public top-level def or class outside cli.py is exported, or named
-    # (as a Name node or an import alias) in some module of the library
+    # a public top-level def or class is loaded by name in some module of the
+    # library: an export, an import alias or a field of the same name is no caller
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    named = {node.id if isinstance(node, ast.Name) else node.name
-             for tree in trees.values() for node in ast.walk(tree)
-             if isinstance(node, (ast.Name, ast.alias))}
-    unused = [f"{module}.{node.name}" for module, tree in trees.items() if module != "cli"
+    loaded = {node.id for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = [f"{module}.{node.name}" for module, tree in trees.items()
               for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")
-              and node.name not in chronodil.__all__ and node.name not in named]
-    assert unused == []
+              and not node.name.startswith("_") and node.name not in loaded]
+    assert unused == UNCALLED
+
+
+def test_every_name_readme_cites_exists():
+    # each `module.name` in README's inline code, outside fenced blocks and
+    # .py file names, is an attribute of that chronodil module
+    text = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.S | re.M)
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    cited = {(module, name) for span in re.findall(r"`([^`\n]+)`", text)
+             for module, name in re.findall(r"(?:chronodil\.)?\b(\w+)\.(\w+)", span)
+             if module in modules and name != "py"}
+    assert cited
+    missing = [f"{module}.{name}" for module, name in sorted(cited)
+               if not hasattr(importlib.import_module(f"chronodil.{module}"), name)]
+    assert missing == []
 
 
 def test_no_module_imports_a_private_name_of_another():

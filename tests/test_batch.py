@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from chronodil.clocks import (IdealisedClock, build_qubit_phase, build_quasi_ideal, build_swp,
-                              error_trace, evolve, expectation_real, mean_clock_time_nr,
-                              spread_from_moments)
+                              evolve, expectation_real, free_reading, spread_from_moments)
 from chronodil.constants import C_LIGHT
 from chronodil.dilation import mean_clock_time
 from chronodil.oracle import clock_time_stats, default_momentum_grid, evolve_characteristics_g
-from chronodil.precision import sigma_breakdown, sigma_ideal_term, sigma_nr
-from helpers import BENCH_OMEGA, BENCH_PERIOD, BENCH_T, bench_c, bench_cat, bench_gaussian
+from chronodil.precision import sigma_breakdown, sigma_ideal_term
+from helpers import (BENCH_OMEGA, BENCH_PERIOD, BENCH_T, bench_c, bench_cat, bench_gaussian,
+                     free_error_trace)
 
 # between the d = 4 dial's focusing times, where its spread is positive
 TIMES = np.linspace(0.03, 0.22, 7) * BENCH_PERIOD
@@ -52,10 +52,9 @@ def test_batch_equals_its_rows(clock_name, state_name):
     clk, kstate = CLOCKS[clock_name], STATES[state_name]
     c = bench_c()
     quantities = [
-        lambda t: {"error_trace": error_trace(clk, t)},
-        lambda t: {"mean_t_nr": mean_clock_time_nr(clk, t)},
+        lambda t: {"error_trace": free_error_trace(clk, t)},
+        lambda t: dict(zip(["mean_t_nr", "sigma_nr"], free_reading(clk, t)[1:])),
         lambda t: mean_clock_time(clk, kstate, t, 9.81, c=c),
-        lambda t: {"sigma_nr": sigma_nr(clk, t)},
         lambda t: sigma_breakdown(clk, kstate, t, c=c),
     ]
     # a dial reads each ket's mean and spread, and centres its energy, by one

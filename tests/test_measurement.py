@@ -13,7 +13,6 @@ from chronodil.kinematics import GaussianState
 from chronodil.measurement import (
     MomentumBinning,
     _conditional_w_moments,
-    bin_probability,
     conditioned_sigma,
 )
 from chronodil.precision import w_of_p
@@ -31,26 +30,30 @@ def binning_for(q: float) -> MomentumBinning:
     return MomentumBinning(delta_p=q * STATE.sigma_p)
 
 
+def probability(binning: MomentumBinning, n: int) -> float:
+    return conditioned_sigma(SIGMA_T0, STATE, T_BENCH, binning, n, c=C_BENCH).probability
+
+
 # ---------------------------------------------------------------------------
 # bin probabilities
 
 
 def test_whole_line_bin_probability():
     wide = MomentumBinning(delta_p=200.0 * STATE.sigma_p)
-    assert abs(bin_probability(STATE, wide, 0) - 1.0) < 1e-12
+    assert abs(probability(wide, 0) - 1.0) < 1e-12
 
 
 def test_central_bin_one_sigma_each_side():
     # bin n = 0 with q = 2 covers [-sigma_p, sigma_p]
-    assert np.isclose(bin_probability(STATE, binning_for(2.0), 0), 0.682689492137,
+    assert np.isclose(probability(binning_for(2.0), 0), 0.682689492137,
                       atol=1e-10)
 
 
 def test_bin_probability_parity():
     binning = binning_for(0.7)
     for n in (1, 2, 5):
-        assert np.isclose(bin_probability(STATE, binning, n),
-                          bin_probability(STATE, binning, -n), rtol=1e-12)
+        assert np.isclose(probability(binning, n),
+                          probability(binning, -n), rtol=1e-12)
 
 
 @pytest.mark.parametrize("n", [10, 14])
@@ -63,12 +66,12 @@ def test_bin_probability_matches_mpmath_in_the_tail(n):
     with mpmath.mp.workdps(50):
         a, b = (mpmath.mpf(edge) / (mpmath.sqrt(2) * mpmath.mpf(STATE.sigma_p)) for edge in (lo, hi))
         ref = float((mpmath.erf(b) - mpmath.erf(a)) / 2)
-    assert abs(bin_probability(STATE, binning, n) - ref) <= 1e-12 * ref
+    assert abs(probability(binning, n) - ref) <= 1e-12 * ref
 
 
 def test_bin_probabilities_sum_to_one():
     binning = binning_for(0.5)
-    total = sum(bin_probability(STATE, binning, n) for n in occupied_bins(STATE, binning))
+    total = sum(probability(binning, n) for n in occupied_bins(STATE, binning))
     assert abs(total - 1.0) < 1e-8
 
 
@@ -266,7 +269,7 @@ def test_quadrature_rule_is_built_once(monkeypatch):
                         lambda n: calls.append(n) or leggauss(n))
     measurement._legendre_rule.cache_clear()
     _sweep(np.array([T_BENCH]), [0.1, 1.0, 10.0])
-    bin_probability(STATE, binning_for(1.0), 1)
+    probability(binning_for(1.0), 1)
     assert calls == [24]
 
 
@@ -283,5 +286,23 @@ def test_import_builds_no_quadrature_rule():
 
 
 def test_binning_validation():
-    with pytest.raises(ValueError):
-        MomentumBinning(delta_p=0.0)
+    # a NaN width compares false against 0: it is rejected here, not inside the rule
+    for delta_p in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="delta_p must be positive"):
+            MomentumBinning(delta_p=delta_p)
+
+
+@pytest.mark.parametrize("sigma_t0", [math.nan, math.inf, -1.0])
+def test_conditioned_sigma_rejects_a_bad_reading_spread(sigma_t0):
+    # an IdealisedClock's rule: finite and non-negative
+    with pytest.raises(ValueError, match="sigma_t0 must be finite and non-negative"):
+        conditioned_sigma(sigma_t0, STATE, T_BENCH, binning_for(1.0), 0, c=C_BENCH)
+
+
+def test_bin_index_is_an_integer():
+    # n = 0.5 would integrate [0, sigma_p), which is no bin of the partition
+    binning = binning_for(1.0)
+    for n in (0.5, 1.0, np.float64(0.0)):
+        with pytest.raises(TypeError):
+            conditioned_sigma(SIGMA_T0, STATE, T_BENCH, binning, n, c=C_BENCH)
+    assert probability(binning, np.int64(1)) == probability(binning, 1) > 0.0

@@ -3,7 +3,7 @@ import pytest
 
 from chronodil import oracle
 from chronodil.clocks import (build_qubit_phase, build_quasi_ideal, build_swp, ClockModel,
-                              IdealisedClock)
+                              IdealisedClock, free_reading)
 from chronodil.constants import HBAR
 from chronodil.dilation import mean_clock_time, t_coh
 from chronodil.kinematics import GaussianState, MixtureState, to_grid
@@ -16,7 +16,7 @@ from chronodil.oracle import (
     verify_mean_time,
     verify_sigma,
 )
-from chronodil.precision import sigma_breakdown, sigma_dispersion_exact, sigma_nr
+from chronodil.precision import sigma_breakdown, sigma_dispersion_exact
 from helpers import (BENCH_OMEGA, BENCH_PERIOD, BENCH_T, bench_c, bench_cat, bench_gaussian,
                      idealised_surrogate)
 from covariant_reference import clock_period, projector
@@ -388,7 +388,8 @@ def test_verify_sigma_time_zero_matches_free_spread():
     clk = idealised_surrogate(BENCH_OMEGA, d=64)
     state = bench_gaussian(p0_sigmas=0.0)
     js = evolve_characteristics_g(clk, state, 0.0, 0.0, order="c4", c=bench_c())
-    assert abs(clock_time_stats(js, clk)[1] - sigma_nr(clk, 0.0)) < 1e-12 * clock_period(clk)
+    s_nr = free_reading(clk, 0.0)[2]
+    assert abs(clock_time_stats(js, clk)[1] - s_nr) < 1e-12 * clock_period(clk)
 
 
 def test_sigma_excess_quadratic_in_time():
@@ -398,7 +399,7 @@ def test_sigma_excess_quadratic_in_time():
 
     def excess(t):
         js = evolve_characteristics_g(clk, state, t, 0.0, order="c4", c=c)
-        return clock_time_stats(js, clk)[1] - sigma_nr(clk, t)
+        return clock_time_stats(js, clk)[1] - free_reading(clk, t)[2]
 
     t = 0.55 * BENCH_T
     ratio = excess(2.0 * t) / excess(t)
@@ -413,7 +414,7 @@ def test_sigma_excess_tracks_dispersion_term_not_contracted_form():
     c = bench_c()
     t = 0.3 * clock_period(clk)
     js = evolve_characteristics_g(clk, state, t, 0.0, order="c4", c=c)
-    s_nr = sigma_nr(clk, t)
+    s_nr = free_reading(clk, t)[2]
     excess = clock_time_stats(js, clk)[1] - s_nr
     dispersion = sigma_dispersion_exact(state, t, s_nr, c=c)
     assert abs(excess / dispersion - 1.0) < 0.05

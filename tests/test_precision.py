@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chronodil.clocks import (ClockModel, IdealisedClock, build_qubit_phase, build_quasi_ideal,
-                              build_swp, error_trace, mean_clock_time_nr, spread_from_moments)
+                              build_swp, free_reading, spread_from_moments)
 from chronodil.constants import C_LIGHT, ELECTRON_MASS
 from chronodil.dilation import mean_clock_time
 from chronodil.kinematics import GaussianState
@@ -10,14 +10,12 @@ from chronodil.precision import (
     sigma_breakdown,
     sigma_dispersion_exact,
     sigma_ideal_term,
-    sigma_nonideal_term,
-    sigma_nr,
     w_moments,
     w_of_p,
 )
 from covariant_reference import clock_period
 from dense_reference import sigma_nonideal_term_dense
-from helpers import BENCH_OMEGA, bench_c, bench_cat, bench_gaussian
+from helpers import BENCH_OMEGA, bench_c, bench_cat, bench_gaussian, free_error_trace
 
 ELECTRON_NM = GaussianState(x0=0.0, p0=0.0, sigma_x=1e-9, mass=ELECTRON_MASS)
 
@@ -99,19 +97,24 @@ def test_dispersion_exact_term_keeps_only_variance_piece():
 # non-idealised term
 
 
+def sigma_ni(clk, state, t, c=C_LIGHT):
+    return sigma_breakdown(clk, state, t, c=c).sigma_ni
+
+
 def test_sigma_nonideal_idealised_limit_is_zero():
-    assert sigma_nonideal_term(IdealisedClock(1e-9), ELECTRON_NM, 1.0) == 0.0
+    assert sigma_ni(IdealisedClock(1e-9), ELECTRON_NM, 1.0) == 0.0
 
 
 @pytest.mark.parametrize("name", ["sigma_nr", "sigma_nonideal_term", "sigma_breakdown",
                                   "mean_clock_time_nr", "error_trace", "mean_clock_time"])
 def test_unsupported_clock_type_rejected(name):
-    # a bare matrix is not a clock: it has no time observable or period
-    call = {"sigma_nr": lambda clk: sigma_nr(clk, 1.0),
-            "sigma_nonideal_term": lambda clk: sigma_nonideal_term(clk, ELECTRON_NM, 1.0),
+    # a bare matrix is not a clock: it has no time observable or period; each
+    # case asks for one quantity by the library route that returns it
+    call = {"sigma_nr": lambda clk: free_reading(clk, 1.0)[2],
+            "sigma_nonideal_term": lambda clk: sigma_ni(clk, ELECTRON_NM, 1.0),
             "sigma_breakdown": lambda clk: sigma_breakdown(clk, ELECTRON_NM, 1.0),
-            "mean_clock_time_nr": lambda clk: mean_clock_time_nr(clk, 1.0),
-            "error_trace": lambda clk: error_trace(clk, 1.0),
+            "mean_clock_time_nr": lambda clk: free_reading(clk, 1.0)[1],
+            "error_trace": lambda clk: free_error_trace(clk, 1.0),
             "mean_clock_time": lambda clk: mean_clock_time(clk, ELECTRON_NM, 1.0, 0.0)}[name]
     with pytest.raises(TypeError, match="unsupported clock type ndarray"):
         call(np.eye(2))
@@ -122,15 +125,15 @@ def test_sigma_nonideal_quasi_ideal_negligible():
     state = bench_gaussian(p0_sigmas=0.0)
     t = 0.3 * clock_period(clk)
     c = bench_c()
-    s_nr = sigma_nr(clk, t)
-    ratio = abs(sigma_nonideal_term(clk, state, t, c=c)) / sigma_ideal_term(state, t, s_nr, c=c)
+    br = sigma_breakdown(clk, state, t, c=c)
+    ratio = abs(br.sigma_ni) / br.sigma_i
     assert ratio < 1e-3
 
 
 def test_sigma_nonideal_swp_nonzero_and_real():
     clk = build_swp(4, BENCH_OMEGA)
     t = 0.275 * clock_period(clk)
-    value = sigma_nonideal_term(clk, bench_gaussian(), t, c=bench_c())
+    value = sigma_ni(clk, bench_gaussian(), t, c=bench_c())
     assert np.isfinite(value)
     assert value != 0.0
 
@@ -146,7 +149,7 @@ def test_sigma_nonideal_matches_dense_reference(clk):
             t = frac * clock_period(clk)
             dense = sigma_nonideal_term_dense(clk, state, t, c=c)
             assert dense != 0.0
-            assert abs(sigma_nonideal_term(clk, state, t, c=c) - dense) < 1e-10 * abs(dense)
+            assert abs(sigma_ni(clk, state, t, c=c) - dense) < 1e-10 * abs(dense)
 
 
 def test_sigma_nonideal_at_floor_matches_dense_reference():
@@ -155,8 +158,9 @@ def test_sigma_nonideal_at_floor_matches_dense_reference():
     state, c = bench_gaussian(), bench_c()
     for frac in (0.1, 0.25, 0.4):
         t = frac * clock_period(clk)
-        ket = sigma_nonideal_term(clk, state, t, c=c)
-        assert abs(ket - sigma_nonideal_term_dense(clk, state, t, c=c)) < 1e-14 * sigma_nr(clk, t)
+        br = sigma_breakdown(clk, state, t, c=c)
+        dense = sigma_nonideal_term_dense(clk, state, t, c=c)
+        assert abs(br.sigma_ni - dense) < 1e-14 * br.sigma_nr
 
 
 def test_sigma_nonideal_at_rounding_floor():
@@ -165,7 +169,7 @@ def test_sigma_nonideal_at_rounding_floor():
     clk = build_quasi_ideal(128, BENCH_OMEGA, np.sqrt(128.0), m0=32.0)
     times = np.linspace(0.05, 0.45, 40) * clock_period(clk)
     for state in (bench_gaussian(), bench_cat()):
-        assert np.abs(sigma_nonideal_term(clk, state, times, c=bench_c())).max() < 1e-17
+        assert np.abs(sigma_ni(clk, state, times, c=bench_c())).max() < 1e-17
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +226,7 @@ def test_breakdown_evaluates_free_spread_once(monkeypatch):
 
 def test_free_spread_constant_for_idealised():
     clk = IdealisedClock(2e-9)
-    assert sigma_nr(clk, 0.0) == sigma_nr(clk, 5.0) == 2e-9
+    assert free_reading(clk, 0.0)[2] == free_reading(clk, 5.0)[2] == 2e-9
 
 
 def test_negative_variance_raises_instead_of_clamping():
@@ -230,7 +234,7 @@ def test_negative_variance_raises_instead_of_clamping():
     clk = ClockModel(energies=np.array([0.0, 1.0]), psi0=np.array([1.0, 0.0]),
                      t_cl=np.diag([1.0, -1.0]), t2_cl=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="negative variance"):
-        sigma_nr(clk, 0.3)
+        free_reading(clk, 0.3)
     # round-off below a refocused zero spread still reads 0
     assert spread_from_moments(1.0, 1.0 - 1e-13) == 0.0
     with pytest.raises(ValueError, match="negative variance"):
@@ -242,8 +246,8 @@ def test_free_spread_qubit_phase_uses_outcome_second_moment():
     # outcome integral, not the squared observable; hand-computed variance
     # is pi^2/3 + 2 cos(omega t) - sin^2(omega t)
     clk = build_qubit_phase(1.0)
-    assert np.isclose(sigma_nr(clk, 0.0) ** 2, np.pi**2 / 3.0 + 2.0, rtol=1e-12)
-    assert np.isclose(sigma_nr(clk, np.pi) ** 2, np.pi**2 / 3.0 - 2.0, rtol=1e-12)
+    assert np.isclose(free_reading(clk, 0.0)[2] ** 2, np.pi**2 / 3.0 + 2.0, rtol=1e-12)
+    assert np.isclose(free_reading(clk, np.pi)[2] ** 2, np.pi**2 / 3.0 - 2.0, rtol=1e-12)
 
 
 def test_w_of_p_orders():
