@@ -19,7 +19,7 @@ models are provided:
   energy eigenstates through a continuous phase measurement
   (``build_qubit_phase``). That measurement is not projective and its T
   and T2 share no eigenbasis, so this clock keeps them as dense 2 x 2
-  matrices.
+  matrices: T = sigma_y/omega and T2 = (pi^2/3 I + 2 sigma_x)/omega^2.
 
 Every clock read goes through functions that hide the difference:
 ``reading_stats``, the mean and spread of the reading in each ket of a
@@ -196,47 +196,28 @@ def build_quasi_ideal(
     return _dial_clock(d, omega, np.fft.fft(amps) / np.sqrt(d), float(m @ np.abs(amps) ** 2))
 
 
-def phase_moment_operator(n: int, a: float, b: float, omega: float) -> np.ndarray:
-    """integral over [a, b] of s^n F(s) ds for the qubit phase measurement.
-
-    F(s) = (omega/2pi) (I + e^{i omega s}|0><1| + e^{-i omega s}|1><0|),
-    the periodic extension of the phase-ket density to the whole line.
-    Entries are evaluated in closed form.
-    """
-    diag = (b ** (n + 1) - a ** (n + 1)) / (n + 1)
-    off = _poly_phase_integral(n, a, b, omega)
-    op = np.array([[diag, off], [np.conj(off), diag]], dtype=complex)
-    return op * omega / (2.0 * np.pi)
-
-
-def _poly_phase_integral(n: int, a: float, b: float, omega: float) -> complex:
-    """integral over [a, b] of s^n e^{i omega s} ds by the standard recursion."""
-    if n == 0:
-        return (np.exp(1j * omega * b) - np.exp(1j * omega * a)) / (1j * omega)
-    boundary = (b**n * np.exp(1j * omega * b) - a**n * np.exp(1j * omega * a)) / (1j * omega)
-    return boundary - n / (1j * omega) * _poly_phase_integral(n - 1, a, b, omega)
-
-
 def build_qubit_phase(omega: float) -> ClockModel:
     """Two-level clock reading time from the relative phase of its levels.
 
     Energies -/+ hbar*omega/2 (traceless), initial state (|0>+|1>)/sqrt(2).
-    The moment operators are the first and second moments of the phase
-    measurement F(theta) = |theta><theta| / pi with clock time
-    s = theta/omega, integrated over one period. The measurement is not
-    projective, so the second moment is not the square of the first.
+    The k-th moment operator integrates s^k against the phase measurement's
+    density (omega/2pi) (I + e^{i omega s}|0><1| + h.c.) over one period
+    P = 2 pi/omega, with
+
+        int_0^P s e^{i omega s} ds = -i P/omega,
+        int_0^P s^2 e^{i omega s} ds = -i P^2/omega + 2 P/omega^2.
+
+    Less the offset P/2 that calibrates <T>(0) to exactly 0, they are
+    T = sigma_y/omega and T2 = (pi^2/3 I + 2 sigma_x)/omega^2, not
+    T^2 = I/omega^2: the measurement is not projective.
     """
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
     energies = (HBAR * omega / 2.0) * np.array([-1.0, 1.0])
-    period = 2.0 * np.pi / omega
-    t_raw = phase_moment_operator(1, 0.0, period, omega)
-    t2_raw = phase_moment_operator(2, 0.0, period, omega)
     psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    offset = expectation_real(t_raw, psi0)
-    ident = np.eye(2)
-    return ClockModel(energies=energies, psi0=psi0, t_cl=t_raw - offset * ident,
-                      t2_cl=t2_raw - 2.0 * offset * t_raw + offset**2 * ident)
+    t_cl = np.array([[0.0, -1j], [1j, 0.0]]) / omega
+    t2_cl = np.array([[np.pi**2 / 3.0, 2.0], [2.0, np.pi**2 / 3.0]]) / omega**2
+    return ClockModel(energies=energies, psi0=psi0, t_cl=t_cl, t2_cl=t2_cl)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ import numpy as np
 
 from .constants import C_LIGHT, HBAR
 from .clocks import error_trace_from, free_reading
-from .kinematics import CatState, MixtureState, moments, norm_factor, overlap, r_factor
+from .kinematics import (CatState, MixtureState, check_light_speed, moments, norm_factor, overlap,
+                         r_factor)
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,7 @@ def mean_clock_time(clock, kstate, t, g: float, c: float = C_LIGHT) -> DilationR
     error trace zero). The mass is taken from the motional state. At one
     time ``c`` may be a 1-D stack of light speeds, one result per entry.
     """
+    check_light_speed(c)
     kets, nr, _ = free_reading(clock, t)
     err = error_trace_from(clock, kets, nr)
     r = r_factor(kstate, t, g, c)
@@ -118,6 +120,7 @@ def t_coh(cat: CatState, t, g: float, c: float = C_LIGHT) -> CoherenceResult:
     R = alpha R_1 + (1-alpha) R_2 and reads t (1 + R) in the good-clock
     limit, so the error trace is neglected throughout.
     """
+    check_light_speed(c)
     g_state = cat.base
     sv = g_state.sigma_p / g_state.mass
     k_amp = 2.0 * np.sqrt(cat.alpha * (1.0 - cat.alpha)) * overlap(cat)

@@ -37,6 +37,14 @@ def _require_finite(state, names) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def check_light_speed(c) -> None:
+    """ValueError unless the light speed ``c`` is finite and positive, one value
+    or a 1-D stack; ``c`` is not converted, so one value keeps its arithmetic."""
+    if np.ndim(c) > 1 or not (np.isfinite(c) & np.greater(c, 0.0)).all():
+        raise ValueError(f"light speed c must be finite and positive, one value or "
+                         f"a 1-D stack, got {c!r}")
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Minimum-uncertainty wavepacket: mean position (m), mean momentum

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT
-from .kinematics import GaussianState
+from .kinematics import GaussianState, check_light_speed
 from .precision import w_of_p
 
 _SUPPORT_SIGMAS = 12.0  # Gaussian mass beyond this is far below double precision
@@ -119,10 +119,13 @@ def conditioned_sigma(sigma_t0: float, kstate: GaussianState, t,
 
     The momentum distribution is time invariant at g = 0, so the bin's
     probability and moments are computed once for all times. Raises
-    ValueError on an effectively empty bin (probability < 1e-15) or a
-    sigma_t0 that is not finite and non-negative, and TypeError on a bin
-    index that is not an integer.
+    ValueError on an effectively empty bin (probability < 1e-15), a bad
+    sigma_t0 or light speed, and TypeError on a state other than a
+    GaussianState or a bin index that is not an integer.
     """
+    if not isinstance(kstate, GaussianState):
+        raise TypeError(f"conditioning needs a GaussianState, got {type(kstate).__name__}")
+    check_light_speed(c)
     prob, mean_w, var_w = _conditional_w_moments(kstate, *binning.edges(n), c)
     return ConditionedResult(probability=prob,
                              sigma_t_given_n=_spread(sigma_t0, t, var_w),

@@ -37,7 +37,7 @@ import numpy as np
 from .constants import C_LIGHT, HBAR
 from .clocks import ClockModel, reading_stats
 from .dilation import mean_clock_time
-from .kinematics import CatState, MixtureState, to_grid
+from .kinematics import CatState, MixtureState, check_light_speed, to_grid
 from .precision import sigma_breakdown
 
 
@@ -127,6 +127,7 @@ def default_momentum_grid(clock: ClockModel, kstate, t: float, g: float, order: 
     by clock-level by momentum-point samples; pass ``grid`` to the
     evolution instead.
     """
+    check_light_speed(c)
     base = kstate.base if isinstance(kstate, CatState) else kstate
     mass, sigma_p = kstate.mass, base.sigma_p
     shifts = _row_shifts(clock, mass, t, g, c)
@@ -196,6 +197,7 @@ def evolve_characteristics_g(clock: ClockModel, kstate, t: float, g: float, orde
         raise TypeError("mixtures are ensembles; evolve each component separately")
     if not isinstance(clock, ClockModel):
         raise TypeError(f"the joint evolution needs a ClockModel, got {type(clock).__name__}")
+    check_light_speed(c)
     mass = kstate.mass
     if grid is None:
         grid = default_momentum_grid(clock, kstate, t, g, order, c)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .constants import C_LIGHT, HBAR
 from .clocks import apply_time, centred_energy, free_reading
-from .kinematics import moments
+from .kinematics import check_light_speed, moments
 
 
 @dataclass(frozen=True)
@@ -163,6 +163,7 @@ def sigma_breakdown(clock, kstate, t, c: float = C_LIGHT) -> PrecisionBreakdown:
     a 1-D stack of light speeds, one result per entry; the free spread
     does not depend on c and stays one value.
     """
+    check_light_speed(c)
     free = free_reading(clock, t)
     s_nr = free[2]
     s_i = sigma_ideal_term(kstate, t, s_nr, c)

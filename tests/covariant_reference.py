@@ -14,7 +14,10 @@ is the spectrum's, 2 pi hbar / (E1 - E0) (``clock_period``): the state
 evolves under the stored energies, while the window measurement rotates
 at 2 pi / period. A phase clock whose moment operators disagree with its
 spectrum fails the commutator check, and a window measurement given
-another period fails the moment check.
+another period fails the moment check. ``phase_moment_operator``
+integrates the phase clock's moment density over any window by the
+standard recursion; it is the independent reference for the closed-form
+operators that ``build_qubit_phase`` stores.
 """
 
 from __future__ import annotations
@@ -23,8 +26,29 @@ import math
 
 import numpy as np
 
-from chronodil.clocks import evolve, expectation_real, phase_moment_operator, time_probabilities
+from chronodil.clocks import evolve, expectation_real, time_probabilities
 from chronodil.constants import HBAR
+
+
+def phase_moment_operator(n: int, a: float, b: float, omega: float) -> np.ndarray:
+    """integral over [a, b] of s^n F(s) ds for the qubit phase measurement.
+
+    F(s) = (omega/2pi) (I + e^{i omega s}|0><1| + e^{-i omega s}|1><0|),
+    the periodic extension of the phase-ket density to the whole line.
+    Entries are evaluated in closed form.
+    """
+    diag = (b ** (n + 1) - a ** (n + 1)) / (n + 1)
+    off = _poly_phase_integral(n, a, b, omega)
+    op = np.array([[diag, off], [np.conj(off), diag]], dtype=complex)
+    return op * omega / (2.0 * np.pi)
+
+
+def _poly_phase_integral(n: int, a: float, b: float, omega: float) -> complex:
+    """integral over [a, b] of s^n e^{i omega s} ds by the standard recursion."""
+    if n == 0:
+        return (np.exp(1j * omega * b) - np.exp(1j * omega * a)) / (1j * omega)
+    boundary = (b**n * np.exp(1j * omega * b) - a**n * np.exp(1j * omega * a)) / (1j * omega)
+    return boundary - n / (1j * omega) * _poly_phase_integral(n - 1, a, b, omega)
 
 
 def projector(ket: np.ndarray) -> np.ndarray:

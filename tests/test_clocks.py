@@ -13,12 +13,11 @@ from chronodil.clocks import (
     apply_time,
     evolve,
     free_reading,
-    phase_moment_operator,
     time_probabilities,
 )
 from chronodil.constants import HBAR
 from covariant_reference import (circular_mean_time, clock_period, commutator_residual,
-                                  moment_polynomial, projector)
+                                  moment_polynomial, phase_moment_operator, projector)
 from dense_reference import (dense_moment_operators, dial_moment_operators_circulant,
                              dial_moment_operators_dense, evolve_hermitian, fourier_time_basis)
 from helpers import BENCH_OMEGA, free_error_trace
@@ -289,9 +288,61 @@ def test_qubit_phase_first_moment_trace():
     # stored one is offset so that <T>(0) = 0
     clk = qubit(omega=2.0)
     t_raw = phase_moment_operator(1, 0.0, np.pi, 2.0)
-    assert np.isclose(np.trace(t_raw).real, 2.0 * np.pi / 2.0, atol=1e-12)
+    assert abs(np.trace(t_raw).real - np.pi) <= 1e-15 * np.pi
     offset = np.vdot(clk.psi0, t_raw @ clk.psi0).real
-    assert np.allclose(clk.t_cl, t_raw - offset * np.eye(clk.dim), atol=1e-12)
+    defect = np.abs(clk.t_cl - (t_raw - offset * np.eye(clk.dim))).max()
+    assert defect <= 1e-15 * np.abs(clk.t_cl).max()
+
+
+# omega = 1 rad/s, the benchmark's 2 ms period, an SI-scale 1e3 rad/s and an
+# optical 7.3e15 rad/s
+OMEGAS = [1.0, 2.0 * np.pi / 2e-3, 1e3, 7.3e15]
+
+
+@pytest.mark.parametrize("omega", OMEGAS)
+def test_qubit_phase_first_moment_is_sigma_y(omega):
+    # T = sigma_y/omega has a zero diagonal and a purely imaginary
+    # off-diagonal, so <+|T|+> is 0 without rounding
+    clk = qubit(omega)
+    assert np.all(np.diag(clk.t_cl) == 0.0)
+    assert np.all(clk.t_cl[[0, 1], [1, 0]].real == 0.0)
+
+
+@pytest.mark.parametrize("omega", OMEGAS)
+def test_qubit_phase_closed_form_matches_window_integral(omega):
+    # the window integral over one period less the offset <T>(0) = P/2; its
+    # recursion rounds at up to about 1e-15 of the largest entry
+    clk = qubit(omega)
+    half = np.pi / omega
+    t_raw = phase_moment_operator(1, 0.0, 2.0 * half, omega)
+    t2_raw = phase_moment_operator(2, 0.0, 2.0 * half, omega)
+    calibrated = (t_raw - half * np.eye(2), t2_raw - 2.0 * half * t_raw + half**2 * np.eye(2))
+    for stored, integral in zip((clk.t_cl, clk.t2_cl), calibrated):
+        assert np.abs(stored - integral).max() <= 2e-15 * np.abs(stored).max()
+
+
+@pytest.mark.parametrize("omega", OMEGAS[:3])
+def test_qubit_phase_closed_form_matches_50_digits(omega):
+    # (1/P) int_0^P (s - P/2)^k {1, e^{i omega s}} ds by 50-digit quadrature:
+    # the diagonal and the <0|.|1> entry of the k-th calibrated moment. At
+    # 7.3e15 rad/s the quadrature itself loses digits, so that omega is
+    # held to the window integral only
+    mpmath = pytest.importorskip("mpmath")
+    clk = qubit(omega)
+    with mpmath.mp.workdps(50):
+        w = mpmath.mpf(omega)
+        period = 2 * mpmath.pi / w
+
+        def moment(k, phase):
+            return mpmath.quad(lambda s: (s - period / 2) ** k * phase(s), [0, period]) / period
+
+        for k, stored in ((1, clk.t_cl), (2, clk.t2_cl)):
+            diag = moment(k, lambda s: 1)
+            off = moment(k, lambda s: mpmath.expj(w * s))
+            scale = np.abs(stored).max()
+            for got, want in ((stored[0, 0], diag), (stored[1, 1], diag), (stored[0, 1], off),
+                              (stored[1, 0], mpmath.conj(off))):
+                assert abs(got - complex(want)) <= 1e-15 * scale
 
 
 def test_qubit_phase_rejects_bad_omega():
@@ -390,6 +441,27 @@ def test_qubit_phase_good_at_half_turn():
 def test_mean_reading_starts_at_zero():
     for clk in (swp(4), quasi(16, 4.0, 8.0), qubit()):
         assert abs(free_reading(clk, 0.0)[1]) < 1e-12
+
+
+@pytest.mark.parametrize("model", ["swp", "quasi_ideal", "qubit"])
+@pytest.mark.parametrize("omega", OMEGAS)
+def test_calibration_reads_zero_at_zero(model, omega):
+    # <T>(0) = 0 by construction. A dial reads its offset-shifted readings
+    # through an FFT round trip: the time eigenket of build_swp stays within
+    # 1 ulp of the period, and a quasi-ideal packet within log2(d) roundings
+    # of it. The qubit's closed form reads 0 exactly
+    period = 2.0 * np.pi / omega
+    if model == "qubit":
+        assert free_reading(build_qubit_phase(omega), 0.0)[1] == 0.0
+        return
+    for d in range(2, 257):
+        if model == "swp":
+            assert abs(free_reading(build_swp(d, omega), 0.0)[1]) <= np.spacing(period)
+            continue
+        for sigma_bar in (np.sqrt(d), max(1.0, d / 4.0)):
+            for m0 in (0.0, d / 4.0, d / 2.0):
+                mean = free_reading(build_quasi_ideal(d, omega, sigma_bar, m0), 0.0)[1]
+                assert abs(mean) <= np.log2(d) * np.finfo(float).eps * period
 
 
 def test_swp_focusing_time_reading():

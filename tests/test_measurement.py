@@ -9,7 +9,7 @@ import pytest
 
 from chronodil import measurement
 from chronodil.constants import ELECTRON_MASS
-from chronodil.kinematics import GaussianState
+from chronodil.kinematics import CatState, GaussianState, MixtureState
 from chronodil.measurement import (
     MomentumBinning,
     _conditional_w_moments,
@@ -306,3 +306,13 @@ def test_bin_index_is_an_integer():
         with pytest.raises(TypeError):
             conditioned_sigma(SIGMA_T0, STATE, T_BENCH, binning, n, c=C_BENCH)
     assert probability(binning, np.int64(1)) == probability(binning, 1) > 0.0
+
+
+@pytest.mark.parametrize("kstate", [
+    CatState(base=STATE, delta_x0=3e-9, alpha=0.5, theta=0.7),
+    MixtureState(components=((0.5, STATE), (0.5, STATE))),
+], ids=["cat", "mixture"])
+def test_conditioned_sigma_rejects_a_state_it_cannot_bin(kstate):
+    # the bin rule integrates one Gaussian momentum density
+    with pytest.raises(TypeError, match="conditioning needs a GaussianState"):
+        conditioned_sigma(SIGMA_T0, kstate, T_BENCH, binning_for(1.0), 0, c=C_BENCH)
