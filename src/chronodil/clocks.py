@@ -43,7 +43,8 @@ from the evolved kets; nothing diagonalises.
 Conventions: quantities are SI (energies in J, times in s) and hbar is
 the pinned ``constants.HBAR``, never an argument; energies ascend, the
 qubit ground state is ``|0>``, and the stored readings are
-offset-calibrated so that ``<T>(0) = 0``.
+offset-calibrated so that ``<T>(0) = 0`` to within an ulp of the period
+(exactly, for the qubit).
 """
 
 from __future__ import annotations
@@ -134,11 +135,14 @@ class IdealisedClock:
 
 def _dial_clock(d: int, omega: float, psi0: np.ndarray, mean_step: float) -> ClockModel:
     """Dial clock started in ``psi0``, whose mean raw reading is ``mean_step``
-    dial steps: the time values m tau are shifted by that mean, so that
-    <T>(0) = 0."""
+    dial steps: the time values m tau are shifted by that mean, and then by
+    the few roundings that ``reading_stats``' FFT round trip still reads in
+    psi0, so that <T>(0) = 0 to within an ulp of the period."""
     tau = 2.0 * np.pi / omega / d
-    return ClockModel(energies=np.arange(d) * HBAR * omega, psi0=psi0,
-                      time_values=np.arange(d) * tau - tau * mean_step)
+    energies = np.arange(d) * HBAR * omega
+    values = np.arange(d) * tau - tau * mean_step
+    residue = reading_stats(ClockModel(energies, psi0, time_values=values), psi0)[0]
+    return ClockModel(energies=energies, psi0=psi0, time_values=values - residue)
 
 
 def build_swp(d: int, omega: float) -> ClockModel:

@@ -35,10 +35,10 @@ from .kinematics import (CatState, MixtureState, check_light_speed, moments, nor
 class DilationResult:
     """Mean clock time at lab time t and the pieces it is assembled from.
 
-    Invariant: mean_t == mean_t_nr + t * r_factor * (1 + error_trace)
-    exactly as computed. ``classical_tau`` is the proper time of a
-    classical observer launched from the state's mean position and
-    velocity. Each field holds one value per lab time, or per light speed
+    ``correction`` is t * r_factor * (1 + error_trace), formed once.
+    Invariant: mean_t == mean_t_nr + correction exactly as computed.
+    ``classical_tau`` is the proper time of a classical observer launched
+    from the state's mean position and velocity. Each field holds one value per lab time, or per light speed
     of a stack (the free reading and error trace, which do not depend on
     c, one value; an IdealisedClock's zero error trace stays a scalar).
     """
@@ -47,6 +47,7 @@ class DilationResult:
     mean_t_nr: float | np.ndarray
     r_factor: float | np.ndarray
     error_trace: float | np.ndarray
+    correction: float | np.ndarray
     mean_t: float | np.ndarray
     classical_tau: float | np.ndarray
 
@@ -91,10 +92,10 @@ def mean_clock_time(clock, kstate, t, g: float, c: float = C_LIGHT) -> DilationR
     kets, nr, _ = free_reading(clock, t)
     err = error_trace_from(clock, kets, nr)
     r = r_factor(kstate, t, g, c)
-    mean_t = nr + t * r * (1.0 + err)
+    correction = t * r * (1.0 + err)
     tau = _classical_tau_of_state(kstate, t, g, c)
-    return DilationResult(t=t, mean_t_nr=nr, r_factor=r, error_trace=err,
-                          mean_t=mean_t, classical_tau=tau)
+    return DilationResult(t=t, mean_t_nr=nr, r_factor=r, error_trace=err, correction=correction,
+                          mean_t=nr + correction, classical_tau=tau)
 
 
 def _classical_tau_of_state(kstate, t, g: float, c: float):

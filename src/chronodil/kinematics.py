@@ -103,10 +103,6 @@ class CatState:
         return self.base.sigma_x
 
     @property
-    def sigma_p(self) -> float:
-        return self.base.sigma_p
-
-    @property
     def upper(self) -> GaussianState:
         """The packet displaced by ``delta_x0``; ``base`` is the lower one."""
         g = self.base
@@ -155,14 +151,13 @@ def norm_factor(cat: CatState) -> float:
 
 
 def _gaussian_p_moment(mean, var, k: int):
-    """<p^k> for a (possibly complex-shifted) Gaussian momentum variable."""
+    """<p^k>, k = 1, 2 or 4, for a (possibly complex-shifted) Gaussian
+    momentum variable."""
     if k == 1:
         return mean
     if k == 2:
         return mean**2 + var
-    if k == 4:
-        return mean**4 + 6.0 * mean**2 * var + 3.0 * var**2
-    raise ValueError(f"unsupported moment order {k}")
+    return mean**4 + 6.0 * mean**2 * var + 3.0 * var**2
 
 
 def moments(state) -> KinematicMoments:
@@ -236,18 +231,6 @@ def r_factor(state, t, g: float, c: float = C_LIGHT):
 # grid sampling (feeds the joint-evolution oracle)
 
 
-@dataclass(frozen=True)
-class GridAmplitudes:
-    """A pure state's complex amplitudes on a momentum grid.
-
-    ``captured_norm`` is the discrete norm on the grid before any
-    renormalisation (reported, never silently applied).
-    """
-
-    amplitudes: np.ndarray
-    captured_norm: float
-
-
 def gaussian_momentum_wavefunction(g: GaussianState, p: np.ndarray) -> np.ndarray:
     sp = g.sigma_p
     envelope = (2.0 * np.pi * sp**2) ** (-0.25) * np.exp(-(((p - g.p0) / (2.0 * sp)) ** 2))
@@ -262,14 +245,14 @@ def cat_momentum_wavefunction(cat: CatState, p: np.ndarray) -> np.ndarray:
     ) / np.sqrt(n)
 
 
-def to_grid(state, grid: np.ndarray) -> GridAmplitudes:
-    """Sample the momentum wavefunction of a pure state on ``grid``.
+def to_grid(state, grid: np.ndarray) -> np.ndarray:
+    """The momentum wavefunction of a pure state sampled on ``grid``, never
+    renormalised.
 
     ``grid`` is one uniform grid, or a stack of uniform grids of equal
     spacing along its last axis. Raises TypeError on a mixture, which has
     no wavefunction, and ValueError when any grid captures less than
-    1 - 1e-6 of the state's probability. The discrete norm, the smallest
-    one for a stack, is reported in the result.
+    1 - 1e-6 of the state's probability.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim == 0 or grid.shape[-1] < 2:
@@ -288,4 +271,4 @@ def to_grid(state, grid: np.ndarray) -> GridAmplitudes:
         raise ValueError(
             f"grid too narrow: captured norm {captured!r} < 1 - 1e-6; widen the span"
         )
-    return GridAmplitudes(amplitudes=amps, captured_norm=captured)
+    return amps

@@ -121,13 +121,12 @@ def _nonideal_term(clock, kstate, t, c: float, psi, mean_t_nr, s_nr):
     tr E = (2/hbar) Im <T' psi|h> - 1, as in ``clocks.error_trace_from``,
     the total is real by construction from seven inner products: <T' psi|h>,
     <u|v>, <D T' h|u>, <T' D h|u>, <u|h>, <T h|v> and <h|v>. No d x d
-    operator is formed.
+    operator is formed. ``sigma_breakdown``, the one caller, has
+    ``sigma_ideal_term`` reject a free spread that is not positive first.
     """
     if psi is None:  # an IdealisedClock
         return 0.0
     wm = w_moments(kstate, c)
-    if np.any(s_nr <= 0):
-        raise ValueError("sigma_NR must be positive for the non-idealised term")
 
     def dot(x, y):  # <x|y>, row by row
         return np.einsum("...j,...j->...", x.conj(), y)

@@ -172,7 +172,7 @@ def block_evolve_g0(clock, kstate, t: float, order: str, c: float,
         w = w + 3.0 * grid**4 / (8.0 * mass**4 * c**4)
     kinetic = grid**2 / (2.0 * mass) - grid**4 / (8.0 * mass**3 * c**2)
     blocks = np.exp(-1j * np.outer(clock.energies, 1.0 + w) * t / HBAR)
-    psi = to_grid(kstate, grid).amplitudes * np.exp(-1j * kinetic * t / HBAR)
+    psi = to_grid(kstate, grid) * np.exp(-1j * kinetic * t / HBAR)
     return BlockState(grid=grid, amplitudes=clock.psi0[:, None] * blocks * psi[None, :])
 
 

@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from chronodil import cli
 from chronodil.cli import CsvTable, emit_plot_script, main, run, write_csv
+from chronodil.clocks import build_qubit_phase
 from chronodil.config import ConfigError, RunConfig, echo_lines, parse_config
+from chronodil.dilation import mean_clock_time
 from chronodil.constants import C_LIGHT, HBAR
 from helpers import (BENCH_MASS, BENCH_OMEGA, BENCH_PERIOD, BENCH_SIGMA_X, BENCH_T, bench_c,
                      reference_write_csv)
@@ -540,6 +543,92 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg_path.write_text("[run]\ncommand = dilation\nbogus = 1\n")
     assert main(["dilation", "--config", str(cfg_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def _edited(text: str, *edits: tuple[str, str]) -> str:
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    return text
+
+
+_MEASUREMENT = bench_config("measurement")
+_IDEALISED = ("model = swp\nd = 4\n", "model = idealised\n")
+# (config, message, the offending line or None): one case per ConfigError the
+# parser or a builder raises. The parser names the line; the builders and the
+# cross-key rules, which read more than one line, name none
+CONFIG_ERRORS = {
+    "clock_needs_omega": (_edited(MINIMAL_DILATION, ("omega = 1e3\n", "")),
+                          "clock model 'swp' needs key 'omega'", None),
+    "clock_needs_d": (_edited(MINIMAL_DILATION, ("d = 4\n", "")),
+                      "clock model 'swp' needs key 'd'", None),
+    "clock_needs_sigma_bar": (_edited(MINIMAL_DILATION, ("model = swp", "model = quasi_ideal")),
+                              "'quasi_ideal' needs key 'sigma_bar'", None),
+    "time_grid_incomplete": (_edited(MINIMAL_DILATION, ("t = 1e-3", "t_start = 1e-3")),
+                             "needs either 't' or all of", None),
+    "choice": (_edited(MINIMAL_DILATION, ("model = swp", "model = sundial")),
+               "key 'model': value 'sundial' not one of", "model = sundial"),
+    "float_list": (MINIMAL_DILATION + "\n[verify]\nc_scalings = 1, two\n",
+                   "key 'c_scalings': expected comma-separated floats", "c_scalings = 1, two"),
+    "float_list_non_finite": (MINIMAL_DILATION + "\n[verify]\nc_scalings = 1, inf\n",
+                              "key 'c_scalings': non-finite value", "c_scalings = 1, inf"),
+    "float": (_edited(MINIMAL_DILATION, ("omega = 1e3", "omega = fast")),
+              "key 'omega': expected float, got 'fast'", "omega = fast"),
+    "closed_low_bound": (_edited(MINIMAL_DILATION, ("d = 4", "d = 1")),
+                         "key 'd': value 1 must be at least 2", "d = 1"),
+    "no_equals": (_edited(MINIMAL_DILATION, ("omega = 1e3", "omega 1e3")),
+                  "expected 'key = value', got 'omega 1e3'", "omega 1e3"),
+    "outside_section": ("seed = 3\n" + MINIMAL_DILATION, "key outside any [section]",
+                        "seed = 3"),
+    "coherence_needs_cat": (bench_config("coherence"),
+                            "command 'coherence' needs kinematics type 'cat'", None),
+    "measurement_needs_idealised": (_MEASUREMENT,
+                                    "command 'measurement' needs clock model 'idealised'", None),
+    "measurement_needs_sigma_t0": (_edited(_MEASUREMENT, _IDEALISED),
+                                   "needs a positive sigma_t0", None),
+    "measurement_needs_gaussian": (
+        _edited(_MEASUREMENT, _IDEALISED, ("model = idealised\n",
+                                           "model = idealised\nsigma_t0 = 1e-9\n"),
+                ("type = gaussian", "type = cat")),
+        "command 'measurement' needs kinematics type 'gaussian'", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_every_config_error_names_itself_and_exits_2(case, tmp_path, capsys):
+    text, message, bad_line = CONFIG_ERRORS[case]
+    with pytest.raises(ConfigError, match=re.escape(message)) as excinfo:
+        parse_config(text).clock()  # the builders raise when the clock is built
+    line = None if bad_line is None else text.splitlines().index(bad_line) + 1
+    assert excinfo.value.line == line
+    command = re.search(r"command = (\w+)", text).group(1)
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_qubit_phase_config_runs_through_main(tmp_path):
+    # the config's qubit branch builds the library's qubit phase clock
+    text = _edited(MINIMAL_DILATION, ("model = swp\nd = 4", "model = qubit_phase"))
+    cfg_path, out = tmp_path / "qubit.cfg", tmp_path / "qubit.csv"
+    cfg_path.write_text(text)
+    assert main(["dilation", "--config", str(cfg_path), "--out", str(out),
+                 "--no-timestamp"]) == 0
+    cfg = parse_config(text)
+    expected = mean_clock_time(build_qubit_phase(1e3), cfg.kinematic_state(), 1e-3, 9.81)
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    header, cells = rows[0].split(","), [float(x) for x in rows[1].split(",")]
+    assert cells[header.index("mean_t")] == expected.mean_t
+    assert cells[header.index("error_trace")] == expected.error_trace != 0.0
+
+
+def test_csv_of_a_table_without_rows_is_its_header():
+    stream = io.BytesIO()
+    write_csv(CsvTable(header=["t", "x"], rows=[]), parse_config(MINIMAL_DILATION), stream)
+    assert stream.getvalue().decode().endswith("# cfg t = 1e-3\nt,x\n")
 
 
 def test_plot_script_measurement_one_curve_per_q(tmp_path):

@@ -15,7 +15,9 @@ from chronodil.clocks import (
     free_reading,
     time_probabilities,
 )
-from chronodil.constants import HBAR
+from chronodil.constants import ATOMIC_MASS_UNIT, G_STANDARD, HBAR
+from chronodil.dilation import mean_clock_time
+from chronodil.kinematics import GaussianState
 from covariant_reference import (circular_mean_time, clock_period, commutator_residual,
                                   moment_polynomial, phase_moment_operator, projector)
 from dense_reference import (dense_moment_operators, dial_moment_operators_circulant,
@@ -147,6 +149,14 @@ def test_swp_rejects_bad_arguments():
         build_swp(1, 1.0)
     with pytest.raises(ValueError):
         build_swp(4, 0.0)
+
+
+def test_quasi_ideal_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        build_quasi_ideal(1, 1.0, 0.5, 0.0)
+    for omega in (0.0, -1.0):
+        with pytest.raises(ValueError, match="omega must be positive"):
+            build_quasi_ideal(4, omega, 1.0, 0.0)
 
 
 def test_quasi_ideal_normalised():
@@ -447,9 +457,9 @@ def test_mean_reading_starts_at_zero():
 @pytest.mark.parametrize("omega", OMEGAS)
 def test_calibration_reads_zero_at_zero(model, omega):
     # <T>(0) = 0 by construction. A dial reads its offset-shifted readings
-    # through an FFT round trip: the time eigenket of build_swp stays within
-    # 1 ulp of the period, and a quasi-ideal packet within log2(d) roundings
-    # of it. The qubit's closed form reads 0 exactly
+    # through an FFT round trip, and its calibration takes off what that
+    # round trip reads in psi0: every dial stays within 1 ulp of the period.
+    # The qubit's closed form reads 0 exactly
     period = 2.0 * np.pi / omega
     if model == "qubit":
         assert free_reading(build_qubit_phase(omega), 0.0)[1] == 0.0
@@ -461,7 +471,18 @@ def test_calibration_reads_zero_at_zero(model, omega):
         for sigma_bar in (np.sqrt(d), max(1.0, d / 4.0)):
             for m0 in (0.0, d / 4.0, d / 2.0):
                 mean = free_reading(build_quasi_ideal(d, omega, sigma_bar, m0), 0.0)[1]
-                assert abs(mean) <= np.log2(d) * np.finfo(float).eps * period
+                assert abs(mean) <= np.spacing(period)
+
+
+def test_calibration_is_below_the_physical_correction():
+    # at the physical c the correction t R (1 + tr E) of the aluminium atom
+    # of configs/aluminium.cfg, a Gaussian at rest falling for 1 s, is
+    # -4.14e-16 s on a d = 16 dial with a period of 2 pi s; the dial's own
+    # reading at t = 0 must sit well below it
+    clk = build_quasi_ideal(16, 1.0, 4.0, 8.0)
+    state = GaussianState(x0=0.0, p0=0.0, sigma_x=368e-12, mass=27.0 * ATOMIC_MASS_UNIT)
+    correction = mean_clock_time(clk, state, 1.0, G_STANDARD).correction
+    assert abs(free_reading(clk, 0.0)[1]) <= 0.05 * abs(correction)
 
 
 def test_swp_focusing_time_reading():

@@ -177,7 +177,7 @@ def test_grid_gaussian_real_and_even_about_mean():
     state = gaussian(x0=0.0, p0=3e-25)
     # an odd point count puts a sample on the mean
     grid = np.linspace(state.p0 - 8.0 * state.sigma_p, state.p0 + 8.0 * state.sigma_p, 401)
-    amps = to_grid(state, grid).amplitudes
+    amps = to_grid(state, grid)
     assert np.abs(amps.imag).max() < 1e-14 * np.abs(amps).max()
     assert np.abs(amps - amps[::-1]).max() < 1e-12 * np.abs(amps).max()
 
@@ -185,7 +185,7 @@ def test_grid_gaussian_real_and_even_about_mean():
 def test_grid_cat_fringe_period():
     state = cat(delta=6.0 * SX)
     grid = state_grid(state)
-    amps = to_grid(state, grid).amplitudes
+    amps = to_grid(state, grid)
     density = np.abs(amps) ** 2
     # locate the fringe frequency by Fourier transforming the density
     dp = grid[1] - grid[0]
@@ -222,7 +222,7 @@ def test_grid_cat_resolves_fringes():
     extent = 18.0 * state.base.sigma_x + state.delta_x0
     assert (grid[1] - grid[0]) <= 2.0 * np.pi * HBAR / extent
     # so the sums over the grid are the exact integrals
-    density = np.abs(to_grid(state, grid).amplitudes) ** 2 * (grid[1] - grid[0])
+    density = np.abs(to_grid(state, grid)) ** 2 * (grid[1] - grid[0])
     exact = moments(state)
     assert abs(density.sum() - 1.0) < 1e-12
     assert abs(np.sum(density * grid**2) / exact.mean_p2 - 1.0) < 1e-12
@@ -253,6 +253,25 @@ def test_cat_checks_every_separation_of_an_array():
         CatState(base=gaussian(), delta_x0=np.array([1e-9, 0.0]), alpha=0.5, theta=np.pi)
 
 
+def test_mixture_rejects_a_negative_weight():
+    # the weights sum to 1, so only the sign rule rejects them
+    with pytest.raises(ValueError, match="non-negative"):
+        MixtureState(components=((1.5, gaussian()), (-0.5, gaussian(x0=5e-10))))
+
+
+def test_unsupported_state_type_rejected():
+    grid = state_grid(gaussian())
+    for call in (moments, lambda state: to_grid(state, grid)):
+        with pytest.raises(TypeError, match="unsupported state type str"):
+            call("gaussian")
+
+
+def test_grid_needs_two_samples():
+    for grid in (0.0, [0.0], np.zeros((3, 1))):
+        with pytest.raises(ValueError, match="at least two samples"):
+            to_grid(gaussian(), grid)
+
+
 def test_mixture_has_one_mass():
     mix = MixtureState(components=((0.4, gaussian()), (0.6, gaussian(x0=5e-10))))
     assert mix.mass == MASS
@@ -275,8 +294,8 @@ def test_grid_stack_checks_every_row():
     sp = state.sigma_p
     row = np.linspace(-8.0 * sp, 8.0 * sp, 512)
     stacked = to_grid(state, np.stack([row, row + 0.5 * sp]))
-    assert stacked.amplitudes.shape == (2, 512)
-    assert np.array_equal(stacked.amplitudes[0], to_grid(state, row).amplitudes)
+    assert stacked.shape == (2, 512)
+    assert np.array_equal(stacked[0], to_grid(state, row))
     # a row shifted off the packet fails on its own, though the first row is fine
     with pytest.raises(ValueError, match="too narrow"):
         to_grid(state, np.stack([row, row + 6.0 * sp]))

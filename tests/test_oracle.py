@@ -89,6 +89,17 @@ def test_g0_oracle_insensitive_to_grid_refinement():
         assert abs(vals[0] - vals[1]) < 1e-12 * max(abs(v) for v in vals)
 
 
+def test_joint_norm_check_catches_a_grid_that_sampling_accepts():
+    # +-5 sigma_p holds all but 5.7e-7 of the packet: above to_grid's bar of
+    # 1 - 1e-6, but 57 times the joint norm's tolerance of 1e-8
+    clk, state = build_swp(4, BENCH_OMEGA), bench_gaussian()
+    grid = np.linspace(state.p0 - 5.0 * state.sigma_p, state.p0 + 5.0 * state.sigma_p, 4001)
+    captured = np.sum(np.abs(to_grid(state, grid)) ** 2) * (grid[1] - grid[0])
+    assert 1.0 - 1e-6 < captured < 1.0 - 1e-8
+    with pytest.raises(ValueError, match="grid under-resolution"):
+        evolve_characteristics_g(clk, state, BENCH_T, 0.0, c=bench_c(), grid=grid)
+
+
 def test_mixture_rejected_by_pure_evolver():
     mix = MixtureState(components=((1.0, bench_gaussian()),))
     for g in (0.0, G_EARTH):
@@ -265,7 +276,8 @@ def test_characteristics_rejects_narrow_grid():
     # wide enough for the unshifted packet, but the shift by the force (about
     # 3 sigma_p here) moves part of the packet off every row of the stacked grid
     grid = np.linspace(state.p0 - 6.0 * state.sigma_p, state.p0 + 8.0 * state.sigma_p, 2048)
-    assert to_grid(state, grid).captured_norm > 1.0 - 1e-6
+    amps = to_grid(state, grid)
+    assert np.sum(np.abs(amps) ** 2) * (grid[1] - grid[0]) > 1.0 - 1e-6
     with pytest.raises(ValueError, match="captured norm"):
         evolve_characteristics_g(clk, state, BENCH_T, G_EARTH, c=bench_c(), grid=grid)
 
@@ -448,8 +460,7 @@ def test_surrogate_with_gravity_matches_first_order_correction():
     result = mean_clock_time(clk, state, BENCH_T, G_EARTH, c=c)
     js = evolve_characteristics_g(clk, state, BENCH_T, G_EARTH, c=c)
     oracle = clock_time_stats(js, clk)[0]
-    correction = result.mean_t - result.mean_t_nr
-    assert abs(oracle - result.mean_t) < 1e-2 * abs(correction)
+    assert abs(oracle - result.mean_t) < 1e-2 * abs(result.correction)
 
 
 VERIFY_CASES = [
@@ -480,6 +491,32 @@ def test_stacked_exact_matches_each_scaling_on_its_own_grid(clock_name, state_na
         assert abs(exact - own) < 1e-14 * abs(own)
         if lam == 1.0:
             assert exact == own
+
+
+@pytest.mark.parametrize("clock_name,state_name,g", VERIFY_CASES)
+def test_relative_residual_is_taken_against_the_formed_correction(clock_name, state_name, g):
+    # the mean's correction is the t R (1 + tr E) that mean_clock_time formed,
+    # the spread's the sigma_I + sigma_NI that sigma_breakdown formed: no
+    # total is subtracted from another to get them back
+    clk, state = CLOCKS[clock_name](), STATES[state_name]()
+    c = LAMS * bench_c()
+    if g is None:
+        t = 0.3 * clock_period(clk)
+        report = verify_sigma(clk, state, t, c_scalings=LAMS, base_c=bench_c())
+        breakdown = sigma_breakdown(clk, state, t, c=c)
+        corrections = breakdown.sigma_i + breakdown.sigma_ni
+    else:
+        report = verify_mean_time(clk, state, BENCH_T, g, c_scalings=LAMS, base_c=bench_c())
+        corrections = mean_clock_time(clk, state, BENCH_T, g, c=c).correction
+    assert report.relative_residuals == tuple(
+        r / abs(corr) for r, corr in zip(report.residuals, corrections))
+
+
+def test_verify_sigma_rejects_a_mixture():
+    a = bench_gaussian(p0_sigmas=0.0)
+    mix = MixtureState(components=((0.5, a), (0.5, GaussianState(2e-7, 0.0, a.sigma_x, a.mass))))
+    with pytest.raises(TypeError, match="pure motional state"):
+        verify_sigma(build_swp(4, BENCH_OMEGA), mix, 0.1 * BENCH_PERIOD, base_c=bench_c())
 
 
 def _count_calls(monkeypatch, module, name, counts):

@@ -84,6 +84,12 @@ def test_sigma_ideal_term_rejects_sharp_reading():
         sigma_ideal_term(ELECTRON_NM, 1.0, 0.0)
 
 
+def test_dispersion_exact_term_rejects_sharp_reading():
+    for s_nr in (0.0, -1e-9, np.array([1e-9, 0.0])):
+        with pytest.raises(ValueError, match="sigma_NR must be positive"):
+            sigma_dispersion_exact(ELECTRON_NM, 1.0, s_nr)
+
+
 def test_dispersion_exact_term_keeps_only_variance_piece():
     sp = ELECTRON_NM.sigma_p
     value = sigma_dispersion_exact(ELECTRON_NM, 1.0, 1e-9)
@@ -200,9 +206,11 @@ def test_breakdown_matrix_clock_assembly():
 def test_breakdown_evaluates_free_spread_once(monkeypatch):
     # one evolution of psi0 and one reading of its spread feed sigma_NR, the
     # ideal term and the non-idealised term; the mean time reads them once too.
-    # The non-idealised term applies T to three kets of the whole stack.
+    # The non-idealised term applies T to three kets of the whole stack. The
+    # clock is built before the counters: its calibration reads psi0 once
     from chronodil import clocks, precision
 
+    clk = build_quasi_ideal(16, BENCH_OMEGA, 4.0, m0=4.0)
     calls = {"evolve": 0, "reading_stats": 0, "apply_time": 0}
 
     def counting(module, name):
@@ -216,7 +224,6 @@ def test_breakdown_evaluates_free_spread_once(monkeypatch):
     for name in ("evolve", "reading_stats"):
         monkeypatch.setattr(clocks, name, counting(clocks, name))
     monkeypatch.setattr(precision, "apply_time", counting(precision, "apply_time"))
-    clk = build_quasi_ideal(16, BENCH_OMEGA, 4.0, m0=4.0)
     times = np.array([0.1, 0.25]) * clock_period(clk)
     sigma_breakdown(clk, bench_gaussian(), times, c=bench_c())
     assert calls == {"evolve": 1, "reading_stats": 1, "apply_time": 3}
