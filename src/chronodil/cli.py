@@ -56,10 +56,10 @@ def _cell_format(value) -> str:
     return "%d" if isinstance(value, (int, np.integer)) else "%.17e"
 
 
-# Tables with fewer cells keep the per-row '%' loop. Between the clock
-# computations of a CLI run the kernel's fixed cost is 120-160 us per table,
-# and the two matched near 190 cells (5- and 6-column tables, 2-core x86-64).
-_KERNEL_MIN_CELLS = 200
+# Tables with fewer cells keep the per-row '%' loop. Kernel against loop, whole
+# write_csv on workload tables, medians of 3,000 interleaved calls (2-core
+# x86-64): 79 vs 90 us at 120 cells, 72 vs 80 us at 100, 65 vs 22 us at 15.
+_KERNEL_MIN_CELLS = 100
 _BLOCK_CELLS = 2048  # cells per kernel block, which bounds its temporaries
 
 
@@ -271,12 +271,11 @@ def _run_measurement(cfg: RunConfig) -> tuple[CsvTable, int]:
     times = cfg.times()
     q_values = cfg.get("measurement", "q_values")
     n = cfg.get("measurement", "bin")
-    sigma_t0 = clock.sigma_t0
-    per_q = [(q, conditioned_sigma(sigma_t0, kstate, times, MomentumBinning(q * kstate.sigma_p), n,
+    per_q = [(q, conditioned_sigma(clock, kstate, times, MomentumBinning(q * kstate.sigma_p), n,
                                    c=c)) for q in q_values]
     # a bin of infinite width is no measurement
-    unconditioned = conditioned_sigma(sigma_t0, kstate, times, MomentumBinning(np.inf), 0, c=c)
-    rows = [[t, q, n, res.probability, res.sigma_t_given_n[i], sigma_t0,
+    unconditioned = conditioned_sigma(clock, kstate, times, MomentumBinning(np.inf), 0, c=c)
+    rows = [[t, q, n, res.probability, res.sigma_t_given_n[i], clock.sigma_t0,
              unconditioned.sigma_t_given_n[i]] for i, t in enumerate(times) for q, res in per_q]
     header = ["t", "q", "bin", "probability", "sigma_conditioned", "sigma_nr",
               "sigma_unconditioned"]

@@ -76,6 +76,12 @@ def classical_proper_time(v0: float, x0: float, g: float, t: float, c: float = C
             f"|v0| = {np.max(np.abs(v0)):.3e} exceeds 0.01 c; the low-velocity expansion degrades",
             stacklevel=2,
         )
+    return _proper_time(v0, x0, g, t, c)
+
+
+def _proper_time(v0, x0, g: float, t, c: float):
+    """``classical_proper_time`` without its velocity warning: classical_tau is
+    an auxiliary report field, and the caller picked the expansion regime."""
     gt = g * t / c  # a product, not ** 2: pow on a float can round otherwise than in an array
     bracket = 1.0 - v0**2 / (2.0 * c**2) + g * x0 / c**2 + v0 * g * t / c**2 - gt * gt / 3.0
     return bracket * t
@@ -102,10 +108,7 @@ def _classical_tau_of_state(kstate, t, g: float, c: float):
     if isinstance(kstate, MixtureState):
         return sum(w * _classical_tau_of_state(comp, t, g, c) for w, comp in kstate.components)
     m = moments(kstate)
-    with warnings.catch_warnings():
-        # auxiliary report field; the caller picked the expansion regime
-        warnings.simplefilter("ignore", UserWarning)
-        return classical_proper_time(m.mean_p / kstate.mass, m.mean_x, g, t, c)
+    return _proper_time(m.mean_p / kstate.mass, m.mean_x, g, t, c)
 
 
 def t_coh(cat: CatState, t, g: float, c: float = C_LIGHT) -> CoherenceResult:

@@ -2,11 +2,11 @@
 
 At g = 0 the joint Hamiltonian is block diagonal in momentum, so each
 momentum component shifts the clock reading deterministically by
-t * W(p). Conditioning an idealised clock with a Gaussian reading profile
-on the outcome of a binned momentum measurement therefore leaves a
-mixture of shifted Gaussians over the bin's momentum density:
+t * W(p). Conditioning an ``IdealisedClock``, whose reading profile is a
+Gaussian of spread sigma_t0, on the outcome of a binned momentum
+measurement leaves a mixture of shifted Gaussians over the bin's density:
 
-    var(T | bin n) = sigma_T(0)^2 + t^2 var(W(p) | bin n).
+    var(T | bin n) = sigma_t0^2 + t^2 var(W(p) | bin n).
 
 The bin width delta_p sets how much motional information the measurement
 recovers: delta_p -> 0 restores the free spread, and an infinite delta_p,
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clocks import IdealisedClock
 from .constants import C_LIGHT
 from .kinematics import GaussianState, check_light_speed
 from .precision import w_of_p
@@ -104,29 +105,24 @@ def _conditional_w_moments(kstate: GaussianState, lo: float, hi: float,
     return prob, float(w_of_p(pc, kstate.mass, c)) + mean_dev, var_w
 
 
-def _spread(sigma_t0: float, t, var_w: float):
-    """sqrt(sigma_t0^2 + t^2 var(W)): a Gaussian profile mixed over shifts t W(p)."""
-    if not (np.isfinite(sigma_t0) and sigma_t0 >= 0.0):
-        raise ValueError(f"sigma_t0 must be finite and non-negative, got {sigma_t0!r}")
-    return np.sqrt(sigma_t0**2 + t * t * var_w)
-
-
-def conditioned_sigma(sigma_t0: float, kstate: GaussianState, t,
+def conditioned_sigma(clock: IdealisedClock, kstate: GaussianState, t,
                       binning: MomentumBinning, n: int, c: float = C_LIGHT) -> ConditionedResult:
-    """Clock-time spread after finding the momentum in bin n (g = 0,
-    idealised clock with a Gaussian reading profile of spread sigma_t0), at
-    each time of ``t``.
+    """Clock-time spread of an idealised clock after finding the momentum in
+    bin n (g = 0), at each time of ``t``.
 
     The momentum distribution is time invariant at g = 0, so the bin's
     probability and moments are computed once for all times. Raises
-    ValueError on an effectively empty bin (probability < 1e-15), a bad
-    sigma_t0 or light speed, and TypeError on a state other than a
+    ValueError on an effectively empty bin (probability < 1e-15) or a bad
+    light speed, and TypeError on a clock other than an IdealisedClock (a
+    matrix clock adds a cross term not derived here), a state other than a
     GaussianState or a bin index that is not an integer.
     """
+    if not isinstance(clock, IdealisedClock):
+        raise TypeError(f"conditioning needs an IdealisedClock, got {type(clock).__name__}")
     if not isinstance(kstate, GaussianState):
         raise TypeError(f"conditioning needs a GaussianState, got {type(kstate).__name__}")
     check_light_speed(c)
     prob, mean_w, var_w = _conditional_w_moments(kstate, *binning.edges(n), c)
     return ConditionedResult(probability=prob,
-                             sigma_t_given_n=_spread(sigma_t0, t, var_w),
+                             sigma_t_given_n=np.sqrt(clock.sigma_t0**2 + t * t * var_w),
                              mean_t_given_n=t * (1.0 + mean_w))

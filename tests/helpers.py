@@ -9,12 +9,13 @@ import warnings
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from chronodil.clocks import ClockModel, build_quasi_ideal, error_trace_from, free_reading
+from chronodil.clocks import (ClockModel, IdealisedClock, build_quasi_ideal, error_trace_from,
+                              free_reading)
 from chronodil.config import echo_lines
 from chronodil.constants import C_LIGHT, HBAR
 from chronodil.kinematics import CatState, GaussianState, MixtureState, norm_factor, r_factor
 from chronodil.measurement import (_SUPPORT_SIGMAS, MomentumBinning, _bin_rule,
-                                   _conditional_w_moments, _spread)
+                                   _conditional_w_moments)
 from dense_reference import dagger
 
 
@@ -155,11 +156,12 @@ def coherence_direct(cat: CatState, t, g: float, c: float = C_LIGHT):
 # momentum-measurement baselines
 
 
-def unconditioned_sigma(sigma_t0: float, kstate: GaussianState, t: float,
+def unconditioned_sigma(clock: IdealisedClock, kstate: GaussianState, t: float,
                         c: float = C_LIGHT) -> float:
     """Spread with no measurement at all: W's moments over the whole
     momentum support, p0 +- 12 sigma_p."""
-    return _spread(sigma_t0, t, _conditional_w_moments(kstate, -math.inf, math.inf, c)[2])
+    var_w = _conditional_w_moments(kstate, -math.inf, math.inf, c)[2]
+    return np.sqrt(clock.sigma_t0**2 + t * t * var_w)
 
 
 def occupied_bins(kstate: GaussianState, binning: MomentumBinning) -> list[int]:

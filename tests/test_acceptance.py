@@ -215,22 +215,23 @@ def test_criterion_07c_ideal_term_inverse_quartic_in_c():
 def test_criterion_08_measurement_recovery():
     state = GaussianState(x0=0.0, p0=0.0, sigma_x=1e-9, mass=ELECTRON_MASS)
     sigma_t0 = 1e-9
+    clock = IdealisedClock(sigma_t0)
     t = 1e-9
     c = state.sigma_p / (0.1 * ELECTRON_MASS)  # sigma_v / c = 0.1
 
     def cond(q):
         binning = MomentumBinning(delta_p=q * state.sigma_p)
-        return conditioned_sigma(sigma_t0, state, t, binning, 0, c=c).sigma_t_given_n
+        return conditioned_sigma(clock, state, t, binning, 0, c=c).sigma_t_given_n
 
     fine = cond(0.01)
     fine_ok = abs(fine - sigma_t0) < 1e-3 * sigma_t0
     coarse = cond(1e3)
-    unconditioned = sigma_breakdown(IdealisedClock(sigma_t0), state, t, c=c).total
+    unconditioned = sigma_breakdown(clock, state, t, c=c).total
     coarse_ok = abs(coarse - unconditioned) < 0.01 * unconditioned
 
     binning = MomentumBinning(delta_p=0.8 * state.sigma_p)
-    total_exact = unconditioned_sigma(sigma_t0, state, t, c=c)
-    rows = [conditioned_sigma(sigma_t0, state, t, binning, n, c=c)
+    total_exact = unconditioned_sigma(clock, state, t, c=c)
+    rows = [conditioned_sigma(clock, state, t, binning, n, c=c)
             for n in occupied_bins(state, binning)]
     mean_total = sum(r.probability * r.mean_t_given_n for r in rows)
     var_sum = sum(r.probability * (r.sigma_t_given_n**2 + (r.mean_t_given_n - mean_total) ** 2)

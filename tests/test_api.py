@@ -24,8 +24,10 @@ EXPORTS = sorted("""
     w_moments MomentumBinning conditioned_sigma JointState VerificationReport
     evolve_characteristics_g verify_mean_time verify_sigma""".split())
 
-# the variance-law reference that criterion 7a prints and README documents
-UNCALLED = ["precision.sigma_dispersion_exact"]
+# the classical proper time that criterion 03 averages, which warns where the
+# library's own classical_tau reads its formula silently, and the variance-law
+# reference that criterion 7a prints and README documents
+UNCALLED = ["dilation.classical_proper_time", "precision.sigma_dispersion_exact"]
 
 
 def test_exports_are_pinned():

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -56,6 +57,19 @@ def test_fast_observer_warns():
     with pytest.warns(UserWarning, match=r"\|v0\| = 5\.996e\+06 exceeds 0.01 c"):
         tau = classical_proper_time(np.array([0.0, -0.02]) * C_LIGHT, 0.0, 0.0, 1.0)
     assert tau.shape == (2,)
+
+
+def test_mean_clock_time_leaves_the_warning_registry_alone():
+    # a fast observer's classical_tau is silent, and a warning shown once
+    # under the "default" action stays shown once across the call
+    state = gaussian(p0=1e-22)
+    c = 50.0 * state.p0 / state.mass  # |v0| = 0.02 c
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("default")
+        for _ in range(2):
+            warnings.warn("shown once", UserWarning)
+            mean_clock_time(IdealisedClock(), state, 1.0, 9.81, c=c)
+    assert [str(w.message) for w in seen] == ["shown once"]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from chronodil import measurement
+from chronodil.clocks import IdealisedClock, build_qubit_phase, build_swp
 from chronodil.constants import ELECTRON_MASS
 from chronodil.kinematics import CatState, GaussianState, MixtureState
 from chronodil.measurement import (
@@ -22,6 +23,7 @@ from helpers import occupied_bins, unconditioned_sigma
 # base light speed is reduced so the motional coupling is resolvable
 STATE = GaussianState(x0=0.0, p0=0.0, sigma_x=1e-9, mass=ELECTRON_MASS)
 SIGMA_T0 = 1e-9
+CLOCK = IdealisedClock(SIGMA_T0)
 C_BENCH = STATE.sigma_p / (0.02 * ELECTRON_MASS)  # sigma_v / c = 0.02
 T_BENCH = 1e-9
 
@@ -31,7 +33,7 @@ def binning_for(q: float) -> MomentumBinning:
 
 
 def probability(binning: MomentumBinning, n: int) -> float:
-    return conditioned_sigma(SIGMA_T0, STATE, T_BENCH, binning, n, c=C_BENCH).probability
+    return conditioned_sigma(CLOCK, STATE, T_BENCH, binning, n, c=C_BENCH).probability
 
 
 # ---------------------------------------------------------------------------
@@ -80,40 +82,40 @@ def test_bin_probabilities_sum_to_one():
 
 
 def test_fine_measurement_restores_free_spread():
-    res = conditioned_sigma(SIGMA_T0, STATE, T_BENCH, binning_for(0.01), 0, c=C_BENCH)
+    res = conditioned_sigma(CLOCK, STATE, T_BENCH, binning_for(0.01), 0, c=C_BENCH)
     assert abs(res.sigma_t_given_n - SIGMA_T0) < 1e-3 * SIGMA_T0
 
 
 def test_coarse_measurement_recovers_nothing():
-    res = conditioned_sigma(SIGMA_T0, STATE, T_BENCH, binning_for(1e3), 0, c=C_BENCH)
-    unconditioned = unconditioned_sigma(SIGMA_T0, STATE, T_BENCH, c=C_BENCH)
+    res = conditioned_sigma(CLOCK, STATE, T_BENCH, binning_for(1e3), 0, c=C_BENCH)
+    unconditioned = unconditioned_sigma(CLOCK, STATE, T_BENCH, c=C_BENCH)
     assert abs(res.sigma_t_given_n - unconditioned) < 0.01 * unconditioned
 
 
 def test_conditioned_never_beats_free_spread():
     for q in (0.05, 0.5, 2.0, 20.0):
-        res = conditioned_sigma(SIGMA_T0, STATE, T_BENCH, binning_for(q), 0, c=C_BENCH)
+        res = conditioned_sigma(CLOCK, STATE, T_BENCH, binning_for(q), 0, c=C_BENCH)
         assert res.sigma_t_given_n >= SIGMA_T0 - 1e-12
 
 
 def test_empty_bin_raises():
     with pytest.raises(ValueError, match="no probability"):
-        conditioned_sigma(SIGMA_T0, STATE, T_BENCH, binning_for(0.5), 60, c=C_BENCH)
+        conditioned_sigma(CLOCK, STATE, T_BENCH, binning_for(0.5), 60, c=C_BENCH)
 
 
 def test_monotone_in_coarseness_and_time():
     qs = (0.1, 0.5, 1.0, 3.0, 10.0, 100.0)
-    sigmas = [conditioned_sigma(SIGMA_T0, STATE, T_BENCH, binning_for(q), 0,
+    sigmas = [conditioned_sigma(CLOCK, STATE, T_BENCH, binning_for(q), 0,
                                 c=C_BENCH).sigma_t_given_n for q in qs]
     assert all(b >= a - 1e-18 for a, b in zip(sigmas, sigmas[1:]))
     times = (0.0, 0.5 * T_BENCH, T_BENCH, 2.0 * T_BENCH)
-    sigmas_t = [conditioned_sigma(SIGMA_T0, STATE, t, binning_for(1.0), 0,
+    sigmas_t = [conditioned_sigma(CLOCK, STATE, t, binning_for(1.0), 0,
                                   c=C_BENCH).sigma_t_given_n for t in times]
     assert all(b >= a - 1e-18 for a, b in zip(sigmas_t, sigmas_t[1:]))
 
 
 def test_refinement_recovers_precision_on_nested_binnings():
-    sigmas = [conditioned_sigma(SIGMA_T0, STATE, T_BENCH, binning_for(q), 0,
+    sigmas = [conditioned_sigma(CLOCK, STATE, T_BENCH, binning_for(q), 0,
                                 c=C_BENCH).sigma_t_given_n
               for q in (4.0, 2.0, 1.0, 0.5, 0.25)]
     assert all(b <= a + 1e-18 for a, b in zip(sigmas, sigmas[1:]))
@@ -121,11 +123,11 @@ def test_refinement_recovers_precision_on_nested_binnings():
 
 def _assert_total_variance_law(state):
     binning = binning_for(0.8)
-    total_sigma = unconditioned_sigma(SIGMA_T0, state, T_BENCH, c=C_BENCH)
+    total_sigma = unconditioned_sigma(CLOCK, state, T_BENCH, c=C_BENCH)
     mean_total = 0.0
     pieces = []
     for n in occupied_bins(state, binning):
-        res = conditioned_sigma(SIGMA_T0, state, T_BENCH, binning, n, c=C_BENCH)
+        res = conditioned_sigma(CLOCK, state, T_BENCH, binning, n, c=C_BENCH)
         pieces.append(res)
         mean_total += res.probability * res.mean_t_given_n
     var_sum = sum(r.probability * (r.sigma_t_given_n**2 + (r.mean_t_given_n - mean_total) ** 2)
@@ -190,7 +192,7 @@ def test_conditional_w_moments_match_mpmath(p0_sigmas, q):
 
 def test_quartic_light_speed_scaling():
     def excess(c):
-        res = conditioned_sigma(SIGMA_T0, STATE, T_BENCH, binning_for(5.0), 0, c=c)
+        res = conditioned_sigma(CLOCK, STATE, T_BENCH, binning_for(5.0), 0, c=c)
         return res.sigma_t_given_n - SIGMA_T0
 
     ratio = excess(C_BENCH) / excess(2.0 * C_BENCH)
@@ -218,7 +220,7 @@ def test_conditional_reduction_matches_joint_grid_oracle():
     mean = float(np.sum(t_axis * conditioned))
     sigma_oracle = float(np.sqrt(np.sum((t_axis - mean) ** 2 * conditioned)))
 
-    res = conditioned_sigma(SIGMA_T0, STATE, T_BENCH, binning, 0, c=C_BENCH)
+    res = conditioned_sigma(CLOCK, STATE, T_BENCH, binning, 0, c=C_BENCH)
     assert abs(res.sigma_t_given_n - sigma_oracle) < 1e-6 * sigma_oracle
 
 
@@ -226,9 +228,9 @@ def test_conditioned_sigma_over_an_array_of_times_equals_its_rows():
     # the CLI's measurement table is one call per q on its time grid
     times = np.linspace(0.0, 10.0 * T_BENCH, 101)
     for q in (1e-4, 0.3, 1.0, 10.0):
-        batch = conditioned_sigma(SIGMA_T0, STATE, times, binning_for(q), 0, c=C_BENCH)
+        batch = conditioned_sigma(CLOCK, STATE, times, binning_for(q), 0, c=C_BENCH)
         for i, t in enumerate(times.tolist()):
-            row = conditioned_sigma(SIGMA_T0, STATE, t, binning_for(q), 0, c=C_BENCH)
+            row = conditioned_sigma(CLOCK, STATE, t, binning_for(q), 0, c=C_BENCH)
             assert row.probability == batch.probability
             assert batch.sigma_t_given_n[i] == row.sigma_t_given_n, (q, t)
             assert batch.mean_t_given_n[i] == row.mean_t_given_n, (q, t)
@@ -238,16 +240,16 @@ def test_infinite_bin_is_no_measurement():
     # bin 0 of an infinite width covers the whole momentum line
     whole = MomentumBinning(math.inf)
     for t in (0.0, 0.5 * T_BENCH, T_BENCH, 7.0 * T_BENCH):
-        res = conditioned_sigma(SIGMA_T0, STATE, t, whole, 0, c=C_BENCH)
-        assert res.sigma_t_given_n == unconditioned_sigma(SIGMA_T0, STATE, t, c=C_BENCH)
+        res = conditioned_sigma(CLOCK, STATE, t, whole, 0, c=C_BENCH)
+        assert res.sigma_t_given_n == unconditioned_sigma(CLOCK, STATE, t, c=C_BENCH)
     assert abs(res.probability - 1.0) < 1e-12
 
 
 def _sweep(times, q_values):
     # the layout of the CLI's measurement table: t outer, q inner
-    unconditioned = conditioned_sigma(SIGMA_T0, STATE, times, MomentumBinning(math.inf), 0,
+    unconditioned = conditioned_sigma(CLOCK, STATE, times, MomentumBinning(math.inf), 0,
                                       c=C_BENCH).sigma_t_given_n
-    per_q = [conditioned_sigma(SIGMA_T0, STATE, times, binning_for(q), 0,
+    per_q = [conditioned_sigma(CLOCK, STATE, times, binning_for(q), 0,
                                c=C_BENCH).sigma_t_given_n for q in q_values]
     return [(sigma[i], unconditioned[i]) for i in range(len(times)) for sigma in per_q]
 
@@ -294,9 +296,21 @@ def test_binning_validation():
 
 @pytest.mark.parametrize("sigma_t0", [math.nan, math.inf, -1.0])
 def test_conditioned_sigma_rejects_a_bad_reading_spread(sigma_t0):
-    # an IdealisedClock's rule: finite and non-negative
+    # the clock refuses it when it is built, before any conditioning
     with pytest.raises(ValueError, match="sigma_t0 must be finite and non-negative"):
-        conditioned_sigma(sigma_t0, STATE, T_BENCH, binning_for(1.0), 0, c=C_BENCH)
+        conditioned_sigma(IdealisedClock(sigma_t0), STATE, T_BENCH, binning_for(1.0), 0,
+                          c=C_BENCH)
+
+
+@pytest.mark.parametrize("clock", [
+    build_swp(4, 2.0 * math.pi / T_BENCH),
+    build_qubit_phase(2.0 * math.pi / T_BENCH),
+    SIGMA_T0,
+], ids=["dial", "qubit", "float"])
+def test_conditioned_sigma_rejects_a_clock_that_is_not_idealised(clock):
+    # a matrix clock would add a non-idealised cross term, not derived here
+    with pytest.raises(TypeError, match="conditioning needs an IdealisedClock"):
+        conditioned_sigma(clock, STATE, T_BENCH, binning_for(1.0), 0, c=C_BENCH)
 
 
 def test_bin_index_is_an_integer():
@@ -304,7 +318,7 @@ def test_bin_index_is_an_integer():
     binning = binning_for(1.0)
     for n in (0.5, 1.0, np.float64(0.0)):
         with pytest.raises(TypeError):
-            conditioned_sigma(SIGMA_T0, STATE, T_BENCH, binning, n, c=C_BENCH)
+            conditioned_sigma(CLOCK, STATE, T_BENCH, binning, n, c=C_BENCH)
     assert probability(binning, np.int64(1)) == probability(binning, 1) > 0.0
 
 
@@ -315,4 +329,4 @@ def test_bin_index_is_an_integer():
 def test_conditioned_sigma_rejects_a_state_it_cannot_bin(kstate):
     # the bin rule integrates one Gaussian momentum density
     with pytest.raises(TypeError, match="conditioning needs a GaussianState"):
-        conditioned_sigma(SIGMA_T0, kstate, T_BENCH, binning_for(1.0), 0, c=C_BENCH)
+        conditioned_sigma(CLOCK, kstate, T_BENCH, binning_for(1.0), 0, c=C_BENCH)
