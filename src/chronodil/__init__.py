@@ -18,8 +18,8 @@ _EXPORTS = {
                     "constants"),
     **dict.fromkeys(["ClockModel", "IdealisedClock", "build_qubit_phase", "build_quasi_ideal",
                      "build_swp", "error_trace_from", "free_reading"], "clocks"),
-    **dict.fromkeys(["CatState", "GaussianState", "MixtureState", "moments", "norm_factor",
-                     "r_factor"], "kinematics"),
+    **dict.fromkeys(["CatState", "GaussianState", "moments", "norm_factor", "r_factor"],
+                    "kinematics"),
     **dict.fromkeys(["classical_proper_time", "mean_clock_time", "t_coh"], "dilation"),
     **dict.fromkeys(["sigma_breakdown", "sigma_dispersion_exact", "sigma_ideal_term",
                      "w_moments"], "precision"),

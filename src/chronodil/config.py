@@ -244,6 +244,12 @@ def _validate_semantics(cfg: RunConfig) -> None:
         if cfg.command in ("verify", "sweep"):  # a grid holds at least two times
             raise ConfigError(f"command {cfg.command!r} runs at a single time; "
                               "give 't' in [physics], not a time grid")
+    else:
+        grid_keys = [key for key in ("t_start", "t_stop", "t_num")
+                     if ("physics", key) in cfg.values]
+        if grid_keys:
+            raise ConfigError(f"[physics] gives 't' and the time grid keys {grid_keys}; "
+                              "give 't' or the time grid, not both")
 
 
 def echo_lines(cfg: RunConfig) -> list[str]:

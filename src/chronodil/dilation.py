@@ -27,8 +27,7 @@ import numpy as np
 
 from .constants import C_LIGHT, HBAR
 from .clocks import error_trace_from, free_reading
-from .kinematics import (CatState, MixtureState, check_light_speed, moments, norm_factor, overlap,
-                         r_factor)
+from .kinematics import CatState, check_light_speed, moments, norm_factor, overlap, r_factor
 
 
 @dataclass(frozen=True)
@@ -99,16 +98,10 @@ def mean_clock_time(clock, kstate, t, g: float, c: float = C_LIGHT) -> DilationR
     err = error_trace_from(clock, kets, nr)
     r = r_factor(kstate, t, g, c)
     correction = t * r * (1.0 + err)
-    tau = _classical_tau_of_state(kstate, t, g, c)
+    m = moments(kstate)
+    tau = _proper_time(m.mean_p / kstate.mass, m.mean_x, g, t, c)
     return DilationResult(t=t, mean_t_nr=nr, r_factor=r, error_trace=err, correction=correction,
                           mean_t=nr + correction, classical_tau=tau)
-
-
-def _classical_tau_of_state(kstate, t, g: float, c: float):
-    if isinstance(kstate, MixtureState):
-        return sum(w * _classical_tau_of_state(comp, t, g, c) for w, comp in kstate.components)
-    m = moments(kstate)
-    return _proper_time(m.mean_p / kstate.mass, m.mean_x, g, t, c)
 
 
 def t_coh(cat: CatState, t, g: float, c: float = C_LIGHT) -> CoherenceResult:

@@ -1,9 +1,8 @@
 """Analytic motional states of the clock's centre of mass.
 
-Three one-dimensional families are supported: a minimum-uncertainty
-Gaussian wavepacket, a coherent superposition of two such packets
-displaced in position (a cat state, with an optional relative phase),
-and an incoherent weighted mixture of Gaussians.
+Two pure one-dimensional states are supported: a minimum-uncertainty
+Gaussian wavepacket, and a coherent superposition of two such packets
+displaced in position (a cat state, with an optional relative phase).
 
 Momentum-space wavefunction of a single packet with mean position x0,
 shared mean momentum p, position spread sigma_x:
@@ -110,28 +109,6 @@ class CatState:
 
 
 @dataclass(frozen=True)
-class MixtureState:
-    """Incoherent mixture: tuple of (weight, GaussianState) pairs, all of
-    the same mass."""
-
-    components: tuple
-
-    def __post_init__(self):
-        weights = [w for w, _ in self.components]
-        if any(w < 0 for w in weights):
-            raise ValueError("mixture weights must be non-negative")
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights must sum to 1, got {sum(weights)}")
-        masses = {state.mass for _, state in self.components}
-        if len(masses) > 1:
-            raise ValueError(f"mixture components must share one mass, got {sorted(masses)}")
-
-    @property
-    def mass(self) -> float:
-        return self.components[0][1].mass
-
-
-@dataclass(frozen=True)
 class KinematicMoments:
     mean_x: float
     mean_p: float
@@ -169,15 +146,6 @@ def moments(state) -> KinematicMoments:
         return KinematicMoments(state.x0, state.p0, p2, p4, p4 - p2**2)
     if isinstance(state, CatState):
         return _cat_moments(state)
-    if isinstance(state, MixtureState):
-        mx = mp = mp2 = mp4 = 0.0
-        for w, comp in state.components:
-            m = moments(comp)
-            mx += w * m.mean_x
-            mp += w * m.mean_p
-            mp2 += w * m.mean_p2
-            mp4 += w * m.mean_p4
-        return KinematicMoments(mx, mp, mp2, mp4, mp4 - mp2**2)
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
@@ -209,13 +177,7 @@ def _cat_moments(cat: CatState) -> KinematicMoments:
 
 
 def r_factor(state, t, g: float, c: float = C_LIGHT):
-    """Kinematic dilation factor R(t) at each time from the exact moments of ``state``.
-
-    Mixtures reduce to the weighted sum of their components' factors by
-    linearity of the expectation value.
-    """
-    if isinstance(state, MixtureState):
-        return sum(w * r_factor(comp, t, g, c) for w, comp in state.components)
+    """Kinematic dilation factor R(t) at each time from the exact moments of ``state``."""
     m = moments(state)
     mass = state.mass
     gt = g * t / c  # a product, not ** 2: pow on a float can round otherwise than in an array
@@ -250,9 +212,8 @@ def to_grid(state, grid: np.ndarray) -> np.ndarray:
     renormalised.
 
     ``grid`` is one uniform grid, or a stack of uniform grids of equal
-    spacing along its last axis. Raises TypeError on a mixture, which has
-    no wavefunction, and ValueError when any grid captures less than
-    1 - 1e-6 of the state's probability.
+    spacing along its last axis. Raises ValueError when any grid captures
+    less than 1 - 1e-6 of the state's probability.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim == 0 or grid.shape[-1] < 2:
@@ -262,8 +223,6 @@ def to_grid(state, grid: np.ndarray) -> np.ndarray:
         amps = gaussian_momentum_wavefunction(state, grid)
     elif isinstance(state, CatState):
         amps = cat_momentum_wavefunction(state, grid)
-    elif isinstance(state, MixtureState):
-        raise TypeError("mixtures are ensembles with no wavefunction; sample each component")
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
     captured = float(np.min(np.sum(np.abs(amps) ** 2, axis=-1) * dp))

@@ -37,7 +37,7 @@ import numpy as np
 from .constants import C_LIGHT, HBAR
 from .clocks import ClockModel, reading_stats
 from .dilation import mean_clock_time
-from .kinematics import CatState, MixtureState, check_light_speed, to_grid
+from .kinematics import CatState, check_light_speed, to_grid
 from .precision import sigma_breakdown
 
 
@@ -193,8 +193,6 @@ def evolve_characteristics_g(clock: ClockModel, kstate, t: float, g: float, orde
     """
     if order not in ("c2", "c4"):
         raise ValueError(f"order must be 'c2' or 'c4', got {order!r}")
-    if isinstance(kstate, MixtureState):
-        raise TypeError("mixtures are ensembles; evolve each component separately")
     if not isinstance(clock, ClockModel):
         raise TypeError(f"the joint evolution needs a ClockModel, got {type(clock).__name__}")
     check_light_speed(c)
@@ -242,10 +240,16 @@ def clock_time_stats(js: JointState, clock: ClockModel):
     return reading_stats(clock, np.swapaxes(js.amplitudes, -1, -2), weight=js.spacing)
 
 
-def _oracle_mean(clock: ClockModel, kstate, t: float, g: float, c):
-    if isinstance(kstate, MixtureState):
-        return sum(w * _oracle_mean(clock, comp, t, g, c) for w, comp in kstate.components)
-    return clock_time_stats(evolve_characteristics_g(clock, kstate, t, g, c=c), clock)[0]
+def _light_speeds(t: float, c_scalings, base_c: float) -> tuple[np.ndarray, np.ndarray]:
+    """(scalings, scaled light speeds) of a verification. ValueError at t = 0,
+    where every correction is 0, and below two distinct scalings, which fit
+    no decay exponent."""
+    if t == 0:
+        raise ValueError("verification needs t != 0: at t = 0 every correction is 0")
+    lams = np.asarray(c_scalings, dtype=float)
+    if len(set(np.ravel(lams).tolist())) < 2:
+        raise ValueError(f"verification needs at least two distinct c scalings, got {c_scalings!r}")
+    return lams, lams * base_c
 
 
 def _fit_exponent(lams: np.ndarray, residuals: np.ndarray) -> float | None:
@@ -291,18 +295,18 @@ def verify_mean_time(clock: ClockModel, kstate, t: float, g: float,
 
     The oracle is the characteristics solution with the 'c2' clock
     coupling, at g = 0 as with gravity on. Every scaling is one light
-    speed of a single stack: one closed-form call and one evolution (one
-    per component of a mixture), on the grid of the smallest c.
+    speed of a single stack: one closed-form call and one evolution, on
+    the grid of the smallest c.
 
     Passes when the relative residual (residual over the correction
     t R (1 + tr E) that the closed form formed) decays with fitted
     exponent <= -1.8, or when every residual sits at the numerical noise
     floor.
     """
-    lams = np.asarray(c_scalings, dtype=float)
-    c = lams * base_c
+    lams, c = _light_speeds(t, c_scalings, base_c)
     result = mean_clock_time(clock, kstate, t, g, c=c)
-    rows = zip(result.mean_t, _oracle_mean(clock, kstate, t, g, c), result.correction)
+    js = evolve_characteristics_g(clock, kstate, t, g, c=c)
+    rows = zip(result.mean_t, clock_time_stats(js, clock)[0], result.correction)
     return _report("mean_clock_time", lams, rows, abs(t), "rel", -1.8)
 
 
@@ -318,10 +322,7 @@ def verify_sigma(clock: ClockModel, kstate, t: float,
     sigma_I + sigma_NI, the two parts the closed form's total adds to the
     free spread.
     """
-    if isinstance(kstate, MixtureState):
-        raise TypeError("spread verification expects a pure motional state")
-    lams = np.asarray(c_scalings, dtype=float)
-    c = lams * base_c
+    lams, c = _light_speeds(t, c_scalings, base_c)
     breakdown = sigma_breakdown(clock, kstate, t, c=c)
     js = evolve_characteristics_g(clock, kstate, t, 0.0, order="c4", c=c)
     rows = zip(breakdown.total, clock_time_stats(js, clock)[1],

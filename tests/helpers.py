@@ -13,7 +13,7 @@ from chronodil.clocks import (ClockModel, IdealisedClock, build_quasi_ideal, err
                               free_reading)
 from chronodil.config import echo_lines
 from chronodil.constants import C_LIGHT, HBAR
-from chronodil.kinematics import CatState, GaussianState, MixtureState, norm_factor, r_factor
+from chronodil.kinematics import CatState, GaussianState, norm_factor, r_factor
 from chronodil.measurement import (_SUPPORT_SIGMAS, MomentumBinning, _bin_rule,
                                    _conditional_w_moments)
 from dense_reference import dagger
@@ -112,7 +112,8 @@ def position_wavefunction(state, x):
     raise TypeError(type(state).__name__)
 
 
-def _pure_quadrature_moment(state, k: int, axis: str) -> float:
+def quadrature_moment(state, k: int, axis: str = "p") -> float:
+    """<p^k> or <x^k> by adaptive quadrature over the explicit wavefunction."""
     base = state.base if isinstance(state, CatState) else state
     if axis == "p":
         center, width = base.p0, base.sigma_p
@@ -129,15 +130,7 @@ def _pure_quadrature_moment(state, k: int, axis: str) -> float:
         warnings.simplefilter("ignore", IntegrationWarning)
         val, _ = quad(lambda u: u**k * np.abs(psi(state, u)) ** 2, lo, hi,
                       epsabs=1e-14 * scale, epsrel=1e-13, limit=400)
-    return val
-
-
-def quadrature_moment(state, k: int, axis: str = "p") -> float:
-    """<p^k> or <x^k> by adaptive quadrature over the explicit wavefunction."""
-    if isinstance(state, MixtureState):
-        return float(sum(w * _pure_quadrature_moment(comp, k, axis)
-                         for w, comp in state.components))
-    return float(_pure_quadrature_moment(state, k, axis))
+    return float(val)
 
 
 # ---------------------------------------------------------------------------

@@ -402,6 +402,24 @@ def test_verify_on_idealised_clock_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["mean_time", "sigma"])
+@pytest.mark.parametrize("edit, message", [
+    (("c_scalings = 1,2,4", "c_scalings = 1, 1, 1"), "at least two distinct c scalings"),
+    (("c_scalings = 1,2,4", "c_scalings = 1"), "at least two distinct c scalings"),
+    ((f"t = {BENCH_T!r}", "t = 0.0"), "needs t != 0"),
+], ids=["repeated_scaling", "one_scaling", "zero_time"])
+def test_verify_input_it_cannot_judge_exits_2_and_writes_nothing(edit, message, target, tmp_path,
+                                                                 capsys):
+    # rejected as input, not reported as a failed verification (exit 3)
+    text = bench_config("verify", extra=f"\n[verify]\ntarget = {target}\nc_scalings = 1,2,4\n")
+    cfg_path = tmp_path / "verify.cfg"
+    cfg_path.write_text(_edited(text, edit))
+    out = tmp_path / "out.csv"
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out), "--no-timestamp"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _kernel_cells(values) -> list[str]:
     x = np.asarray(values, dtype=float)
     out = np.zeros((x.size, cli._FLOAT_FIELD), dtype=np.uint8)
@@ -566,6 +584,9 @@ CONFIG_ERRORS = {
                               "'quasi_ideal' needs key 'sigma_bar'", None),
     "time_grid_incomplete": (_edited(MINIMAL_DILATION, ("t = 1e-3", "t_start = 1e-3")),
                              "needs either 't' or all of", None),
+    "time_and_time_grid": (_edited(MINIMAL_DILATION, ("t = 1e-3", "t = 1e-3\nt_start = 0\n"
+                                                                  "t_stop = 2e-3\nt_num = 50")),
+                           "gives 't' and the time grid keys ['t_start', 't_stop', 't_num']", None),
     "choice": (_edited(MINIMAL_DILATION, ("model = swp", "model = sundial")),
                "key 'model': value 'sundial' not one of", "model = sundial"),
     "float_list": (MINIMAL_DILATION + "\n[verify]\nc_scalings = 1, two\n",

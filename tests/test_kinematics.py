@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from chronodil.clocks import build_swp
 from chronodil.constants import ATOMIC_MASS_UNIT, C_LIGHT, HBAR
 from chronodil.kinematics import (
     CatState,
     GaussianState,
-    MixtureState,
     moments,
     norm_factor,
     r_factor,
@@ -83,7 +81,6 @@ def test_cat_with_zero_separation_equals_gaussian():
     lambda: cat(),
     lambda: cat(delta=2.5 * SX, alpha=0.3, theta=0.9, p0=4e-25, x0=-1e-10),
     lambda: cat(theta=np.pi / 2.0, alpha=0.7),
-    lambda: MixtureState(components=((0.25, gaussian()), (0.75, gaussian(x0=3e-10, p0=2e-25)))),
 ])
 def test_moments_match_quadrature(state_maker):
     state = state_maker()
@@ -95,8 +92,7 @@ def test_moments_match_quadrature(state_maker):
                   if k > 1 else m.mean_p2**0.5)
         assert abs(value - oracle) < 1e-10 * max(abs(oracle), ref)
     oracle_x = quadrature_moment(state, 1, "x")
-    base = state.components[0][1] if isinstance(state, MixtureState) else \
-        (state.base if isinstance(state, CatState) else state)
+    base = state.base if isinstance(state, CatState) else state
     assert abs(m.mean_x - oracle_x) < 1e-10 * max(abs(oracle_x), base.sigma_x)
 
 
@@ -151,18 +147,6 @@ def test_r_factor_cat_matches_quadrature():
     assert abs(r_factor(state, t, g) - oracle) < 1e-12 * abs(oracle)
 
 
-@given(st.floats(0.1, 0.9), st.floats(0.0, 6.0), st.floats(-1.0, 1.0))
-@settings(max_examples=30, deadline=None)
-def test_r_factor_mixture_linearity(w, sep_sigmas, x_off_sigmas):
-    a = gaussian()
-    b = gaussian(x0=x_off_sigmas * SX, p0=sep_sigmas * a.sigma_p)
-    mixture = MixtureState(components=((w, a), (1.0 - w, b)))
-    t, g = 0.6, 9.81
-    direct = r_factor(mixture, t, g)
-    weighted = w * r_factor(a, t, g) + (1.0 - w) * r_factor(b, t, g)
-    assert np.isclose(direct, weighted, rtol=1e-13)
-
-
 # ---------------------------------------------------------------------------
 # grid sampling
 
@@ -199,14 +183,6 @@ def test_grid_cat_fringe_period():
     assert abs(peak - expected) < 1.5 * resolution
 
 
-def test_grid_rejects_mixture():
-    # a mixture is an ensemble with no single wavefunction to sample
-    mixture = MixtureState(components=((0.4, gaussian()), (0.6, gaussian(x0=5e-10))))
-    grid = state_grid(gaussian())
-    with pytest.raises(TypeError, match="ensemble"):
-        to_grid(mixture, grid)
-
-
 def test_grid_too_narrow_raises():
     state = gaussian()
     narrow = np.linspace(state.p0 - state.sigma_p, state.p0 + state.sigma_p, 128)
@@ -237,8 +213,6 @@ def test_state_validation():
         CatState(base=gaussian(), delta_x0=-1e-10, alpha=0.5)
     with pytest.raises(ValueError):
         CatState(base=gaussian(), delta_x0=0.0, alpha=1.0)
-    with pytest.raises(ValueError):
-        MixtureState(components=((0.5, gaussian()), (0.4, gaussian())))
 
 
 def test_cat_checks_every_separation_of_an_array():
@@ -253,12 +227,6 @@ def test_cat_checks_every_separation_of_an_array():
         CatState(base=gaussian(), delta_x0=np.array([1e-9, 0.0]), alpha=0.5, theta=np.pi)
 
 
-def test_mixture_rejects_a_negative_weight():
-    # the weights sum to 1, so only the sign rule rejects them
-    with pytest.raises(ValueError, match="non-negative"):
-        MixtureState(components=((1.5, gaussian()), (-0.5, gaussian(x0=5e-10))))
-
-
 def test_unsupported_state_type_rejected():
     grid = state_grid(gaussian())
     for call in (moments, lambda state: to_grid(state, grid)):
@@ -270,13 +238,6 @@ def test_grid_needs_two_samples():
     for grid in (0.0, [0.0], np.zeros((3, 1))):
         with pytest.raises(ValueError, match="at least two samples"):
             to_grid(gaussian(), grid)
-
-
-def test_mixture_has_one_mass():
-    mix = MixtureState(components=((0.4, gaussian()), (0.6, gaussian(x0=5e-10))))
-    assert mix.mass == MASS
-    with pytest.raises(ValueError, match="one mass"):
-        MixtureState(components=((0.5, gaussian()), (0.5, gaussian(mass=2.0 * MASS))))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

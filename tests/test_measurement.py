@@ -10,7 +10,7 @@ import pytest
 from chronodil import measurement
 from chronodil.clocks import IdealisedClock, build_qubit_phase, build_swp
 from chronodil.constants import ELECTRON_MASS
-from chronodil.kinematics import CatState, GaussianState, MixtureState
+from chronodil.kinematics import CatState, GaussianState
 from chronodil.measurement import (
     MomentumBinning,
     _conditional_w_moments,
@@ -324,8 +324,7 @@ def test_bin_index_is_an_integer():
 
 @pytest.mark.parametrize("kstate", [
     CatState(base=STATE, delta_x0=3e-9, alpha=0.5, theta=0.7),
-    MixtureState(components=((0.5, STATE), (0.5, STATE))),
-], ids=["cat", "mixture"])
+], ids=["cat"])
 def test_conditioned_sigma_rejects_a_state_it_cannot_bin(kstate):
     # the bin rule integrates one Gaussian momentum density
     with pytest.raises(TypeError, match="conditioning needs a GaussianState"):
