@@ -6,7 +6,8 @@ Usage::
                         [--no-timestamp] [--plot-script <path>]
 
 Exit codes: 0 success, 2 configuration or physics-domain error,
-3 verification failure (a ``verify`` run whose report did not pass).
+3 verification failure (a ``verify`` run whose report did not pass, or
+whose correction is below the floor it is judged at: ``# resolved = False``).
 
 A command imports only the library modules it runs: ``coherence`` and
 ``sweep``, for example, never load ``oracle``, ``precision`` or
@@ -303,6 +304,7 @@ def _run_verify(cfg: RunConfig) -> tuple[CsvTable, int]:
     table.metadata.append(("exponent_abs", repr(report.exponent_abs)))
     table.metadata.append(("exponent_rel", repr(report.exponent_rel)))
     table.metadata.append(("at_floor", str(report.at_floor)))
+    table.metadata.append(("resolved", str(report.resolved)))
     table.metadata.append(("verdict", "pass" if report.passed else "fail"))
     return table, (0 if report.passed else 3)
 

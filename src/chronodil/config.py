@@ -230,8 +230,10 @@ def parse_config(text: str) -> RunConfig:
 def _validate_semantics(cfg: RunConfig) -> None:
     if cfg.command in ("coherence", "sweep") and cfg.get("kinematics", "type") != "cat":
         raise ConfigError(f"command {cfg.command!r} needs kinematics type 'cat'")
-    if cfg.command in ("precision", "measurement") and cfg.get("physics", "g") != 0.0:
-        raise ConfigError(f"command {cfg.command!r} is defined at g = 0; set g = 0 in [physics]")
+    sigma_target = cfg.command == "verify" and cfg.get("verify", "target") == "sigma"
+    if cfg.get("physics", "g") != 0.0 and (sigma_target or cfg.command in ("precision", "measurement")):
+        what = "command 'verify' with target 'sigma'" if sigma_target else f"command {cfg.command!r}"
+        raise ConfigError(f"{what} is defined at g = 0; set g = 0 in [physics]")
     if cfg.command == "measurement":
         if cfg.get("clock", "model") != "idealised":
             raise ConfigError("command 'measurement' needs clock model 'idealised'")

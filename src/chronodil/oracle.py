@@ -67,7 +67,8 @@ class JointState:
 class VerificationReport:
     """Perturbative vs exact values across light-speed scalings, with the
     fitted residual-decay exponents (absolute and relative to the
-    correction term), None where ``at_floor`` marks residuals at noise."""
+    correction term), None where ``at_floor`` marks residuals at noise;
+    ``resolved`` is False when a correction is at or below that floor."""
 
     quantity: str
     c_scalings: tuple
@@ -78,6 +79,7 @@ class VerificationReport:
     exponent_abs: float | None
     exponent_rel: float | None
     at_floor: bool
+    resolved: bool
     passed: bool
 
 
@@ -268,8 +270,9 @@ def _report(quantity: str, lams: np.ndarray, rows, floor_scale: float,
     """Report from one (perturbative, exact, correction) row per scaling.
 
     Residuals below 1e-12 of max(``floor_scale``, |exact|) are at the
-    floor, where no exponent is fitted. Passes at the floor, or when the
-    exponent named by ``judged`` ('abs' or 'rel') is at most ``limit``.
+    floor, where no exponent is fitted; a correction at or below it is
+    unresolved and fails. A resolved report passes at the floor, or when
+    the exponent named by ``judged`` ('abs' or 'rel') is at most ``limit``.
     """
     perturbative, exact, corrections = (tuple(map(float, col)) for col in zip(*rows))
     residuals = tuple(abs(e - p) for p, e in zip(perturbative, exact))
@@ -277,6 +280,7 @@ def _report(quantity: str, lams: np.ndarray, rows, floor_scale: float,
                       for r, corr in zip(residuals, corrections))
     floor = 1e-12 * max(floor_scale, max(abs(v) for v in exact))
     at_floor = all(r < floor for r in residuals)
+    resolved = min(abs(corr) for corr in corrections) > floor
     # residuals at the floor are rounding, with no decay to fit
     exp_abs = None if at_floor else _fit_exponent(lams, np.asarray(residuals))
     exp_rel = None if at_floor else _fit_exponent(lams, np.asarray(relatives))
@@ -284,8 +288,8 @@ def _report(quantity: str, lams: np.ndarray, rows, floor_scale: float,
     return VerificationReport(
         quantity=quantity, c_scalings=tuple(lams), perturbative=perturbative, exact=exact,
         residuals=residuals, relative_residuals=relatives,
-        exponent_abs=exp_abs, exponent_rel=exp_rel, at_floor=at_floor,
-        passed=at_floor or (fitted is not None and fitted <= limit),
+        exponent_abs=exp_abs, exponent_rel=exp_rel, at_floor=at_floor, resolved=resolved,
+        passed=resolved and (at_floor or (fitted is not None and fitted <= limit)),
     )
 
 
@@ -301,7 +305,7 @@ def verify_mean_time(clock: ClockModel, kstate, t: float, g: float,
     Passes when the relative residual (residual over the correction
     t R (1 + tr E) that the closed form formed) decays with fitted
     exponent <= -1.8, or when every residual sits at the numerical noise
-    floor.
+    floor, and never when a correction is below that floor.
     """
     lams, c = _light_speeds(t, c_scalings, base_c)
     result = mean_clock_time(clock, kstate, t, g, c=c)
@@ -317,10 +321,10 @@ def verify_sigma(clock: ClockModel, kstate, t: float,
     each called once on the stack of every scaled light speed.
 
     Passes when the absolute residual decays with fitted exponent <= -5,
-    or when every residual sits at the numerical noise floor. Both
-    exponents are reported as measured, the relative one against
-    sigma_I + sigma_NI, the two parts the closed form's total adds to the
-    free spread.
+    or when every residual sits at the numerical noise floor, never with
+    a correction below it. Both exponents are reported as measured, the
+    relative one against sigma_I + sigma_NI, the two parts the closed
+    form's total adds to the free spread.
     """
     lams, c = _light_speeds(t, c_scalings, base_c)
     breakdown = sigma_breakdown(clock, kstate, t, c=c)

@@ -17,15 +17,15 @@ spread of the clock's reading in its evolved ket
 
     sigma_I(t) = t^2 (<p^4> + var(p^2)) / (8 sigma_NR(t) m^4 c^4),
 
-and the non-idealised term is the full four-brace trace expression in
-terms of E(t), e = (i/hbar)[H, T] - I and the W moments, evaluated as
-seven inner products, real by construction, of kets from three
-applications of T per time through ``clocks.apply_time`` (the sigma_NI
-term of ``sigma_breakdown``); its (i/hbar) factors take the pinned SI
-``constants.HBAR``. A companion ``sigma_dispersion_exact`` gives the
-excess that exact joint evolution produces, t^2 var(W) / (2 sigma_NR),
-whose leading term keeps var(p^2) but not <p^4>; the two closed forms
-disagree at leading order and the oracle module quantifies that.
+and the non-idealised term is the four-brace trace expression in terms
+of E(t), e = (i/hbar)[H, T] - I and the W moments, each brace a time
+derivative of the free reading taken from six inner products of kets
+from three applications of T per time through ``clocks.apply_time``
+(the sigma_NI term of ``sigma_breakdown``). A companion
+``sigma_dispersion_exact`` gives the excess that exact joint evolution
+produces, t^2 var(W) / (2 sigma_NR), whose leading term keeps var(p^2)
+but not <p^4>; the two closed forms disagree at leading order and the
+oracle module quantifies that.
 """
 
 from __future__ import annotations
@@ -105,53 +105,38 @@ def sigma_dispersion_exact(kstate, t, sigma_nr_value, c: float = C_LIGHT):
     return t * t * m.var_p2 / (8.0 * sigma_nr_value * mass**4 * c**4)
 
 
-def _nonideal_term(clock, kstate, t, c: float, psi, mean_t_nr, s_nr):
+def _nonideal_term(clock, psi, mean_t_nr, s_nr, shift, shift2):
     """Error-operator contribution to the clock-time spread at g = 0, at each
-    time, from ``clocks.free_reading``'s kets, mean and spread at those times.
+    time, from ``clocks.free_reading``'s kets, mean and spread and the
+    rate-shift moments shift = t <W> and shift2 = t^2 <W^2>.
 
-    The four-brace expression in E(t) = e rho(t), e = (i/hbar)[H, T] - I,
-    <W> and <W^2>. With rho(t) = psi psi^dag every trace is an inner
-    product of kets built from u = T psi, v = e psi and h = D psi, with
-    D = H - <H> (a constant shift of H leaves the expression unchanged) and
-    e applied as -(i/hbar)[T', D] - I, T' = T - <T>: the shifts keep every
-    ket as small as the spreads. ``clocks.apply_time`` applies T' to psi, h
-    and D h alone; T is Hermitian, so every other T product moves onto the
-    bra of its inner product. <y|x> is the conjugate of <x|y>, so each pair
-    of traces is 2 Re or 2i Im of one inner product, and with
-    tr E = (2/hbar) Im <T' psi|h> - 1, as in ``clocks.error_trace_from``,
-    the total is real by construction from seven inner products: <T' psi|h>,
-    <u|v>, <D T' h|u>, <T' D h|u>, <u|h>, <T h|v> and <h|v>. No d x d
-    operator is formed. ``sigma_breakdown``, the one caller, has
-    ``sigma_ideal_term`` reject a free spread that is not positive first.
+    Each brace of the four-brace expression in E(t) = e rho(t),
+    e = (i/hbar)[H, T] - I, is a time derivative of the free reading:
+    brace1 = d var(T)/dt, brace2 = (d<T>/dt)^2 - 1 and brace3 =
+    d^2q/dt^2 + 4 <T> d^2<T>/dt^2 - 2, q = <(T - a)^2> at the fixed a = <T>.
+    With D = H - <H>, d<A>/dt = -(2/hbar) Im <D psi|A psi> and
+    d^2<A>/dt^2 = (2/hbar^2)(<D psi|A D psi> - Re <D^2 psi|A psi>), so
+    T - a applied to psi, D psi and D^2 psi gives every brace, real by
+    construction, from six inner products of kets as small as the spreads.
+    ``sigma_breakdown`` has ``sigma_ideal_term`` reject a spread <= 0 first.
     """
     if psi is None:  # an IdealisedClock
         return 0.0
-    wm = w_moments(kstate, c)
 
     def dot(x, y):  # <x|y>, row by row
         return np.einsum("...j,...j->...", x.conj(), y)
 
-    a = np.asarray(mean_t_nr)[..., None]
     dh, h = centred_energy(clock, psi)
-    t_psi, t_h, t_dh = (apply_time(clock, x, mean_t_nr) for x in (psi, h, dh * h))
-    u = t_psi + a * psi  # T psi
-    v = -1j / HBAR * (t_h - dh * t_psi) - psi  # e psi
-    d_th, th = dh * t_h, t_h + a * h  # (H - <H>)(T - <T>) h and T h
-    tr_e = (2.0 / HBAR) * dot(t_psi, h).imag - 1.0  # as clocks.error_trace_from
-
-    brace1 = 2.0 * (dot(u, v).real - mean_t_nr * tr_e)  # tr((E + E^dag) T)
-    brace2 = tr_e * (2.0 + tr_e)
-    # 2 tr E + (i/hbar) tr(H e T rho - T e H rho + H T E - E^dag T H + 2 <T> H (E - E^dag))
-    brace3 = (
-        2.0 * tr_e
-        + (2.0 / HBAR**2) * (dot(d_th, u).real - dot(t_dh, u).real)
-        - (2.0 / HBAR) * (dot(u, h).imag + dot(th, v).imag + 2.0 * mean_t_nr * dot(h, v).imag)
-    )
-    first = wm.mean_w * t / (2.0 * s_nr) * brace1
-    second = -((wm.mean_w * t) ** 2) / (8.0 * s_nr**3) * brace1**2
-    third = -((wm.mean_w * t) ** 2) / (2.0 * s_nr) * brace2
-    fourth = -(wm.mean_w2 * t * t) / (2.0 * s_nr) * brace3
-    return first + second + third + fourth
+    k = dh * h  # D^2 psi
+    x, y, z = (apply_time(clock, ket, mean_t_nr) for ket in (psi, h, k))
+    rate = (2.0 / HBAR) * dot(x, h).imag  # d<T>/dt = 1 + tr E
+    brace1 = (2.0 / HBAR) * dot(x, y).imag
+    brace2 = (rate - 1.0) * (rate + 1.0)
+    d2_q = (2.0 / HBAR**2) * (dot(y, y).real - dot(z, x).real)
+    d2_t = (2.0 / HBAR**2) * (dot(h, y).real - dot(k, x).real)
+    brace3 = d2_q + 4.0 * mean_t_nr * d2_t - 2.0
+    return (shift / (2.0 * s_nr) * brace1 - shift**2 / (8.0 * s_nr**3) * brace1**2
+            - shift**2 / (2.0 * s_nr) * brace2 - shift2 / (2.0 * s_nr) * brace3)
 
 
 def sigma_breakdown(clock, kstate, t, c: float = C_LIGHT) -> PrecisionBreakdown:
@@ -166,6 +151,7 @@ def sigma_breakdown(clock, kstate, t, c: float = C_LIGHT) -> PrecisionBreakdown:
     free = free_reading(clock, t)
     s_nr = free[2]
     s_i = sigma_ideal_term(kstate, t, s_nr, c)
-    s_ni = _nonideal_term(clock, kstate, t, c, *free)
+    wm = w_moments(kstate, c)
+    s_ni = _nonideal_term(clock, *free, t * wm.mean_w, wm.mean_w2 * t * t)
     return PrecisionBreakdown(sigma_nr=s_nr, sigma_i=s_i, sigma_ni=s_ni,
                               total=s_nr + s_i + s_ni)

@@ -244,14 +244,23 @@ def test_verify_run_exit_codes():
     passing = parse_config(bench_config("verify", extra="\n[verify]\nc_scalings = 1,2,4\n"))
     table, code = run(passing)
     assert code == 0
-    assert ("verdict", "pass") in table.metadata
+    assert ("resolved", "True") in table.metadata and ("verdict", "pass") in table.metadata
     # the spread residual of the d = 4 dial falls as c^-4, short of the
     # report's c^-5 rule, and the CLI exits on the report's verdict
-    failing = parse_config(bench_config(
-        "verify", extra="\n[verify]\ntarget = sigma\nc_scalings = 1,2,4\n"))
+    failing_text = bench_config("verify", extra="\n[verify]\ntarget = sigma\nc_scalings = 1,2,4\n")
+    failing = parse_config(failing_text)
     table, code = run(failing)
     assert code == 3
     assert ("verdict", "fail") in table.metadata
+    # at 1e8 times the bench light speed sigma_I + sigma_NI is below 1e-12 of
+    # the spread: every residual is at the floor, yet many times the
+    # correction, so the report judges nothing and does not pass
+    unresolved = re.sub(r"c_scale = .*", "c_scale = 0.011729", failing_text)
+    table, code = run(parse_config(unresolved))
+    assert code == 3
+    for line in (("at_floor", "True"), ("resolved", "False"), ("verdict", "fail")):
+        assert line in table.metadata
+    assert min(row[4] for row in table.rows) > 10.0
 
 
 def test_verify_sigma_target_reports_exponents():
@@ -607,6 +616,10 @@ CONFIG_ERRORS = {
                                     "command 'measurement' needs clock model 'idealised'", None),
     "measurement_needs_sigma_t0": (_edited(_MEASUREMENT, _IDEALISED),
                                    "needs a positive sigma_t0", None),
+    "verify_sigma_needs_zero_gravity": (
+        _edited(bench_config("verify", extra="\n[verify]\ntarget = sigma\n"),
+                ("g = 0.0", "g = 9.81")),
+        "command 'verify' with target 'sigma' is defined at g = 0; set g = 0 in [physics]", None),
     "measurement_needs_gaussian": (
         _edited(_MEASUREMENT, _IDEALISED, ("model = idealised\n",
                                            "model = idealised\nsigma_t0 = 1e-9\n"),

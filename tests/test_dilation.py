@@ -10,7 +10,7 @@ from chronodil.constants import ATOMIC_MASS_UNIT, C_LIGHT
 from chronodil.dilation import classical_proper_time, mean_clock_time, t_coh
 from chronodil.kinematics import CatState, GaussianState
 from covariant_reference import clock_period
-from helpers import coherence_direct
+from helpers import BENCH_T, bench_c, bench_cat, bench_gaussian, coherence_direct
 
 MASS = 27.0 * ATOMIC_MASS_UNIT
 R_AL = 184e-12  # aluminium Van der Waals radius, used as the length unit
@@ -210,7 +210,21 @@ def test_sup_vs_mix_quarter_phase_finite():
     assert abs(coherence_direct(cat, 0.7, 9.81) - res.t_coh) <= 1e-10 * abs(res.t_coh)
 
 
+def _bench_cats_resolving_gravity():
+    # at the bench c an alpha = 0.2 cat's gravitational term is 0.76 of its
+    # motional term; at the physical c it is 1e-9 of it, below the bound
+    for theta in (0.0, 0.7, 2.5):
+        for p0_sigmas in (0.0, 3.0):
+            cat = replace(bench_cat(theta), base=bench_gaussian(p0_sigmas), alpha=0.2)
+            for frac in (0.3, 1.0):
+                yield cat, frac * BENCH_T, 9.81, bench_c()
+
+
 def test_coherence_identity_random_sweep():
+    for cat, t, g, c in _bench_cats_resolving_gravity():
+        closed = t_coh(cat, t, g, c=c).t_coh
+        assert abs(closed - t_coh(cat, t, 0.0, c=c).t_coh) > 0.1 * abs(closed)
+        assert abs(coherence_direct(cat, t, g, c) - closed) <= 1e-10 * abs(closed)
     rng = np.random.default_rng(7)
     for _ in range(100):
         sigma_x = float(rng.uniform(0.5, 4.0)) * R_AL

@@ -87,7 +87,6 @@ def test_moments_match_quadrature(state_maker):
     m = moments(state)
     for k, value in ((1, m.mean_p), (2, m.mean_p2), (4, m.mean_p4)):
         oracle = quadrature_moment(state, k, "p")
-        scale = quadrature_moment(state, k, "p") if k == 1 else oracle
         ref = max(abs(oracle), abs(m.mean_p2 if k == 1 else oracle) ** (k / 2.0)
                   if k > 1 else m.mean_p2**0.5)
         assert abs(value - oracle) < 1e-10 * max(abs(oracle), ref)

@@ -577,5 +577,9 @@ def test_report_at_the_floor_fits_no_exponent():
     lams = np.array([1.0, 2.0, 4.0])
     rows = [(1.0, 1.0 + 1e-15 * k, 1e-6 / lam**2) for k, lam in enumerate(lams, 1)]
     report = _report("mean_clock_time", lams, rows, 1.0, "rel", -1.8)
-    assert report.at_floor and report.passed
+    assert report.at_floor and report.resolved and report.passed
     assert report.exponent_abs is None and report.exponent_rel is None
+    # they cannot judge a correction at or below the floor: unresolved, no pass
+    for corr, resolved in ((2e-12, True), (1e-12, False), (1e-17, False)):
+        report = _report("mean_clock_time", lams, [(1.0, 1.0, corr)] * 3, 1.0, "rel", -1.8)
+        assert report.at_floor and report.resolved == resolved and report.passed == resolved

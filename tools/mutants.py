@@ -1,0 +1,162 @@
+"""Run the standing list of one-line mutants of ``src/chronodil`` against tier-1.
+
+    python tools/mutants.py [PATTERN]
+
+Each mutant is (file, exact old text, new text, reason). The tree is
+copied once to a temporary directory; each mutant replaces its old text,
+which must occur exactly once in its file, runs
+
+    python -m pytest -q -x -p no:cacheprovider --deselect <7a>
+
+in the copy, and puts the file back. A failing run kills the mutant. The
+unmutated copy runs first and must pass. With PATTERN, only the mutants
+whose reason contains it run.
+
+One line per mutant reads ``killed`` or ``survived``. ``KNOWN_SURVIVORS``
+lists the mutants tier-1 is known not to kill; the others must be killed.
+Exit status: 0 when no mutant outside ``KNOWN_SURVIVORS`` survives, 1 when
+one does or a mutant's old text is not found exactly once, 2 when the
+unmutated tree fails. Needs no package beyond the test suite's own, and
+is not part of tier-1: each mutant is a full pytest run, a few minutes in
+all.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+KNOWN_RED = "tests/test_acceptance.py::test_criterion_07a_precision_excess_vs_ideal_term"
+
+KIN, DIL, CLK, CFG = (f"src/chronodil/{name}.py" for name in
+                      ("kinematics", "dilation", "clocks", "config"))
+PRE, MEA, ORA = (f"src/chronodil/{name}.py" for name in ("precision", "measurement", "oracle"))
+
+MUTANTS = [
+    # the mean clock time
+    (KIN, "-m.mean_p2 / (2.0 * mass**2 * c**2)", "-1.01 * m.mean_p2 / (2.0 * mass**2 * c**2)",
+     "r_factor: kinetic term x 1.01"),
+    (KIN, "+ g * m.mean_x / c**2", "+ 1.01 * g * m.mean_x / c**2",
+     "r_factor: height term x 1.01"),
+    (KIN, "+ m.mean_p * g * t / (mass * c**2)", "+ 1.01 * m.mean_p * g * t / (mass * c**2)",
+     "r_factor: momentum-gravity term x 1.01"),
+    (KIN, "- gt * gt / 3.0\n", "- 1.01 * gt * gt / 3.0\n", "r_factor: fall term x 1.01"),
+    (DIL, "correction = t * r * (1.0 + err)", "correction = t * r * (1.0 + 1.01 * err)",
+     "mean_clock_time: error trace in the correction x 1.01"),
+    (CLK, "t_psi.conj(), h_psi).imag - 1.0", "t_psi.conj(), h_psi).imag * 1.01 - 1.01",
+     "error_trace_from: tr E x 1.01"),
+    (DIL, "+ g * x0 / c**2", "+ 1.01 * g * x0 / c**2", "classical proper time: g x0 term x 1.01"),
+    # the coherence term
+    (DIL, "motional = (cat.delta_x0", "motional = 1.01 * (cat.delta_x0",
+     "t_coh: motional term x 1.01"),
+    (DIL, "gravitational = g * cat.delta_x0", "gravitational = 1.01 * g * cat.delta_x0",
+     "t_coh: gravitational term x 1.01"),
+    (DIL, "phase_term = 2.0 *", "phase_term = 2.02 *", "t_coh: phase term x 1.01"),
+    # the spread
+    (PRE, "return t * t * (m.mean_p4 + m.var_p2)", "return 1.01 * t * t * (m.mean_p4 + m.var_p2)",
+     "sigma_ideal_term x 1.01"),
+    (PRE, "return (shift / (2.0 * s_nr) * brace1", "return (1.01 * shift / (2.0 * s_nr) * brace1",
+     "sigma_NI: first term x 1.01"),
+    (PRE, "- shift**2 / (8.0 * s_nr**3)", "- 1.01 * shift**2 / (8.0 * s_nr**3)",
+     "sigma_NI: second term x 1.01"),
+    (PRE, "- shift**2 / (2.0 * s_nr) * brace2", "- 1.01 * shift**2 / (2.0 * s_nr) * brace2",
+     "sigma_NI: third term x 1.01"),
+    (PRE, "- shift2 / (2.0 * s_nr) * brace3", "- 1.01 * shift2 / (2.0 * s_nr) * brace3",
+     "sigma_NI: fourth term x 1.01"),
+    (PRE, "brace1 = (2.0 / HBAR)", "brace1 = 1.01 * (2.0 / HBAR)", "sigma_NI: brace1 x 1.01"),
+    (PRE, "brace2 = (rate - 1.0) * (rate + 1.0)", "brace2 = 1.01 * (rate - 1.0) * (rate + 1.0)",
+     "sigma_NI: brace2 x 1.01"),
+    (PRE, "brace3 = d2_q + 4.0 * mean_t_nr * d2_t - 2.0",
+     "brace3 = 1.01 * (d2_q + 4.0 * mean_t_nr * d2_t - 2.0)", "sigma_NI: brace3 x 1.01"),
+    (PRE, "+ 4.0 * mean_t_nr * d2_t", "- 4.0 * mean_t_nr * d2_t",
+     "sigma_NI: sign of 4 <T> d^2<T>/dt^2 flipped"),
+    # the measurement
+    (MEA, "np.sqrt(clock.sigma_t0**2 + t * t * var_w)", "np.sqrt(clock.sigma_t0**2 + 0.0 * var_w)",
+     "conditioned_sigma: full recovery"),
+    (MEA, "_conditional_w_moments(kstate, *binning.edges(n), c)",
+     "_conditional_w_moments(kstate, -math.inf, math.inf, c)", "conditioned_sigma: no recovery"),
+    (MEA, "clock.sigma_t0**2 + t * t * var_w", "clock.sigma_t0**2 + 1.01 * t * t * var_w",
+     "conditioned_sigma: variance x 1.01"),
+    (MEA, "t * (1.0 + mean_w)", "t * (1.0 + 1.01 * mean_w)", "conditioned_sigma: mean x 1.01"),
+    (MEA, "(-0.5 / mc2 + 3.0 * (p**2 + pc**2) / (8.0 * mc2**2))", "(-0.5 / mc2)",
+     "conditioned_sigma: no c^-4 term"),
+    # the oracle and its verdict
+    (ORA, "elapsed = t - i2 /", "elapsed = t - 1.01 * i2 /", "oracle: c2 coupling x 1.01"),
+    (ORA, "elapsed + 3.0 * i4 /", "elapsed + 3.03 * i4 /", "oracle: c4 coupling x 1.01"),
+    (ORA, "extent = (18.0 * base.sigma_x", "extent = (9.0 * base.sigma_x",
+     "default grid: envelope of half the width"),
+    (ORA, "/ np.dot(x, x))", "/ np.dot(x, x) / 2.0)", "fit exponent halved"),
+    (ORA, "at_floor = all(r < floor for r in residuals)", "at_floor = True",
+     "at_floor always true"),
+    (ORA, '"abs", -5.0)', '"abs", -3.0)', "verify_sigma limit loosened from -5 to -3"),
+    (ORA, "result.correction)", "result.mean_t - result.mean_t_nr)",
+     "verify_mean_time: correction formed as (reading + correction) - reading"),
+    (ORA, "passed=resolved and (at_floor", "passed=(at_floor",
+     "verdict: a correction below the floor passes again"),
+    (CFG, 'sigma_target = cfg.command == "verify" and', "sigma_target = False and",
+     "config: verify target sigma accepted at g != 0"),
+    # killed only where a test pins the floor: a correction of 2e-12 of the
+    # reading is resolved; no verify case at a physical light speed kills them
+    (ORA, "floor = 1e-12 * max(", "floor = 1e-9 * max(", "verdict floor raised to 1e-9"),
+    (ORA, "floor = 1e-12 * max(", "floor = 1e-6 * max(", "verdict floor raised to 1e-6"),
+]
+
+KNOWN_SURVIVORS = [
+    (ORA, '"rel", -1.8)', '"rel", -0.5)', "verify_mean_time limit loosened from -1.8 to -0.5"),
+]
+
+
+def run_tier1(tree: Path) -> bool:
+    """True when tier-1, less the known red, passes in ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                           "--deselect", KNOWN_RED], cwd=tree, env=env,
+                          stdin=subprocess.DEVNULL, capture_output=True)
+    return proc.returncode == 0
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    pattern = argv[0] if argv else ""
+    cases = [(m, False) for m in MUTANTS] + [(m, True) for m in KNOWN_SURVIVORS]
+    cases = [(m, known) for m, known in cases if pattern in m[3]]
+    status = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp, "tree")
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", "perfbench", "BENCH_*.json"))
+        if not run_tier1(tree):
+            print("the unmutated tree fails tier-1; no mutant can be judged")
+            return 2
+        killed = 0
+        for (path, old, new, reason), known in cases:
+            target = tree / path
+            source = target.read_text(encoding="utf-8")
+            if source.count(old) != 1:
+                print(f"STALE     {reason}: old text found {source.count(old)} times in {path}")
+                status = 1
+                continue
+            start = time.perf_counter()
+            target.write_text(source.replace(old, new), encoding="utf-8")
+            try:
+                survived = run_tier1(tree)
+            finally:
+                target.write_text(source, encoding="utf-8")
+            killed += not survived
+            verdict = "survived" if survived else "killed"
+            note = " (known survivor)" if known else ""
+            if survived and not known:
+                note, status = " UNEXPECTED", 1
+            print(f"{verdict:9s} {reason}{note} [{time.perf_counter() - start:.1f} s]", flush=True)
+        print(f"{killed} of {len(cases)} mutants killed")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
