@@ -252,38 +252,19 @@ def spread_from_moments(mean, second):
     return np.sqrt(np.maximum(var, 0.0))
 
 
-def expectation(a: np.ndarray, kets: np.ndarray):
-    """psi^dag A psi of a ket, shape (d,), or of each row of kets, shape (n, d),
-    by einsum loops that take the same kernel for a stack as for one ket, so
-    a stack rounds as its rows do."""
-    if a.shape != (kets.shape[-1],) * 2:
-        raise ValueError(f"dimension mismatch: A {a.shape} vs kets {kets.shape}")
-    return np.einsum("...j,...j->...", kets.conj(), np.einsum("jk,...k->...j", a, kets))
-
-
-def expectation_real(a: np.ndarray, kets: np.ndarray):
-    """Real part of psi^dag A psi, checking that the imaginary part is noise.
-
-    Intended for Hermitian observables; each ket's imaginary magnitude must
-    stay within 1e-9 of its overall scale.
-    """
-    val = expectation(a, kets)
-    scale = np.maximum(np.abs(val), float(np.abs(a).max()) or 1.0)
-    if np.any(np.abs(val.imag) > 1e-9 * scale):
-        raise ValueError(f"expectation has imaginary part {np.max(np.abs(val.imag)):.3e}")
-    return val.real
-
-
 def reading_stats(clock: ClockModel, kets: np.ndarray, weight: float | None = None):
     """(mean, spread) of the clock reading in each ket of a stack, one ket per
     row. With ``weight``, the rows along the second-last axis are instead
     the components of one density matrix weight * sum_n |k_n><k_n|, and one
-    (mean, spread) is returned per index of any axes before them.
+    (mean, spread) is returned per index of any axes before them: the rows'
+    readings are summed and scaled by the weight.
 
     A dial reads its time-basis probabilities p, the mean as p . lambda and
     the variance as p . (lambda - mean)^2, so no large second moment
-    cancels against the squared mean; a dense clock takes psi^dag A psi of
-    its two moment operators, or tr(A rho) of the density matrix."""
+    cancels against the squared mean; a dense clock reads psi^dag A psi of
+    its two moment operators by einsum loops that take the same kernel for
+    a stack as for one ket, so a stack rounds as its rows do. ``ClockModel``
+    holds both operators Hermitian, so the real part is the whole value."""
     if clock.time_values is not None:
         p = time_probabilities(clock, kets)
         if weight is not None:
@@ -293,12 +274,11 @@ def reading_stats(clock: ClockModel, kets: np.ndarray, weight: float | None = No
         mean = p[..., None, :] @ clock.time_values
         dev = clock.time_values - mean
         return mean.sum(axis=-1), np.sqrt(np.sum(p * dev * dev, axis=-1))
-    if weight is None:
-        mean, second = expectation_real(clock.t_cl, kets), expectation_real(clock.t2_cl, kets)
-    else:  # tr(A rho) of each small dense density matrix
-        rho = weight * (np.swapaxes(kets, -1, -2) @ kets.conj())
-        mean, second = (np.sum(op * np.swapaxes(rho, -1, -2), axis=(-2, -1)).real
-                        for op in (clock.t_cl, clock.t2_cl))
+    mean, second = (np.einsum("...j,...j->...", kets.conj(),
+                              np.einsum("jk,...k->...j", op, kets)).real
+                    for op in (clock.t_cl, clock.t2_cl))
+    if weight is not None:
+        mean, second = weight * mean.sum(axis=-1), weight * second.sum(axis=-1)
     return mean, spread_from_moments(mean, second)
 
 

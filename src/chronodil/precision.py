@@ -21,7 +21,9 @@ and the non-idealised term is the four-brace trace expression in terms
 of E(t), e = (i/hbar)[H, T] - I and the W moments, each brace a time
 derivative of the free reading taken from six inner products of kets
 from three applications of T per time through ``clocks.apply_time``
-(the sigma_NI term of ``sigma_breakdown``). A companion
+(the sigma_NI term of ``sigma_breakdown``). That form takes the second
+moment as |(T - <T>) psi|^2, so it holds for a projective time
+measurement only, and a clock whose T2 is not T.T raises. A companion
 ``sigma_dispersion_exact`` gives the excess that exact joint evolution
 produces, t^2 var(W) / (2 sigma_NR), whose leading term keeps var(p^2)
 but not <p^4>; the two closed forms disagree at leading order and the
@@ -119,9 +121,16 @@ def _nonideal_term(clock, psi, mean_t_nr, s_nr, shift, shift2):
     T - a applied to psi, D psi and D^2 psi gives every brace, real by
     construction, from six inner products of kets as small as the spreads.
     ``sigma_breakdown`` has ``sigma_ideal_term`` reject a spread <= 0 first.
+    q is |(T - a) psi|^2 only for a projective measurement: a dense clock
+    whose T2 is not T.T to 1e-12 of its largest entry (the qubit) raises.
     """
     if psi is None:  # an IdealisedClock
         return 0.0
+    if clock.time_values is None:
+        t_cl, t2_cl = clock.t_cl, clock.t2_cl
+        if np.abs(t2_cl - t_cl @ t_cl).max() > 1e-12 * np.abs(t2_cl).max():
+            raise ValueError("sigma_NI assumes a projective time measurement, T2 = T.T; "
+                             "this clock's second-moment operator differs")
 
     def dot(x, y):  # <x|y>, row by row
         return np.einsum("...j,...j->...", x.conj(), y)
@@ -145,7 +154,8 @@ def sigma_breakdown(clock, kstate, t, c: float = C_LIGHT) -> PrecisionBreakdown:
     For an IdealisedClock the free spread is its constant t = 0 value and
     the non-idealised term vanishes identically. At one time ``c`` may be
     a 1-D stack of light speeds, one result per entry; the free spread
-    does not depend on c and stays one value.
+    does not depend on c and stays one value. A ClockModel whose T2 is not
+    T.T, a measurement that is not projective, raises ValueError.
     """
     check_light_speed(c)
     free = free_reading(clock, t)

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from chronodil.clocks import evolve, expectation_real, time_probabilities
+from chronodil.clocks import evolve, time_probabilities
 from chronodil.constants import HBAR
 
 
@@ -84,7 +84,7 @@ def _window_moment(clock, k: int, t: float, period: float) -> float:
         peak0 = (-np.angle(r01) / omega) if abs(r01) > 1e-14 else 0.0
         start = peak0 - period / 2.0 + t
         op = phase_moment_operator(k, start, start + period, omega)
-        return expectation_real(op, psi_t)
+        return float(np.vdot(psi_t, op @ psi_t).real)
     # dial positions start .. start + d - 1, their probabilities rolled into
     # window order; the window moves by whole steps
     d = clock.dim

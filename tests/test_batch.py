@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chronodil.clocks import (IdealisedClock, build_qubit_phase, build_quasi_ideal, build_swp,
-                              evolve, expectation_real, free_reading, spread_from_moments)
+                              evolve, free_reading, spread_from_moments)
 from chronodil.constants import C_LIGHT
 from chronodil.dilation import mean_clock_time
 from chronodil.oracle import clock_time_stats, default_momentum_grid, evolve_characteristics_g
@@ -33,6 +33,14 @@ LIGHT_SPEEDS = np.array([1.0, 2.0, 4.0]) * bench_c()
 
 def _fields(result) -> dict:
     return result if isinstance(result, dict) else dict(vars(result))
+
+
+def _assert_refused_row_by_row(fn, batch):
+    """sigma_NI refuses a clock whose measurement is not projective (the
+    qubit): the batch raises, and so does each of its rows."""
+    for arg in (batch, *batch):
+        with pytest.raises(ValueError, match="projective time measurement"):
+            fn(arg)
 
 
 def _assert_rows_match(batch, rows):
@@ -62,8 +70,15 @@ def test_batch_equals_its_rows(clock_name, state_name):
         lambda t: {"error_trace": free_error_trace(clk, t)},
         lambda t: dict(zip(["mean_t_nr", "sigma_nr"], free_reading(clk, t)[1:])),
         lambda t: mean_clock_time(clk, kstate, t, 9.81, c=c),
-        lambda t: sigma_breakdown(clk, kstate, t, c=c),
     ]
+
+    def breakdown(t):
+        return sigma_breakdown(clk, kstate, t, c=c)
+
+    if clock_name == "qubit":
+        _assert_refused_row_by_row(breakdown, TIMES)
+    else:
+        quantities.append(breakdown)
     # a dial reads each ket's mean and spread, and centres its energy, by one
     # reduction per ket, the qubit by einsum loops, and an idealised clock
     # reads t and sigma_t0
@@ -103,16 +118,6 @@ def test_ideal_term_guard_raises_on_one_zero_row():
         sigma_ideal_term(bench_gaussian(), TIMES[1], sig[1], bench_c())
     with pytest.raises(ValueError, match="must be positive"):
         sigma_ideal_term(bench_gaussian(), TIMES[:3], sig, bench_c())
-
-
-def test_expectation_real_guard_raises_on_one_complex_row():
-    raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # <psi|a|psi> = psi_0^* psi_1
-    kets = np.array([[1.0, 0.0], [1.0, 1j], [0.0, 1.0]]) / np.array([[1.0], [np.sqrt(2)], [1.0]])
-    with pytest.raises(ValueError, match="imaginary part"):
-        expectation_real(raising, kets[1])
-    with pytest.raises(ValueError, match="imaginary part"):
-        expectation_real(raising, kets)
-    np.testing.assert_array_equal(expectation_real(raising, kets[[0, 2]]), [0.0, 0.0])
 
 
 def test_breakdown_builds_no_time_stacked_operator():
@@ -162,10 +167,15 @@ def test_mean_clock_time_evolves_once(clock_name, monkeypatch):
 def test_light_speed_stack_equals_its_rows(clock_name, state_name):
     # at one time, a 1-D c gives one value per light speed
     clk, kstate = CLOCKS[clock_name], STATES[state_name]
-    quantities = [
-        lambda c: mean_clock_time(clk, kstate, BENCH_T, 9.81, c=c),
-        lambda c: sigma_breakdown(clk, kstate, BENCH_T, c=c),
-    ]
+    quantities = [lambda c: mean_clock_time(clk, kstate, BENCH_T, 9.81, c=c)]
+
+    def breakdown(c):
+        return sigma_breakdown(clk, kstate, BENCH_T, c=c)
+
+    if clock_name == "qubit":
+        _assert_refused_row_by_row(breakdown, LIGHT_SPEEDS)
+    else:
+        quantities.append(breakdown)
     for fn in quantities:
         _assert_rows_match(fn(LIGHT_SPEEDS), [fn(c) for c in LIGHT_SPEEDS])
 

@@ -261,6 +261,17 @@ def test_verify_run_exit_codes():
     for line in (("at_floor", "True"), ("resolved", "False"), ("verdict", "fail")):
         assert line in table.metadata
     assert min(row[4] for row in table.rows) > 10.0
+    # at whole dial steps the d = 4 dial sits in a time ket, tr E = -1 and the
+    # correction t R (1 + tr E) is rounding: its residuals stand above the
+    # floor and fall as c^-2, yet the report does not pass
+    passing_text = bench_config("verify", extra="\n[verify]\nc_scalings = 1,2,4\n")
+    for frac in (0.25, 0.5, 0.75):
+        text = passing_text.replace(f"t = {BENCH_T!r}", f"t = {frac * BENCH_PERIOD!r}")
+        table, code = run(parse_config(text))
+        assert code == 3
+        for line in (("at_floor", "False"), ("resolved", "False"), ("verdict", "fail")):
+            assert line in table.metadata
+        assert min(row[4] for row in table.rows) > 1e12
 
 
 def test_verify_sigma_target_reports_exponents():
@@ -408,6 +419,19 @@ def test_verify_on_idealised_clock_exits_2_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(["verify", "--config", str(cfg_path), "--out", str(out), "--no-timestamp"]) == 2
     assert "needs a ClockModel" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("precision", ""), ("verify", "\n[verify]\ntarget = sigma\n")], ids=["precision", "verify"])
+def test_spread_of_the_qubit_exits_2_and_writes_nothing(command, extra, tmp_path, capsys):
+    # sigma_NI assumes a projective measurement; the phase clock's is not
+    cfg_path = tmp_path / "qubit.cfg"
+    cfg_path.write_text(bench_config(command, extra=extra).replace("model = swp\nd = 4\n",
+                                                                   "model = qubit_phase\n"))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg_path), "--out", str(out), "--no-timestamp"]) == 2
+    assert "assumes a projective time measurement" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chronodil.clocks import expectation, expectation_real
 from covariant_reference import projector
 from dense_reference import evolve_hermitian, is_hermitian
 from helpers import random_density, random_hermitian
@@ -55,31 +54,6 @@ def test_evolution_preserves_trace_and_positivity(seed):
     out = evolve_hermitian(h, rho, float(rng.normal()), HBAR_ONE)
     assert abs(np.trace(out).real - 1.0) < 1e-10
     assert np.linalg.eigvalsh(out).min() > -1e-10
-
-
-def random_ket(rng: np.random.Generator, d: int) -> np.ndarray:
-    ket = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return ket / np.linalg.norm(ket)
-
-
-def test_expectation_examples():
-    ket = random_ket(np.random.default_rng(4), 3)
-    assert np.isclose(expectation(np.eye(3, dtype=complex), ket), 1.0)
-    sigma_z = np.diag([-1.0, 1.0]).astype(complex)
-    assert np.isclose(expectation_real(sigma_z, np.array([1.0, 0.0])), -1.0)
-    with pytest.raises(ValueError, match="mismatch"):
-        expectation(np.eye(3, dtype=complex), np.array([1.0, 0.0]))
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_expectation_hermitian_is_real(seed):
-    rng = np.random.default_rng(seed)
-    a = random_hermitian(rng, 4)
-    ket = random_ket(rng, 4)
-    assert abs(expectation(a, ket).imag) < 1e-12 * max(1.0, abs(expectation(a, ket)))
-    # the ket value is the density-matrix trace tr(A |psi><psi|)
-    assert abs(expectation(a, ket) - np.trace(a @ projector(ket))) < 1e-12 * np.abs(a).max()
 
 
 def test_local_evolution_commutes_with_partial_trace():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -367,6 +369,25 @@ def test_verify_mean_time_with_gravity():
                               c_scalings=(1.0, 2.0, 4.0), base_c=bench_c())
     assert report.passed
     assert report.exponent_rel < -1.8
+
+
+def test_verify_mean_time_fails_a_first_order_defect(monkeypatch):
+    # a closed form off by 1e-2 of its correction / lambda, lambda = c / min(c),
+    # leaves relative residuals near 1.2e-2, 5e-3 and 2.6e-3: an exponent
+    # near -1.1 that the -1.8 limit fails and a looser one would pass
+    real = oracle.mean_clock_time
+
+    def defective(clock, kstate, t, g, c):
+        result = real(clock, kstate, t, g, c=c)
+        lam = c / np.min(c)
+        return dataclasses.replace(result, mean_t=result.mean_t + 1e-2 * result.correction / lam)
+
+    monkeypatch.setattr(oracle, "mean_clock_time", defective)
+    report = verify_mean_time(build_swp(4, BENCH_OMEGA), bench_gaussian(), BENCH_T, G_EARTH,
+                              c_scalings=LAMS, base_c=bench_c())
+    assert report.resolved and not report.at_floor
+    assert -1.8 < report.exponent_rel < -0.5
+    assert not report.passed
 
 
 def test_oracle_confirms_coherence_split():

@@ -14,7 +14,7 @@ from chronodil.precision import (
     w_of_p,
 )
 from covariant_reference import clock_period
-from dense_reference import sigma_nonideal_term_dense
+from dense_reference import dense_moment_operators, sigma_nonideal_term_dense
 from helpers import BENCH_OMEGA, bench_c, bench_cat, bench_gaussian, free_error_trace
 
 ELECTRON_NM = GaussianState(x0=0.0, p0=0.0, sigma_x=1e-9, mass=ELECTRON_MASS)
@@ -144,15 +144,30 @@ def test_sigma_nonideal_swp_nonzero_and_real():
     assert value != 0.0
 
 
+def dense_dial(d: int) -> ClockModel:
+    """The d-level dial stored as dense T and T2 = T.T: a projective clock
+    read through the dense path that the qubit takes."""
+    dial = build_swp(d, BENCH_OMEGA)
+    t_op, t2_op = dense_moment_operators(dial)
+    return ClockModel(dial.energies, dial.psi0, t_cl=t_op, t2_cl=t2_op)
+
+
+QUBIT = build_qubit_phase(BENCH_OMEGA)
+
+
 @pytest.mark.parametrize("clk", [
-    build_swp(4, BENCH_OMEGA), build_quasi_ideal(8, BENCH_OMEGA, np.sqrt(8.0), m0=2.0),
-    build_qubit_phase(BENCH_OMEGA),
-], ids=["swp4", "quasi_ideal8", "qubit"])
+    build_swp(4, BENCH_OMEGA), dense_dial(4),
+    build_quasi_ideal(8, BENCH_OMEGA, np.sqrt(8.0), m0=2.0), QUBIT,
+], ids=["swp4", "swp4_dense", "quasi_ideal8", "qubit"])
 def test_sigma_nonideal_matches_dense_reference(clk):
     c = bench_c()
     for state in (bench_gaussian(), bench_cat()):
         for frac in (0.05, 0.13, 0.275, 0.4, 0.61, 0.87):
             t = frac * clock_period(clk)
+            if clk is QUBIT:  # sigma_NI assumes a projective measurement; T2 is not T.T
+                with pytest.raises(ValueError, match="assumes a projective time measurement"):
+                    sigma_ni(clk, state, t, c=c)
+                continue
             dense = sigma_nonideal_term_dense(clk, state, t, c=c)
             assert dense != 0.0
             assert abs(sigma_ni(clk, state, t, c=c) - dense) < 1e-10 * abs(dense)

@@ -95,10 +95,21 @@ MUTANTS = [
     (ORA, "at_floor = all(r < floor for r in residuals)", "at_floor = True",
      "at_floor always true"),
     (ORA, '"abs", -5.0)', '"abs", -3.0)', "verify_sigma limit loosened from -5 to -3"),
+    (ORA, '"rel", -1.8)', '"rel", -0.5)', "verify_mean_time limit loosened from -1.8 to -0.5"),
     (ORA, "result.correction)", "result.mean_t - result.mean_t_nr)",
      "verify_mean_time: correction formed as (reading + correction) - reading"),
     (ORA, "passed=resolved and (at_floor", "passed=(at_floor",
      "verdict: a correction below the floor passes again"),
+    (ORA, "passed=resolved and (at_floor", "passed=(resolved or not at_floor) and (at_floor",
+     "verdict: an unresolved correction whose residuals decay passes"),
+    # the dense clock's read
+    (CLK, "weight * mean.sum(axis=-1), weight * second.sum(axis=-1)",
+     "mean.sum(axis=-1), second.sum(axis=-1)",
+     "reading_stats: dense density read without its weight"),
+    (CLK, "weight * mean.sum(axis=-1), weight * second.sum(axis=-1)",
+     "weight * mean, weight * second", "reading_stats: dense density read without its row sum"),
+    (PRE, "if np.abs(t2_cl - t_cl @ t_cl).max()", "if 0.0 * np.abs(t2_cl - t_cl @ t_cl).max()",
+     "sigma_NI: projective rule removed"),
     (CFG, 'sigma_target = cfg.command == "verify" and', "sigma_target = False and",
      "config: verify target sigma accepted at g != 0"),
     # killed only where a test pins the floor: a correction of 2e-12 of the
@@ -107,9 +118,7 @@ MUTANTS = [
     (ORA, "floor = 1e-12 * max(", "floor = 1e-6 * max(", "verdict floor raised to 1e-6"),
 ]
 
-KNOWN_SURVIVORS = [
-    (ORA, '"rel", -1.8)', '"rel", -0.5)', "verify_mean_time limit loosened from -1.8 to -0.5"),
-]
+KNOWN_SURVIVORS = []
 
 
 def run_tier1(tree: Path) -> bool:
