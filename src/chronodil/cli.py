@@ -272,10 +272,11 @@ def _run_measurement(cfg: RunConfig) -> tuple[CsvTable, int]:
     times = cfg.times()
     q_values = cfg.get("measurement", "q_values")
     n = cfg.get("measurement", "bin")
+    # the infinite bin (no measurement) reads no sigma_p, so it runs first: conditioned_sigma
+    # rejects a clock or state it cannot condition before the bins below read sigma_p
+    unconditioned = conditioned_sigma(clock, kstate, times, MomentumBinning(np.inf), 0, c=c)
     per_q = [(q, conditioned_sigma(clock, kstate, times, MomentumBinning(q * kstate.sigma_p), n,
                                    c=c)) for q in q_values]
-    # a bin of infinite width is no measurement
-    unconditioned = conditioned_sigma(clock, kstate, times, MomentumBinning(np.inf), 0, c=c)
     rows = [[t, q, n, res.probability, res.sigma_t_given_n[i], clock.sigma_t0,
              unconditioned.sigma_t_given_n[i]] for i, t in enumerate(times) for q, res in per_q]
     header = ["t", "q", "bin", "probability", "sigma_conditioned", "sigma_nr",
@@ -428,16 +429,15 @@ def main(argv=None) -> int:
         print(f"chronodil: {exc}", file=sys.stderr)
         return 2
 
-    out_path = args.out or cfg.get("run", "out")
-    if out_path:
-        with open(out_path, "wb") as fh:
+    if args.out:
+        with open(args.out, "wb") as fh:
             fh.write(csv.getbuffer())
     else:
         sys.stdout.flush()
         sys.stdout.buffer.write(csv.getbuffer())
 
     if args.plot_script:
-        script = emit_plot_script(table, cfg.command, csv_path=out_path or "out.csv")
+        script = emit_plot_script(table, cfg.command, csv_path=args.out or "out.csv")
         with open(args.plot_script, "w", encoding="utf-8") as fh:
             fh.write(script)
     return code

@@ -50,7 +50,6 @@ _SCHEMA: dict[str, dict[str, KeySpec]] = {
     "run": {
         "command": KeySpec("str", required=True, choices=COMMANDS),
         "seed": KeySpec("int", default=0),
-        "out": KeySpec("str", default=None),
     },
     "clock": {
         "model": KeySpec("str", choices=("swp", "quasi_ideal", "qubit_phase", "idealised"),
@@ -228,19 +227,15 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate_semantics(cfg: RunConfig) -> None:
+    """The cross-key rules no library function can see: a g the command's
+    function does not take, the time grid, and the cat that ``sweep`` reshapes
+    before ``t_coh`` sees it. The library checks whatever it takes in."""
     if cfg.command in ("coherence", "sweep") and cfg.get("kinematics", "type") != "cat":
         raise ConfigError(f"command {cfg.command!r} needs kinematics type 'cat'")
     sigma_target = cfg.command == "verify" and cfg.get("verify", "target") == "sigma"
     if cfg.get("physics", "g") != 0.0 and (sigma_target or cfg.command in ("precision", "measurement")):
         what = "command 'verify' with target 'sigma'" if sigma_target else f"command {cfg.command!r}"
         raise ConfigError(f"{what} is defined at g = 0; set g = 0 in [physics]")
-    if cfg.command == "measurement":
-        if cfg.get("clock", "model") != "idealised":
-            raise ConfigError("command 'measurement' needs clock model 'idealised'")
-        if cfg.get("clock", "sigma_t0") <= 0.0:
-            raise ConfigError("command 'measurement' needs a positive sigma_t0 in [clock]")
-        if cfg.get("kinematics", "type") != "gaussian":
-            raise ConfigError("command 'measurement' needs kinematics type 'gaussian'")
     if cfg.get("physics", "t") is None:
         cfg._time_grid()  # raises when the time grid keys are incomplete
         if cfg.command in ("verify", "sweep"):  # a grid holds at least two times

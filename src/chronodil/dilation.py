@@ -115,8 +115,11 @@ def t_coh(cat: CatState, t, g: float, c: float = C_LIGHT) -> CoherenceResult:
     The sin(theta) piece is the expanded form of (N-1) tan(theta), finite
     at cos(theta) = 0. The mixture that matches the cat's weights has
     R = alpha R_1 + (1-alpha) R_2 and reads t (1 + R) in the good-clock
-    limit, so the error trace is neglected throughout.
+    limit, so the error trace is neglected throughout. Raises TypeError on
+    a state other than a CatState.
     """
+    if not isinstance(cat, CatState):
+        raise TypeError(f"the coherence term needs a CatState, got {type(cat).__name__}")
     check_light_speed(c)
     g_state = cat.base
     sv = g_state.sigma_p / g_state.mass

@@ -14,6 +14,7 @@ from chronodil.cli import CsvTable, emit_plot_script, main, run, write_csv
 from chronodil.clocks import build_qubit_phase
 from chronodil.config import ConfigError, RunConfig, echo_lines, parse_config
 from chronodil.dilation import mean_clock_time
+from chronodil.measurement import MomentumBinning, _conditional_w_moments
 from chronodil.constants import C_LIGHT, HBAR
 from helpers import (BENCH_MASS, BENCH_OMEGA, BENCH_PERIOD, BENCH_SIGMA_X, BENCH_T, bench_c,
                      reference_write_csv)
@@ -435,6 +436,42 @@ def test_spread_of_the_qubit_exits_2_and_writes_nothing(command, extra, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    (("model = idealised\nsigma_t0 = 1e-9", f"model = swp\nd = 4\nomega = {BENCH_OMEGA!r}"),
+     "conditioning needs an IdealisedClock, got ClockModel"),
+    (("type = gaussian", "type = cat\ndelta_x0 = 3e-7"),
+     "conditioning needs a GaussianState, got CatState"),
+], ids=["dial", "cat"])
+def test_measurement_input_the_library_rejects_exits_2_and_writes_nothing(edit, message,
+                                                                          tmp_path, capsys):
+    # conditioned_sigma is the only check of the clock and the state it conditions
+    cfg_path = tmp_path / "m.cfg"
+    cfg_path.write_text(_edited(measurement_config(), edit))
+    out = tmp_path / "out.csv"
+    assert main(["measurement", "--config", str(cfg_path), "--out", str(out),
+                 "--no-timestamp"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_measurement_at_zero_sigma_t0_is_the_motional_spread(tmp_path):
+    # sigma_t0 = 0 is a valid IdealisedClock: each spread is t sqrt(var(W | n)) alone
+    cfg_path, out = tmp_path / "m.cfg", tmp_path / "m.csv"
+    cfg_path.write_text(_edited(measurement_config(), ("sigma_t0 = 1e-9", "sigma_t0 = 0.0")))
+    assert main(["measurement", "--config", str(cfg_path), "--out", str(out),
+                 "--no-timestamp"]) == 0
+    cfg = parse_config(cfg_path.read_text())
+    kstate = cfg.kinematic_state()
+    rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")]
+    header, cells = rows[0], np.array(rows[1:], dtype=float)
+    assert np.all(cells[:, header.index("sigma_nr")] == 0.0)
+    for t, q, n, sigma in cells[:, [header.index(key) for key in
+                                    ("t", "q", "bin", "sigma_conditioned")]]:
+        edges = MomentumBinning(q * kstate.sigma_p).edges(int(n))
+        var_w = _conditional_w_moments(kstate, *edges, cfg.c_light())[2]
+        assert abs(sigma - t * np.sqrt(var_w)) <= 1e-15 * sigma
+
+
 @pytest.mark.parametrize("target", ["mean_time", "sigma"])
 @pytest.mark.parametrize("edit, message", [
     (("c_scalings = 1,2,4", "c_scalings = 1, 1, 1"), "at least two distinct c scalings"),
@@ -603,8 +640,6 @@ def _edited(text: str, *edits: tuple[str, str]) -> str:
     return text
 
 
-_MEASUREMENT = bench_config("measurement")
-_IDEALISED = ("model = swp\nd = 4\n", "model = idealised\n")
 # (config, message, the offending line or None): one case per ConfigError the
 # parser or a builder raises. The parser names the line; the builders and the
 # cross-key rules, which read more than one line, name none
@@ -636,19 +671,12 @@ CONFIG_ERRORS = {
                         "seed = 3"),
     "coherence_needs_cat": (bench_config("coherence"),
                             "command 'coherence' needs kinematics type 'cat'", None),
-    "measurement_needs_idealised": (_MEASUREMENT,
-                                    "command 'measurement' needs clock model 'idealised'", None),
-    "measurement_needs_sigma_t0": (_edited(_MEASUREMENT, _IDEALISED),
-                                   "needs a positive sigma_t0", None),
     "verify_sigma_needs_zero_gravity": (
         _edited(bench_config("verify", extra="\n[verify]\ntarget = sigma\n"),
                 ("g = 0.0", "g = 9.81")),
         "command 'verify' with target 'sigma' is defined at g = 0; set g = 0 in [physics]", None),
-    "measurement_needs_gaussian": (
-        _edited(_MEASUREMENT, _IDEALISED, ("model = idealised\n",
-                                           "model = idealised\nsigma_t0 = 1e-9\n"),
-                ("type = gaussian", "type = cat")),
-        "command 'measurement' needs kinematics type 'gaussian'", None),
+    "run_out": (_edited(MINIMAL_DILATION, ("seed = 3", "seed = 3\nout = x.csv")),
+                "unknown key 'out' in section [run]", "out = x.csv"),
 }
 
 

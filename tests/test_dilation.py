@@ -165,6 +165,11 @@ def test_t_coh_zero_separation():
     assert res.t_coh == 0.0
 
 
+def test_t_coh_rejects_a_state_that_is_not_a_cat():
+    with pytest.raises(TypeError, match="needs a CatState, got GaussianState"):
+        t_coh(gaussian(), 1.0, 9.81)
+
+
 def test_t_coh_balanced_superposition_drops_gravity_term():
     # alpha = 1/2 removes the gravitational piece; only the velocity-spread
     # piece survives, so the value is g-independent

@@ -86,6 +86,12 @@ MUTANTS = [
     (MEA, "t * (1.0 + mean_w)", "t * (1.0 + 1.01 * mean_w)", "conditioned_sigma: mean x 1.01"),
     (MEA, "(-0.5 / mc2 + 3.0 * (p**2 + pc**2) / (8.0 * mc2**2))", "(-0.5 / mc2)",
      "conditioned_sigma: no c^-4 term"),
+    # the input checks that no config rule repeats
+    (MEA, "if not isinstance(clock, IdealisedClock):", "if False:",
+     "conditioned_sigma: clock check removed"),
+    (MEA, "if not isinstance(kstate, GaussianState):", "if False:",
+     "conditioned_sigma: state check removed"),
+    (DIL, "if not isinstance(cat, CatState):", "if False:", "t_coh: state check removed"),
     # the oracle and its verdict
     (ORA, "elapsed = t - i2 /", "elapsed = t - 1.01 * i2 /", "oracle: c2 coupling x 1.01"),
     (ORA, "elapsed + 3.0 * i4 /", "elapsed + 3.03 * i4 /", "oracle: c4 coupling x 1.01"),
