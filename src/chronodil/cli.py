@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .config import COMMANDS, ConfigError, RunConfig, echo_lines, linear_grid, parse_config
+from .config import COMMANDS, RunConfig, echo_lines, linear_grid, parse_config
 from .constants import C_LIGHT, HBAR
 
 SCHEMA_VERSION = 1
@@ -38,6 +38,12 @@ class CsvTable:
     header: list[str]
     rows: list | np.ndarray  # one sequence of cells per row
     metadata: list[tuple[str, str]] = field(default_factory=list)
+
+
+def _columns(**columns) -> CsvTable:
+    """A table whose header is the keyword names, one column per value; a
+    scalar, as an IdealisedClock's columns are, repeats down every row."""
+    return CsvTable(list(columns), np.column_stack(np.broadcast_arrays(*columns.values())))
 
 
 def _metadata(cfg: RunConfig, timestamp: bool) -> list[tuple[str, str]]:
@@ -83,9 +89,9 @@ def write_csv(table: CsvTable, cfg: RunConfig, stream) -> None:
     formats = [_cell_format(v) for v in table.rows[0]]
     if values.size < _KERNEL_MIN_CELLS or "%d" in formats:
         template = ",".join(formats) + "\n"
-        # Python scalars format faster than numpy's, and to the same bytes
-        rows = table.rows.tolist() if isinstance(table.rows, np.ndarray) else table.rows
-        stream.write("".join(template % tuple(row) for row in rows).encode())
+        # Python floats format faster than numpy's, to the same bytes; '%d' of
+        # an integral float prints the integer's digits
+        stream.write("".join(template % tuple(row) for row in values.tolist()).encode())
         return
     step = max(1, _BLOCK_CELLS // len(formats))
     for start in range(0, len(values), step):
@@ -227,11 +233,9 @@ def _run_dilation(cfg: RunConfig) -> tuple[CsvTable, int]:
     g = cfg.get("physics", "g")
     c = cfg.c_light()
     res = mean_clock_time(clock, kstate, cfg.times(), g, c=c)
-    rows = np.column_stack(np.broadcast_arrays(  # an IdealisedClock's columns are scalars
-        res.t, res.mean_t_nr, res.r_factor, res.error_trace, res.mean_t,
-        res.classical_tau))
-    header = ["t", "mean_t_nr", "r_factor", "error_trace", "mean_t", "classical_tau"]
-    return CsvTable(header=header, rows=rows), 0
+    return _columns(t=res.t, mean_t_nr=res.mean_t_nr, r_factor=res.r_factor,
+                    error_trace=res.error_trace, mean_t=res.mean_t,
+                    classical_tau=res.classical_tau), 0
 
 
 def _run_coherence(cfg: RunConfig) -> tuple[CsvTable, int]:
@@ -243,10 +247,8 @@ def _run_coherence(cfg: RunConfig) -> tuple[CsvTable, int]:
     c = cfg.c_light()
     times = cfg.times()
     res = t_coh(cat, times, g, c=c)
-    rows = np.column_stack(np.broadcast_arrays(times, norm_factor(cat), res.t_sup, res.t_mix,
-                                               res.t_coh))
-    header = ["t", "norm_factor", "t_sup", "t_mix", "t_coh"]
-    return CsvTable(header=header, rows=rows), 0
+    return _columns(t=times, norm_factor=norm_factor(cat),
+                    t_sup=res.t_sup, t_mix=res.t_mix, t_coh=res.t_coh), 0
 
 
 def _run_precision(cfg: RunConfig) -> tuple[CsvTable, int]:
@@ -257,10 +259,8 @@ def _run_precision(cfg: RunConfig) -> tuple[CsvTable, int]:
     c = cfg.c_light()
     times = cfg.times()
     br = sigma_breakdown(clock, kstate, times, c=c)
-    rows = np.column_stack(np.broadcast_arrays(  # an IdealisedClock's columns are scalars
-        times, br.sigma_nr, br.sigma_i, br.sigma_ni, br.total))
-    header = ["t", "sigma_nr", "sigma_i", "sigma_ni", "sigma_total"]
-    return CsvTable(header=header, rows=rows), 0
+    return _columns(t=times, sigma_nr=br.sigma_nr, sigma_i=br.sigma_i, sigma_ni=br.sigma_ni,
+                    sigma_total=br.total), 0
 
 
 def _run_measurement(cfg: RunConfig) -> tuple[CsvTable, int]:
@@ -277,6 +277,7 @@ def _run_measurement(cfg: RunConfig) -> tuple[CsvTable, int]:
     unconditioned = conditioned_sigma(clock, kstate, times, MomentumBinning(np.inf), 0, c=c)
     per_q = [(q, conditioned_sigma(clock, kstate, times, MomentumBinning(q * kstate.sigma_p), n,
                                    c=c)) for q in q_values]
+    # a row list, not _columns: the integer bin column keeps its '%d' cells
     rows = [[t, q, n, res.probability, res.sigma_t_given_n[i], clock.sigma_t0,
              unconditioned.sigma_t_given_n[i]] for i, t in enumerate(times) for q, res in per_q]
     header = ["t", "q", "bin", "probability", "sigma_conditioned", "sigma_nr",
@@ -297,10 +298,9 @@ def _run_verify(cfg: RunConfig) -> tuple[CsvTable, int]:
         report = verify_mean_time(clock, kstate, t, g, c_scalings=scalings, base_c=c)
     else:
         report = verify_sigma(clock, kstate, t, c_scalings=scalings, base_c=c)
-    rows = list(zip(report.c_scalings, report.perturbative, report.exact,
-                    report.residuals, report.relative_residuals))
-    header = ["c_scaling", "perturbative", "exact", "residual", "relative_residual"]
-    table = CsvTable(header=header, rows=rows)
+    table = _columns(c_scaling=report.c_scalings, perturbative=report.perturbative,
+                     exact=report.exact, residual=report.residuals,
+                     relative_residual=report.relative_residuals)
     table.metadata.append(("quantity", report.quantity))
     table.metadata.append(("exponent_abs", repr(report.exponent_abs)))
     table.metadata.append(("exponent_rel", repr(report.exponent_rel)))
@@ -321,9 +321,8 @@ def _run_sweep(cfg: RunConfig) -> tuple[CsvTable, int]:
     separations = ratios * cat.sigma_x
     # one cat holding every separation: the closed form runs once, elementwise
     res = t_coh(replace(cat, delta_x0=separations), t, g, c=c)
-    rows = np.column_stack((ratios, separations, res.t_sup, res.t_mix, res.t_coh))
-    header = ["delta_x0_over_sigma_x", "delta_x0", "t_sup", "t_mix", "t_coh"]
-    return CsvTable(header=header, rows=rows), 0
+    return _columns(delta_x0_over_sigma_x=ratios, delta_x0=separations,
+                    t_sup=res.t_sup, t_mix=res.t_mix, t_coh=res.t_coh), 0
 
 
 _RUNNERS = {
@@ -385,7 +384,7 @@ def emit_plot_script(table: CsvTable, kind: str, csv_path: str = "out.csv") -> s
             f"plot '{csv_path}' using {x_col}:{y_col} with lines title 'coherence term'",
         ]
     else:
-        raise ValueError(f"unsupported table kind {kind!r}")
+        raise ValueError("--plot-script only supports measurement and sweep tables")
     return "\n".join(lines) + "\n"
 
 
@@ -408,16 +407,12 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
-    except (OSError, ConfigError) as exc:
+    except (OSError, ValueError) as exc:  # a ConfigError, or a file that is not UTF-8
         print(f"chronodil: config error: {exc}", file=sys.stderr)
         return 2
     if cfg.command != args.command:
         print(f"chronodil: config declares command {cfg.command!r}, "
               f"got {args.command!r} on the command line", file=sys.stderr)
-        return 2
-    if args.plot_script and cfg.command not in ("measurement", "sweep"):
-        print("chronodil: --plot-script only supports measurement and sweep tables",
-              file=sys.stderr)
         return 2
 
     csv = io.BytesIO()
@@ -425,6 +420,8 @@ def main(argv=None) -> int:
         table, code = run(cfg)
         table.metadata = _metadata(cfg, timestamp=not args.no_timestamp) + table.metadata
         write_csv(table, cfg, csv)
+        if args.plot_script:
+            script = emit_plot_script(table, cfg.command, csv_path=args.out or "out.csv")
     except (ValueError, TypeError) as exc:
         print(f"chronodil: {exc}", file=sys.stderr)
         return 2
@@ -437,7 +434,6 @@ def main(argv=None) -> int:
         sys.stdout.buffer.write(csv.getbuffer())
 
     if args.plot_script:
-        script = emit_plot_script(table, cfg.command, csv_path=args.out or "out.csv")
         with open(args.plot_script, "w", encoding="utf-8") as fh:
             fh.write(script)
     return code

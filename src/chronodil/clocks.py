@@ -88,7 +88,7 @@ class ClockModel:
         psi = np.asarray(self.psi0)
         if psi.shape != (d,):
             raise ValueError(f"psi0 must have shape {(d,)}, got {psi.shape}")
-        if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
+        if not (abs(np.linalg.norm(psi) - 1.0) <= 1e-12):  # a NaN norm fails too
             raise ValueError(f"psi0 must be a unit ket, got norm {np.linalg.norm(psi)!r}")
         if self.time_values is not None:
             if self.t_cl is not None or self.t2_cl is not None:
@@ -104,7 +104,7 @@ class ClockModel:
             if op.shape != (d, d):
                 raise ValueError(f"{name} must have shape {(d, d)}, got {op.shape}")
             defect = np.abs(op - op.conj().T).max()
-            if defect > 1e-12 * np.abs(op).max():
+            if not (defect <= 1e-12 * np.abs(op).max()):  # a NaN entry fails too
                 raise ValueError(f"{name} must be Hermitian: max |A - A^dag| = {defect:.3e}")
 
     @property

@@ -226,7 +226,7 @@ def to_grid(state, grid: np.ndarray) -> np.ndarray:
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
     captured = float(np.min(np.sum(np.abs(amps) ** 2, axis=-1) * dp))
-    if captured < 1.0 - 1e-6:
+    if not (captured >= 1.0 - 1e-6):  # a NaN norm fails too
         raise ValueError(
             f"grid too narrow: captured norm {captured!r} < 1 - 1e-6; widen the span"
         )

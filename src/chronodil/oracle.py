@@ -86,7 +86,7 @@ class VerificationReport:
 def _check_norm(js: JointState) -> JointState:
     norms = np.ravel(js.norm())
     worst = float(norms[np.argmax(np.abs(norms - 1.0))])
-    if abs(worst - 1.0) > 1e-8:
+    if not (abs(worst - 1.0) <= 1e-8):  # a NaN norm fails too
         raise ValueError(f"grid under-resolution: joint norm {worst!r} deviates from 1")
     return js
 

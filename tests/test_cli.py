@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import os
 import re
@@ -12,9 +13,12 @@ from hypothesis import given, settings, strategies as st
 from chronodil import cli
 from chronodil.cli import CsvTable, emit_plot_script, main, run, write_csv
 from chronodil.clocks import build_qubit_phase
-from chronodil.config import ConfigError, RunConfig, echo_lines, parse_config
-from chronodil.dilation import mean_clock_time
-from chronodil.measurement import MomentumBinning, _conditional_w_moments
+from chronodil.config import ConfigError, RunConfig, echo_lines, linear_grid, parse_config
+from chronodil.dilation import mean_clock_time, t_coh
+from chronodil.kinematics import norm_factor
+from chronodil.measurement import MomentumBinning, _conditional_w_moments, conditioned_sigma
+from chronodil.oracle import verify_mean_time
+from chronodil.precision import sigma_breakdown
 from chronodil.constants import C_LIGHT, HBAR
 from helpers import (BENCH_MASS, BENCH_OMEGA, BENCH_PERIOD, BENCH_SIGMA_X, BENCH_T, bench_c,
                      reference_write_csv)
@@ -583,6 +587,66 @@ def test_cli_bytes_of_every_command_match_the_per_row_writer(kernel_min_cells, t
         assert outs[0].count(b"\n") > 20 or command == "verify", command
 
 
+def _library_columns(cfg: RunConfig) -> dict:
+    """The value of each CSV column of ``cfg``'s command, by column name, from
+    the library call whose field it names."""
+    g, c, times = cfg.get("physics", "g"), cfg.c_light(), cfg.times()
+    if cfg.command == "dilation":
+        res = mean_clock_time(cfg.clock(), cfg.kinematic_state(), times, g, c=c)
+        return {name: getattr(res, name) for name in
+                ("t", "mean_t_nr", "r_factor", "error_trace", "mean_t", "classical_tau")}
+    if cfg.command == "coherence":
+        cat = cfg.kinematic_state()
+        res = t_coh(cat, times, g, c=c)
+        return {"t": times, "norm_factor": norm_factor(cat), "t_sup": res.t_sup,
+                "t_mix": res.t_mix, "t_coh": res.t_coh}
+    if cfg.command == "sweep":
+        cat = cfg.kinematic_state()
+        ratios = linear_grid(*(cfg.get("sweep", key) for key in ("start", "stop", "num")))
+        separations = ratios * cat.sigma_x
+        res = t_coh(dataclasses.replace(cat, delta_x0=separations), cfg.get("physics", "t"), g,
+                    c=c)
+        return {"delta_x0_over_sigma_x": ratios, "delta_x0": separations, "t_sup": res.t_sup,
+                "t_mix": res.t_mix, "t_coh": res.t_coh}
+    if cfg.command == "precision":
+        br = sigma_breakdown(cfg.clock(), cfg.kinematic_state(), times, c=c)
+        return {"t": times, "sigma_nr": br.sigma_nr, "sigma_i": br.sigma_i,
+                "sigma_ni": br.sigma_ni, "sigma_total": br.total}
+    if cfg.command == "verify":
+        report = verify_mean_time(cfg.clock(), cfg.kinematic_state(), cfg.get("physics", "t"), g,
+                                  c_scalings=cfg.get("verify", "c_scalings"), base_c=c)
+        return {"c_scaling": report.c_scalings, "perturbative": report.perturbative,
+                "exact": report.exact, "residual": report.residuals,
+                "relative_residual": report.relative_residuals}
+    # measurement: one row per time and q, q running fastest
+    clock, kstate = cfg.clock(), cfg.kinematic_state()
+    q_values, n = np.array(cfg.get("measurement", "q_values")), cfg.get("measurement", "bin")
+    per_q = [conditioned_sigma(clock, kstate, times, MomentumBinning(q * kstate.sigma_p), n, c=c)
+             for q in q_values]
+    unconditioned = conditioned_sigma(clock, kstate, times, MomentumBinning(np.inf), 0, c=c)
+    return {"t": np.repeat(times, q_values.size), "q": np.tile(q_values, times.size), "bin": n,
+            "probability": np.tile([res.probability for res in per_q], times.size),
+            "sigma_conditioned": np.array([res.sigma_t_given_n for res in per_q]).T.ravel(),
+            "sigma_nr": clock.sigma_t0,
+            "sigma_unconditioned": np.repeat(unconditioned.sigma_t_given_n, q_values.size)}
+
+
+@pytest.mark.parametrize("command", sorted(_command_configs()))
+def test_every_csv_column_is_the_library_value_it_names(command, tmp_path):
+    # '%.17e' round-trips, so each cell reads back as its library value bit for bit
+    text = _command_configs()[command]
+    cfg_path, out = tmp_path / "run.cfg", tmp_path / "run.csv"
+    cfg_path.write_text(text)
+    assert main([command, "--config", str(cfg_path), "--out", str(out), "--no-timestamp"]) == 0
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    cells = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+    expected = _library_columns(parse_config(text))
+    assert lines[0].split(",") == list(expected)
+    for name, column in zip(expected, cells.T):
+        np.testing.assert_array_equal(column, np.broadcast_to(expected[name], column.shape),
+                                      err_msg=name)
+
+
 def test_csv_determinism_via_entry_point(tmp_path, capsysbinary):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(bench_config("dilation"))
@@ -631,6 +695,15 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg_path.write_text("[run]\ncommand = dilation\nbogus = 1\n")
     assert main(["dilation", "--config", str(cfg_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg_path, out = tmp_path / "latin1.cfg", tmp_path / "out.csv"
+    cfg_path.write_bytes(("# r\u00e9glage\n" + MINIMAL_DILATION).encode("latin-1"))
+    assert main(["dilation", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "chronodil: config error: 'utf-8' codec can't decode byte 0xe9")
+    assert not out.exists()
 
 
 def _edited(text: str, *edits: tuple[str, str]) -> str:
@@ -752,5 +825,5 @@ def test_plot_script_sweep_labels_extremum():
 
 
 def test_plot_script_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unsupported table kind"):
+    with pytest.raises(ValueError, match="--plot-script only supports measurement and sweep"):
         emit_plot_script(CsvTable(header=["a"], rows=[[1.0]]), "histogram")

@@ -208,7 +208,7 @@ def test_clock_model_rejects_mismatched_state_shape():
         make_clock(psi0=np.array([1.0, 0.0, 0.0]))
 
 
-@pytest.mark.parametrize("norm", [0.5, 1.0 + 2e-12, 1.0 - 2e-12])
+@pytest.mark.parametrize("norm", [0.5, 1.0 + 2e-12, 1.0 - 2e-12, float("nan")])
 def test_clock_model_rejects_non_unit_ket(norm):
     with pytest.raises(ValueError, match="unit ket"):
         make_clock(psi0=np.array([norm, 0.0]))
@@ -228,6 +228,13 @@ def test_clock_model_rejects_non_hermitian_moment_operator(name):
     op = np.array([[1.0, 0.5 + 0.25j], [0.5 - 0.25j, 2.0]])
     make_clock(**{name: op})
     op[0, 1] += 1e-9
+    with pytest.raises(ValueError, match=f"{name} must be Hermitian"):
+        make_clock(**{name: op})
+
+
+@pytest.mark.parametrize("name", ["t_cl", "t2_cl"])
+def test_clock_model_rejects_nan_moment_operator(name):
+    op = np.array([[1.0, 0.5 + 0.25j], [0.5 - 0.25j, np.nan]])
     with pytest.raises(ValueError, match=f"{name} must be Hermitian"):
         make_clock(**{name: op})
 

@@ -187,6 +187,8 @@ def test_grid_too_narrow_raises():
     narrow = np.linspace(state.p0 - state.sigma_p, state.p0 + state.sigma_p, 128)
     with pytest.raises(ValueError, match="too narrow"):
         to_grid(state, narrow)
+    with pytest.raises(ValueError, match="too narrow"):  # a NaN grid captures no norm
+        to_grid(state, np.full(128, np.nan))
 
 
 def test_grid_cat_resolves_fringes():

@@ -102,6 +102,17 @@ def test_joint_norm_check_catches_a_grid_that_sampling_accepts():
         evolve_characteristics_g(clk, state, BENCH_T, 0.0, c=bench_c(), grid=grid)
 
 
+def test_joint_norm_check_rejects_a_nan_state():
+    # a unit state, but for one NaN amplitude
+    grid = np.linspace(-1.0, 1.0, 64)
+    amplitudes = np.full((3, grid.size), 1.0 / np.sqrt(3 * grid.size * (grid[1] - grid[0])),
+                         dtype=complex)
+    oracle._check_norm(oracle.JointState(grid, amplitudes))
+    amplitudes[2, 5] = np.nan
+    with pytest.raises(ValueError, match="joint norm nan"):
+        oracle._check_norm(oracle.JointState(grid, amplitudes))
+
+
 def test_idealised_clock_rejected_by_joint_evolution():
     # an IdealisedClock has no energies or ket to evolve with the motion
     clk = IdealisedClock(sigma_t0=1e-4)

@@ -36,7 +36,8 @@ KNOWN_RED = "tests/test_acceptance.py::test_criterion_07a_precision_excess_vs_id
 
 KIN, DIL, CLK, CFG = (f"src/chronodil/{name}.py" for name in
                       ("kinematics", "dilation", "clocks", "config"))
-PRE, MEA, ORA = (f"src/chronodil/{name}.py" for name in ("precision", "measurement", "oracle"))
+PRE, MEA, ORA, CLI = (f"src/chronodil/{name}.py" for name in
+                      ("precision", "measurement", "oracle", "cli"))
 
 MUTANTS = [
     # the mean clock time
@@ -118,6 +119,27 @@ MUTANTS = [
      "sigma_NI: projective rule removed"),
     (CFG, 'sigma_target = cfg.command == "verify" and', "sigma_target = False and",
      "config: verify target sigma accepted at g != 0"),
+    # tolerance guards that must fail closed on NaN
+    (CLK, "if not (abs(np.linalg.norm(psi) - 1.0) <= 1e-12):",
+     "if abs(np.linalg.norm(psi) - 1.0) > 1e-12:", "ClockModel: unit-ket check passes a NaN norm"),
+    (CLK, "if not (defect <= 1e-12 * np.abs(op).max()):", "if defect > 1e-12 * np.abs(op).max():",
+     "ClockModel: Hermiticity check passes a NaN entry"),
+    (KIN, "if not (captured >= 1.0 - 1e-6):", "if captured < 1.0 - 1e-6:",
+     "to_grid: capture check passes a NaN grid"),
+    (ORA, "if not (abs(worst - 1.0) <= 1e-8):", "if abs(worst - 1.0) > 1e-8:",
+     "_check_norm: joint norm check passes a NaN state"),
+    # the CSV's column labels
+    (CLI, "sigma_i=br.sigma_i, sigma_ni=br.sigma_ni", "sigma_i=br.sigma_ni, sigma_ni=br.sigma_i",
+     "CSV label swap: precision sigma_i and sigma_ni"),
+    (CLI, "norm_factor(cat),\n                    t_sup=res.t_sup, t_mix=res.t_mix,",
+     "norm_factor(cat),\n                    t_sup=res.t_mix, t_mix=res.t_sup,",
+     "CSV label swap: coherence t_sup and t_mix"),
+    (CLI, "delta_x0=separations,\n                    t_sup=res.t_sup, t_mix=res.t_mix,",
+     "delta_x0=separations,\n                    t_sup=res.t_mix, t_mix=res.t_sup,",
+     "CSV label swap: sweep t_sup and t_mix"),
+    (CLI, "perturbative=report.perturbative,\n                     exact=report.exact,",
+     "perturbative=report.exact,\n                     exact=report.perturbative,",
+     "CSV label swap: verify perturbative and exact"),
     # killed only where a test pins the floor: a correction of 2e-12 of the
     # reading is resolved; no verify case at a physical light speed kills them
     (ORA, "floor = 1e-12 * max(", "floor = 1e-9 * max(", "verdict floor raised to 1e-9"),
