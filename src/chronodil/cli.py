@@ -5,9 +5,10 @@ Usage::
     chronodil <command> --config <path> [--out <path>]
                         [--no-timestamp] [--plot-script <path>]
 
-Exit codes: 0 success, 2 configuration or physics-domain error,
-3 verification failure (a ``verify`` run whose report did not pass, or
-whose correction is below the floor it is judged at: ``# resolved = False``).
+Exit codes: 0 success, 2 configuration or physics-domain error, or an
+``--out`` or ``--plot-script`` path that cannot be written, 3 verification
+failure (a ``verify`` run whose report did not pass, or whose correction
+is below the floor it is judged at: ``# resolved = False``).
 
 A command imports only the library modules it runs: ``coherence`` and
 ``sweep``, for example, never load ``oracle``, ``precision`` or
@@ -35,8 +36,11 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class CsvTable:
+    """Column names, float rows (a 2-D array or one sequence of cells per
+    row) and the ``# key = value`` lines written above the config echo."""
+
     header: list[str]
-    rows: list | np.ndarray  # one sequence of cells per row
+    rows: list | np.ndarray
     metadata: list[tuple[str, str]] = field(default_factory=list)
 
 
@@ -58,11 +62,6 @@ def _metadata(cfg: RunConfig, timestamp: bool) -> list[tuple[str, str]]:
     return meta
 
 
-def _cell_format(value) -> str:
-    """printf format of one CSV cell; '%.17e' % x is format(x, '.17e')."""
-    return "%d" if isinstance(value, (int, np.integer)) else "%.17e"
-
-
 # Tables with fewer cells keep the per-row '%' loop. Kernel against loop, whole
 # write_csv on workload tables, medians of 3,000 interleaved calls (2-core
 # x86-64): 79 vs 90 us at 120 cells, 72 vs 80 us at 100, 65 vs 22 us at 15.
@@ -73,27 +72,24 @@ _BLOCK_CELLS = 2048  # cells per kernel block, which bounds its temporaries
 def write_csv(table: CsvTable, cfg: RunConfig, stream) -> None:
     """Write the metadata, config echo, header and rows to a binary stream.
 
-    Cells are written as ``'%.17e' % x`` or, in a column whose first-row
-    cell is an integer, ``'%d' % x``. A table of floats alone with at least
+    Every cell is written as ``'%.17e' % x``. A table of at least
     ``_KERNEL_MIN_CELLS`` cells goes through the vectorised ``_write_floats``,
     which writes the same bytes. A non-finite cell raises before any write.
     """
     values = np.asarray(table.rows, dtype=float)
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"non-finite value {values[~np.isfinite(values)][0]!r} in CSV output")
+        raise ValueError(f"non-finite value {values[~np.isfinite(values)][0]} in CSV output")
     lines = [f"# {key} = {value}" for key, value in table.metadata]
     lines += ["# config:", *(f"# cfg {line}" for line in echo_lines(cfg)), ",".join(table.header)]
     stream.write(("\n".join(lines) + "\n").encode())
-    if not len(table.rows):
+    if not len(values):
         return
-    formats = [_cell_format(v) for v in table.rows[0]]
-    if values.size < _KERNEL_MIN_CELLS or "%d" in formats:
-        template = ",".join(formats) + "\n"
-        # Python floats format faster than numpy's, to the same bytes; '%d' of
-        # an integral float prints the integer's digits
+    if values.size < _KERNEL_MIN_CELLS:
+        template = ",".join(["%.17e"] * values.shape[1]) + "\n"
+        # Python floats format faster than numpy's, to the same bytes
         stream.write("".join(template % tuple(row) for row in values.tolist()).encode())
         return
-    step = max(1, _BLOCK_CELLS // len(formats))
+    step = max(1, _BLOCK_CELLS // values.shape[1])
     for start in range(0, len(values), step):
         stream.write(_csv_rows(values[start:start + step]))
 
@@ -275,14 +271,16 @@ def _run_measurement(cfg: RunConfig) -> tuple[CsvTable, int]:
     # the infinite bin (no measurement) reads no sigma_p, so it runs first: conditioned_sigma
     # rejects a clock or state it cannot condition before the bins below read sigma_p
     unconditioned = conditioned_sigma(clock, kstate, times, MomentumBinning(np.inf), 0, c=c)
-    per_q = [(q, conditioned_sigma(clock, kstate, times, MomentumBinning(q * kstate.sigma_p), n,
-                                   c=c)) for q in q_values]
-    # a row list, not _columns: the integer bin column keeps its '%d' cells
-    rows = [[t, q, n, res.probability, res.sigma_t_given_n[i], clock.sigma_t0,
-             unconditioned.sigma_t_given_n[i]] for i, t in enumerate(times) for q, res in per_q]
-    header = ["t", "q", "bin", "probability", "sigma_conditioned", "sigma_nr",
-              "sigma_unconditioned"]
-    return CsvTable(header=header, rows=rows), 0
+    per_q = [conditioned_sigma(clock, kstate, times, MomentumBinning(q * kstate.sigma_p), n, c=c)
+             for q in q_values]
+    # one row per time and q, q running fastest
+    conditioned = np.column_stack([res.sigma_t_given_n for res in per_q])
+    table = _columns(t=np.repeat(times, len(q_values)), q=np.tile(q_values, len(times)),
+                     probability=np.tile([res.probability for res in per_q], len(times)),
+                     sigma_conditioned=conditioned.ravel(), sigma_nr=clock.sigma_t0,
+                     sigma_unconditioned=np.repeat(unconditioned.sigma_t_given_n, len(q_values)))
+    table.metadata.append(("bin", str(n)))
+    return table, 0
 
 
 def _run_verify(cfg: RunConfig) -> tuple[CsvTable, int]:
@@ -367,7 +365,7 @@ def emit_plot_script(table: CsvTable, kind: str, csv_path: str = "out.csv") -> s
         ]
         plots = []
         for q in q_values:
-            cell = _cell_format(q) % q
+            cell = f"{q:.17e}"
             selector = f"(${q_col} == {cell} ? ${s_col} : 1/0)"
             plots.append(f"'{csv_path}' using {t_col}:{selector} with linespoints "
                          f"title 'q = {cell}'")
@@ -379,8 +377,7 @@ def emit_plot_script(table: CsvTable, kind: str, csv_path: str = "out.csv") -> s
         lines += [
             "set xlabel 'packet separation over packet width'",
             "set ylabel 'coherence contribution to the mean clock time (s)'",
-            f"set label 'maximum' at {_cell_format(best[x_col - 1]) % best[x_col - 1]},"
-            f"{_cell_format(best[y_col - 1]) % best[y_col - 1]} point pt 7",
+            f"set label 'maximum' at {best[x_col - 1]:.17e},{best[y_col - 1]:.17e} point pt 7",
             f"plot '{csv_path}' using {x_col}:{y_col} with lines title 'coherence term'",
         ]
     else:
@@ -420,22 +417,24 @@ def main(argv=None) -> int:
         table, code = run(cfg)
         table.metadata = _metadata(cfg, timestamp=not args.no_timestamp) + table.metadata
         write_csv(table, cfg, csv)
+        files = [(args.out, csv.getbuffer())] if args.out else []
         if args.plot_script:
             script = emit_plot_script(table, cfg.command, csv_path=args.out or "out.csv")
+            files.append((args.plot_script, script.encode()))
     except (ValueError, TypeError) as exc:
         print(f"chronodil: {exc}", file=sys.stderr)
         return 2
 
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(csv.getbuffer())
-    else:
+    if not args.out:
         sys.stdout.flush()
         sys.stdout.buffer.write(csv.getbuffer())
-
-    if args.plot_script:
-        with open(args.plot_script, "w", encoding="utf-8") as fh:
-            fh.write(script)
+    for path, data in files:
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            print(f"chronodil: cannot write {path}: {exc.strerror}", file=sys.stderr)
+            return 2
     return code
 
 

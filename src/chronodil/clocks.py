@@ -89,7 +89,7 @@ class ClockModel:
         if psi.shape != (d,):
             raise ValueError(f"psi0 must have shape {(d,)}, got {psi.shape}")
         if not (abs(np.linalg.norm(psi) - 1.0) <= 1e-12):  # a NaN norm fails too
-            raise ValueError(f"psi0 must be a unit ket, got norm {np.linalg.norm(psi)!r}")
+            raise ValueError(f"psi0 must be a unit ket, got norm {np.linalg.norm(psi)}")
         if self.time_values is not None:
             if self.t_cl is not None or self.t2_cl is not None:
                 raise ValueError("give time_values or t_cl and t2_cl, not both")
@@ -126,7 +126,7 @@ class IdealisedClock:
 
     def __post_init__(self):
         if not (np.isfinite(self.sigma_t0) and self.sigma_t0 >= 0.0):
-            raise ValueError(f"sigma_t0 must be finite and non-negative, got {self.sigma_t0!r}")
+            raise ValueError(f"sigma_t0 must be finite and non-negative, got {self.sigma_t0}")
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,7 @@ def spread_from_moments(mean, second):
     its eigenkets has zero spread) and reads 0."""
     var = second - mean**2
     if np.any(var < -1e-12 * second):
-        raise ValueError(f"negative variance down to {np.min(var)!r}: "
+        raise ValueError(f"negative variance down to {np.min(var)}: "
                          "not the moments of a probability distribution")
     return np.sqrt(np.maximum(var, 0.0))
 

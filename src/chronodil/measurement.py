@@ -96,7 +96,7 @@ def _conditional_w_moments(kstate: GaussianState, lo: float, hi: float,
     p, weights, lo_c, hi_c = _bin_rule(kstate, lo, hi)
     prob = float(np.sum(weights))
     if prob < 1e-15:
-        raise ValueError(f"momentum bin [{lo!r}, {hi!r}) carries no probability ({prob!r})")
+        raise ValueError(f"momentum bin [{lo}, {hi}) carries no probability ({prob})")
     pc = (lo_c + hi_c) / 2.0
     mc2 = (kstate.mass * c) ** 2
     dev = (p - pc) * (p + pc) * (-0.5 / mc2 + 3.0 * (p**2 + pc**2) / (8.0 * mc2**2))

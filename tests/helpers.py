@@ -171,18 +171,17 @@ def occupied_bins(kstate: GaussianState, binning: MomentumBinning) -> list[int]:
 
 
 def reference_write_csv(table, cfg, stream) -> None:
-    """``cli.write_csv`` with every row through one ``template % tuple(row)``,
-    the cell formats taken from the first row: the per-cell bytes the
-    vectorised writer must keep, written to a binary stream."""
+    """``cli.write_csv`` with every row through one ``template % tuple(row)``
+    of ``'%.17e'`` cells: the per-cell bytes the vectorised writer must keep,
+    written to a binary stream."""
     values = np.asarray(table.rows, dtype=float)
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"non-finite value {values[~np.isfinite(values)][0]!r} in CSV output")
+        raise ValueError(f"non-finite value {values[~np.isfinite(values)][0]} in CSV output")
     text = "".join(f"# {key} = {value}\n" for key, value in table.metadata)
     text += "# config:\n"
     text += "".join(f"# cfg {line}\n" for line in echo_lines(cfg))
     text += ",".join(table.header) + "\n"
     if len(table.rows):
-        template = ",".join("%d" if isinstance(v, (int, np.integer)) else "%.17e"
-                            for v in table.rows[0]) + "\n"
+        template = ",".join(["%.17e"] * len(table.header)) + "\n"
         text += "".join(template % tuple(row) for row in table.rows)
     stream.write(text.encode())

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import io
 import os
 import re
@@ -298,9 +299,10 @@ def test_precision_requires_zero_gravity():
 
 
 def measurement_config() -> str:
+    # a bin off the centre, so that a CSV whose '# bin' line is not the config's shows
     return bench_config(
         "measurement",
-        extra="\n[measurement]\nq_values = 0.1,1.0,10.0\nbin = 0\n",
+        extra="\n[measurement]\nq_values = 0.1,1.0,10.0\nbin = 1\n",
     ).replace("model = swp", "model = idealised\nsigma_t0 = 1e-9").replace(
         "d = 4\n", "").replace(f"omega = {BENCH_OMEGA!r}\n", "")
 
@@ -386,19 +388,17 @@ def _write(table, cfg) -> bytes:
 
 def test_csv_rows_keep_the_per_cell_bytes():
     cfg = parse_config(MINIMAL_DILATION)
-    rows = [[-0.0, 0, 5e-324],
-            [1.7976931348623157e308, np.int64(7), 1e-19],
-            [np.float64(1e-19), 12, -1.7976931348623157e308]]
-    lines = _write(CsvTable(header=["t", "bin", "x"], rows=rows), cfg).decode().splitlines()
-    expected = [",".join(str(int(v)) if isinstance(v, (int, np.integer)) else format(v, ".17e")
-                         for v in row) for row in rows]
-    assert lines[-4:] == ["t,bin,x"] + expected
+    rows = [[-0.0, 0.0, 5e-324],
+            [1.7976931348623157e308, np.float64(7.0), 1e-19],
+            [np.float64(1e-19), 12.0, -1.7976931348623157e308]]
+    lines = _write(CsvTable(header=["t", "n", "x"], rows=rows), cfg).decode().splitlines()
+    assert lines[-4:] == ["t,n,x"] + [",".join(format(v, ".17e") for v in row) for row in rows]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_csv_rejects_non_finite_cell(bad):
     buf = io.BytesIO()
-    with pytest.raises(ValueError, match="non-finite value"):
+    with pytest.raises(ValueError, match=re.escape(f"non-finite value {bad!r} in CSV output")):
         write_csv(CsvTable(header=["t", "x"], rows=[[1.0, 2.0], [3.0, bad]]),
                   parse_config(MINIMAL_DILATION), buf)
     assert buf.getvalue() == b""
@@ -469,9 +469,10 @@ def test_measurement_at_zero_sigma_t0_is_the_motional_spread(tmp_path):
     rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")]
     header, cells = rows[0], np.array(rows[1:], dtype=float)
     assert np.all(cells[:, header.index("sigma_nr")] == 0.0)
-    for t, q, n, sigma in cells[:, [header.index(key) for key in
-                                    ("t", "q", "bin", "sigma_conditioned")]]:
-        edges = MomentumBinning(q * kstate.sigma_p).edges(int(n))
+    (n,) = (int(line.removeprefix("# bin = ")) for line in out.read_text().splitlines()
+            if line.startswith("# bin = "))
+    for t, q, sigma in cells[:, [header.index(key) for key in ("t", "q", "sigma_conditioned")]]:
+        edges = MomentumBinning(q * kstate.sigma_p).edges(n)
         var_w = _conditional_w_moments(kstate, *edges, cfg.c_light())[2]
         assert abs(sigma - t * np.sqrt(var_w)) <= 1e-15 * sigma
 
@@ -524,15 +525,15 @@ def test_float_kernel_edge_cases():
     assert _kernel_cells(values) == ["%.17e" % v for v in values]
 
 
-def _mixed_table(n_rows: int) -> CsvTable:
+def _float_rows(n_rows: int) -> np.ndarray:
     rng = np.random.default_rng(n_rows)
-    scale = 10.0 ** rng.uniform(-40, 10, (n_rows, 4))
-    values = rng.normal(size=(n_rows, 4)) * scale
-    values[rng.random((n_rows, 4)) < 0.05] = 0.0
-    rows = [[v[0], i % 3 - 1, v[1], np.int64(10**12 * i), v[2], v[3]]
-            for i, v in enumerate(values.tolist())]
-    rows[-1][2] = 7  # an int in a float column keeps the column's '%.17e'
-    return CsvTable(header=["a", "bin", "b", "big", "c", "d"], rows=rows)
+    scale = 10.0 ** rng.uniform(-40, 10, (n_rows, 6))
+    values = rng.normal(size=(n_rows, 6)) * scale
+    values[rng.random((n_rows, 6)) < 0.05] = 0.0
+    values[:, 1] = np.arange(n_rows) % 3 - 1  # integral values, 0 among them
+    values[:, 3] = 1e12 * np.arange(n_rows)
+    values[-1, [0, 2, 4, 5]] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    return values
 
 
 @pytest.mark.parametrize("kernel_min_cells", [cli._KERNEL_MIN_CELLS, 0])
@@ -540,10 +541,10 @@ def _mixed_table(n_rows: int) -> CsvTable:
 def test_csv_table_bytes_match_the_per_row_writer(n_rows, kernel_min_cells, monkeypatch):
     monkeypatch.setattr(cli, "_KERNEL_MIN_CELLS", kernel_min_cells)
     cfg = parse_config(MINIMAL_DILATION)
-    mixed = _mixed_table(n_rows)
-    floats = CsvTable(header=["x", "y", "z"],
-                      rows=np.array([row[::2] for row in mixed.rows], dtype=float))
-    for table in (mixed, floats):
+    values = _float_rows(n_rows)
+    header = ["a", "n", "b", "big", "c", "d"]
+    # a list of rows and an array write the same bytes
+    for table in (CsvTable(header, values.tolist()), CsvTable(header, values)):
         expected = io.BytesIO()
         reference_write_csv(table, cfg, expected)
         assert _write(table, cfg) == expected.getvalue()
@@ -624,7 +625,7 @@ def _library_columns(cfg: RunConfig) -> dict:
     per_q = [conditioned_sigma(clock, kstate, times, MomentumBinning(q * kstate.sigma_p), n, c=c)
              for q in q_values]
     unconditioned = conditioned_sigma(clock, kstate, times, MomentumBinning(np.inf), 0, c=c)
-    return {"t": np.repeat(times, q_values.size), "q": np.tile(q_values, times.size), "bin": n,
+    return {"t": np.repeat(times, q_values.size), "q": np.tile(q_values, times.size),
             "probability": np.tile([res.probability for res in per_q], times.size),
             "sigma_conditioned": np.array([res.sigma_t_given_n for res in per_q]).T.ravel(),
             "sigma_nr": clock.sigma_t0,
@@ -638,10 +639,14 @@ def test_every_csv_column_is_the_library_value_it_names(command, tmp_path):
     cfg_path, out = tmp_path / "run.cfg", tmp_path / "run.csv"
     cfg_path.write_text(text)
     assert main([command, "--config", str(cfg_path), "--out", str(out), "--no-timestamp"]) == 0
-    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    text_lines = out.read_text().splitlines()
+    lines = [line for line in text_lines if not line.startswith("#")]
     cells = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
-    expected = _library_columns(parse_config(text))
+    cfg = parse_config(text)
+    expected = _library_columns(cfg)
     assert lines[0].split(",") == list(expected)
+    if command == "measurement":  # the config's one bin, written once
+        assert f"# bin = {cfg.get('measurement', 'bin')}" in text_lines
     for name, column in zip(expected, cells.T):
         np.testing.assert_array_equal(column, np.broadcast_to(expected[name], column.shape),
                                       err_msg=name)
@@ -704,6 +709,20 @@ def test_config_that_is_not_utf8_exits_2_and_writes_nothing(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "chronodil: config error: 'utf-8' codec can't decode byte 0xe9")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--plot-script"])
+def test_output_path_that_cannot_be_opened_exits_2(flag, tmp_path, capsys):
+    # the CSV is written before the script, and nothing after the first failure
+    cfg_path, bad = tmp_path / "m.cfg", tmp_path / "no" / "such" / "file"
+    cfg_path.write_text(measurement_config())
+    paths = {"--out": tmp_path / "m.csv", "--plot-script": tmp_path / "m.gp", flag: bad}
+    assert main(["measurement", "--config", str(cfg_path), "--no-timestamp",
+                 *(str(arg) for item in paths.items() for arg in item)]) == 2
+    assert capsys.readouterr().err == (f"chronodil: cannot write {bad}: "
+                                       f"{os.strerror(errno.ENOENT)}\n")
+    assert paths["--out"].exists() == (flag == "--plot-script")
+    assert not paths["--plot-script"].exists()
 
 
 def _edited(text: str, *edits: tuple[str, str]) -> str:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -210,7 +211,8 @@ def test_clock_model_rejects_mismatched_state_shape():
 
 @pytest.mark.parametrize("norm", [0.5, 1.0 + 2e-12, 1.0 - 2e-12, float("nan")])
 def test_clock_model_rejects_non_unit_ket(norm):
-    with pytest.raises(ValueError, match="unit ket"):
+    # the message prints the norm as a plain number, not a numpy repr
+    with pytest.raises(ValueError, match=re.escape(f"unit ket, got norm {norm!r}") + "$"):
         make_clock(psi0=np.array([norm, 0.0]))
     make_clock(psi0=np.array([1.0 + 5e-13, 0.0]))  # within 1e-12 of a unit norm
 

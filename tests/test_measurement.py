@@ -99,8 +99,11 @@ def test_conditioned_never_beats_free_spread():
 
 
 def test_empty_bin_raises():
-    with pytest.raises(ValueError, match="no probability"):
-        conditioned_sigma(CLOCK, STATE, T_BENCH, binning_for(0.5), 60, c=C_BENCH)
+    # the message prints plain numbers, not numpy reprs, for a numpy bin width too
+    for q in (0.5, np.float64(0.5)):
+        with pytest.raises(ValueError, match=r"^momentum bin \[[0-9.e+-]+, [0-9.e+-]+\) "
+                                             r"carries no probability \([0-9.e+-]+\)$"):
+            conditioned_sigma(CLOCK, STATE, T_BENCH, binning_for(q), 60, c=C_BENCH)
 
 
 def test_monotone_in_coarseness_and_time():

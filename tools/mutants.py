@@ -140,6 +140,21 @@ MUTANTS = [
     (CLI, "perturbative=report.perturbative,\n                     exact=report.exact,",
      "perturbative=report.exact,\n                     exact=report.perturbative,",
      "CSV label swap: verify perturbative and exact"),
+    (CLI, "sigma_conditioned=conditioned.ravel(), sigma_nr=clock.sigma_t0,\n"
+          "                     sigma_unconditioned=np.repeat(unconditioned.sigma_t_given_n, "
+          "len(q_values)))",
+     "sigma_conditioned=np.repeat(unconditioned.sigma_t_given_n, len(q_values)), "
+     "sigma_nr=clock.sigma_t0,\n                     sigma_unconditioned=conditioned.ravel())",
+     "CSV label swap: measurement sigma_conditioned and sigma_unconditioned"),
+    # the measurement table's layout and its one bin
+    (CLI, "t=np.repeat(times, len(q_values)), q=np.tile(q_values, len(times)),",
+     "t=np.tile(times, len(q_values)), q=np.repeat(q_values, len(times)),",
+     "measurement table: np.repeat and np.tile swapped"),
+    (CLI, 'table.metadata.append(("bin", str(n)))', 'table.metadata.append(("bin", "0"))',
+     "measurement: '# bin' line written as 0"),
+    # an output path that cannot be opened
+    (CLI, "except OSError as exc:", "except ZeroDivisionError as exc:",
+     "main: OSError handler of --out and --plot-script removed"),
     # killed only where a test pins the floor: a correction of 2e-12 of the
     # reading is resolved; no verify case at a physical light speed kills them
     (ORA, "floor = 1e-12 * max(", "floor = 1e-9 * max(", "verdict floor raised to 1e-9"),
