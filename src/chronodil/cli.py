@@ -2,13 +2,12 @@
 
 Usage::
 
-    chronodil <command> --config <path> [--out <path>]
-                        [--no-timestamp] [--plot-script <path>]
+    chronodil <command> --config <path> [--out <path>] [--no-timestamp]
 
 Exit codes: 0 success, 2 configuration or physics-domain error, or an
-``--out`` or ``--plot-script`` path that cannot be written, 3 verification
-failure (a ``verify`` run whose report did not pass, or whose correction
-is below the floor it is judged at: ``# resolved = False``).
+``--out`` path that cannot be written, 3 verification failure (a
+``verify`` run whose report did not pass, or whose correction is below
+the floor it is judged at: ``# resolved = False``).
 
 A command imports only the library modules it runs: ``coherence`` and
 ``sweep``, for example, never load ``oracle``, ``precision`` or
@@ -141,24 +140,30 @@ def _pow10_table() -> np.ndarray:
     return np.stack((hi, upper, hi - upper, np.array(lo)))
 
 
-def _byte_table(texts, width: int, dtype) -> np.ndarray:
-    """One ``dtype`` value per text: its ASCII bytes, padded with zero bytes."""
-    return np.frombuffer(b"".join(t.encode().ljust(width, b"\0") for t in texts), dtype=dtype)
-
-
 @functools.cache
 def _group_bytes() -> np.ndarray:
     """Three digits of N per uint32: first the last five groups' entries,
     with a zero pad byte, then the first group's, with the decimal point
     after its first digit."""
-    return _byte_table([f"{i:03d}" for i in range(1000)]
-                       + [f"{i // 100}.{i % 100:02d}" for i in range(1000)], 4, np.uint32)
+    digits = np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")
+    table = np.zeros((2, 1000, 4), dtype=np.uint8)
+    table[0, :, :3] = digits
+    table[1] = np.insert(digits, 1, ord("."), axis=1)
+    return table.view(np.uint32).ravel()
 
 
 @functools.cache
 def _exp_bytes() -> np.ndarray:
     """'e' and the signed exponent of at least two digits per uint64, from _EXP_MIN."""
-    return _byte_table((f"e{e:+03d}" for e in range(_EXP_MIN, 309)), 8, np.uint64)
+    e = np.arange(_EXP_MIN, 309)
+    digits = np.abs(e)[:, None] // [100, 10, 1] % 10 + ord("0")
+    table = np.zeros((len(e), 8), dtype=np.uint8)
+    table[:, 0] = ord("e")
+    table[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    table[:, 2:5] = digits
+    two = np.abs(e) < 100  # a two-digit exponent drops its leading zero
+    table[two, 2:4], table[two, 4] = digits[two, 1:], 0
+    return table.view(np.uint64).ravel()
 
 
 def _scaled(ax: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,53 +344,6 @@ def run(cfg: RunConfig) -> tuple[CsvTable, int]:
 
 
 # ---------------------------------------------------------------------------
-# plot scripts
-
-
-def emit_plot_script(table: CsvTable, kind: str, csv_path: str = "out.csv") -> str:
-    """Plain-text plotting script (gnuplot dialect) for a results table.
-
-    Deterministic: identical tables produce byte-identical scripts.
-    """
-    lines = [
-        "# chronodil plot script (gnuplot dialect)",
-        "set datafile separator ','",
-        "set datafile commentschars '#'",
-        "set grid",
-    ]
-    if kind == "measurement":
-        q_col = table.header.index("q") + 1
-        t_col = table.header.index("t") + 1
-        s_col = table.header.index("sigma_conditioned") + 1
-        q_values = sorted({row[q_col - 1] for row in table.rows})
-        lines += [
-            "set xlabel 't (s)'",
-            "set ylabel 'conditioned clock-time spread (s)'",
-            "set key left top",
-        ]
-        plots = []
-        for q in q_values:
-            cell = f"{q:.17e}"
-            selector = f"(${q_col} == {cell} ? ${s_col} : 1/0)"
-            plots.append(f"'{csv_path}' using {t_col}:{selector} with linespoints "
-                         f"title 'q = {cell}'")
-        lines.append("plot \\\n    " + ", \\\n    ".join(plots))
-    elif kind == "sweep":
-        x_col = table.header.index("delta_x0_over_sigma_x") + 1
-        y_col = table.header.index("t_coh") + 1
-        best = max(table.rows, key=lambda row: row[y_col - 1])
-        lines += [
-            "set xlabel 'packet separation over packet width'",
-            "set ylabel 'coherence contribution to the mean clock time (s)'",
-            f"set label 'maximum' at {best[x_col - 1]:.17e},{best[y_col - 1]:.17e} point pt 7",
-            f"plot '{csv_path}' using {x_col}:{y_col} with lines title 'coherence term'",
-        ]
-    else:
-        raise ValueError("--plot-script only supports measurement and sweep tables")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # entry point
 
 
@@ -395,7 +353,6 @@ _PARSER.add_argument("command", choices=COMMANDS)
 _PARSER.add_argument("--config", required=True)
 _PARSER.add_argument("--out", default=None)
 _PARSER.add_argument("--no-timestamp", action="store_true")
-_PARSER.add_argument("--plot-script", default=None)
 
 
 def main(argv=None) -> int:
@@ -417,10 +374,6 @@ def main(argv=None) -> int:
         table, code = run(cfg)
         table.metadata = _metadata(cfg, timestamp=not args.no_timestamp) + table.metadata
         write_csv(table, cfg, csv)
-        files = [(args.out, csv.getbuffer())] if args.out else []
-        if args.plot_script:
-            script = emit_plot_script(table, cfg.command, csv_path=args.out or "out.csv")
-            files.append((args.plot_script, script.encode()))
     except (ValueError, TypeError) as exc:
         print(f"chronodil: {exc}", file=sys.stderr)
         return 2
@@ -428,13 +381,13 @@ def main(argv=None) -> int:
     if not args.out:
         sys.stdout.flush()
         sys.stdout.buffer.write(csv.getbuffer())
-    for path, data in files:
-        try:
-            with open(path, "wb") as fh:
-                fh.write(data)
-        except OSError as exc:
-            print(f"chronodil: cannot write {path}: {exc.strerror}", file=sys.stderr)
-            return 2
+        return code
+    try:
+        with open(args.out, "wb") as fh:
+            fh.write(csv.getbuffer())
+    except OSError as exc:
+        print(f"chronodil: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chronodil import cli
-from chronodil.cli import CsvTable, emit_plot_script, main, run, write_csv
+from chronodil.cli import CsvTable, main, run, write_csv
 from chronodil.clocks import build_qubit_phase
 from chronodil.config import ConfigError, RunConfig, echo_lines, linear_grid, parse_config
 from chronodil.dilation import mean_clock_time, t_coh
@@ -365,19 +365,30 @@ def test_shared_parser_keeps_nothing_between_calls(tmp_path):
     # not reach the next
     cfg_path = tmp_path / "s.cfg"
     cfg_path.write_text(SWEEP_CONFIG)
-    out, script = tmp_path / "s.csv", tmp_path / "s.gp"
+    out = tmp_path / "s.csv"
     argv = ["sweep", "--config", str(cfg_path), "--out", str(out)]
-    assert main(argv + ["--no-timestamp", "--plot-script", str(script)]) == 0
-    assert script.exists()
+    assert main(argv + ["--no-timestamp"]) == 0
     assert "# generated = " not in out.read_text()
-    script.unlink()
     assert main(argv) == 0
-    assert not script.exists()
     assert "# generated = " in out.read_text()
 
 
+def test_plot_script_flag_is_refused_before_any_work(tmp_path, capsys):
+    # the CLI writes one CSV; --plot-script is an unknown argument, so argparse
+    # exits 2 before the config is read and no file is written
+    cfg_path, out, script = tmp_path / "m.cfg", tmp_path / "m.csv", tmp_path / "m.gp"
+    cfg_path.write_text(measurement_config())
+    with pytest.raises(SystemExit) as excinfo:
+        main(["measurement", "--config", str(cfg_path), "--out", str(out),
+              "--plot-script", str(script)])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --plot-script" in capsys.readouterr().err
+    assert not out.exists()
+    assert not script.exists()
+
+
 # ---------------------------------------------------------------------------
-# CSV and plot scripts
+# CSV
 
 
 def _write(table, cfg) -> bytes:
@@ -507,6 +518,21 @@ def _kernel_cells(values) -> list[str]:
 def test_float_kernel_writes_the_bytes_of_percent_17e(x):
     # every finite double, -0.0 and the subnormals included
     assert _kernel_cells([x]) == ["%.17e" % x]
+
+
+def _text_table(texts, width: int, dtype) -> np.ndarray:
+    """One ``dtype`` value per text: its ASCII bytes, padded with zero bytes."""
+    return np.frombuffer(b"".join(t.encode().ljust(width, b"\0") for t in texts), dtype=dtype)
+
+
+def test_kernel_byte_tables_match_their_formatted_text():
+    # the digit arithmetic builds the bytes that these f-strings spell out
+    groups = _text_table([f"{i:03d}" for i in range(1000)]
+                         + [f"{i // 100}.{i % 100:02d}" for i in range(1000)], 4, np.uint32)
+    exponents = _text_table([f"e{e:+03d}" for e in range(cli._EXP_MIN, 309)], 8, np.uint64)
+    for table, expected in ((cli._group_bytes(), groups), (cli._exp_bytes(), exponents)):
+        assert table.dtype == expected.dtype
+        np.testing.assert_array_equal(table, expected)
 
 
 def _edge_values() -> list[float]:
@@ -711,18 +737,14 @@ def test_config_that_is_not_utf8_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--out", "--plot-script"])
+@pytest.mark.parametrize("flag", ["--out"])
 def test_output_path_that_cannot_be_opened_exits_2(flag, tmp_path, capsys):
-    # the CSV is written before the script, and nothing after the first failure
     cfg_path, bad = tmp_path / "m.cfg", tmp_path / "no" / "such" / "file"
     cfg_path.write_text(measurement_config())
-    paths = {"--out": tmp_path / "m.csv", "--plot-script": tmp_path / "m.gp", flag: bad}
-    assert main(["measurement", "--config", str(cfg_path), "--no-timestamp",
-                 *(str(arg) for item in paths.items() for arg in item)]) == 2
+    assert main(["measurement", "--config", str(cfg_path), "--no-timestamp", flag, str(bad)]) == 2
     assert capsys.readouterr().err == (f"chronodil: cannot write {bad}: "
                                        f"{os.strerror(errno.ENOENT)}\n")
-    assert paths["--out"].exists() == (flag == "--plot-script")
-    assert not paths["--plot-script"].exists()
+    assert not bad.exists()
 
 
 def _edited(text: str, *edits: tuple[str, str]) -> str:
@@ -807,42 +829,3 @@ def test_csv_of_a_table_without_rows_is_its_header():
     stream = io.BytesIO()
     write_csv(CsvTable(header=["t", "x"], rows=[]), parse_config(MINIMAL_DILATION), stream)
     assert stream.getvalue().decode().endswith("# cfg t = 1e-3\nt,x\n")
-
-
-def test_plot_script_measurement_one_curve_per_q(tmp_path):
-    cfg_path = tmp_path / "m.cfg"
-    cfg_path.write_text(measurement_config())
-    out = tmp_path / "m.csv"
-    script_path = tmp_path / "m.gp"
-    assert main(["measurement", "--config", str(cfg_path), "--out", str(out),
-                 "--no-timestamp", "--plot-script", str(script_path)]) == 0
-    script = script_path.read_text()
-    assert script.count("title 'q = ") == 3
-
-
-def test_plot_script_unsupported_command_writes_nothing(tmp_path, capsys):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(bench_config("dilation"))
-    out = tmp_path / "out.csv"
-    script_path = tmp_path / "out.gp"
-    assert main(["dilation", "--config", str(cfg_path), "--out", str(out),
-                 "--no-timestamp", "--plot-script", str(script_path)]) == 2
-    assert "--plot-script only supports" in capsys.readouterr().err
-    assert not out.exists()
-    assert not script_path.exists()
-
-
-def test_plot_script_sweep_labels_extremum():
-    cfg = parse_config(bench_config(
-        "sweep", kin_type="cat",
-        cat_keys="delta_x0 = 3e-7\nalpha = 0.5\ntheta = 0.0",
-        extra="\n[sweep]\nstart = 0.5\nstop = 6.0\nnum = 16\n"))
-    table, _ = run(cfg)
-    script = emit_plot_script(table, "sweep", csv_path="sweep.csv")
-    assert "set label 'maximum'" in script
-    assert script == emit_plot_script(table, "sweep", csv_path="sweep.csv")
-
-
-def test_plot_script_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="--plot-script only supports measurement and sweep"):
-        emit_plot_script(CsvTable(header=["a"], rows=[[1.0]]), "histogram")

@@ -70,6 +70,9 @@ MUTANTS = [
      "sigma_NI: third term x 1.01"),
     (PRE, "- shift2 / (2.0 * s_nr) * brace3", "- 1.01 * shift2 / (2.0 * s_nr) * brace3",
      "sigma_NI: fourth term x 1.01"),
+    # killed only by tests/test_invariants.py: (m, c) -> (3m, c/3) must leave <W> alone
+    (PRE, "m.mean_p4 / (8.0 * mass**4 * c**4)", "m.mean_p4 / (8.0 * mass**4 * c**5)",
+     "w_moments: c^-4 term of <W> with a mixed light-speed power"),
     (PRE, "brace1 = (2.0 / HBAR)", "brace1 = 1.01 * (2.0 / HBAR)", "sigma_NI: brace1 x 1.01"),
     (PRE, "brace2 = (rate - 1.0) * (rate + 1.0)", "brace2 = 1.01 * (rate - 1.0) * (rate + 1.0)",
      "sigma_NI: brace2 x 1.01"),
@@ -154,7 +157,7 @@ MUTANTS = [
      "measurement: '# bin' line written as 0"),
     # an output path that cannot be opened
     (CLI, "except OSError as exc:", "except ZeroDivisionError as exc:",
-     "main: OSError handler of --out and --plot-script removed"),
+     "main: OSError handler of --out removed"),
     # killed only where a test pins the floor: a correction of 2e-12 of the
     # reading is resolved; no verify case at a physical light speed kills them
     (ORA, "floor = 1e-12 * max(", "floor = 1e-9 * max(", "verdict floor raised to 1e-9"),
