@@ -17,7 +17,7 @@ _EXPORTS = {
     **dict.fromkeys(["ATOMIC_MASS_UNIT", "C_LIGHT", "ELECTRON_MASS", "G_STANDARD", "HBAR"],
                     "constants"),
     **dict.fromkeys(["ClockModel", "IdealisedClock", "build_qubit_phase", "build_quasi_ideal",
-                     "build_swp", "error_trace_from", "free_reading"], "clocks"),
+                     "build_swp", "free_reading"], "clocks"),
     **dict.fromkeys(["CatState", "GaussianState", "moments", "norm_factor", "r_factor"],
                     "kinematics"),
     **dict.fromkeys(["classical_proper_time", "mean_clock_time", "t_coh"], "dilation"),

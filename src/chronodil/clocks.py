@@ -24,11 +24,10 @@ models are provided:
 Every clock read goes through functions that hide the difference:
 ``reading_stats``, the mean and spread of the reading in each ket of a
 stack, and ``apply_time``, T applied to each ket of a stack.
-``free_reading`` is the one read of the free clock: its kets, mean and
-spread at each time, from which every closed form starts.
+``free_reading`` is the one read of the free clock, from which every
+closed form starts: the mean, spread and rate of the reading at each time.
 
-The central diagnostic is the error trace ``tr E(t)``, read from those
-kets by ``error_trace_from``, with
+The central diagnostic is the error trace ``tr E(t)``, with
 
     E(t) = -(i/hbar) [T, H] rho(t) - rho(t),
 
@@ -49,7 +48,7 @@ offset-calibrated so that ``<T>(0) = 0`` to within an ulp of the period
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -295,37 +294,51 @@ def apply_time(clock: ClockModel, kets: np.ndarray, shift=0.0) -> np.ndarray:
     return np.einsum("jk,...k->...j", clock.t_cl, kets) - shift * kets
 
 
-def centred_energy(clock: ClockModel, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(H - <H>) as one diagonal per ket of a stack, and those diagonals
-    applied to the kets. <H> is one (1, d) @ (d,) product per ket, as in
-    ``reading_stats``, so a batch rounds as its rows do."""
-    mean_e = (kets.real**2 + kets.imag**2)[..., None, :] @ clock.energies
-    diag = clock.energies - mean_e
-    return diag, diag * kets
+def _dot(x, y):  # <x|y>, row by row
+    return np.einsum("...j,...j->...", x.conj(), y)
 
 
-def free_reading(clock, t):
-    """(kets, mean, spread) of the reading at each time under free evolution,
-    from one evolution of psi0. An IdealisedClock has no kets, reads t and
-    keeps its spread sigma_t0; any other type but ClockModel raises TypeError."""
+@dataclass(frozen=True)
+class FreeReading:
+    """Mean <T>, spread sigma_NR and rate d<T>/dt = 1 + tr E of the free
+    clock's reading at each time. A ClockModel's reading keeps the kets
+    behind its rate for ``derivatives``; an IdealisedClock's reads t, keeps
+    sigma_t0, has rate exactly 1.0 and no kets."""
+
+    mean: float | np.ndarray
+    spread: float | np.ndarray
+    rate: float | np.ndarray
+    _kets: tuple = field(default=(), repr=False)  # the clock, (T - a) psi, D psi, diag D
+
+    def derivatives(self):
+        """(dq/dt, d^2q/dt^2, d^2<T>/dt^2) at each time, q = <(T - a)^2> at the
+        fixed a = <T>, from T - a applied to D psi and D^2 psi: d<A>/dt =
+        -(2/hbar) Im <D psi|A psi> and d^2<A>/dt^2 = (2/hbar^2)(<D psi|A D psi>
+        - Re <D^2 psi|A psi>), real by construction."""
+        clock, x, h, diag = self._kets
+        k = diag * h  # D^2 psi
+        y, z = (apply_time(clock, ket, self.mean) for ket in (h, k))
+        d_q = (2.0 / HBAR) * _dot(x, y).imag
+        d2_q = (2.0 / HBAR**2) * (_dot(y, y).real - _dot(z, x).real)
+        d2_t = (2.0 / HBAR**2) * (_dot(h, y).real - _dot(k, x).real)
+        return d_q, d2_q, d2_t
+
+
+def free_reading(clock, t) -> FreeReading:
+    """The free clock's reading at each time from one evolution of psi0, one
+    read of its statistics and one application of T; any clock type but
+    ClockModel and IdealisedClock raises TypeError. The rate is -(i/hbar)
+    <[T, H]> = (2/hbar) Im <(T - a) psi|(H - b) psi> at a = <T>, b = <H>,
+    which keep both kets as small as the spreads."""
     if isinstance(clock, IdealisedClock):
-        return None, t, clock.sigma_t0
+        return FreeReading(mean=t, spread=clock.sigma_t0, rate=1.0)
     if not isinstance(clock, ClockModel):
         raise TypeError(f"unsupported clock type {type(clock).__name__}")
     psi = evolve(clock, t)
-    return (psi, *reading_stats(clock, psi))
-
-
-def error_trace_from(clock, kets, mean):
-    """tr E = <M> - 1 at each time from ``free_reading``'s kets and mean
-    reading, zero without kets (an IdealisedClock).
-
-    <M> = -(i/hbar) <[T, H]> = (2/hbar) Im <(T - a) psi | (H - b) psi> at
-    the per-time shifts a = <T>, b = <H>: they leave the commutator as it
-    is, keep both kets as small as the spreads, and form no rate operator.
-    The value is real by construction."""
-    if kets is None:
-        return 0.0
-    t_psi = apply_time(clock, kets, mean)
-    h_psi = centred_energy(clock, kets)[1]
-    return (2.0 / HBAR) * np.einsum("...j,...j->...", t_psi.conj(), h_psi).imag - 1.0
+    mean, spread = reading_stats(clock, psi)
+    x = apply_time(clock, psi, mean)
+    # <H> as one (1, d) @ (d,) product per ket: a batch rounds as its rows do
+    diag = clock.energies - (psi.real**2 + psi.imag**2)[..., None, :] @ clock.energies
+    h = diag * psi
+    return FreeReading(mean=mean, spread=spread, rate=(2.0 / HBAR) * _dot(x, h).imag,
+                       _kets=(clock, x, h, diag))

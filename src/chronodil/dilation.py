@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, HBAR
-from .clocks import error_trace_from, free_reading
+from .clocks import free_reading
 from .kinematics import CatState, check_light_speed, moments, norm_factor, overlap, r_factor
 
 
@@ -94,8 +94,8 @@ def mean_clock_time(clock, kstate, t, g: float, c: float = C_LIGHT) -> DilationR
     time ``c`` may be a 1-D stack of light speeds, one result per entry.
     """
     check_light_speed(c)
-    kets, nr, _ = free_reading(clock, t)
-    err = error_trace_from(clock, kets, nr)
+    free = free_reading(clock, t)
+    nr, err = free.mean, free.rate - 1.0
     r = r_factor(kstate, t, g, c)
     correction = t * r * (1.0 + err)
     m = moments(kstate)

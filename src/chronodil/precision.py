@@ -19,15 +19,14 @@ spread of the clock's reading in its evolved ket
 
 and the non-idealised term is the four-brace trace expression in terms
 of E(t), e = (i/hbar)[H, T] - I and the W moments, each brace a time
-derivative of the free reading taken from six inner products of kets
-from three applications of T per time through ``clocks.apply_time``
-(the sigma_NI term of ``sigma_breakdown``). That form takes the second
-moment as |(T - <T>) psi|^2, so it holds for a projective time
-measurement only, and a clock whose T2 is not T.T raises. A companion
-``sigma_dispersion_exact`` gives the excess that exact joint evolution
-produces, t^2 var(W) / (2 sigma_NR), whose leading term keeps var(p^2)
-but not <p^4>; the two closed forms disagree at leading order and the
-oracle module quantifies that.
+derivative of the free reading: its rate, or one of the ``derivatives``
+it forms on request (the sigma_NI term of ``sigma_breakdown``). That
+form takes the second moment as |(T - <T>) psi|^2, so it holds for a
+projective time measurement only, and a clock whose T2 is not T.T
+raises. A companion ``sigma_dispersion_exact`` gives the excess that
+exact joint evolution produces, t^2 var(W) / (2 sigma_NR), whose leading
+term keeps var(p^2) but not <p^4>; the two closed forms disagree at
+leading order and the oracle module quantifies that.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import C_LIGHT, HBAR
-from .clocks import apply_time, centred_energy, free_reading
+from .constants import C_LIGHT
+from .clocks import ClockModel, free_reading
 from .kinematics import check_light_speed, moments
 
 
@@ -107,43 +106,30 @@ def sigma_dispersion_exact(kstate, t, sigma_nr_value, c: float = C_LIGHT):
     return t * t * m.var_p2 / (8.0 * sigma_nr_value * mass**4 * c**4)
 
 
-def _nonideal_term(clock, psi, mean_t_nr, s_nr, shift, shift2):
+def _nonideal_term(clock, free, shift, shift2):
     """Error-operator contribution to the clock-time spread at g = 0, at each
-    time, from ``clocks.free_reading``'s kets, mean and spread and the
-    rate-shift moments shift = t <W> and shift2 = t^2 <W^2>.
+    time, from the clock's ``free_reading`` and the rate-shift moments
+    shift = t <W> and shift2 = t^2 <W^2>.
 
     Each brace of the four-brace expression in E(t) = e rho(t),
     e = (i/hbar)[H, T] - I, is a time derivative of the free reading:
-    brace1 = d var(T)/dt, brace2 = (d<T>/dt)^2 - 1 and brace3 =
+    brace1 = d var(T)/dt = dq/dt, brace2 = (d<T>/dt)^2 - 1 and brace3 =
     d^2q/dt^2 + 4 <T> d^2<T>/dt^2 - 2, q = <(T - a)^2> at the fixed a = <T>.
-    With D = H - <H>, d<A>/dt = -(2/hbar) Im <D psi|A psi> and
-    d^2<A>/dt^2 = (2/hbar^2)(<D psi|A D psi> - Re <D^2 psi|A psi>), so
-    T - a applied to psi, D psi and D^2 psi gives every brace, real by
-    construction, from six inner products of kets as small as the spreads.
     ``sigma_breakdown`` has ``sigma_ideal_term`` reject a spread <= 0 first.
     q is |(T - a) psi|^2 only for a projective measurement: a dense clock
     whose T2 is not T.T to 1e-12 of its largest entry (the qubit) raises.
     """
-    if psi is None:  # an IdealisedClock
+    if not isinstance(clock, ClockModel):  # an IdealisedClock
         return 0.0
     if clock.time_values is None:
         t_cl, t2_cl = clock.t_cl, clock.t2_cl
         if np.abs(t2_cl - t_cl @ t_cl).max() > 1e-12 * np.abs(t2_cl).max():
             raise ValueError("sigma_NI assumes a projective time measurement, T2 = T.T; "
                              "this clock's second-moment operator differs")
-
-    def dot(x, y):  # <x|y>, row by row
-        return np.einsum("...j,...j->...", x.conj(), y)
-
-    dh, h = centred_energy(clock, psi)
-    k = dh * h  # D^2 psi
-    x, y, z = (apply_time(clock, ket, mean_t_nr) for ket in (psi, h, k))
-    rate = (2.0 / HBAR) * dot(x, h).imag  # d<T>/dt = 1 + tr E
-    brace1 = (2.0 / HBAR) * dot(x, y).imag
+    brace1, d2_q, d2_t = free.derivatives()
+    s_nr, rate = free.spread, free.rate
     brace2 = (rate - 1.0) * (rate + 1.0)
-    d2_q = (2.0 / HBAR**2) * (dot(y, y).real - dot(z, x).real)
-    d2_t = (2.0 / HBAR**2) * (dot(h, y).real - dot(k, x).real)
-    brace3 = d2_q + 4.0 * mean_t_nr * d2_t - 2.0
+    brace3 = d2_q + 4.0 * free.mean * d2_t - 2.0
     return (shift / (2.0 * s_nr) * brace1 - shift**2 / (8.0 * s_nr**3) * brace1**2
             - shift**2 / (2.0 * s_nr) * brace2 - shift2 / (2.0 * s_nr) * brace3)
 
@@ -159,9 +145,9 @@ def sigma_breakdown(clock, kstate, t, c: float = C_LIGHT) -> PrecisionBreakdown:
     """
     check_light_speed(c)
     free = free_reading(clock, t)
-    s_nr = free[2]
+    s_nr = free.spread
     s_i = sigma_ideal_term(kstate, t, s_nr, c)
     wm = w_moments(kstate, c)
-    s_ni = _nonideal_term(clock, *free, t * wm.mean_w, wm.mean_w2 * t * t)
+    s_ni = _nonideal_term(clock, free, t * wm.mean_w, wm.mean_w2 * t * t)
     return PrecisionBreakdown(sigma_nr=s_nr, sigma_i=s_i, sigma_ni=s_ni,
                               total=s_nr + s_i + s_ni)

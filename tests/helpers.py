@@ -9,8 +9,7 @@ import warnings
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from chronodil.clocks import (ClockModel, IdealisedClock, build_quasi_ideal, error_trace_from,
-                              free_reading)
+from chronodil.clocks import ClockModel, IdealisedClock, build_quasi_ideal, free_reading
 from chronodil.config import echo_lines
 from chronodil.constants import C_LIGHT, HBAR
 from chronodil.kinematics import CatState, GaussianState, norm_factor, r_factor
@@ -59,9 +58,9 @@ def idealised_surrogate(omega: float, d: int = 64, sigma_bar: float = 8.0) -> Cl
 
 
 def free_error_trace(clock, t):
-    """tr E of the free clock at each time, by the library's route:
-    ``error_trace_from`` on the kets and mean of one ``free_reading``."""
-    return error_trace_from(clock, *free_reading(clock, t)[:2])
+    """tr E of the free clock at each time, by the library's route: the
+    rate of one ``free_reading``, less 1."""
+    return free_reading(clock, t).rate - 1.0
 
 
 def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:

@@ -173,7 +173,7 @@ def test_criterion_07a_precision_excess_vs_ideal_term():
     c = bench_c()
     t = 0.3 * clock_period(clk)
     js = evolve_characteristics_g(clk, state, t, 0.0, order="c4", c=c)
-    s_nr = free_reading(clk, t)[2]
+    s_nr = free_reading(clk, t).spread
     excess = clock_time_stats(js, clk)[1] - s_nr
     s_i = sigma_ideal_term(state, t, s_nr, c=c)
     ratio = excess / s_i
@@ -192,7 +192,7 @@ def test_criterion_07b_ideal_term_quadratic_in_time():
     state = bench_gaussian(p0_sigmas=0.0)
     c = bench_c()
     t = 0.25 * clock_period(clk)
-    values = {k: sigma_ideal_term(state, k * t, free_reading(clk, k * t)[2], c=c)
+    values = {k: sigma_ideal_term(state, k * t, free_reading(clk, k * t).spread, c=c)
               for k in (0.5, 1.0, 2.0)}
     r_quarter = values[0.5] / values[1.0]
     r_four = values[2.0] / values[1.0]
@@ -205,7 +205,7 @@ def test_criterion_07c_ideal_term_inverse_quartic_in_c():
     clk = idealised_surrogate(BENCH_OMEGA, d=64)
     state = bench_gaussian(p0_sigmas=0.0)
     t = 0.25 * clock_period(clk)
-    s_nr = free_reading(clk, t)[2]
+    s_nr = free_reading(clk, t).spread
     ratio = sigma_ideal_term(state, t, s_nr, c=bench_c()) \
         / sigma_ideal_term(state, t, s_nr, c=2.0 * bench_c())
     ok = abs(ratio - 16.0) < 1e-10

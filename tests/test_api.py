@@ -18,7 +18,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 EXPORTS = sorted("""
     ATOMIC_MASS_UNIT C_LIGHT ELECTRON_MASS G_STANDARD HBAR ClockModel IdealisedClock
-    build_qubit_phase build_quasi_ideal build_swp error_trace_from free_reading CatState
+    build_qubit_phase build_quasi_ideal build_swp free_reading CatState
     GaussianState moments norm_factor r_factor classical_proper_time
     mean_clock_time t_coh sigma_breakdown sigma_dispersion_exact sigma_ideal_term
     w_moments MomentumBinning conditioned_sigma JointState VerificationReport

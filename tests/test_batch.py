@@ -35,6 +35,16 @@ def _fields(result) -> dict:
     return result if isinstance(result, dict) else dict(vars(result))
 
 
+def _reading(clock, t) -> dict:
+    """The free reading's mean, spread and rate, and a ClockModel's
+    second-order derivatives."""
+    free = free_reading(clock, t)
+    out = {"mean_t_nr": free.mean, "sigma_nr": free.spread, "rate": free.rate}
+    if not isinstance(clock, IdealisedClock):
+        out.update(zip(["d_q", "d2_q", "d2_t"], free.derivatives()))
+    return out
+
+
 def _assert_refused_row_by_row(fn, batch):
     """sigma_NI refuses a clock whose measurement is not projective (the
     qubit): the batch raises, and so does each of its rows."""
@@ -68,7 +78,7 @@ def test_batch_equals_its_rows(clock_name, state_name):
     c = bench_c()
     quantities = [
         lambda t: {"error_trace": free_error_trace(clk, t)},
-        lambda t: dict(zip(["mean_t_nr", "sigma_nr"], free_reading(clk, t)[1:])),
+        lambda t: _reading(clk, t),
         lambda t: mean_clock_time(clk, kstate, t, 9.81, c=c),
     ]
 

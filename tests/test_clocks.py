@@ -111,7 +111,8 @@ def test_reading_matches_dense_operators(clk):
     second = np.einsum("nj,jk,nk->n", kets.conj(), t2_op, kets).real
     trace = np.einsum("nj,jk,nk->n", kets.conj(), rate, kets).real - 1.0
     scale = np.abs(t_op).max()
-    _, mean_nr, sigma_nr = free_reading(clk, times)
+    free = free_reading(clk, times)
+    mean_nr, sigma_nr = free.mean, free.spread
     np.testing.assert_allclose(mean_nr, mean, rtol=0, atol=1e-12 * scale)
     np.testing.assert_allclose(sigma_nr**2, second - mean**2, rtol=0, atol=1e-12 * scale**2)
     np.testing.assert_allclose(free_error_trace(clk, times), trace, rtol=0, atol=1e-11)
@@ -140,7 +141,8 @@ def test_quasi_ideal_reading_matches_mpmath():
                 probs.append(abs(amp) ** 2 / d)
             mean = mp.fsum(p * x for p, x in zip(probs, lam))
             spread = mp.sqrt(mp.fsum(p * (x - mean) ** 2 for p, x in zip(probs, lam)))
-            _, mean_nr, sigma_nr = free_reading(clk, t)
+            free = free_reading(clk, t)
+            mean_nr, sigma_nr = free.mean, free.spread
             assert abs(float((mean_nr - mean) / mean)) < 2e-15
             assert abs(float((sigma_nr - spread) / spread)) < 2e-15
 
@@ -394,8 +396,21 @@ def test_swp_error_trace_between_focusing_times():
     val = free_error_trace(clk, t)
     assert abs(val - 0.5084572773) < 1e-9
     h = 1e-6
-    derivative = (free_reading(clk, t + h)[1] - free_reading(clk, t - h)[1]) / (2.0 * h)
+    derivative = (free_reading(clk, t + h).mean - free_reading(clk, t - h).mean) / (2.0 * h)
     assert abs(derivative - 1.0 - val) < 1e-6
+
+
+def test_reading_derivatives_match_central_differences():
+    # q(s) = sigma_NR(s)^2 + (<T>(s) - a)^2 at the fixed a = <T>(t); the
+    # differences are good to about 3e-7 at this step
+    clk = swp(5)
+    t, h = clock_period(clk) / 10.0, 1e-4
+    near = free_reading(clk, np.array([t - h, t, t + h]))
+    q = near.spread**2 + (near.mean - near.mean[1]) ** 2
+    d_q, d2_q, d2_t = free_reading(clk, t).derivatives()
+    assert abs(d_q - (q[2] - q[0]) / (2.0 * h)) < 1e-6
+    assert abs(d2_q - (q[2] - 2.0 * q[1] + q[0]) / h**2) < 1e-6
+    assert abs(d2_t - (near.rate[2] - near.rate[0]) / (2.0 * h)) < 1e-6
 
 
 def test_quasi_ideal_error_smaller_at_higher_dimension():
@@ -459,7 +474,7 @@ def test_qubit_phase_good_at_half_turn():
 
 def test_mean_reading_starts_at_zero():
     for clk in (swp(4), quasi(16, 4.0, 8.0), qubit()):
-        assert abs(free_reading(clk, 0.0)[1]) < 1e-12
+        assert abs(free_reading(clk, 0.0).mean) < 1e-12
 
 
 @pytest.mark.parametrize("model", ["swp", "quasi_ideal", "qubit"])
@@ -471,15 +486,15 @@ def test_calibration_reads_zero_at_zero(model, omega):
     # The qubit's closed form reads 0 exactly
     period = 2.0 * np.pi / omega
     if model == "qubit":
-        assert free_reading(build_qubit_phase(omega), 0.0)[1] == 0.0
+        assert free_reading(build_qubit_phase(omega), 0.0).mean == 0.0
         return
     for d in range(2, 257):
         if model == "swp":
-            assert abs(free_reading(build_swp(d, omega), 0.0)[1]) <= np.spacing(period)
+            assert abs(free_reading(build_swp(d, omega), 0.0).mean) <= np.spacing(period)
             continue
         for sigma_bar in (np.sqrt(d), max(1.0, d / 4.0)):
             for m0 in (0.0, d / 4.0, d / 2.0):
-                mean = free_reading(build_quasi_ideal(d, omega, sigma_bar, m0), 0.0)[1]
+                mean = free_reading(build_quasi_ideal(d, omega, sigma_bar, m0), 0.0).mean
                 assert abs(mean) <= np.spacing(period)
 
 
@@ -491,19 +506,19 @@ def test_calibration_is_below_the_physical_correction():
     clk = build_quasi_ideal(16, 1.0, 4.0, 8.0)
     state = GaussianState(x0=0.0, p0=0.0, sigma_x=368e-12, mass=27.0 * ATOMIC_MASS_UNIT)
     correction = mean_clock_time(clk, state, 1.0, G_STANDARD).correction
-    assert abs(free_reading(clk, 0.0)[1]) <= 0.05 * abs(correction)
+    assert abs(free_reading(clk, 0.0).mean) <= 0.05 * abs(correction)
 
 
 def test_swp_focusing_time_reading():
     clk = swp(4)
     t = clock_period(clk) / 4.0
-    assert abs(free_reading(clk, t)[1] - t) < 1e-10
+    assert abs(free_reading(clk, t).mean - t) < 1e-10
 
 
 def test_quasi_ideal_tracks_lab_time():
     clk = quasi(32, np.sqrt(32), m0=8.0)
     times = np.linspace(0.0, clock_period(clk) / 2.0, 101)
-    worst = np.abs(free_reading(clk, times)[1] - times).max()
+    worst = np.abs(free_reading(clk, times).mean - times).max()
     assert worst < 0.02 * clock_period(clk)
 
 
@@ -518,7 +533,7 @@ def test_integrated_error_trace_matches_quadrature(clk, frac):
     t = frac * clock_period(clk)
     numeric, _ = quad(lambda s: free_error_trace(clk, s), 0.0, t,
                       epsabs=1e-13, epsrel=1e-12, limit=200)
-    assert abs(free_reading(clk, t)[1] - t - numeric) < 1e-10
+    assert abs(free_reading(clk, t).mean - t - numeric) < 1e-10
 
 
 # ---------------------------------------------------------------------------

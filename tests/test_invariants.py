@@ -19,11 +19,14 @@ dial and the qubit phase clock, with the bench Gaussian and cat, at the
 bench light speed and at the physical one, at four times clear of the
 dials' focusing times (multiples of P/d). At a focusing time sigma_NR
 falls to about sqrt(eps) P and rounding alone breaks the relations.
+(c) and (d) also run on ``conditioned_sigma``, for an idealised clock of
+zero free spread, so that the spread is the excess t sqrt(var(W | bin))
+alone and is resolved at the physical c too; (d) then maps bin n to -n.
 
 One tolerance, RTOL = 1e-13, fixed before any relation was run: a mean
 reading is measured against the period, a spread against sigma_NR, the
-error trace against the clock's rate 1 + tr E, and the correction and
-t_coh against themselves.
+error trace against the clock's rate 1 + tr E, and the correction,
+t_coh, a bin's probability and its excess spread against themselves.
 """
 
 from dataclasses import replace
@@ -31,10 +34,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chronodil.clocks import build_qubit_phase, build_swp, free_reading
+from chronodil.clocks import IdealisedClock, build_qubit_phase, build_swp, free_reading
 from chronodil.constants import C_LIGHT, HBAR
 from chronodil.dilation import mean_clock_time, t_coh
 from chronodil.kinematics import CatState
+from chronodil.measurement import MomentumBinning, conditioned_sigma
 from chronodil.oracle import clock_time_stats, evolve_characteristics_g
 from chronodil.precision import sigma_breakdown, sigma_ideal_term
 from helpers import (BENCH_OMEGA, BENCH_PERIOD, BENCH_SIGMA_X, BENCH_T, bench_c, bench_cat,
@@ -56,6 +60,11 @@ LIGHT_SPEEDS = {"bench_c": bench_c(), "physical_c": C_LIGHT}
 
 every_case = pytest.mark.parametrize(("clock_name", "state_name", "c_name"), [
     (clock, state, c) for clock in CLOCKS for state in STATES for c in LIGHT_SPEEDS])
+# bin width q sigma_p and bins about the bench Gaussian's p0 = 3 sigma_p;
+# the infinite bin 0 is the whole momentum line
+BINS = {np.inf: [0], 1.0: [0, 2, 3, 5], 0.3: [0, 7, 10, 13]}
+every_bin = pytest.mark.parametrize(("c_name", "q", "n"), [
+    (c, q, n) for c in LIGHT_SPEEDS for q, bins in BINS.items() for n in bins])
 
 
 def observables(clock, kstate, c) -> dict:
@@ -69,11 +78,21 @@ def observables(clock, kstate, c) -> dict:
         out.update(sigma_nr=br.sigma_nr, sigma_i=br.sigma_i, sigma_ni=br.sigma_ni,
                    sigma_total=br.total)
     else:
-        s_nr = free_reading(clock, TIMES)[2]
+        s_nr = free_reading(clock, TIMES).spread
         out.update(sigma_nr=s_nr, sigma_i=sigma_ideal_term(kstate, TIMES, s_nr, c))
     if isinstance(kstate, CatState):
         out["t_coh"] = t_coh(kstate, TIMES, 0.0, c=c).t_coh
     return out
+
+
+def conditioned(kstate, q, n, c) -> dict:
+    """``conditioned_sigma`` of a zero-spread idealised clock at TIMES in bin
+    n of width q sigma_p, by name."""
+    res = conditioned_sigma(IdealisedClock(0.0), kstate, TIMES,
+                            MomentumBinning(q * kstate.sigma_p), n, c=c)
+    assert np.all(res.sigma_t_given_n > 0.0), "the excess is not resolved"
+    return {"probability": res.probability, "excess": res.sigma_t_given_n,
+            "mean_t": res.mean_t_given_n}
 
 
 def assert_unchanged(got: dict, want: dict, names) -> None:
@@ -159,7 +178,7 @@ def test_energy_offset_leaves_the_oracle_correction_at_zero_g(clock_name, state_
 
     def oracle_correction(clk):
         js = evolve_characteristics_g(clk, kstate, BENCH_T, 0.0, c=c)
-        return clock_time_stats(js, clk)[0] - free_reading(clk, BENCH_T)[1]
+        return clock_time_stats(js, clk)[0] - free_reading(clk, BENCH_T).mean
 
     want = oracle_correction(clock)
     got = oracle_correction(replace(clock, energies=clock.energies + ENERGY_OFFSET))
@@ -178,6 +197,13 @@ def test_mass_light_speed_scaling_changes_nothing_at_zero_g(clock_name, state_na
     assert_unchanged(got, want, want)
 
 
+@every_bin
+def test_mass_light_speed_scaling_leaves_the_conditioned_spread(c_name, q, n):
+    kstate, c = bench_gaussian(), LIGHT_SPEEDS[c_name]
+    want = conditioned(kstate, q, n, c)
+    assert_unchanged(conditioned(with_mass_factor(kstate, 3.0), q, n, c / 3.0), want, want)
+
+
 # ---------------------------------------------------------------------------
 # (d) mirror
 
@@ -192,3 +218,11 @@ def test_mirrored_gaussian_reads_the_same_at_zero_g(clock_name, c_name):
     for name in ("mean_t", "sigma_total"):
         if name in want:
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+@every_bin
+def test_mirrored_gaussian_conditions_alike_in_the_mirrored_bin(c_name, q, n):
+    kstate, c = replace(bench_gaussian(), x0=BENCH_SIGMA_X), LIGHT_SPEEDS[c_name]
+    want = conditioned(kstate, q, n, c)
+    assert_unchanged(conditioned(replace(kstate, x0=-kstate.x0, p0=-kstate.p0), q, -n, c),
+                     want, want)

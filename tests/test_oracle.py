@@ -425,7 +425,7 @@ def test_verify_sigma_time_zero_matches_free_spread():
     clk = idealised_surrogate(BENCH_OMEGA, d=64)
     state = bench_gaussian(p0_sigmas=0.0)
     js = evolve_characteristics_g(clk, state, 0.0, 0.0, order="c4", c=bench_c())
-    s_nr = free_reading(clk, 0.0)[2]
+    s_nr = free_reading(clk, 0.0).spread
     assert abs(clock_time_stats(js, clk)[1] - s_nr) < 1e-12 * clock_period(clk)
 
 
@@ -436,7 +436,7 @@ def test_sigma_excess_quadratic_in_time():
 
     def excess(t):
         js = evolve_characteristics_g(clk, state, t, 0.0, order="c4", c=c)
-        return clock_time_stats(js, clk)[1] - free_reading(clk, t)[2]
+        return clock_time_stats(js, clk)[1] - free_reading(clk, t).spread
 
     t = 0.55 * BENCH_T
     ratio = excess(2.0 * t) / excess(t)
@@ -451,7 +451,7 @@ def test_sigma_excess_tracks_dispersion_term_not_contracted_form():
     c = bench_c()
     t = 0.3 * clock_period(clk)
     js = evolve_characteristics_g(clk, state, t, 0.0, order="c4", c=c)
-    s_nr = free_reading(clk, t)[2]
+    s_nr = free_reading(clk, t).spread
     excess = clock_time_stats(js, clk)[1] - s_nr
     dispersion = sigma_dispersion_exact(state, t, s_nr, c=c)
     assert abs(excess / dispersion - 1.0) < 0.05

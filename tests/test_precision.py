@@ -116,10 +116,10 @@ def test_sigma_nonideal_idealised_limit_is_zero():
 def test_unsupported_clock_type_rejected(name):
     # a bare matrix is not a clock: it has no time observable or period; each
     # case asks for one quantity by the library route that returns it
-    call = {"sigma_nr": lambda clk: free_reading(clk, 1.0)[2],
+    call = {"sigma_nr": lambda clk: free_reading(clk, 1.0).spread,
             "sigma_nonideal_term": lambda clk: sigma_ni(clk, ELECTRON_NM, 1.0),
             "sigma_breakdown": lambda clk: sigma_breakdown(clk, ELECTRON_NM, 1.0),
-            "mean_clock_time_nr": lambda clk: free_reading(clk, 1.0)[1],
+            "mean_clock_time_nr": lambda clk: free_reading(clk, 1.0).mean,
             "error_trace": lambda clk: free_error_trace(clk, 1.0),
             "mean_clock_time": lambda clk: mean_clock_time(clk, ELECTRON_NM, 1.0, 0.0)}[name]
     with pytest.raises(TypeError, match="unsupported clock type ndarray"):
@@ -221,34 +221,35 @@ def test_breakdown_matrix_clock_assembly():
 def test_breakdown_evaluates_free_spread_once(monkeypatch):
     # one evolution of psi0 and one reading of its spread feed sigma_NR, the
     # ideal term and the non-idealised term; the mean time reads them once too.
-    # The non-idealised term applies T to three kets of the whole stack. The
-    # clock is built before the counters: its calibration reads psi0 once
-    from chronodil import clocks, precision
+    # The free reading applies T to the stack once for its rate, and only
+    # sigma_NI asks for the second-order derivatives, which apply it to two
+    # kets more. The clock is built before the counters: its calibration
+    # reads psi0 once
+    from chronodil import clocks
 
     clk = build_quasi_ideal(16, BENCH_OMEGA, 4.0, m0=4.0)
     calls = {"evolve": 0, "reading_stats": 0, "apply_time": 0}
 
-    def counting(module, name):
-        real = getattr(module, name)
+    def counting(name):
+        real = getattr(clocks, name)
 
         def wrapper(*args):
             calls[name] += 1
             return real(*args)
         return wrapper
 
-    for name in ("evolve", "reading_stats"):
-        monkeypatch.setattr(clocks, name, counting(clocks, name))
-    monkeypatch.setattr(precision, "apply_time", counting(precision, "apply_time"))
+    for name in calls:
+        monkeypatch.setattr(clocks, name, counting(name))
     times = np.array([0.1, 0.25]) * clock_period(clk)
-    sigma_breakdown(clk, bench_gaussian(), times, c=bench_c())
-    assert calls == {"evolve": 1, "reading_stats": 1, "apply_time": 3}
     mean_clock_time(clk, bench_gaussian(), times, 9.81, c=bench_c())
-    assert calls == {"evolve": 2, "reading_stats": 2, "apply_time": 3}
+    assert calls == {"evolve": 1, "reading_stats": 1, "apply_time": 1}
+    sigma_breakdown(clk, bench_gaussian(), times, c=bench_c())
+    assert calls == {"evolve": 2, "reading_stats": 2, "apply_time": 4}
 
 
 def test_free_spread_constant_for_idealised():
     clk = IdealisedClock(2e-9)
-    assert free_reading(clk, 0.0)[2] == free_reading(clk, 5.0)[2] == 2e-9
+    assert free_reading(clk, 0.0).spread == free_reading(clk, 5.0).spread == 2e-9
 
 
 def test_negative_variance_raises_instead_of_clamping():
@@ -268,8 +269,8 @@ def test_free_spread_qubit_phase_uses_outcome_second_moment():
     # outcome integral, not the squared observable; hand-computed variance
     # is pi^2/3 + 2 cos(omega t) - sin^2(omega t)
     clk = build_qubit_phase(1.0)
-    assert np.isclose(free_reading(clk, 0.0)[2] ** 2, np.pi**2 / 3.0 + 2.0, rtol=1e-12)
-    assert np.isclose(free_reading(clk, np.pi)[2] ** 2, np.pi**2 / 3.0 - 2.0, rtol=1e-12)
+    assert np.isclose(free_reading(clk, 0.0).spread ** 2, np.pi**2 / 3.0 + 2.0, rtol=1e-12)
+    assert np.isclose(free_reading(clk, np.pi).spread ** 2, np.pi**2 / 3.0 - 2.0, rtol=1e-12)
 
 
 def test_w_of_p_orders():

@@ -50,8 +50,8 @@ MUTANTS = [
     (KIN, "- gt * gt / 3.0\n", "- 1.01 * gt * gt / 3.0\n", "r_factor: fall term x 1.01"),
     (DIL, "correction = t * r * (1.0 + err)", "correction = t * r * (1.0 + 1.01 * err)",
      "mean_clock_time: error trace in the correction x 1.01"),
-    (CLK, "t_psi.conj(), h_psi).imag - 1.0", "t_psi.conj(), h_psi).imag * 1.01 - 1.01",
-     "error_trace_from: tr E x 1.01"),
+    (CLK, "rate=(2.0 / HBAR) * _dot(x, h).imag,",
+     "rate=(2.0 / HBAR) * _dot(x, h).imag * 1.01 - 0.01,", "free_reading: tr E x 1.01"),
     (DIL, "+ g * x0 / c**2", "+ 1.01 * g * x0 / c**2", "classical proper time: g x0 term x 1.01"),
     # the coherence term
     (DIL, "motional = (cat.delta_x0", "motional = 1.01 * (cat.delta_x0",
@@ -73,12 +73,17 @@ MUTANTS = [
     # killed only by tests/test_invariants.py: (m, c) -> (3m, c/3) must leave <W> alone
     (PRE, "m.mean_p4 / (8.0 * mass**4 * c**4)", "m.mean_p4 / (8.0 * mass**4 * c**5)",
      "w_moments: c^-4 term of <W> with a mixed light-speed power"),
-    (PRE, "brace1 = (2.0 / HBAR)", "brace1 = 1.01 * (2.0 / HBAR)", "sigma_NI: brace1 x 1.01"),
+    # and by its mirror of conditioned_sigma: a 7.5 sigma_p cut below p0 drops
+    # 3e-14 of the whole-line bin on one side only
+    (MEA, "lo_c = max(lo, kstate.p0 - _SUPPORT_SIGMAS * sp)",
+     "lo_c = max(lo, kstate.p0 - 7.5 * sp)",
+     "conditioned_sigma: support cut at 7.5 sigma_p below p0"),
+    (CLK, "d_q = (2.0 / HBAR)", "d_q = 1.01 * (2.0 / HBAR)", "sigma_NI: brace1 = dq/dt x 1.01"),
     (PRE, "brace2 = (rate - 1.0) * (rate + 1.0)", "brace2 = 1.01 * (rate - 1.0) * (rate + 1.0)",
      "sigma_NI: brace2 x 1.01"),
-    (PRE, "brace3 = d2_q + 4.0 * mean_t_nr * d2_t - 2.0",
-     "brace3 = 1.01 * (d2_q + 4.0 * mean_t_nr * d2_t - 2.0)", "sigma_NI: brace3 x 1.01"),
-    (PRE, "+ 4.0 * mean_t_nr * d2_t", "- 4.0 * mean_t_nr * d2_t",
+    (PRE, "brace3 = d2_q + 4.0 * free.mean * d2_t - 2.0",
+     "brace3 = 1.01 * (d2_q + 4.0 * free.mean * d2_t - 2.0)", "sigma_NI: brace3 x 1.01"),
+    (PRE, "+ 4.0 * free.mean * d2_t", "- 4.0 * free.mean * d2_t",
      "sigma_NI: sign of 4 <T> d^2<T>/dt^2 flipped"),
     # the measurement
     (MEA, "np.sqrt(clock.sigma_t0**2 + t * t * var_w)", "np.sqrt(clock.sigma_t0**2 + 0.0 * var_w)",
