@@ -37,9 +37,10 @@ class DilationResult:
     ``correction`` is t * r_factor * (1 + error_trace), formed once.
     Invariant: mean_t == mean_t_nr + correction exactly as computed.
     ``classical_tau`` is the proper time of a classical observer launched
-    from the state's mean position and velocity. Each field holds one value per lab time, or per light speed
-    of a stack (the free reading and error trace, which do not depend on
-    c, one value; an IdealisedClock's zero error trace stays a scalar).
+    from the state's mean position and velocity. Each field holds one
+    value per lab time, or per light speed of a stack (the free reading and
+    error trace, which do not depend on c, one value; an IdealisedClock's
+    zero error trace stays a scalar).
     """
 
     t: float | np.ndarray

@@ -43,8 +43,9 @@ _SUPPORT_SIGMAS = 12.0  # Gaussian mass beyond this is far below double precisio
 class MomentumBinning:
     """Partition of the momentum line into bins of width delta_p, bin n
     covering [(n - 1/2) delta_p, (n + 1/2) delta_p). ``delta_p`` must be
-    positive, and may be infinite: bin 0 is then the whole line. A bin
-    index must be an integer; anything else raises TypeError."""
+    positive, and may be infinite: bin 0 is then the whole line, and the
+    only bin; any other raises ValueError. A bin index must be an integer;
+    anything else raises TypeError."""
 
     delta_p: float
 
@@ -54,6 +55,8 @@ class MomentumBinning:
 
     def edges(self, n: int) -> tuple[float, float]:
         n = operator.index(n)
+        if n != 0 and self.delta_p == math.inf:
+            raise ValueError(f"only bin 0 exists at infinite width delta_p, got bin {n}")
         return ((n - 0.5) * self.delta_p, (n + 0.5) * self.delta_p)
 
 

@@ -89,12 +89,6 @@ def test_parse_minimal_dilation_config():
     assert state.mass == 9.1093837015e-31
 
 
-def test_alpha_out_of_range_names_key_and_line():
-    text = MINIMAL_DILATION.replace("type = gaussian", "type = gaussian\nalpha = 1.5")
-    with pytest.raises(ConfigError, match=r"line \d+: key 'alpha'.*less than 1.0"):
-        parse_config(text)
-
-
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match=r"line \d+: unknown key 'omga'"):
         parse_config(MINIMAL_DILATION.replace("omega = 1e3", "omga = 1e3"))
@@ -777,14 +771,12 @@ CONFIG_ERRORS = {
                               "key 'c_scalings': non-finite value", "c_scalings = 1, inf"),
     "float": (_edited(MINIMAL_DILATION, ("omega = 1e3", "omega = fast")),
               "key 'omega': expected float, got 'fast'", "omega = fast"),
-    "closed_low_bound": (_edited(MINIMAL_DILATION, ("d = 4", "d = 1")),
-                         "key 'd': value 1 must be at least 2", "d = 1"),
     "no_equals": (_edited(MINIMAL_DILATION, ("omega = 1e3", "omega 1e3")),
                   "expected 'key = value', got 'omega 1e3'", "omega 1e3"),
     "outside_section": ("seed = 3\n" + MINIMAL_DILATION, "key outside any [section]",
                         "seed = 3"),
-    "coherence_needs_cat": (bench_config("coherence"),
-                            "command 'coherence' needs kinematics type 'cat'", None),
+    "sweep_needs_cat": (_edited(SWEEP_CONFIG, ("type = cat", "type = gaussian")),
+                        "command 'sweep' needs kinematics type 'cat'", None),
     "verify_sigma_needs_zero_gravity": (
         _edited(bench_config("verify", extra="\n[verify]\ntarget = sigma\n"),
                 ("g = 0.0", "g = 9.81")),
@@ -808,6 +800,62 @@ def test_every_config_error_names_itself_and_exits_2(case, tmp_path, capsys):
     assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+COHERENCE_CONFIG = bench_config("coherence", kin_type="cat",
+                                cat_keys="delta_x0 = 3e-7\nalpha = 0.5\ntheta = 0.0")
+DILATION_CONFIG = bench_config("dilation")
+
+# (config, message): one case per value the library checks where it takes it
+# in. The parser checks no range, so each config parses, and main prints the
+# library's message alone
+LIBRARY_ERRORS = {
+    "d": (_edited(DILATION_CONFIG, ("d = 4", "d = 1")), "clock dimension must be >= 2, got 1"),
+    "omega": (_edited(bench_config("precision"), (f"omega = {BENCH_OMEGA!r}", "omega = 0.0")),
+              "omega must be positive, got 0.0"),
+    "sigma_bar": (_edited(DILATION_CONFIG, ("model = swp",
+                                            "model = quasi_ideal\nsigma_bar = 0.0")),
+                  "sigma_bar must lie in (0, d), got 0.0"),
+    "sigma_t0": (_edited(measurement_config(), ("sigma_t0 = 1e-9", "sigma_t0 = -1e-9")),
+                 "sigma_t0 must be finite and non-negative, got -1e-09"),
+    "sigma_x": (_edited(DILATION_CONFIG, (f"sigma_x = {BENCH_SIGMA_X!r}", "sigma_x = 0.0")),
+                "sigma_x must be positive, got 0.0"),
+    "mass": (_edited(measurement_config(), (f"mass = {BENCH_MASS!r}", "mass = 0.0")),
+             "mass must be positive, got 0.0"),
+    "delta_x0": (_edited(COHERENCE_CONFIG, ("delta_x0 = 3e-7", "delta_x0 = -3e-7")),
+                 "delta_x0 must be >= 0, got -3e-07"),
+    "alpha": (_edited(SWEEP_CONFIG, ("alpha = 0.5", "alpha = 1.0")),
+              "alpha must lie in (0, 1), got 1.0"),
+    "c_scale": (re.sub(r"c_scale = .*", "c_scale = 0.0", DILATION_CONFIG),
+                "light speed c must be finite and positive, one value or a 1-D stack, got 0.0"),
+    **{f"t_num_{num}": (_edited(DILATION_CONFIG, (f"t = {BENCH_T!r}",
+                                                  f"t_start = 1e-3\nt_stop = 2e-3\nt_num = {num}")),
+                        f"a linear grid needs at least 2 points, got num = {num}")
+       for num in (0, 1)},
+    **{f"num_{num}": (_edited(SWEEP_CONFIG, ("num = 40", f"num = {num}")),
+                      f"a linear grid needs at least 2 points, got num = {num}")
+       for num in (0, 1)},
+    "coherence_on_a_gaussian": (bench_config("coherence"),
+                                "the coherence term needs a CatState, got GaussianState"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_ERRORS))
+def test_every_value_the_library_rejects_exits_2_with_its_message(case, tmp_path, capsys):
+    text, message = LIBRARY_ERRORS[case]
+    cfg = parse_config(text)
+    cfg_path, out = tmp_path / "bad.cfg", tmp_path / "out.csv"
+    cfg_path.write_text(text)
+    assert main([cfg.command, "--config", str(cfg_path), "--out", str(out),
+                 "--no-timestamp"]) == 2
+    assert capsys.readouterr().err == f"chronodil: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("num", [1, 0, -1])
+def test_linear_grid_needs_two_points(num):
+    with pytest.raises(ValueError, match=f"at least 2 points, got num = {num}$"):
+        linear_grid(0.0, 1.0, num)
 
 
 def test_qubit_phase_config_runs_through_main(tmp_path):

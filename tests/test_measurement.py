@@ -248,6 +248,14 @@ def test_infinite_bin_is_no_measurement():
     assert abs(res.probability - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, -1, 2])
+def test_infinite_width_has_only_bin_0(n):
+    # inf - inf would make its edges NaN, and (n - 1/2) inf with n < 0 an empty [-inf, -inf)
+    message = f"^only bin 0 exists at infinite width delta_p, got bin {n}$"
+    with pytest.raises(ValueError, match=message):
+        conditioned_sigma(CLOCK, STATE, T_BENCH, MomentumBinning(math.inf), n, c=C_BENCH)
+
+
 def _sweep(times, q_values):
     # the layout of the CLI's measurement table: t outer, q inner
     unconditioned = conditioned_sigma(CLOCK, STATE, times, MomentumBinning(math.inf), 0,

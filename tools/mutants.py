@@ -101,6 +101,9 @@ MUTANTS = [
     (MEA, "if not isinstance(kstate, GaussianState):", "if False:",
      "conditioned_sigma: state check removed"),
     (DIL, "if not isinstance(cat, CatState):", "if False:", "t_coh: state check removed"),
+    (CFG, "if num < 2:", "if False:", "linear_grid: fewer than two points accepted"),
+    (MEA, "if n != 0 and self.delta_p == math.inf:", "if False:",
+     "MomentumBinning: a bin other than 0 accepted at infinite width"),
     # the oracle and its verdict
     (ORA, "elapsed = t - i2 /", "elapsed = t - 1.01 * i2 /", "oracle: c2 coupling x 1.01"),
     (ORA, "elapsed + 3.0 * i4 /", "elapsed + 3.03 * i4 /", "oracle: c4 coupling x 1.01"),
