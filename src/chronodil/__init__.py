@@ -23,7 +23,7 @@ _EXPORTS = {
     **dict.fromkeys(["classical_proper_time", "mean_clock_time", "t_coh"], "dilation"),
     **dict.fromkeys(["sigma_breakdown", "sigma_dispersion_exact", "sigma_ideal_term",
                      "w_moments"], "precision"),
-    **dict.fromkeys(["MomentumBinning", "conditioned_sigma"], "measurement"),
+    "conditioned_sigma": "measurement",
     **dict.fromkeys(["JointState", "VerificationReport", "evolve_characteristics_g",
                      "verify_mean_time", "verify_sigma"], "oracle"),
 }

@@ -81,8 +81,6 @@ def write_csv(table: CsvTable, cfg: RunConfig, stream) -> None:
     lines = [f"# {key} = {value}" for key, value in table.metadata]
     lines += ["# config:", *(f"# cfg {line}" for line in echo_lines(cfg)), ",".join(table.header)]
     stream.write(("\n".join(lines) + "\n").encode())
-    if not len(values):
-        return
     if values.size < _KERNEL_MIN_CELLS:
         template = ",".join(["%.17e"] * values.shape[1]) + "\n"
         # Python floats format faster than numpy's, to the same bytes
@@ -265,7 +263,7 @@ def _run_precision(cfg: RunConfig) -> tuple[CsvTable, int]:
 
 
 def _run_measurement(cfg: RunConfig) -> tuple[CsvTable, int]:
-    from .measurement import MomentumBinning, conditioned_sigma
+    from .measurement import conditioned_sigma
 
     clock = cfg.clock()
     kstate = cfg.kinematic_state()
@@ -273,11 +271,8 @@ def _run_measurement(cfg: RunConfig) -> tuple[CsvTable, int]:
     times = cfg.times()
     q_values = cfg.get("measurement", "q_values")
     n = cfg.get("measurement", "bin")
-    # the infinite bin (no measurement) reads no sigma_p, so it runs first: conditioned_sigma
-    # rejects a clock or state it cannot condition before the bins below read sigma_p
-    unconditioned = conditioned_sigma(clock, kstate, times, MomentumBinning(np.inf), 0, c=c)
-    per_q = [conditioned_sigma(clock, kstate, times, MomentumBinning(q * kstate.sigma_p), n, c=c)
-             for q in q_values]
+    unconditioned = conditioned_sigma(clock, kstate, times, np.inf, 0, c=c)
+    per_q = [conditioned_sigma(clock, kstate, times, q, n, c=c) for q in q_values]
     # one row per time and q, q running fastest
     conditioned = np.column_stack([res.sigma_t_given_n for res in per_q])
     table = _columns(t=np.repeat(times, len(q_values)), q=np.tile(q_values, len(times)),

@@ -9,6 +9,7 @@ numbers, each naming its line. The library checks value ranges.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,8 @@ def linear_grid(start: float, stop: float, num: int) -> np.ndarray:
     """``num`` evenly spaced values from ``start`` to ``stop``: cell i is
     ``start + (stop - start) * i / (num - 1)``, the same IEEE operations in
     the same order as that scalar formula, so the same bits. Raises
-    ValueError when ``num`` is below 2."""
+    TypeError when ``num`` is not an integer and ValueError when it is below 2."""
+    num = operator.index(num)
     if num < 2:
         raise ValueError(f"a linear grid needs at least 2 points, got num = {num}")
     return start + (stop - start) * np.arange(num) / (num - 1)

@@ -34,7 +34,8 @@ from .kinematics import CatState, check_light_speed, moments, norm_factor, overl
 class DilationResult:
     """Mean clock time at lab time t and the pieces it is assembled from.
 
-    ``correction`` is t * r_factor * (1 + error_trace), formed once.
+    ``correction`` is t * r_factor times the free reading's rate
+    1 + error_trace, formed once from the rate itself.
     Invariant: mean_t == mean_t_nr + correction exactly as computed.
     ``classical_tau`` is the proper time of a classical observer launched
     from the state's mean position and velocity. Each field holds one
@@ -98,7 +99,7 @@ def mean_clock_time(clock, kstate, t, g: float, c: float = C_LIGHT) -> DilationR
     free = free_reading(clock, t)
     nr, err = free.mean, free.rate - 1.0
     r = r_factor(kstate, t, g, c)
-    correction = t * r * (1.0 + err)
+    correction = t * r * free.rate
     m = moments(kstate)
     tau = _proper_time(m.mean_p / kstate.mass, m.mean_x, g, t, c)
     return DilationResult(t=t, mean_t_nr=nr, r_factor=r, error_trace=err, correction=correction,

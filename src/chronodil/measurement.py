@@ -8,11 +8,12 @@ measurement leaves a mixture of shifted Gaussians over the bin's density:
 
     var(T | bin n) = sigma_t0^2 + t^2 var(W(p) | bin n).
 
-The bin width delta_p sets how much motional information the measurement
-recovers: delta_p -> 0 restores the free spread, and an infinite delta_p,
-whose bin 0 is the whole momentum line, recovers nothing: it gives the
-unconditioned spread. This reduction is validated against the explicit
-joint-state oracle in the test suite before anything relies on it.
+The bin width q, in units of the state's sigma_p, sets how much motional
+information the measurement recovers: q -> 0 restores the free spread, and
+an infinite q, whose bin 0 is the whole momentum line, recovers nothing:
+it gives the unconditioned spread. This reduction is validated against
+the explicit joint-state oracle in the test suite before anything relies
+on it.
 
 The bin moments come from one fixed rule: 24-point Gauss-Legendre on
 pieces of width at most sigma_p across the bin, clipped to p0 +- 12
@@ -37,27 +38,6 @@ from .kinematics import GaussianState, check_light_speed
 from .precision import w_of_p
 
 _SUPPORT_SIGMAS = 12.0  # Gaussian mass beyond this is far below double precision
-
-
-@dataclass(frozen=True)
-class MomentumBinning:
-    """Partition of the momentum line into bins of width delta_p, bin n
-    covering [(n - 1/2) delta_p, (n + 1/2) delta_p). ``delta_p`` must be
-    positive, and may be infinite: bin 0 is then the whole line, and the
-    only bin; any other raises ValueError. A bin index must be an integer;
-    anything else raises TypeError."""
-
-    delta_p: float
-
-    def __post_init__(self):
-        if not self.delta_p > 0:
-            raise ValueError(f"delta_p must be positive, got {self.delta_p}")
-
-    def edges(self, n: int) -> tuple[float, float]:
-        n = operator.index(n)
-        if n != 0 and self.delta_p == math.inf:
-            raise ValueError(f"only bin 0 exists at infinite width delta_p, got bin {n}")
-        return ((n - 0.5) * self.delta_p, (n + 0.5) * self.delta_p)
 
 
 @dataclass(frozen=True)
@@ -108,24 +88,35 @@ def _conditional_w_moments(kstate: GaussianState, lo: float, hi: float,
     return prob, float(w_of_p(pc, kstate.mass, c)) + mean_dev, var_w
 
 
-def conditioned_sigma(clock: IdealisedClock, kstate: GaussianState, t,
-                      binning: MomentumBinning, n: int, c: float = C_LIGHT) -> ConditionedResult:
+def conditioned_sigma(clock: IdealisedClock, kstate: GaussianState, t, q: float, n: int,
+                      c: float = C_LIGHT) -> ConditionedResult:
     """Clock-time spread of an idealised clock after finding the momentum in
-    bin n (g = 0), at each time of ``t``.
+    bin n, [(n - 1/2) q sigma_p, (n + 1/2) q sigma_p), at each time of ``t``
+    (g = 0).
 
-    The momentum distribution is time invariant at g = 0, so the bin's
+    The bin width q, in units of the state's sigma_p, must be positive, and
+    may be infinite: bin 0 is then the whole momentum line, and the only
+    bin. The momentum distribution is time invariant at g = 0, so the bin's
     probability and moments are computed once for all times. Raises
-    ValueError on an effectively empty bin (probability < 1e-15) or a bad
-    light speed, and TypeError on a clock other than an IdealisedClock (a
-    matrix clock adds a cross term not derived here), a state other than a
-    GaussianState or a bin index that is not an integer.
+    ValueError on a q that is not positive, a bin other than 0 at infinite
+    q, an effectively empty bin (probability < 1e-15) or a bad light speed,
+    and TypeError on a clock other than an IdealisedClock (a matrix clock
+    adds a cross term not derived here), a state other than a GaussianState
+    or a bin index that is not an integer.
     """
     if not isinstance(clock, IdealisedClock):
         raise TypeError(f"conditioning needs an IdealisedClock, got {type(clock).__name__}")
     if not isinstance(kstate, GaussianState):
         raise TypeError(f"conditioning needs a GaussianState, got {type(kstate).__name__}")
     check_light_speed(c)
-    prob, mean_w, var_w = _conditional_w_moments(kstate, *binning.edges(n), c)
+    n = operator.index(n)
+    if not q > 0:
+        raise ValueError(f"the bin width q must be positive, got {q}")
+    if n != 0 and q == math.inf:
+        raise ValueError(f"only bin 0 exists at infinite width q, got bin {n}")
+    delta_p = q * kstate.sigma_p
+    lo, hi = (n - 0.5) * delta_p, (n + 0.5) * delta_p
+    prob, mean_w, var_w = _conditional_w_moments(kstate, lo, hi, c)
     return ConditionedResult(probability=prob,
                              sigma_t_given_n=np.sqrt(clock.sigma_t0**2 + t * t * var_w),
                              mean_t_given_n=t * (1.0 + mean_w))

@@ -273,11 +273,15 @@ def _report(quantity: str, lams: np.ndarray, rows, floor_scale: float,
     floor, where no exponent is fitted; a correction at or below it is
     unresolved and fails. A resolved report passes at the floor, or when
     the exponent named by ``judged`` ('abs' or 'rel') is at most ``limit``.
+    A correction of exactly 0, which has no relative residual, raises
+    ValueError.
     """
     perturbative, exact, corrections = (tuple(map(float, col)) for col in zip(*rows))
+    for lam, corr in zip(lams.tolist(), corrections):
+        if corr == 0:
+            raise ValueError(f"verification needs a nonzero correction, got 0 at c scaling {lam}")
     residuals = tuple(abs(e - p) for p, e in zip(perturbative, exact))
-    relatives = tuple(r / abs(corr) if corr != 0 else np.inf
-                      for r, corr in zip(residuals, corrections))
+    relatives = tuple(r / abs(corr) for r, corr in zip(residuals, corrections))
     floor = 1e-12 * max(floor_scale, max(abs(v) for v in exact))
     at_floor = all(r < floor for r in residuals)
     resolved = min(abs(corr) for corr in corrections) > floor

@@ -13,8 +13,7 @@ from chronodil.clocks import ClockModel, IdealisedClock, build_quasi_ideal, free
 from chronodil.config import echo_lines
 from chronodil.constants import C_LIGHT, HBAR
 from chronodil.kinematics import CatState, GaussianState, norm_factor, r_factor
-from chronodil.measurement import (_SUPPORT_SIGMAS, MomentumBinning, _bin_rule,
-                                   _conditional_w_moments)
+from chronodil.measurement import _SUPPORT_SIGMAS, _bin_rule, _conditional_w_moments
 from dense_reference import dagger
 
 
@@ -156,13 +155,20 @@ def unconditioned_sigma(clock: IdealisedClock, kstate: GaussianState, t: float,
     return np.sqrt(clock.sigma_t0**2 + t * t * var_w)
 
 
-def occupied_bins(kstate: GaussianState, binning: MomentumBinning) -> list[int]:
-    """Bin indices whose probability exceeds 1e-13 (contiguous scan outward
-    from the bin containing the mean momentum)."""
-    center = int(np.floor(kstate.p0 / binning.delta_p + 0.5))
-    half_span = int(np.ceil(_SUPPORT_SIGMAS * kstate.sigma_p / binning.delta_p)) + 1
+def bin_edges(kstate: GaussianState, q: float, n: int) -> tuple[float, float]:
+    """[lo, hi) of momentum bin n at width q sigma_p, as ``conditioned_sigma``
+    forms it."""
+    delta_p = q * kstate.sigma_p
+    return (n - 0.5) * delta_p, (n + 0.5) * delta_p
+
+
+def occupied_bins(kstate: GaussianState, q: float) -> list[int]:
+    """Indices of the bins of width q sigma_p whose probability exceeds 1e-13
+    (contiguous scan outward from the bin containing the mean momentum)."""
+    center = int(np.floor(kstate.p0 / (q * kstate.sigma_p) + 0.5))
+    half_span = int(np.ceil(_SUPPORT_SIGMAS / q)) + 1
     return [n for n in range(center - half_span, center + half_span + 1)
-            if np.sum(_bin_rule(kstate, *binning.edges(n))[1]) > 1e-13]
+            if np.sum(_bin_rule(kstate, *bin_edges(kstate, q, n))[1]) > 1e-13]
 
 
 # ---------------------------------------------------------------------------

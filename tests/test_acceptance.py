@@ -21,7 +21,7 @@ from chronodil.clocks import (
 from chronodil.constants import ATOMIC_MASS_UNIT, C_LIGHT, ELECTRON_MASS
 from chronodil.dilation import classical_proper_time, mean_clock_time, t_coh
 from chronodil.kinematics import CatState, GaussianState
-from chronodil.measurement import MomentumBinning, conditioned_sigma
+from chronodil.measurement import conditioned_sigma
 from chronodil.oracle import clock_time_stats, evolve_characteristics_g, verify_mean_time
 from chronodil.precision import (
     sigma_breakdown,
@@ -220,8 +220,7 @@ def test_criterion_08_measurement_recovery():
     c = state.sigma_p / (0.1 * ELECTRON_MASS)  # sigma_v / c = 0.1
 
     def cond(q):
-        binning = MomentumBinning(delta_p=q * state.sigma_p)
-        return conditioned_sigma(clock, state, t, binning, 0, c=c).sigma_t_given_n
+        return conditioned_sigma(clock, state, t, q, 0, c=c).sigma_t_given_n
 
     fine = cond(0.01)
     fine_ok = abs(fine - sigma_t0) < 1e-3 * sigma_t0
@@ -229,10 +228,8 @@ def test_criterion_08_measurement_recovery():
     unconditioned = sigma_breakdown(clock, state, t, c=c).total
     coarse_ok = abs(coarse - unconditioned) < 0.01 * unconditioned
 
-    binning = MomentumBinning(delta_p=0.8 * state.sigma_p)
     total_exact = unconditioned_sigma(clock, state, t, c=c)
-    rows = [conditioned_sigma(clock, state, t, binning, n, c=c)
-            for n in occupied_bins(state, binning)]
+    rows = [conditioned_sigma(clock, state, t, 0.8, n, c=c) for n in occupied_bins(state, 0.8)]
     mean_total = sum(r.probability * r.mean_t_given_n for r in rows)
     var_sum = sum(r.probability * (r.sigma_t_given_n**2 + (r.mean_t_given_n - mean_total) ** 2)
                   for r in rows)

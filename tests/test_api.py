@@ -21,7 +21,7 @@ EXPORTS = sorted("""
     build_qubit_phase build_quasi_ideal build_swp free_reading CatState
     GaussianState moments norm_factor r_factor classical_proper_time
     mean_clock_time t_coh sigma_breakdown sigma_dispersion_exact sigma_ideal_term
-    w_moments MomentumBinning conditioned_sigma JointState VerificationReport
+    w_moments conditioned_sigma JointState VerificationReport
     evolve_characteristics_g verify_mean_time verify_sigma""".split())
 
 # the classical proper time that criterion 03 averages, which warns where the

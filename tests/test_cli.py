@@ -17,12 +17,12 @@ from chronodil.clocks import build_qubit_phase
 from chronodil.config import ConfigError, RunConfig, echo_lines, linear_grid, parse_config
 from chronodil.dilation import mean_clock_time, t_coh
 from chronodil.kinematics import norm_factor
-from chronodil.measurement import MomentumBinning, _conditional_w_moments, conditioned_sigma
+from chronodil.measurement import _conditional_w_moments, conditioned_sigma
 from chronodil.oracle import verify_mean_time
 from chronodil.precision import sigma_breakdown
 from chronodil.constants import C_LIGHT, HBAR
 from helpers import (BENCH_MASS, BENCH_OMEGA, BENCH_PERIOD, BENCH_SIGMA_X, BENCH_T, bench_c,
-                     reference_write_csv)
+                     bin_edges, reference_write_csv)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -274,6 +274,19 @@ def test_verify_run_exit_codes():
         assert min(row[4] for row in table.rows) > 1e12
 
 
+@pytest.mark.parametrize("d, k", [(8, 4), (5, 2), (9, 4)], ids=["d8_k4", "d5_k2", "d9_k4"])
+def test_verify_at_a_dial_step_time_is_unresolved(d, k, tmp_path):
+    # at t = kP/d the dial's rate is within 1e-16 of 0 but not 0: a correction
+    # t R rate formed from it is tiny yet not 0, so its relative residual is
+    # finite, the CSV is written and the report is unresolved
+    text = bench_config("verify", extra="\n[verify]\nc_scalings = 1,2,4\n").replace(
+        "d = 4\n", f"d = {d}\n").replace(f"t = {BENCH_T!r}", f"t = {k * BENCH_PERIOD / d!r}")
+    cfg_path, out = tmp_path / "step.cfg", tmp_path / "step.csv"
+    cfg_path.write_text(text)
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out), "--no-timestamp"]) == 3
+    assert "# resolved = False" in out.read_text().splitlines()
+
+
 def test_verify_sigma_target_reports_exponents():
     text = bench_config(
         "verify",
@@ -477,8 +490,7 @@ def test_measurement_at_zero_sigma_t0_is_the_motional_spread(tmp_path):
     (n,) = (int(line.removeprefix("# bin = ")) for line in out.read_text().splitlines()
             if line.startswith("# bin = "))
     for t, q, sigma in cells[:, [header.index(key) for key in ("t", "q", "sigma_conditioned")]]:
-        edges = MomentumBinning(q * kstate.sigma_p).edges(n)
-        var_w = _conditional_w_moments(kstate, *edges, cfg.c_light())[2]
+        var_w = _conditional_w_moments(kstate, *bin_edges(kstate, q, n), cfg.c_light())[2]
         assert abs(sigma - t * np.sqrt(var_w)) <= 1e-15 * sigma
 
 
@@ -642,9 +654,8 @@ def _library_columns(cfg: RunConfig) -> dict:
     # measurement: one row per time and q, q running fastest
     clock, kstate = cfg.clock(), cfg.kinematic_state()
     q_values, n = np.array(cfg.get("measurement", "q_values")), cfg.get("measurement", "bin")
-    per_q = [conditioned_sigma(clock, kstate, times, MomentumBinning(q * kstate.sigma_p), n, c=c)
-             for q in q_values]
-    unconditioned = conditioned_sigma(clock, kstate, times, MomentumBinning(np.inf), 0, c=c)
+    per_q = [conditioned_sigma(clock, kstate, times, q, n, c=c) for q in q_values]
+    unconditioned = conditioned_sigma(clock, kstate, times, np.inf, 0, c=c)
     return {"t": np.repeat(times, q_values.size), "q": np.tile(q_values, times.size),
             "probability": np.tile([res.probability for res in per_q], times.size),
             "sigma_conditioned": np.array([res.sigma_t_given_n for res in per_q]).T.ravel(),
@@ -837,6 +848,8 @@ LIBRARY_ERRORS = {
        for num in (0, 1)},
     "coherence_on_a_gaussian": (bench_config("coherence"),
                                 "the coherence term needs a CatState, got GaussianState"),
+    "q_values": (_edited(measurement_config(), ("q_values = 0.1,1.0,10.0", "q_values = 1.0, -2.0")),
+                 "the bin width q must be positive, got -2.0"),
 }
 
 
@@ -856,6 +869,9 @@ def test_every_value_the_library_rejects_exits_2_with_its_message(case, tmp_path
 def test_linear_grid_needs_two_points(num):
     with pytest.raises(ValueError, match=f"at least 2 points, got num = {num}$"):
         linear_grid(0.0, 1.0, num)
+    # a count that is not an integer, 2.5 say, would run the grid past stop
+    with pytest.raises(TypeError):
+        linear_grid(0.0, 1.0, num + 1.5)
 
 
 def test_qubit_phase_config_runs_through_main(tmp_path):
@@ -875,5 +891,6 @@ def test_qubit_phase_config_runs_through_main(tmp_path):
 
 def test_csv_of_a_table_without_rows_is_its_header():
     stream = io.BytesIO()
-    write_csv(CsvTable(header=["t", "x"], rows=[]), parse_config(MINIMAL_DILATION), stream)
+    write_csv(CsvTable(header=["t", "x"], rows=np.empty((0, 2))), parse_config(MINIMAL_DILATION),
+              stream)
     assert stream.getvalue().decode().endswith("# cfg t = 1e-3\nt,x\n")

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from chronodil.clocks import IdealisedClock, build_quasi_ideal, build_qubit_phase, build_swp
+from chronodil.clocks import (IdealisedClock, build_quasi_ideal, build_qubit_phase, build_swp,
+                              free_reading)
 from chronodil.constants import ATOMIC_MASS_UNIT, C_LIGHT
 from chronodil.dilation import classical_proper_time, mean_clock_time, t_coh
 from chronodil.kinematics import CatState, GaussianState
@@ -86,19 +87,20 @@ def test_idealised_gaussian_reproduces_classical_average():
                + g * state.x0 / C_LIGHT**2 + state.p0 * g * t / (MASS * C_LIGHT**2)
                - (g * t / C_LIGHT) ** 2 / 3.0)
     assert np.isclose(res.mean_t, bracket * t, rtol=1e-15)
-    assert res.mean_t == res.mean_t_nr + t * res.r_factor * (1.0 + res.error_trace)
+    assert res.mean_t == res.mean_t_nr + t * res.r_factor * free_reading(clock, t).rate
 
 
 @pytest.mark.parametrize("clock", [IdealisedClock(1e-9), build_swp(4, 1.0),
                                    build_quasi_ideal(16, 1.0, 4.0, 8.0), build_qubit_phase(1.0)],
                          ids=["idealised", "swp4", "qi16", "qubit"])
 def test_mean_time_is_free_reading_plus_correction(clock):
-    # the correction t R (1 + tr E) is formed once, and the reading is the
-    # free reading plus it, bit for bit, on a batch of times and on a stack of c
+    # the correction t R times the free rate 1 + tr E is formed once, and the reading
+    # is the free reading plus it, bit for bit, on a batch of times and on a stack of c
     state = gaussian(x0=1e-6, p0=1e-22)
     for t, c in ((np.linspace(0.1, 2.0, 5), C_LIGHT), (1.3, np.array([1.0, 2.0, 4.0]) * C_LIGHT)):
         res = mean_clock_time(clock, state, t, 9.81, c=c)
-        np.testing.assert_array_equal(res.correction, t * res.r_factor * (1.0 + res.error_trace))
+        rate = free_reading(clock, t).rate
+        np.testing.assert_array_equal(res.correction, t * res.r_factor * rate)
         np.testing.assert_array_equal(res.mean_t, res.mean_t_nr + res.correction)
 
 

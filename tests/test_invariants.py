@@ -38,7 +38,7 @@ from chronodil.clocks import IdealisedClock, build_qubit_phase, build_swp, free_
 from chronodil.constants import C_LIGHT, HBAR
 from chronodil.dilation import mean_clock_time, t_coh
 from chronodil.kinematics import CatState
-from chronodil.measurement import MomentumBinning, conditioned_sigma
+from chronodil.measurement import conditioned_sigma
 from chronodil.oracle import clock_time_stats, evolve_characteristics_g
 from chronodil.precision import sigma_breakdown, sigma_ideal_term
 from helpers import (BENCH_OMEGA, BENCH_PERIOD, BENCH_SIGMA_X, BENCH_T, bench_c, bench_cat,
@@ -88,8 +88,7 @@ def observables(clock, kstate, c) -> dict:
 def conditioned(kstate, q, n, c) -> dict:
     """``conditioned_sigma`` of a zero-spread idealised clock at TIMES in bin
     n of width q sigma_p, by name."""
-    res = conditioned_sigma(IdealisedClock(0.0), kstate, TIMES,
-                            MomentumBinning(q * kstate.sigma_p), n, c=c)
+    res = conditioned_sigma(IdealisedClock(0.0), kstate, TIMES, q, n, c=c)
     assert np.all(res.sigma_t_given_n > 0.0), "the excess is not resolved"
     return {"probability": res.probability, "excess": res.sigma_t_given_n,
             "mean_t": res.mean_t_given_n}

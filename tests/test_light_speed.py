@@ -8,7 +8,7 @@ import pytest
 
 from chronodil.clocks import IdealisedClock, build_swp
 from chronodil.dilation import mean_clock_time, t_coh
-from chronodil.measurement import MomentumBinning, conditioned_sigma
+from chronodil.measurement import conditioned_sigma
 from chronodil.oracle import default_momentum_grid, evolve_characteristics_g
 from chronodil.precision import sigma_breakdown
 from helpers import BENCH_OMEGA, BENCH_T, bench_cat, bench_gaussian
@@ -21,7 +21,7 @@ CALLS = {
     "t_coh": lambda c: t_coh(bench_cat(), BENCH_T, 9.81, c=c),
     "sigma_breakdown": lambda c: sigma_breakdown(CLOCK, GAUSSIAN, BENCH_T, c=c),
     "conditioned_sigma": lambda c: conditioned_sigma(
-        IdealisedClock(1e-9), GAUSSIAN, BENCH_T, MomentumBinning(GAUSSIAN.sigma_p), 0, c=c),
+        IdealisedClock(1e-9), GAUSSIAN, BENCH_T, 1.0, 0, c=c),
     "evolve_characteristics_g": lambda c: evolve_characteristics_g(
         CLOCK, GAUSSIAN, BENCH_T, 9.81, c=c),
     "default_momentum_grid": lambda c: default_momentum_grid(CLOCK, GAUSSIAN, BENCH_T, 9.81, c=c),

@@ -11,13 +11,9 @@ from chronodil import measurement
 from chronodil.clocks import IdealisedClock, build_qubit_phase, build_swp
 from chronodil.constants import ELECTRON_MASS
 from chronodil.kinematics import CatState, GaussianState
-from chronodil.measurement import (
-    MomentumBinning,
-    _conditional_w_moments,
-    conditioned_sigma,
-)
+from chronodil.measurement import _conditional_w_moments, conditioned_sigma
 from chronodil.precision import w_of_p
-from helpers import occupied_bins, unconditioned_sigma
+from helpers import bin_edges, occupied_bins, unconditioned_sigma
 
 # electron with a nanometre packet and a nanosecond reading profile; the
 # base light speed is reduced so the motional coupling is resolvable
@@ -28,12 +24,8 @@ C_BENCH = STATE.sigma_p / (0.02 * ELECTRON_MASS)  # sigma_v / c = 0.02
 T_BENCH = 1e-9
 
 
-def binning_for(q: float) -> MomentumBinning:
-    return MomentumBinning(delta_p=q * STATE.sigma_p)
-
-
-def probability(binning: MomentumBinning, n: int) -> float:
-    return conditioned_sigma(CLOCK, STATE, T_BENCH, binning, n, c=C_BENCH).probability
+def probability(q: float, n: int) -> float:
+    return conditioned_sigma(CLOCK, STATE, T_BENCH, q, n, c=C_BENCH).probability
 
 
 # ---------------------------------------------------------------------------
@@ -41,21 +33,17 @@ def probability(binning: MomentumBinning, n: int) -> float:
 
 
 def test_whole_line_bin_probability():
-    wide = MomentumBinning(delta_p=200.0 * STATE.sigma_p)
-    assert abs(probability(wide, 0) - 1.0) < 1e-12
+    assert abs(probability(200.0, 0) - 1.0) < 1e-12
 
 
 def test_central_bin_one_sigma_each_side():
     # bin n = 0 with q = 2 covers [-sigma_p, sigma_p]
-    assert np.isclose(probability(binning_for(2.0), 0), 0.682689492137,
-                      atol=1e-10)
+    assert np.isclose(probability(2.0, 0), 0.682689492137, atol=1e-10)
 
 
 def test_bin_probability_parity():
-    binning = binning_for(0.7)
     for n in (1, 2, 5):
-        assert np.isclose(probability(binning, n),
-                          probability(binning, -n), rtol=1e-12)
+        assert np.isclose(probability(0.7, n), probability(0.7, -n), rtol=1e-12)
 
 
 @pytest.mark.parametrize("n", [10, 14])
@@ -63,17 +51,15 @@ def test_bin_probability_matches_mpmath_in_the_tail(n):
     # bins 10 and 14 at q = 0.5 hold about 1e-6 and 7e-12 of the packet; a
     # difference of two erf values near 1 keeps only a few digits there
     mpmath = pytest.importorskip("mpmath")
-    binning = binning_for(0.5)
-    lo, hi = binning.edges(n)
+    lo, hi = bin_edges(STATE, 0.5, n)
     with mpmath.mp.workdps(50):
         a, b = (mpmath.mpf(edge) / (mpmath.sqrt(2) * mpmath.mpf(STATE.sigma_p)) for edge in (lo, hi))
         ref = float((mpmath.erf(b) - mpmath.erf(a)) / 2)
-    assert abs(probability(binning, n) - ref) <= 1e-12 * ref
+    assert abs(probability(0.5, n) - ref) <= 1e-12 * ref
 
 
 def test_bin_probabilities_sum_to_one():
-    binning = binning_for(0.5)
-    total = sum(probability(binning, n) for n in occupied_bins(STATE, binning))
+    total = sum(probability(0.5, n) for n in occupied_bins(STATE, 0.5))
     assert abs(total - 1.0) < 1e-8
 
 
@@ -82,19 +68,19 @@ def test_bin_probabilities_sum_to_one():
 
 
 def test_fine_measurement_restores_free_spread():
-    res = conditioned_sigma(CLOCK, STATE, T_BENCH, binning_for(0.01), 0, c=C_BENCH)
+    res = conditioned_sigma(CLOCK, STATE, T_BENCH, 0.01, 0, c=C_BENCH)
     assert abs(res.sigma_t_given_n - SIGMA_T0) < 1e-3 * SIGMA_T0
 
 
 def test_coarse_measurement_recovers_nothing():
-    res = conditioned_sigma(CLOCK, STATE, T_BENCH, binning_for(1e3), 0, c=C_BENCH)
+    res = conditioned_sigma(CLOCK, STATE, T_BENCH, 1e3, 0, c=C_BENCH)
     unconditioned = unconditioned_sigma(CLOCK, STATE, T_BENCH, c=C_BENCH)
     assert abs(res.sigma_t_given_n - unconditioned) < 0.01 * unconditioned
 
 
 def test_conditioned_never_beats_free_spread():
     for q in (0.05, 0.5, 2.0, 20.0):
-        res = conditioned_sigma(CLOCK, STATE, T_BENCH, binning_for(q), 0, c=C_BENCH)
+        res = conditioned_sigma(CLOCK, STATE, T_BENCH, q, 0, c=C_BENCH)
         assert res.sigma_t_given_n >= SIGMA_T0 - 1e-12
 
 
@@ -103,34 +89,32 @@ def test_empty_bin_raises():
     for q in (0.5, np.float64(0.5)):
         with pytest.raises(ValueError, match=r"^momentum bin \[[0-9.e+-]+, [0-9.e+-]+\) "
                                              r"carries no probability \([0-9.e+-]+\)$"):
-            conditioned_sigma(CLOCK, STATE, T_BENCH, binning_for(q), 60, c=C_BENCH)
+            conditioned_sigma(CLOCK, STATE, T_BENCH, q, 60, c=C_BENCH)
 
 
 def test_monotone_in_coarseness_and_time():
     qs = (0.1, 0.5, 1.0, 3.0, 10.0, 100.0)
-    sigmas = [conditioned_sigma(CLOCK, STATE, T_BENCH, binning_for(q), 0,
-                                c=C_BENCH).sigma_t_given_n for q in qs]
+    sigmas = [conditioned_sigma(CLOCK, STATE, T_BENCH, q, 0, c=C_BENCH).sigma_t_given_n
+              for q in qs]
     assert all(b >= a - 1e-18 for a, b in zip(sigmas, sigmas[1:]))
     times = (0.0, 0.5 * T_BENCH, T_BENCH, 2.0 * T_BENCH)
-    sigmas_t = [conditioned_sigma(CLOCK, STATE, t, binning_for(1.0), 0,
-                                  c=C_BENCH).sigma_t_given_n for t in times]
+    sigmas_t = [conditioned_sigma(CLOCK, STATE, t, 1.0, 0, c=C_BENCH).sigma_t_given_n
+                for t in times]
     assert all(b >= a - 1e-18 for a, b in zip(sigmas_t, sigmas_t[1:]))
 
 
 def test_refinement_recovers_precision_on_nested_binnings():
-    sigmas = [conditioned_sigma(CLOCK, STATE, T_BENCH, binning_for(q), 0,
-                                c=C_BENCH).sigma_t_given_n
+    sigmas = [conditioned_sigma(CLOCK, STATE, T_BENCH, q, 0, c=C_BENCH).sigma_t_given_n
               for q in (4.0, 2.0, 1.0, 0.5, 0.25)]
     assert all(b <= a + 1e-18 for a, b in zip(sigmas, sigmas[1:]))
 
 
 def _assert_total_variance_law(state):
-    binning = binning_for(0.8)
     total_sigma = unconditioned_sigma(CLOCK, state, T_BENCH, c=C_BENCH)
     mean_total = 0.0
     pieces = []
-    for n in occupied_bins(state, binning):
-        res = conditioned_sigma(CLOCK, state, T_BENCH, binning, n, c=C_BENCH)
+    for n in occupied_bins(state, 0.8):
+        res = conditioned_sigma(CLOCK, state, T_BENCH, 0.8, n, c=C_BENCH)
         pieces.append(res)
         mean_total += res.probability * res.mean_t_given_n
     var_sum = sum(r.probability * (r.sigma_t_given_n**2 + (r.mean_t_given_n - mean_total) ** 2)
@@ -176,12 +160,11 @@ def test_conditional_w_moments_match_mpmath(p0_sigmas, q):
     mpmath = pytest.importorskip("mpmath")
     state = GaussianState(x0=0.0, p0=p0_sigmas * STATE.sigma_p, sigma_x=1e-9,
                           mass=ELECTRON_MASS)
-    binning = binning_for(q)
     # bin 0 (what the CLI reads) and the bin holding the mean momentum
-    bins = {0, int(np.floor(state.p0 / binning.delta_p + 0.5))}
+    bins = {0, int(np.floor(state.p0 / (q * state.sigma_p) + 0.5))}
     checked = 0
     for n in sorted(bins):
-        lo, hi = binning.edges(n)
+        lo, hi = bin_edges(state, q, n)
         if hi < state.p0 - 12.0 * state.sigma_p:
             continue  # outside the support the rule integrates over
         prob, mean_w, var_w = _conditional_w_moments(state, lo, hi, C_BENCH)
@@ -195,7 +178,7 @@ def test_conditional_w_moments_match_mpmath(p0_sigmas, q):
 
 def test_quartic_light_speed_scaling():
     def excess(c):
-        res = conditioned_sigma(CLOCK, STATE, T_BENCH, binning_for(5.0), 0, c=c)
+        res = conditioned_sigma(CLOCK, STATE, T_BENCH, 5.0, 0, c=c)
         return res.sigma_t_given_n - SIGMA_T0
 
     ratio = excess(C_BENCH) / excess(2.0 * C_BENCH)
@@ -215,15 +198,14 @@ def test_conditional_reduction_matches_joint_grid_oracle():
     kin = np.exp(-(pp**2) / (4.0 * STATE.sigma_p**2))
     density = np.abs(profile * kin) ** 2
 
-    binning = binning_for(1.5)
-    lo, hi = binning.edges(0)
+    lo, hi = bin_edges(STATE, 1.5, 0)
     cols = (p_axis >= lo) & (p_axis < hi)
     conditioned = density[:, cols].sum(axis=1)
     conditioned /= conditioned.sum()
     mean = float(np.sum(t_axis * conditioned))
     sigma_oracle = float(np.sqrt(np.sum((t_axis - mean) ** 2 * conditioned)))
 
-    res = conditioned_sigma(CLOCK, STATE, T_BENCH, binning, 0, c=C_BENCH)
+    res = conditioned_sigma(CLOCK, STATE, T_BENCH, 1.5, 0, c=C_BENCH)
     assert abs(res.sigma_t_given_n - sigma_oracle) < 1e-6 * sigma_oracle
 
 
@@ -231,9 +213,9 @@ def test_conditioned_sigma_over_an_array_of_times_equals_its_rows():
     # the CLI's measurement table is one call per q on its time grid
     times = np.linspace(0.0, 10.0 * T_BENCH, 101)
     for q in (1e-4, 0.3, 1.0, 10.0):
-        batch = conditioned_sigma(CLOCK, STATE, times, binning_for(q), 0, c=C_BENCH)
+        batch = conditioned_sigma(CLOCK, STATE, times, q, 0, c=C_BENCH)
         for i, t in enumerate(times.tolist()):
-            row = conditioned_sigma(CLOCK, STATE, t, binning_for(q), 0, c=C_BENCH)
+            row = conditioned_sigma(CLOCK, STATE, t, q, 0, c=C_BENCH)
             assert row.probability == batch.probability
             assert batch.sigma_t_given_n[i] == row.sigma_t_given_n, (q, t)
             assert batch.mean_t_given_n[i] == row.mean_t_given_n, (q, t)
@@ -241,9 +223,8 @@ def test_conditioned_sigma_over_an_array_of_times_equals_its_rows():
 
 def test_infinite_bin_is_no_measurement():
     # bin 0 of an infinite width covers the whole momentum line
-    whole = MomentumBinning(math.inf)
     for t in (0.0, 0.5 * T_BENCH, T_BENCH, 7.0 * T_BENCH):
-        res = conditioned_sigma(CLOCK, STATE, t, whole, 0, c=C_BENCH)
+        res = conditioned_sigma(CLOCK, STATE, t, math.inf, 0, c=C_BENCH)
         assert res.sigma_t_given_n == unconditioned_sigma(CLOCK, STATE, t, c=C_BENCH)
     assert abs(res.probability - 1.0) < 1e-12
 
@@ -251,17 +232,17 @@ def test_infinite_bin_is_no_measurement():
 @pytest.mark.parametrize("n", [1, -1, 2])
 def test_infinite_width_has_only_bin_0(n):
     # inf - inf would make its edges NaN, and (n - 1/2) inf with n < 0 an empty [-inf, -inf)
-    message = f"^only bin 0 exists at infinite width delta_p, got bin {n}$"
+    message = f"^only bin 0 exists at infinite width q, got bin {n}$"
     with pytest.raises(ValueError, match=message):
-        conditioned_sigma(CLOCK, STATE, T_BENCH, MomentumBinning(math.inf), n, c=C_BENCH)
+        conditioned_sigma(CLOCK, STATE, T_BENCH, math.inf, n, c=C_BENCH)
 
 
 def _sweep(times, q_values):
     # the layout of the CLI's measurement table: t outer, q inner
-    unconditioned = conditioned_sigma(CLOCK, STATE, times, MomentumBinning(math.inf), 0,
+    unconditioned = conditioned_sigma(CLOCK, STATE, times, math.inf, 0,
                                       c=C_BENCH).sigma_t_given_n
-    per_q = [conditioned_sigma(CLOCK, STATE, times, binning_for(q), 0,
-                               c=C_BENCH).sigma_t_given_n for q in q_values]
+    per_q = [conditioned_sigma(CLOCK, STATE, times, q, 0, c=C_BENCH).sigma_t_given_n
+             for q in q_values]
     return [(sigma[i], unconditioned[i]) for i in range(len(times)) for sigma in per_q]
 
 
@@ -282,7 +263,7 @@ def test_quadrature_rule_is_built_once(monkeypatch):
                         lambda n: calls.append(n) or leggauss(n))
     measurement._legendre_rule.cache_clear()
     _sweep(np.array([T_BENCH]), [0.1, 1.0, 10.0])
-    probability(binning_for(1.0), 1)
+    probability(1.0, 1)
     assert calls == [24]
 
 
@@ -300,17 +281,16 @@ def test_import_builds_no_quadrature_rule():
 
 def test_binning_validation():
     # a NaN width compares false against 0: it is rejected here, not inside the rule
-    for delta_p in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="delta_p must be positive"):
-            MomentumBinning(delta_p=delta_p)
+    for q in (0.0, -1.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=rf"^the bin width q must be positive, got {q}$"):
+            conditioned_sigma(CLOCK, STATE, T_BENCH, q, 0, c=C_BENCH)
 
 
 @pytest.mark.parametrize("sigma_t0", [math.nan, math.inf, -1.0])
 def test_conditioned_sigma_rejects_a_bad_reading_spread(sigma_t0):
     # the clock refuses it when it is built, before any conditioning
     with pytest.raises(ValueError, match="sigma_t0 must be finite and non-negative"):
-        conditioned_sigma(IdealisedClock(sigma_t0), STATE, T_BENCH, binning_for(1.0), 0,
-                          c=C_BENCH)
+        conditioned_sigma(IdealisedClock(sigma_t0), STATE, T_BENCH, 1.0, 0, c=C_BENCH)
 
 
 @pytest.mark.parametrize("clock", [
@@ -321,16 +301,15 @@ def test_conditioned_sigma_rejects_a_bad_reading_spread(sigma_t0):
 def test_conditioned_sigma_rejects_a_clock_that_is_not_idealised(clock):
     # a matrix clock would add a non-idealised cross term, not derived here
     with pytest.raises(TypeError, match="conditioning needs an IdealisedClock"):
-        conditioned_sigma(clock, STATE, T_BENCH, binning_for(1.0), 0, c=C_BENCH)
+        conditioned_sigma(clock, STATE, T_BENCH, 1.0, 0, c=C_BENCH)
 
 
 def test_bin_index_is_an_integer():
     # n = 0.5 would integrate [0, sigma_p), which is no bin of the partition
-    binning = binning_for(1.0)
     for n in (0.5, 1.0, np.float64(0.0)):
         with pytest.raises(TypeError):
-            conditioned_sigma(CLOCK, STATE, T_BENCH, binning, n, c=C_BENCH)
-    assert probability(binning, np.int64(1)) == probability(binning, 1) > 0.0
+            conditioned_sigma(CLOCK, STATE, T_BENCH, 1.0, n, c=C_BENCH)
+    assert probability(1.0, np.int64(1)) == probability(1.0, 1) > 0.0
 
 
 @pytest.mark.parametrize("kstate", [
@@ -339,4 +318,4 @@ def test_bin_index_is_an_integer():
 def test_conditioned_sigma_rejects_a_state_it_cannot_bin(kstate):
     # the bin rule integrates one Gaussian momentum density
     with pytest.raises(TypeError, match="conditioning needs a GaussianState"):
-        conditioned_sigma(CLOCK, kstate, T_BENCH, binning_for(1.0), 0, c=C_BENCH)
+        conditioned_sigma(CLOCK, kstate, T_BENCH, 1.0, 0, c=C_BENCH)

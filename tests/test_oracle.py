@@ -615,3 +615,13 @@ def test_report_at_the_floor_fits_no_exponent():
     for corr, resolved in ((2e-12, True), (1e-12, False), (1e-17, False)):
         report = _report("mean_clock_time", lams, [(1.0, 1.0, corr)] * 3, 1.0, "rel", -1.8)
         assert report.at_floor and report.resolved == resolved and report.passed == resolved
+
+
+def test_report_refuses_a_correction_of_zero():
+    # a zero correction has no relative residual: it is refused, as t = 0 is,
+    # rather than reported as an infinite one
+    lams = np.array([1.0, 2.0, 4.0])
+    rows = [(1.0, 1.0 + 1e-9, 1e-6), (1.0, 1.0 + 1e-10, 0.0), (1.0, 1.0 + 1e-11, 1e-8)]
+    with pytest.raises(ValueError, match=r"^verification needs a nonzero correction, "
+                                         r"got 0 at c scaling 2\.0$"):
+        _report("mean_clock_time", lams, rows, 1.0, "rel", -1.8)

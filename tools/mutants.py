@@ -48,7 +48,7 @@ MUTANTS = [
     (KIN, "+ m.mean_p * g * t / (mass * c**2)", "+ 1.01 * m.mean_p * g * t / (mass * c**2)",
      "r_factor: momentum-gravity term x 1.01"),
     (KIN, "- gt * gt / 3.0\n", "- 1.01 * gt * gt / 3.0\n", "r_factor: fall term x 1.01"),
-    (DIL, "correction = t * r * (1.0 + err)", "correction = t * r * (1.0 + 1.01 * err)",
+    (DIL, "correction = t * r * free.rate", "correction = t * r * (1.0 + 1.01 * err)",
      "mean_clock_time: error trace in the correction x 1.01"),
     (CLK, "rate=(2.0 / HBAR) * _dot(x, h).imag,",
      "rate=(2.0 / HBAR) * _dot(x, h).imag * 1.01 - 0.01,", "free_reading: tr E x 1.01"),
@@ -88,7 +88,7 @@ MUTANTS = [
     # the measurement
     (MEA, "np.sqrt(clock.sigma_t0**2 + t * t * var_w)", "np.sqrt(clock.sigma_t0**2 + 0.0 * var_w)",
      "conditioned_sigma: full recovery"),
-    (MEA, "_conditional_w_moments(kstate, *binning.edges(n), c)",
+    (MEA, "_conditional_w_moments(kstate, lo, hi, c)",
      "_conditional_w_moments(kstate, -math.inf, math.inf, c)", "conditioned_sigma: no recovery"),
     (MEA, "clock.sigma_t0**2 + t * t * var_w", "clock.sigma_t0**2 + 1.01 * t * t * var_w",
      "conditioned_sigma: variance x 1.01"),
@@ -102,8 +102,11 @@ MUTANTS = [
      "conditioned_sigma: state check removed"),
     (DIL, "if not isinstance(cat, CatState):", "if False:", "t_coh: state check removed"),
     (CFG, "if num < 2:", "if False:", "linear_grid: fewer than two points accepted"),
-    (MEA, "if n != 0 and self.delta_p == math.inf:", "if False:",
-     "MomentumBinning: a bin other than 0 accepted at infinite width"),
+    (CFG, "num = operator.index(num)", "pass", "linear_grid: a count that is not an integer accepted"),
+    (MEA, "if not q > 0:", "if q < 0:", "conditioned_sigma: a bin width of 0 or NaN accepted"),
+    (MEA, "if n != 0 and q == math.inf:", "if False:",
+     "conditioned_sigma: a bin other than 0 accepted at infinite width"),
+    (ORA, "if corr == 0:", "if False:", "_report: a correction of 0 accepted"),
     # the oracle and its verdict
     (ORA, "elapsed = t - i2 /", "elapsed = t - 1.01 * i2 /", "oracle: c2 coupling x 1.01"),
     (ORA, "elapsed + 3.0 * i4 /", "elapsed + 3.03 * i4 /", "oracle: c4 coupling x 1.01"),
